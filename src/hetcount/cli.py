@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import analysis, harness
-from .core import ELL_TABLE, derive_config
+from .core import ELL_TABLE, UnknownAccuracyKey, derive_config
 from .harness import (
     ExperimentSpec,
     calibrate_ell,
@@ -21,6 +21,11 @@ from .harness import (
     validate_accuracy,
     write_csv,
 )
+
+
+# Sweep variables that take whole numbers.  Their values are parsed as int,
+# so "4" and "4.0" name the same cell and the same replicate seeds.
+INT_SWEEP_VARS = ("T", "D", "n_all", "ell", "m_prime", "s_w")
 
 
 def _parse_n(text):
@@ -36,7 +41,8 @@ def _parse_n(text):
 
 
 def _add_common(sub):
-    sub.add_argument("--T", type=int, default=3)
+    sub.add_argument("--T", type=int,
+                     help="number of types (default: the length of --n, else 3)")
     sub.add_argument("--eps", type=float, default=0.03)
     sub.add_argument("--delta", type=float, default=0.2)
     sub.add_argument("--D", type=int)
@@ -104,6 +110,38 @@ def _load_config(argv):
     return argv[:2] + extra + argv[2:]
 
 
+def _sweep_values(parser, var, text):
+    values = []
+    for item in text.split(","):
+        try:
+            value = float(item)
+        except ValueError:
+            parser.error(f"--sweep-values: {item!r} is not a number")
+        if var in INT_SWEEP_VARS:
+            if not value.is_integer():
+                parser.error(f"--sweep-values: {var} takes whole numbers, "
+                             f"got {item!r}")
+            value = int(value)
+        values.append(value)
+    return values
+
+
+def _check_types(parser, T, n):
+    if T < 2:
+        parser.error(f"T must be at least 2, got {T}")
+    if n is not None and len(n) != T:
+        parser.error(f"--n gives {len(n)} types but T is {T}")
+
+
+def _check_tabulated(parser, params):
+    """Fail on an epsilon or delta with no tabulated ell or m'."""
+    try:
+        derive_config(params["epsilon"], params["delta"], (2,),
+                      ell=params.get("ell"), m_prime=params.get("m_prime"))
+    except UnknownAccuracyKey as exc:
+        parser.error(exc.args[0])
+
+
 def _print_rows(rows):
     sys.stdout.write(",".join(harness.CSV_COLUMNS) + "\n")
     for r in rows:
@@ -118,17 +156,33 @@ def _print_rows(rows):
 def main(argv=None):
     argv = list(sys.argv if argv is None else ["hetcount"] + list(argv))
     argv = _load_config(argv)
-    args = build_parser().parse_args(argv[1:])
+    parser = build_parser()
+    args = parser.parse_args(argv[1:])
+    if args.command in ("simulate", "analyze", "validate"):
+        T = args.T if args.T is not None else len(args.n) if args.n else 3
+    if args.command in ("analyze", "validate"):
+        _check_types(parser, T, args.n)
+        _check_tabulated(parser, {"epsilon": args.eps, "delta": args.delta})
 
     if args.command == "simulate":
-        fixed = {"T": args.T, "epsilon": args.eps, "delta": args.delta}
+        fixed = {"T": T, "epsilon": args.eps, "delta": args.delta}
         if args.D is not None:
             fixed["D"] = args.D
         if args.q is not None:
             fixed["q"] = args.q
         if args.n is not None:
             fixed["n"] = args.n
-        values = [float(v) for v in args.sweep_values.split(",")]
+        values = _sweep_values(parser, args.sweep_var, args.sweep_values)
+        missing = [f"--{k}" for k in ("D", "q")
+                   if k not in fixed and args.sweep_var != k]
+        if args.n is None and missing:
+            parser.error("simulate needs --n, or --D and --q "
+                         f"(missing {' and '.join(missing)})")
+        # A swept T, epsilon, delta, ell or m' replaces the fixed value.
+        for value in values:
+            cell = dict(fixed, **{args.sweep_var: value})
+            _check_types(parser, cell["T"], args.n)
+            _check_tabulated(parser, cell)
         spec = ExperimentSpec(
             schemes=args.schemes.split(","), sweep_var=args.sweep_var,
             sweep_values=values, fixed=fixed,
@@ -148,16 +202,16 @@ def main(argv=None):
             star = analysis.n1_star(T, args.ell) / args.ell
             sys.stdout.write(f"{T},{z1:.4f},{z2:.4f},{star:.4f}\n")
     elif args.command == "analyze":
-        n = args.n or (1000,) * args.T
+        n = args.n or (1000,) * T
         rough = args.rough or n
         config = derive_config(args.eps, args.delta,
                                tuple(max(x, 2) for x in n))
-        ek, er = analysis.expected_K_R(n, rough, config.ell, args.T)
-        lam = analysis.lambda_II(n, rough, config.ell, args.T, config.s_w)
-        method, zone = analysis.select_phase2(rough, config.ell, args.T,
+        ek, er = analysis.expected_K_R(n, rough, config.ell, T)
+        lam = analysis.lambda_II(n, rough, config.ell, T, config.s_w)
+        method, zone = analysis.select_phase2(rough, config.ell, T,
                                               config.s_w)
         sys.stdout.write(f"ell={config.ell} EK={ek:.4f} ER={er:.4f} "
-                         f"lambda_II={lam:.4f} TRep={args.T * config.ell} "
+                         f"lambda_II={lam:.4f} TRep={T * config.ell} "
                          f"phase2={method} zone={zone}\n")
         for b, comp in analysis.expected_energy_3ss(
                 n, config, "bb", rough=rough).items():
@@ -173,9 +227,9 @@ def main(argv=None):
         ref = f" (table: {table})" if table else ""
         sys.stdout.write(f"calibrated ell={ell}{ref}\n")
     elif args.command == "validate":
-        n = args.n or (1000,) * args.T
+        n = args.n or (1000,) * T
         rates = validate_accuracy(
-            args.scheme, [n], {"T": args.T, "epsilon": args.eps,
+            args.scheme, [n], {"T": T, "epsilon": args.eps,
                                "delta": args.delta},
             replicates=args.replicates or 300, seed=args.seed)
         for b, (rate, (lo, hi)) in sorted(rates.items()):

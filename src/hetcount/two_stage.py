@@ -12,6 +12,14 @@ every slot split the type set in half and re-run a stage-1 sub-block per
 half, recursively; blocks with only partial ambiguity get a minimal set of
 single-type probe slots chosen greedily to separate all surviving
 interpretations.
+
+The runners decode through one process-global table per T, indexed by the
+base-3 code of a block's per-type count classes.  Each table is built whole,
+all 3^T codes in one numpy pass per stage-1 outcome, on its first use
+(``resolver_lut(T).ensure``); it costs O(3^T) time and memory, e.g. 59 049
+codes at T = 10, built in well under a second.  ``resolve_block_2ss``
+resolves one block the slow, readable way and is kept as the reference the
+tables are tested against; tables are tested for T <= 10.
 """
 
 from __future__ import annotations
@@ -186,7 +194,8 @@ def resolve_block_2ss(classes, T) -> BlockResolution:
 
     The observable inputs are only slot outcomes (of the stage-1 block and
     of every follow-up slot); classes enter solely through the outcomes
-    they deterministically generate.
+    they deterministically generate.  The runners read the same results
+    from resolver_lut(T); this function is the reference for those tables.
     """
     matrix = build_sym2_matrix(T)
     outcome = _predict_outcome(classes, matrix)
@@ -282,27 +291,174 @@ def plan_resolution(verdict_list, T):
     return plan
 
 
+def _row_symbols(T) -> np.ndarray:
+    """Stage-1 transmissions per type: the symbols in its matrix row."""
+    return np.array([sum(1 for sym in row if sym)
+                     for row in build_sym2_matrix(T).rows], dtype=np.int64)
+
+
+def _outcome_keys(classes, matrix: Sym2Matrix) -> np.ndarray:
+    """_predict_outcome of every row, as one base-4 integer per row."""
+    def incidence(symbol):
+        return np.array([[sym == symbol for sym in row] for row in matrix.rows],
+                        dtype=np.int64)
+    a = classes @ incidence("alpha")
+    b = classes @ incidence("beta")
+    slots = np.where(a + b >= 2, _COLL,
+                     np.where(a == 1, _SA, np.where(b == 1, _SB, _EMPTY)))
+    return slots @ 4 ** np.arange(matrix.slots, dtype=np.int64)
+
+
+def _pairs(keys) -> int:
+    """Number of row pairs sharing a key."""
+    _, n = np.unique(keys, return_counts=True)
+    return int((n * (n - 1)).sum()) // 2
+
+
+def _probe_search(classes, pattern, candidates):
+    """_greedy_probes over one outcome's scenarios without listing pairs.
+
+    Scenario pairs that disagree on presence yet agree on every probe are
+    counted as pairs sharing a probe signature minus pairs sharing the
+    signature and the presence pattern (``pattern``, one integer per row).
+    Returns the probes and the final signature of every row.
+    """
+    n_patterns = 1 << classes.shape[1]
+
+    def unseparated(signature):
+        return _pairs(signature) - _pairs(signature * n_patterns + pattern)
+
+    signature = np.zeros(len(classes), dtype=np.int64)
+    left = unseparated(signature)
+    probes = []
+    while left:
+        best = None
+        best_left = left
+        for b in candidates:
+            if b in probes:
+                continue
+            trial = signature * 3 + classes[:, b]
+            n = unseparated(trial)
+            if n < best_left:
+                best, best_left, best_signature = b, n, trial
+        if best is None:
+            raise InconsistentOutcome("probe construction cannot separate "
+                                      "presence-differing scenarios")
+        probes.append(best)
+        signature, left = best_signature, best_left
+    return probes, signature
+
+
+def _follow_up_3ss(classes):
+    """Three-stage follow-up of all-collision blocks (T <= 3): one stage-2
+    slot where only type 1 transmits, then a dedicated slot per other type
+    if type 1 still collides."""
+    T = classes.shape[1]
+    stage3 = classes[:, 0] >= 2
+    extra = 1 + (T - 1) * stage3
+    tx = np.ones(classes.shape, dtype=np.int16)
+    tx[:, 1:] = stage3[:, None]
+    presence = np.ones(classes.shape, dtype=bool)
+    presence[:, 0] = classes[:, 0] > 0
+    presence[stage3, 1:] = classes[stage3, 1:] > 0
+    return extra, presence, tx
+
+
+def _split_halves(codes, T):
+    """All-collision blocks (T > 3): each half of the type set re-runs
+    stage 1 on its own sub-block, resolved through the half's table.  Both
+    halves have at least two types."""
+    half = -(-T // 2)
+    extra = 0
+    presence, tx = [], []
+    for tg, sub in ((half, codes % 3 ** half), (T - half, codes // 3 ** half)):
+        sub_extra, sub_presence, sub_tx = _build_table(tg)
+        extra = extra + sigma_slots(tg) + sub_extra[sub]
+        presence.append(sub_presence[sub])
+        tx.append(_row_symbols(tg) + sub_tx[sub])
+    return extra, np.hstack(presence), np.hstack(tx).astype(np.int16)
+
+
+@lru_cache(maxsize=None)
+def _build_table(T):
+    """resolve_block_2ss for all 3^T class codes at once, as read-only
+    (extra, presence, tx) arrays indexed by code.
+
+    Codes are grouped by their stage-1 outcome; an outcome's verdicts are
+    the all/any of presence over its group.  The greedy probe search runs
+    once per partially ambiguous outcome, all-collision outcomes take the
+    three-stage follow-up (T <= 3) or the halves' tables (T > 3), and every
+    consistency check of resolve_block_2ss is kept.
+    """
+    codes = np.arange(3 ** T, dtype=np.int64)
+    classes = codes[:, None] // 3 ** np.arange(T, dtype=np.int64) % 3
+    truth = classes > 0
+    keys, group, count = np.unique(_outcome_keys(classes, build_sym2_matrix(T)),
+                                   return_inverse=True, return_counts=True)
+    order = np.argsort(group, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(count)[:-1]))
+    any_present = np.logical_or.reduceat(truth[order], starts)
+    all_present = np.logical_and.reduceat(truth[order], starts)
+    ambiguous = any_present & ~all_present
+    clear = ~ambiguous.any(axis=1)
+    all_collision = ~clear & (keys == _COLL * sum(4 ** s for s in
+                                                  range(sigma_slots(T))))
+
+    extra = np.zeros(3 ** T, dtype=np.int64)
+    presence = np.zeros((3 ** T, T), dtype=bool)
+    tx = np.zeros((3 ** T, T), dtype=np.int16)
+
+    rows = clear[group]
+    presence[rows] = all_present[group[rows]]
+    if (presence[rows] != truth[rows]).any():
+        raise InconsistentOutcome("decoded presence contradicts ground truth")
+
+    rows = all_collision[group]
+    if rows.any():
+        if T <= 3:
+            resolved = _follow_up_3ss(classes[rows])
+            failure = "follow-up contradicts ground truth"
+        else:
+            resolved = _split_halves(codes[rows], T)
+            failure = "recursion contradicts ground truth"
+        extra[rows], presence[rows], tx[rows] = resolved
+        if (presence[rows] != truth[rows]).any():
+            raise InconsistentOutcome(failure)
+
+    pattern = truth @ (1 << np.arange(T, dtype=np.int64))
+    for g in np.flatnonzero(~clear & ~all_collision):
+        members = order[starts[g]:starts[g] + count[g]]
+        probes, signature = _probe_search(classes[members], pattern[members],
+                                          np.flatnonzero(ambiguous[g]))
+        # Each signature must pin one presence pattern: the first member's.
+        _, first, which = np.unique(signature, return_index=True,
+                                    return_inverse=True)
+        if (pattern[members][first][which] != pattern[members]).any():
+            raise InconsistentOutcome("probes failed to pin down presence")
+        extra[members] = len(probes)
+        presence[members] = truth[members]
+        tx[np.ix_(members, probes)] = 1
+
+    for table in (extra, presence, tx):
+        table.setflags(write=False)
+    return extra, presence, tx
+
+
 class _ResolverLUT:
-    """Vectorized access to resolve_block_2ss keyed by base-3 class codes."""
+    """resolve_block_2ss keyed by base-3 class codes, built whole (all 3^T
+    codes) on the first ensure."""
 
     def __init__(self, T):
         self.T = T
-        size = 3 ** T
-        self.filled = np.zeros(size, dtype=bool)
-        self.extra = np.zeros(size, dtype=np.int64)
-        self.presence = np.zeros((size, T), dtype=bool)
-        self.tx = np.zeros((size, T), dtype=np.int16)
+        self.filled = np.zeros(3 ** T, dtype=bool)
+        self.extra = self.presence = self.tx = None
 
     def ensure(self, codes):
-        for code in codes:
-            if self.filled[code]:
-                continue
-            classes = tuple((code // 3 ** b) % 3 for b in range(self.T))
-            res = resolve_block_2ss(classes, self.T)
-            self.extra[code] = res.extra_slots
-            self.presence[code] = res.presence
-            self.tx[code] = res.tx
-            self.filled[code] = True
+        """Make every code's entry available; ``codes`` is accepted for the
+        callers' sake, since the first call builds the whole table."""
+        if self.extra is None:
+            self.extra, self.presence, self.tx = _build_table(self.T)
+            self.filled[:] = True
 
 
 _luts = {}
@@ -370,14 +526,14 @@ def _run_2ss_frame(population, n_blocks, distribution, part, rngs, s_w):
 
 def _energy_2ss(frame: Frame2SS, population, config, frame_total):
     T = population.T
-    matrix = build_sym2_matrix(T)
+    row_symbols = _row_symbols(T)
     lut = resolver_lut(T)
     bp_total = frame.ledger.bp
     energy = EnergyLedger.zeros(population)
     for b in range(1, T + 1):
         blocks = frame.chosen[b]
         part = (blocks > 0).astype(float)
-        row_syms = sum(1 for sym in matrix.rows[b - 1] if sym)
+        row_syms = int(row_symbols[b - 1])
         extra_tx = np.zeros(blocks.shape)
         active = blocks > 0
         if active.any():

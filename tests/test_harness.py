@@ -194,3 +194,49 @@ class TestCli:
     def test_figure_analytic(self):
         out = self._capture(["figure", "fig9b"])
         assert "n1_star_over_ell" in out
+
+    def test_sweep_integer_variable(self):
+        out = self._capture([
+            "simulate", "--schemes", "hsrc2", "--sweep-var", "T",
+            "--sweep-values", "4,5.0", "--D", "100", "--q", "0.15",
+            "--replicates", "1", "--seed", "3"])
+        lines = out.strip().split("\n")
+        assert [line.split(",")[1] for line in lines[1:]] == ["4", "5"]
+        assert lines[2].count(";") == 4    # five per-type energies at T=5
+
+    def test_integer_sweep_values_typed_as_float_agree(self):
+        argv = ["simulate", "--schemes", "txsrcs", "--sweep-var", "D",
+                "--q", "0.3", "--T", "3", "--replicates", "2", "--seed", "4",
+                "--sweep-values"]
+        assert self._capture(argv + ["50"]) == self._capture(argv + ["50.0"])
+
+    def test_types_inferred_from_n(self):
+        out = self._capture(["simulate", "--schemes", "hsrc1", "--n",
+                             "100,100,100,100", "--replicates", "1"])
+        assert out.strip().split("\n")[1].count(";") == 3
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--T", "3", "--n", "5,5"], "--n gives 2 types"),
+        (["simulate", "--sweep-var", "T", "--sweep-values", "4",
+          "--n", "20,20,20"], "--n gives 3 types but T is 4"),
+        (["simulate", "--T", "1", "--D", "10", "--q", "0.5"],
+         "at least 2"),
+        (["simulate", "--T", "3"], "needs --n, or --D and --q"),
+        (["simulate", "--sweep-var", "D", "--sweep-values", "50", "--T", "3"],
+         "missing --q"),
+        (["simulate", "--n", "5,5,5", "--eps", "0.07"], "epsilon=0.07"),
+        (["simulate", "--n", "5,5", "--sweep-var", "epsilon",
+          "--sweep-values", "0.05,0.07"], "epsilon=0.07"),
+        (["simulate", "--sweep-var", "T", "--sweep-values", "4.5",
+          "--D", "10", "--q", "0.5"], "whole numbers"),
+        (["validate", "--eps", "0.07"], "epsilon=0.07"),
+        (["analyze", "--delta", "0.1"], "delta=0.1"),
+        (["analyze", "--T", "4", "--n", "5,5,5"], "--n gives 3 types"),
+    ])
+    def test_bad_input_one_line_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[-1].startswith("hetcount: error: ")
+        assert message in err[-1]

@@ -5,6 +5,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hetcount.core import PopulationSpec, RngBank, SlotOutcome, derive_config
 from hetcount.three_stage import ABSENT, AMBIGUOUS, PRESENT, run_3ss_trial, sym3_matrix
@@ -135,15 +138,65 @@ class TestResolution:
         assert res.extra_slots > 0
 
     def test_lut_matches_resolver(self):
-        T = 4
+        """The vectorised table equals the per-block reference on every
+        code, in extra slots, presence and resolution transmissions."""
+        for T in range(2, 8):
+            lut = resolver_lut(T)
+            lut.ensure(range(3 ** T))
+            assert lut.filled.all()
+            for code, classes in enumerate(_code_classes(T)):
+                res = resolve_block_2ss(classes, T)
+                assert lut.extra[code] == res.extra_slots, (T, classes)
+                assert tuple(lut.presence[code]) == res.presence, (T, classes)
+                assert tuple(lut.tx[code].tolist()) == res.tx, (T, classes)
+
+    def test_lut_matches_resolver_sample_t8(self):
+        T = 8
         lut = resolver_lut(T)
-        counts = np.array([[0, 0, 1, 0], [1, 0, 2, 0], [2, 2, 2, 2]])
+        rng = np.random.default_rng(8)
+        codes = rng.choice(3 ** T, size=120, replace=False)
+        lut.ensure(codes)
+        for code in codes:
+            classes = tuple(int(code) // 3 ** b % 3 for b in range(T))
+            res = resolve_block_2ss(classes, T)
+            assert lut.extra[code] == res.extra_slots, classes
+            assert tuple(lut.presence[code]) == res.presence, classes
+            assert tuple(lut.tx[code].tolist()) == res.tx, classes
+
+    @pytest.mark.parametrize("T", range(2, 11))
+    def test_full_table_soundness(self, T):
+        lut = resolver_lut(T)
+        lut.ensure(range(3 ** T))
+        classes = np.array(list(_code_classes(T)))
+        assert lut.presence.shape == (3 ** T, T)
+        assert (lut.presence == (classes > 0)).all()
+        assert (lut.extra >= 0).all()
+        assert (lut.tx >= 0).all()
+        # Nothing is needed exactly where stage 1 alone decodes the block.
+        assert ((lut.extra == 0) == (lut.tx == 0).all(axis=1)).all()
+
+    def test_tables_read_only(self):
+        lut = resolver_lut(4)
+        lut.ensure([0])
+        with pytest.raises(ValueError):
+            lut.extra[0] = 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(arrays(np.int64, st.tuples(st.integers(1, 30), st.integers(2, 10)),
+                  elements=st.integers(0, 6)))
+    def test_random_frames_decode_truth(self, counts):
+        """Per-block counts through class_codes and the table give back
+        exactly which types were present."""
         codes = class_codes(counts)
+        lut = resolver_lut(counts.shape[1])
         lut.ensure(np.unique(codes))
-        for row, code in zip(counts, codes):
-            res = resolve_block_2ss(tuple(np.minimum(row, 2)), T)
-            assert lut.extra[code] == res.extra_slots
-            assert (lut.presence[code] == np.array(res.presence)).all()
+        assert (lut.presence[codes] == (counts > 0)).all()
+        assert (lut.extra[codes] >= 0).all()
+
+
+def _code_classes(T):
+    """Count-class vector of every base-3 code, in code order."""
+    return (tuple(reversed(c)) for c in product((0, 1, 2), repeat=T))
 
 
 class TestRunners:
