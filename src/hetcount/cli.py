@@ -25,7 +25,9 @@ from .harness import (
 
 # Sweep variables that take whole numbers.  Their values are parsed as int,
 # so "4" and "4.0" name the same cell and the same replicate seeds.
-INT_SWEEP_VARS = ("T", "D", "n_all", "ell", "m_prime", "s_w")
+INT_SWEEP_VARS = ("T", "D", "n_all", "ell", "m_prime", "s_w", "n2_value")
+# simulate takes no rough estimates, so it cannot sweep one.
+SIMULATE_SWEEP_VARS = tuple(v for v in harness.SWEEP_VARS if v != "rough1")
 
 
 def _parse_n(text):
@@ -64,7 +66,8 @@ def build_parser():
     sim = subs.add_parser("simulate", help="ad-hoc Monte-Carlo run")
     _add_common(sim)
     sim.add_argument("--schemes", default="hsrc1,hsrc2,txsrcs")
-    sim.add_argument("--sweep-var", default="none")
+    sim.add_argument("--sweep-var", default="none",
+                     choices=SIMULATE_SWEEP_VARS)
     sim.add_argument("--sweep-values", default="0")
 
     fig = subs.add_parser("figure", help="published-figure preset")
@@ -178,6 +181,8 @@ def main(argv=None):
         if args.n is None and missing:
             parser.error("simulate needs --n, or --D and --q "
                          f"(missing {' and '.join(missing)})")
+        if args.n is None and args.sweep_var == "n2_value":
+            parser.error("--sweep-var n2_value needs --n")
         # A swept T, epsilon, delta, ell or m' replaces the fixed value.
         for value in values:
             cell = dict(fixed, **{args.sweep_var: value})

@@ -8,6 +8,7 @@ energy ledgers that make every simulated frame auditable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -280,6 +281,9 @@ class EstimateReport:
     final: dict
     phase2_method: str | None
     ledger: SlotLedger
+    # Selection zone that chose phase2_method (see analysis.select_phase2),
+    # "override" when the method was forced, None where nothing was selected.
+    phase2_zone: str | None = None
     energy: EnergyLedger | None = None
     flags: dict = field(default_factory=dict)
     phase1_ledger: SlotLedger | None = None
@@ -312,12 +316,36 @@ class RngBank:
         return np.random.default_rng(seq)
 
 
+@functools.lru_cache(maxsize=64)
+def _exponent_blocks(t):
+    """Read-only map from the biased float64 exponent of 1 - U to the block
+    min(max(1, 1023 - exponent), t)."""
+    blocks = np.clip(1023 - np.arange(1024, dtype=np.int64), 1, t)
+    blocks.flags.writeable = False
+    return blocks
+
+
+def _geometric_blocks(u, t):
+    """Blocks min(Geometric(1/2), t) as int64 from uniforms u in [0, 1)
+    (any shape, float64, C-contiguous), which it overwrites.
+
+    numpy's ``Generator.geometric(0.5)`` takes one uniform U per variate and
+    returns the least k >= 1 with U <= 1 - 2^-k; its partial sums are exact
+    at p = 1/2, and so is 1 - U.  That k is max(1, -floor(log2(1 - U))),
+    which the exponent field of 1 - U gives directly.  So
+    ``_geometric_blocks(rng.random(n), t)`` equals
+    ``np.minimum(rng.geometric(0.5, size=n), t)`` value for value and leaves
+    rng in the same state.
+    """
+    exponents = np.subtract(1.0, u, out=u).view(np.int64)
+    exponents >>= 52
+    return _exponent_blocks(t).take(exponents)
+
+
 def geometric_block_choices(rng, n, t):
     """Block index per node: block i with probability 2^-i, the tail mass
     folded onto block t."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.minimum(rng.geometric(0.5, size=n), t)
+    return _geometric_blocks(rng.random(n), t)
 
 
 def uniform_block_choices(rng, n, ell, p):

@@ -34,6 +34,14 @@ CSV_COLUMNS = ["sweep_var", "sweep_value", "scheme", "replicates",
                "acc_rate_min", "energy_mean_per_type"]
 
 
+# Sweep variables run_experiment reads: "none", the per-type sweeps of
+# _apply_sweep, and the scalar parameters of _build_population and
+# _build_config.
+SWEEP_VARS = ("none", "rough1", "n2_value", "T", "D", "q", "n_all",
+              "epsilon", "delta", "s_w", "ell", "m_prime", "gamma_tau",
+              "gamma_rho", "gamma_iota")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -54,6 +62,8 @@ class ExperimentSpec:
             raise ConfigError("replicates must be >= 1")
         if not self.sweep_values:
             raise ConfigError("sweep range is empty")
+        if self.sweep_var not in SWEEP_VARS:
+            raise ConfigError(f"unknown sweep variable {self.sweep_var!r}")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")

@@ -24,6 +24,7 @@ from .core import (
     ProtocolConfig,
     RngBank,
     SlotLedger,
+    _geometric_blocks,
     bitmap_bp_slots,
     uniform_block_choices,
 )
@@ -120,15 +121,23 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
     final, flags = _finalize(z, rough, config)
     ledger = phase1_ledger + phase2_ledger + SlotLedger(bp=boundary)
     return EstimateReport(rough=rough, final=final, phase2_method=method,
-                          ledger=ledger, energy=energy, flags=flags,
-                          phase1_ledger=phase1_ledger,
+                          phase2_zone=zone, ledger=ledger, energy=energy,
+                          flags=flags, phase1_ledger=phase1_ledger,
                           phase2_ledger=phase2_ledger,
                           overhead_slots=boundary + plan_overhead)
 
 
+# Uniforms drawn at once per type by the repeated baselines: trials are
+# drawn in chunks of max(1, _REP_CHUNK // n_b) rows, so memory stays flat in
+# m_lof x n_b.
+_REP_CHUNK = 1 << 20
+
+
 def _repeated_block_counts(population, t, M, bank):
     """(M, t, T) per-trial per-block transmitter counts for the repeated
-    baselines, drawn in bulk from one stream per type."""
+    baselines, drawn in row chunks from one stream per type.  Successive
+    draws from one generator continue its sequence, so the counts equal
+    those of a single (M, n_b) draw."""
     T = population.T
     counts = np.zeros((M, t, T), dtype=np.int32)
     for b in range(1, T + 1):
@@ -136,9 +145,13 @@ def _repeated_block_counts(population, t, M, bank):
         if nb == 0:
             continue
         rng = bank.stream("rep", b)
-        g = np.minimum(rng.geometric(0.5, size=(M, nb)), t)
-        idx = (np.arange(M)[:, None] * t + (g - 1)).ravel()
-        counts[:, :, b - 1] = np.bincount(idx, minlength=M * t).reshape(M, t)
+        rows = max(1, _REP_CHUNK // nb)
+        for s in range(0, M, rows):
+            k = min(rows, M - s)
+            idx = _geometric_blocks(rng.random((k, nb)), t)
+            idx += np.arange(-1, k * t - 1, t)[:, None]
+            counts[s:s + k, :, b - 1] = np.bincount(
+                idx.ravel(), minlength=k * t).reshape(k, t)
     return counts
 
 

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetcount.core import (
     ELL_TABLE,
@@ -14,6 +16,7 @@ from hetcount.core import (
     SlotLedger,
     SlotOutcome,
     UnknownAccuracyKey,
+    _geometric_blocks,
     bitmap_bp_slots,
     block_count_for,
     derive_config,
@@ -191,3 +194,44 @@ class TestDrawHelpers:
         assert bitmap_bp_slots(6, 6) == 1
         assert bitmap_bp_slots(7, 6) == 2
         assert bitmap_bp_slots(3009, 6) == 502
+
+
+# Block draws transform uniforms instead of calling Generator.geometric(0.5);
+# that is exact only because of how numpy's geometric sampler consumes and
+# maps its uniforms.  These tests compare the two on the same seeds, and fail
+# if a numpy release changes that algorithm.
+def _numpy_geometric(seed, n, t):
+    rng = np.random.default_rng(seed)
+    return np.minimum(rng.geometric(0.5, size=n), t), rng.random()
+
+
+class TestGeometricBitIdentity:
+    @pytest.mark.parametrize("n", [0, 1, 15, 200_000])
+    @pytest.mark.parametrize("t", [1, 2, 20, 60])
+    def test_equals_numpy_geometric(self, n, t):
+        expected, next_u = _numpy_geometric(n + t, n, t)
+        rng = np.random.default_rng(n + t)
+        blocks = geometric_block_choices(rng, n, t)
+        assert blocks.dtype == np.int64
+        assert np.array_equal(blocks, expected)
+        assert rng.random() == next_u
+        rng = np.random.default_rng(n + t)
+        assert np.array_equal(_geometric_blocks(rng.random(n), t), expected)
+        assert rng.random() == next_u
+
+    def test_boundary_uniforms(self):
+        # U = 0, U = 1 - 2^-k (the last U still in block k), the next double
+        # above it, and the largest U below 1.
+        u = np.array([0.0, 0.5, np.nextafter(0.5, 1.0), 0.75, 1 - 2.0 ** -52,
+                      np.nextafter(1.0, 0.0)])
+        assert _geometric_blocks(u.copy(), 60).tolist() == [1, 1, 2, 2, 52, 53]
+        assert _geometric_blocks(u, 20).tolist() == [1, 1, 2, 2, 20, 20]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 63 - 1), st.integers(0, 3000),
+           st.integers(1, 64))
+    def test_property_equals_numpy_geometric(self, seed, n, t):
+        expected, next_u = _numpy_geometric(seed, n, t)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(geometric_block_choices(rng, n, t), expected)
+        assert rng.random() == next_u

@@ -2,10 +2,13 @@
 trial-length calibration, and the CLI."""
 
 import io
+import os
+import subprocess
 import sys
 
 import pytest
 
+import hetcount
 from hetcount import cli
 from hetcount.harness import (
     CSV_COLUMNS,
@@ -40,6 +43,10 @@ class TestSpecValidation:
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
             ExperimentSpec(["nope"], "none", [0], {})
+
+    def test_unknown_sweep_variable(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            ExperimentSpec(["hsrc1"], "bogus", [0], {})
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -232,6 +239,8 @@ class TestCli:
         (["validate", "--eps", "0.07"], "epsilon=0.07"),
         (["analyze", "--delta", "0.1"], "delta=0.1"),
         (["analyze", "--T", "4", "--n", "5,5,5"], "--n gives 3 types"),
+        (["simulate", "--sweep-var", "n2_value", "--sweep-values", "10",
+          "--D", "10", "--q", "0.5"], "n2_value needs --n"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -240,3 +249,32 @@ class TestCli:
         err = capsys.readouterr().err.strip().split("\n")
         assert err[-1].startswith("hetcount: error: ")
         assert message in err[-1]
+
+    @pytest.mark.parametrize("var", ["rough1", "bogus"])
+    def test_unknown_sweep_variable_rejected(self, capsys, var):
+        # rough1 needs rough estimates, which simulate does not take.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--n", "5,5,5", "--sweep-var", var,
+                      "--sweep-values", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[-1].startswith("hetcount simulate: error: argument "
+                                  f"--sweep-var: invalid choice: '{var}'")
+
+    def test_sweep_n2_value(self):
+        out = self._capture(["simulate", "--schemes", "p2-trepbb", "--n",
+                             "50,50,50", "--sweep-var", "n2_value",
+                             "--sweep-values", "60,70.0", "--replicates", "1"])
+        assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] \
+            == ["60", "70"]
+
+    def test_python_dash_m(self):
+        src = os.path.dirname(os.path.dirname(hetcount.__file__))
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run(
+            [sys.executable, "-m", "hetcount", "zeta", "--t-min", "2",
+             "--t-max", "2"], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[1].startswith("2,0.4932")

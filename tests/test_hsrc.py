@@ -1,11 +1,15 @@
 """Composite estimators and baselines: equality under shared randomness,
 override consistency, determinism, and ledgers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hetcount import hsrc
+from hetcount.analysis import select_phase2
 from hetcount.core import PopulationSpec, RngBank, derive_config
-from hetcount.hsrc import run_baseline, run_hsrc
+from hetcount.hsrc import _repeated_block_counts, run_baseline, run_hsrc
 from hetcount.homogeneous import t_repetitions_srcs
 
 
@@ -89,6 +93,16 @@ class TestRunHsrc:
         for b in (1, 2, 3):
             assert (rep.energy.idle(b) >= -1e-9).all()
 
+    def test_selection_zone_recorded(self):
+        pop = _pop((500, 800, 300), 2000)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        free = run_hsrc("HSRC1", pop, cfg, RngBank(7))
+        assert (free.phase2_method, free.phase2_zone) == select_phase2(
+            free.rough, cfg.ell, pop.T, cfg.s_w)
+        forced = run_hsrc("HSRC2", pop, cfg, RngBank(7),
+                          phase2_override="TRepBB")
+        assert forced.phase2_zone == "override"
+
 
 class TestBaselines:
     def test_unknown_scheme(self):
@@ -123,6 +137,13 @@ class TestBaselines:
         assert r2.final == r3.final
         assert r2.ledger == r3.ledger
 
+    def test_no_selection_zone(self):
+        pop = _pop((50, 80), 256)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        for scheme in ("3SS-repeated", "2SS-repeated", "TxSRCS"):
+            rep = run_baseline(scheme, pop, cfg, RngBank(1))
+            assert rep.phase2_zone is None
+
     def test_txsrcs_delegates(self):
         pop = _pop((100, 100), 1000)
         cfg = derive_config(0.03, 0.2, pop.n_all)
@@ -138,3 +159,49 @@ class TestBaselines:
         r2 = run_baseline("2SS-repeated", pop, cfg, RngBank(4))
         assert r2.ledger.stage1 == 2 * cfg.t_T * cfg.m_lof
         assert r2.overhead_slots == cfg.m_lof * -(-2 * cfg.t_T // cfg.s_w)
+
+
+def _one_shot_block_counts(population, t, M, bank):
+    """Reference: the whole (M, n_b) geometric draw at once, per type."""
+    T = population.T
+    counts = np.zeros((M, t, T), dtype=np.int32)
+    for b in range(1, T + 1):
+        nb = population.n[b - 1]
+        if nb == 0:
+            continue
+        rng = bank.stream("rep", b)
+        g = np.minimum(rng.geometric(0.5, size=(M, nb)), t)
+        idx = (np.arange(M)[:, None] * t + (g - 1)).ravel()
+        counts[:, :, b - 1] = np.bincount(idx, minlength=M * t).reshape(M, t)
+    return counts
+
+
+class TestRepeatedBlockCounts:
+    # Chunked draws of uniforms must reproduce numpy's one-shot geometric
+    # draw exactly; this fails if a numpy release changes that algorithm.
+    @pytest.mark.parametrize("chunk, n, M, t", [
+        (1 << 20, (40, 7, 0), 13, 5),            # n_b far below the budget
+        (1 << 20, (1023, 0, 5), 1030, 6),        # 1025 rows per chunk
+        (1 << 20, (1 << 20, 1), 3, 20),          # n_b at the budget
+        (1 << 20, ((1 << 20) + 1, 2), 2, 1),     # n_b above it, t = 1
+        (100, (30, 250, 0), 11, 9),              # 3 rows + 2, and 1 row
+    ])
+    def test_equals_one_shot_draw(self, chunk, n, M, t, monkeypatch):
+        monkeypatch.setattr(hsrc, "_REP_CHUNK", chunk)
+        pop = _pop(n, max(n))
+        got = _repeated_block_counts(pop, t, M, RngBank(3))
+        assert got.dtype == np.int32
+        assert np.array_equal(got, _one_shot_block_counts(pop, t, M,
+                                                          RngBank(3)))
+
+    def test_memory_flat_in_trials_times_nodes(self):
+        # m_lof x n_b = 1136 x 2e4 uniforms per type would take 182 MB at
+        # once (about 700 MB with the index arrays of a one-shot draw).
+        pop = _pop((20_000,) * 4, 1 << 20)
+        tracemalloc.start()
+        try:
+            _repeated_block_counts(pop, 20, 1136, RngBank(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
