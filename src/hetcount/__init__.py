@@ -8,7 +8,6 @@ from .core import (
     EstimateReport,
     InconsistentOutcome,
     PopulationSpec,
-    PresenceSets,
     ProtocolConfig,
     RngBank,
     SlotLedger,
@@ -20,7 +19,6 @@ from .core import (
 
 __all__ = [
     "AllSlotsBusy", "EnergyLedger", "EstimateReport", "InconsistentOutcome",
-    "PopulationSpec", "PresenceSets", "ProtocolConfig", "RngBank",
-    "SlotLedger", "SlotOutcome", "UnknownAccuracyKey", "derive_config",
-    "resolve_slot",
+    "PopulationSpec", "ProtocolConfig", "RngBank", "SlotLedger",
+    "SlotOutcome", "UnknownAccuracyKey", "derive_config", "resolve_slot",
 ]

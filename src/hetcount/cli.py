@@ -14,12 +14,14 @@ import sys
 from . import analysis, harness
 from .core import ELL_TABLE, UnknownAccuracyKey, derive_config
 from .harness import (
+    ConfigError,
     ExperimentSpec,
+    apply_sweep,
     calibrate_ell,
     figure_preset,
+    format_csv,
     run_experiment,
     validate_accuracy,
-    write_csv,
 )
 
 
@@ -145,15 +147,13 @@ def _check_tabulated(parser, params):
         parser.error(exc.args[0])
 
 
-def _print_rows(rows):
-    sys.stdout.write(",".join(harness.CSV_COLUMNS) + "\n")
-    for r in rows:
-        energy = ";".join(f"{e:.6g}" for e in r.energy_mean_per_type)
-        vals = [r.sweep_var, f"{r.sweep_value}", r.scheme, str(r.replicates),
-                f"{r.mean_slots:.6g}", f"{r.se_slots:.6g}", f"{r.stage1:.6g}",
-                f"{r.stage2:.6g}", f"{r.stage3:.6g}", f"{r.bp:.6g}",
-                f"{r.acc_rate_min:.6g}", energy]
-        sys.stdout.write(",".join(vals) + "\n")
+def _check_totals(parser, params):
+    """Fail on more active nodes per type than n_all (else D) allows."""
+    total = params.get("n_all") or params.get("D")
+    most = max(params["n"]) if params.get("n") is not None else params.get("D")
+    if total and most is not None and most > total:
+        parser.error(f"up to {most} active nodes per type, but n_all "
+                     f"(else D) is {total}")
 
 
 def main(argv=None):
@@ -183,22 +183,26 @@ def main(argv=None):
                          f"(missing {' and '.join(missing)})")
         if args.n is None and args.sweep_var == "n2_value":
             parser.error("--sweep-var n2_value needs --n")
-        # A swept T, epsilon, delta, ell or m' replaces the fixed value.
+        try:
+            spec = ExperimentSpec(
+                schemes=args.schemes.split(","), sweep_var=args.sweep_var,
+                sweep_values=values, fixed=fixed,
+                replicates=args.replicates or 100, seed=args.seed,
+                out=args.out, include_overhead=args.include_overhead)
+        except ConfigError as exc:
+            parser.error(str(exc))
+        # A swept T, epsilon, delta, n_all, ... replaces the fixed value.
         for value in values:
-            cell = dict(fixed, **{args.sweep_var: value})
+            cell = apply_sweep(dict(fixed), args.sweep_var, value)
             _check_types(parser, cell["T"], args.n)
             _check_tabulated(parser, cell)
-        spec = ExperimentSpec(
-            schemes=args.schemes.split(","), sweep_var=args.sweep_var,
-            sweep_values=values, fixed=fixed,
-            replicates=args.replicates or 100, seed=args.seed, out=args.out,
-            include_overhead=args.include_overhead)
-        _print_rows(run_experiment(spec))
+            _check_totals(parser, cell)
+        sys.stdout.write(format_csv(run_experiment(spec)))
     elif args.command == "figure":
         rows = figure_preset(args.name, replicates=args.replicates,
                              seed=args.seed, out=args.out,
                              include_overhead=args.include_overhead)
-        _print_rows(rows)
+        sys.stdout.write(format_csv(rows))
     elif args.command == "zeta":
         sys.stdout.write("T,zeta1,zeta2,n1_star_over_ell\n")
         for T in range(args.t_min, args.t_max + 1):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import NormalDist
@@ -259,23 +260,6 @@ class EnergyLedger:
 
 
 @dataclass
-class PresenceSets:
-    """Block indices (1-based) in which each type was seen, plus the
-    follow-up bitmap d over stage-1 blocks."""
-
-    I: dict
-    d: dict = field(default_factory=dict)
-
-    def first_absent(self, b, n_blocks) -> int:
-        """Smallest block index not in I_b; n_blocks if every block is hit."""
-        present = self.I.get(b, set())
-        for h in range(1, n_blocks + 1):
-            if h not in present:
-                return h
-        return n_blocks
-
-
-@dataclass
 class EstimateReport:
     rough: dict
     final: dict
@@ -304,16 +288,45 @@ class RngBank:
     always yields the same stream, and distinct keys are independent.  This
     is what lets different schemes replay identical draws for the same
     (type, purpose) role, which the estimator-equality tests rely on.
+
+    A key's seed words are derived once per bank and replayed after that:
+    every call still returns a fresh Generator at the start of the stream,
+    sharing no state with earlier ones.  The bank keeps about 0.25 KB per key.
     """
 
     def __init__(self, seed):
         self.seed = int(seed)
+        self._words = {}
 
     def stream(self, *key) -> np.random.Generator:
-        digest = hashlib.sha256(repr(key).encode()).digest()
-        words = tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=words)
-        return np.random.default_rng(seq)
+        name = repr(key)
+        words = self._words.get(name)
+        if words is None:
+            digest = hashlib.sha256(name.encode()).digest()
+            seq = np.random.SeedSequence(
+                entropy=self.seed, spawn_key=struct.unpack("<4I", digest[:16]))
+            words = self._words[name] = seq.generate_state(4, np.uint64)
+            words.flags.writeable = False
+        return np.random.Generator(np.random.PCG64(_replay_type()(words)))
+
+
+@functools.cache
+def _replay_type():
+    """Seed sequence that hands PCG64 the seed words a SeedSequence derived
+    earlier, so the Generator equals ``default_rng(that SeedSequence)``.
+    Made on first use: importing numpy.random slows ``import hetcount``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Replay(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Replay
 
 
 @functools.lru_cache(maxsize=64)

@@ -35,7 +35,7 @@ CSV_COLUMNS = ["sweep_var", "sweep_value", "scheme", "replicates",
 
 
 # Sweep variables run_experiment reads: "none", the per-type sweeps of
-# _apply_sweep, and the scalar parameters of _build_population and
+# apply_sweep, and the scalar parameters of _build_population and
 # _build_config.
 SWEEP_VARS = ("none", "rough1", "n2_value", "T", "D", "q", "n_all",
               "epsilon", "delta", "s_w", "ell", "m_prime", "gamma_tau",
@@ -44,6 +44,10 @@ SWEEP_VARS = ("none", "rough1", "n2_value", "T", "D", "q", "n_all",
 
 class ConfigError(ValueError):
     pass
+
+
+# Schemes that run phase 2 alone, on rough estimates the experiment gives.
+PHASE2_ONLY = ("p2-3ssbb", "p2-2ssbb", "p2-trepbb")
 
 
 @dataclass
@@ -67,6 +71,11 @@ class ExperimentSpec:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")
+            if (s in PHASE2_ONLY and "rough" not in self.fixed
+                    and self.sweep_var != "n2_value"):
+                raise ConfigError(f"{s} runs phase 2 alone: it needs rough "
+                                  "estimates, from a fixed 'rough' or an "
+                                  "n2_value sweep")
 
 
 @dataclass
@@ -86,6 +95,9 @@ class ResultRow:
 
 
 def _rep_seed(seed, sweep_var, value, rep) -> int:
+    # 3 and 3.0 name one cell, so they get one seed.
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
     digest = hashlib.sha256(repr((seed, sweep_var, value, rep)).encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -161,18 +173,45 @@ def _build_config(params, population):
         gamma_iota=params.get("gamma_iota", 1.0))
 
 
+def _with_rough(params):
+    """``params`` with the rough estimates keyed by type (1-based), and n
+    taken from them where it is not given; edited in place."""
+    if "rough" in params:
+        if params.get("n") is None:
+            params["n"] = tuple(int(round(x)) for x in params["rough"])
+        if not isinstance(params["rough"], dict):
+            params["rough"] = dict(enumerate(params["rough"], 1))
+    return params
+
+
+def _replicate(prm, seed):
+    """Bank, population and config of one replicate."""
+    bank = RngBank(seed)
+    population = _build_population(prm, bank)
+    return bank, population, _build_config(prm, population)
+
+
 def run_experiment(spec: ExperimentSpec):
     rows = []
     for value in spec.sweep_values:
-        params = _apply_sweep(dict(spec.fixed), spec.sweep_var, value)
+        prm = _with_rough(apply_sweep(dict(spec.fixed), spec.sweep_var,
+                                      value))
+        # Every scheme runs the same replicates, so one bank per replicate
+        # derives each stream once for all of them.  Cells still run one
+        # after another, each over its replicates in order.
+        contexts = [_replicate(prm, _rep_seed(spec.seed, spec.sweep_var,
+                                              value, rep))
+                    for rep in range(spec.replicates)]
         for scheme in spec.schemes:
-            rows.append(_run_cell(spec, params, scheme, value))
+            rows.append(_run_cell(spec, prm, contexts, scheme, value))
     if spec.out:
         write_csv(spec.out, rows)
     return rows
 
 
-def _apply_sweep(params, sweep_var, value):
+def apply_sweep(params, sweep_var, value):
+    """``params`` with the sweep variable set to ``value``, edited in place:
+    a swept n2_value also becomes the rough estimates."""
     if sweep_var == "rough1":
         rough = list(params["rough"])
         rough[0] = value
@@ -188,23 +227,13 @@ def _apply_sweep(params, sweep_var, value):
     return params
 
 
-def _run_cell(spec, params, scheme, value) -> ResultRow:
+def _run_cell(spec, prm, contexts, scheme, value) -> ResultRow:
     run = SCHEMES[scheme]
     totals = []
     stages = np.zeros(4)
     acc_ok = None
     energy_sums = None
-    prm = dict(params)
-    for rep in range(spec.replicates):
-        bank = RngBank(_rep_seed(spec.seed, spec.sweep_var, value, rep))
-        if "rough" in prm and prm.get("n") is None:
-            prm["n"] = tuple(int(round(x)) for x in prm["rough"])
-        population = _build_population(prm, bank)
-        if "rough" in prm:
-            prm["rough"] = {b: prm["rough"][b - 1]
-                            for b in range(1, population.T + 1)} \
-                if not isinstance(prm["rough"], dict) else prm["rough"]
-        config = _build_config(prm, population)
+    for bank, population, config in contexts:
         report = run(population, config, bank, prm)
         total = report.ledger.total if spec.include_overhead \
             else report.comparable_total
@@ -241,7 +270,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path, rows):
+def format_csv(rows) -> str:
+    """The CSV text of ``rows``, header included, as write_csv writes it."""
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
         energy = ";".join(_fmt(e) for e in r.energy_mean_per_type)
@@ -250,7 +280,11 @@ def write_csv(path, rows):
             _fmt(r.mean_slots), _fmt(r.se_slots), _fmt(r.stage1),
             _fmt(r.stage2), _fmt(r.stage3), _fmt(r.bp), _fmt(r.acc_rate_min),
             energy]))
-    data = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, rows):
+    data = format_csv(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(data)
     return data
@@ -345,15 +379,10 @@ def validate_accuracy(scheme, populations, params, replicates, seed=0):
     over a grid of populations."""
     hits, tries = {}, {}
     for pop_n in populations:
-        prm = dict(params)
-        prm["n"] = tuple(pop_n)
+        prm = _with_rough(dict(params, n=tuple(pop_n)))
         for rep in range(replicates):
-            bank = RngBank(_rep_seed(seed, "validate", tuple(pop_n), rep))
-            population = _build_population(prm, bank)
-            if "rough" in prm and not isinstance(prm["rough"], dict):
-                prm["rough"] = {b: prm["rough"][b - 1]
-                                for b in range(1, population.T + 1)}
-            config = _build_config(prm, population)
+            bank, population, config = _replicate(
+                prm, _rep_seed(seed, "validate", tuple(pop_n), rep))
             report = SCHEMES[scheme](population, config, bank, prm)
             for b in range(1, population.T + 1):
                 nb = population.n[b - 1]

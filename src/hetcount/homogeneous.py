@@ -31,13 +31,6 @@ from .core import (
 
 
 @dataclass(frozen=True)
-class LofTrialPlan:
-    t: int
-    m: int
-    c: float = 0.0
-
-
-@dataclass(frozen=True)
 class BBTrialPlan:
     ell: int
     p: float

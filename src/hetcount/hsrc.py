@@ -197,7 +197,7 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
         codes = np.minimum(counts, 2).astype(np.int64) @ (
             3 ** np.arange(T, dtype=np.int64))
         lut = resolver_lut(T)
-        lut.ensure(np.unique(codes))
+        lut.ensure(codes.ravel())
         extra = lut.extra[codes]
         stage1 = sigma_slots(T) * t * M
         stage2 = int(extra.sum())

@@ -513,7 +513,7 @@ def _run_2ss_frame(population, n_blocks, distribution, part, rngs, s_w):
         counts[:, b - 1] = np.bincount(active, minlength=n_blocks + 1)[1:]
     codes = class_codes(counts)
     lut = resolver_lut(T)
-    lut.ensure(np.unique(codes))
+    lut.ensure(codes)
     presence = lut.presence[codes]
     extra = lut.extra[codes]
     ledger = SlotLedger(

@@ -1,6 +1,10 @@
 """Core domain types, config derivation, and the randomness contract."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hetcount
 from hetcount.core import (
     ELL_TABLE,
     EnergyLedger,
@@ -152,6 +157,24 @@ class TestLedgers:
         assert np.allclose(a.idle(1), 5.0)
 
 
+def _derived_stream(seed, key):
+    """RngBank's derivation, written out: SHA-256 of the key's repr, four
+    little-endian words as the spawn key, then default_rng."""
+    digest = hashlib.sha256(repr(key).encode()).digest()
+    words = tuple(int.from_bytes(digest[i:i + 4], "little")
+                  for i in range(0, 16, 4))
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=words))
+
+
+# Keys shaped like the ones the schemes use.
+_STREAM_KEYS = st.one_of(
+    st.tuples(st.just("p1"), st.integers(0, 50), st.integers(1, 12)),
+    st.tuples(st.just("p2"), st.integers(1, 12)),
+    st.tuples(st.just("rep"), st.integers(1, 12)),
+    st.just(("pop",)))
+
+
 class TestRngBank:
     def test_deterministic(self):
         draws1 = RngBank(7).stream("p1", 0, 1).random(5)
@@ -170,6 +193,62 @@ class TestRngBank:
         a = RngBank(7).stream("p1", 0, 1).random(5)
         b = RngBank(8).stream("p1", 0, 1).random(5)
         assert not np.array_equal(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1), st.lists(_STREAM_KEYS, min_size=1,
+                                                 max_size=6))
+    def test_property_equals_derivation_per_call(self, seed, keys):
+        # First calls and repeated calls, interleaved across keys.
+        bank = RngBank(seed)
+        for key in keys + keys[::-1]:
+            rng, ref = bank.stream(*key), _derived_stream(seed, key)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.random(7), ref.random(7))
+            assert np.array_equal(rng.integers(1, 3009, size=7),
+                                  ref.integers(1, 3009, size=7))
+            assert np.array_equal(rng.geometric(0.5, size=5),
+                                  ref.geometric(0.5, size=5))
+
+    def test_repeated_calls_share_no_state(self):
+        bank = RngBank(7)
+        a = bank.stream("p2", 1)
+        first = a.random(10)
+        b = bank.stream("p2", 1)
+        assert b is not a and b.bit_generator is not a.bit_generator
+        assert np.array_equal(b.random(10), first)
+        assert np.array_equal(a.random(4), b.random(4))
+        c = bank.stream("p2", 1)
+        assert np.array_equal(c.random(10), first)
+
+    def test_derives_each_key_once(self, monkeypatch):
+        digests = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256",
+                            lambda data: digests.append(data) or sha256(data))
+        bank = RngBank(7)
+        for key in [("p1", 0, 1), ("p2", 1), ("p1", 0, 1), ("p2", 1)]:
+            bank.stream(*key)
+        assert digests == [b"('p1', 0, 1)", b"('p2', 1)"]
+
+    def test_key_spelling_matters(self):
+        # Keys are named by their repr, as the derivation hashes it.
+        bank = RngBank(7)
+        a = bank.stream("p1", 1, 2).random(5)
+        b = bank.stream("p1", 1.0, 2).random(5)
+        assert not np.array_equal(a, b)
+        assert np.array_equal(b, _derived_stream(7, ("p1", 1.0, 2)).random(5))
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        src = os.path.dirname(os.path.dirname(hetcount.__file__))
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        code = ("import sys, hetcount, hetcount.harness, hetcount.cli; "
+                "print('numpy.random' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestDrawHelpers:

@@ -1,19 +1,22 @@
 """Experiment driver, presets, CSV emission, accuracy validation,
 trial-length calibration, and the CLI."""
 
+import hashlib
 import io
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hetcount
-from hetcount import cli
+from hetcount import cli, harness
 from hetcount.harness import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentSpec,
+    _rep_seed,
     calibrate_ell,
     crossover_rows,
     figure_preset,
@@ -48,6 +51,14 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="bogus"):
             ExperimentSpec(["hsrc1"], "bogus", [0], {})
 
+    @pytest.mark.parametrize("scheme", harness.PHASE2_ONLY)
+    def test_phase2_only_needs_rough(self, scheme):
+        fixed = {"T": 3, "epsilon": 0.03, "n": (50, 50, 50)}
+        with pytest.raises(ConfigError, match="rough"):
+            ExperimentSpec([scheme], "none", [0], fixed)
+        ExperimentSpec([scheme], "n2_value", [60], fixed)
+        ExperimentSpec([scheme], "none", [0], dict(fixed, rough=(50,) * 3))
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             figure_preset("fig99")
@@ -80,6 +91,67 @@ class TestRunExperiment:
         data = write_csv(str(out), rows)
         assert data.startswith(",".join(CSV_COLUMNS))
         assert len(data.strip().split("\n")) == 1 + len(rows)
+
+
+# Preset CSVs at 3 replicates, seed 0, as written before the replicate
+# streams were shared across schemes.  Shared streams replay the same draws,
+# so the bytes must not move.
+PRESET_DIGESTS = {
+    "fig11a": "6bef476d7c94075a4123795cfb736810e4848f730c05419e299d333e03337a53",
+    "fig8b": "36054a9fdaf780fd914e5bb1e146d7111d0a559ee42e3433605c12140f91ee22",
+    "fig10": "6f7c228286c3c13acbf021ec6e9362586f1a0ee99b8456c35aa05a4ad8eff8d6",
+}
+
+
+class TestSharedReplicates:
+    @pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+    def test_preset_csv_digest(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        figure_preset(name, replicates=3, seed=0, out=str(out))
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PRESET_DIGESTS[name]
+
+    def test_dispatch_order(self, monkeypatch):
+        calls = []
+        for scheme, fn in list(harness.SCHEMES.items()):
+            def recorded(pop, cfg, bank, prm, scheme=scheme, fn=fn):
+                calls.append((pop.D, scheme, bank.seed))
+                return fn(pop, cfg, bank, prm)
+            monkeypatch.setitem(harness.SCHEMES, scheme, recorded)
+        schemes = ["hsrc1", "txsrcs", "3ss-rep"]
+        spec = ExperimentSpec(schemes, "D", [40, 60],
+                              {"T": 3, "epsilon": 0.03, "q": 0.2,
+                               "n_all": 1 << 10}, replicates=3, seed=5)
+        run_experiment(spec)
+        assert calls == [(D, scheme, _rep_seed(5, "D", D, rep))
+                         for D in (40, 60) for scheme in schemes
+                         for rep in range(3)]
+
+    def test_schemes_share_populations(self, monkeypatch):
+        seen = {}
+        for scheme, fn in list(harness.SCHEMES.items()):
+            def recorded(pop, cfg, bank, prm, scheme=scheme, fn=fn):
+                seen.setdefault(bank.seed, []).append((pop, cfg))
+                return fn(pop, cfg, bank, prm)
+            monkeypatch.setitem(harness.SCHEMES, scheme, recorded)
+        run_experiment(ExperimentSpec(
+            ["hsrc1", "hsrc2"], "none", [0],
+            {"T": 3, "epsilon": 0.03, "D": 100, "q": 0.3, "n_all": 1 << 10},
+            replicates=4, seed=2))
+        assert len(seen) == 4
+        for (pop1, cfg1), (pop2, cfg2) in seen.values():
+            assert pop1 is pop2 and cfg1 is cfg2
+
+    def test_integral_float_sweep_value_same_seed(self):
+        assert _rep_seed(0, "T", 3, 1) == _rep_seed(0, "T", 3.0, 1)
+        assert _rep_seed(0, "T", 3, 1) == _rep_seed(0, "T", np.float64(3), 1)
+        assert _rep_seed(0, "q", 0.5, 0) != _rep_seed(0, "q", 0.25, 0)
+
+        def run(value):
+            return harness.format_csv(run_experiment(ExperimentSpec(
+                ["txsrcs"], "D", [value], {"T": 3, "epsilon": 0.03,
+                                           "q": 0.3}, replicates=2, seed=4)))
+        assert run(50) == run(50.0)
 
 
 class TestPresets:
@@ -241,6 +313,16 @@ class TestCli:
         (["analyze", "--T", "4", "--n", "5,5,5"], "--n gives 3 types"),
         (["simulate", "--sweep-var", "n2_value", "--sweep-values", "10",
           "--D", "10", "--q", "0.5"], "n2_value needs --n"),
+        (["simulate", "--n", "5,5,5", "--schemes", "p2-trepbb"],
+         "p2-trepbb runs phase 2 alone"),
+        (["simulate", "--n", "5,5,5", "--schemes", "hsrc1,bogus"],
+         "unknown scheme 'bogus'"),
+        (["simulate", "--n", "100,100,100", "--sweep-var", "n_all",
+          "--sweep-values", "50"], "n_all (else D) is 50"),
+        (["simulate", "--n", "5,80,5", "--D", "60"],
+         "up to 80 active nodes"),
+        (["simulate", "--D", "100", "--q", "0.5", "--sweep-var", "n_all",
+          "--sweep-values", "50"], "n_all (else D) is 50"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -260,6 +342,13 @@ class TestCli:
         err = capsys.readouterr().err.strip().split("\n")
         assert err[-1].startswith("hetcount simulate: error: argument "
                                   f"--sweep-var: invalid choice: '{var}'")
+
+    def test_stdout_equals_out_file(self, tmp_path):
+        out = tmp_path / "o.csv"
+        text = self._capture(["simulate", "--n", "5,5,5", "--replicates",
+                              "2", "--out", str(out)])
+        assert text.encode() == out.read_bytes()
+        assert text.split("\n")[1].startswith("none,0,hsrc1,2,")
 
     def test_sweep_n2_value(self):
         out = self._capture(["simulate", "--schemes", "p2-trepbb", "--n",
