@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .core import LOAD_FACTOR, ProtocolConfig
+from .core import LOAD_FACTOR, ProtocolConfig, for_type
 from .homogeneous import participation_probability
 
 # Calibrated constants, stored exactly as printed.
@@ -61,7 +61,7 @@ def occupancy_geometric(n, h, t):
 
 
 def _participations(rough, ell, T):
-    return [participation_probability(ell, _get(rough, b))
+    return [participation_probability(ell, for_type(rough, b))
             for b in range(1, T + 1)]
 
 
@@ -70,7 +70,7 @@ def q_probs(n, rough, ell, T):
     Q1 (>= 2 type-1 nodes), Q2 (exactly one type-1, every other type
     represented), Q3 (no type-1, >= 2 of every other type)."""
     p = _participations(rough, ell, T)
-    uv = [occupancy(_get(n, b), p[b - 1], ell) for b in range(1, T + 1)]
+    uv = [occupancy(for_type(n, b), p[b - 1], ell) for b in range(1, T + 1)]
     u1, v1 = uv[0]
     q1 = 1.0 - u1 - v1
     q2 = v1
@@ -155,7 +155,7 @@ def select_phase2(rough, ell, T, s_w=6):
     the indeterminate band was resolved by the direct expected-slot
     comparison ("indeterminate").
     """
-    n1 = _get(rough, 1)
+    n1 = for_type(rough, 1)
     if n1 >= LOAD_FACTOR * ell:
         return "TRepBB", "load"
     if n1 <= zeta(T, 1) * ell:
@@ -202,9 +202,9 @@ def _energy_components_uniform(n, rough, ell, T, b, gammas, bp1, frame_slots):
     uniform-block (balls-and-bins) execution, participation included."""
     gt, gr, gi = gammas
     p = _participations(rough, ell, T)
-    uv = [occupancy(_get(n, i), p[i - 1], ell) for i in range(1, T + 1)]
+    uv = [occupancy(for_type(n, i), p[i - 1], ell) for i in range(1, T + 1)]
     if b == 1:
-        u1m, _ = occupancy(max(_get(n, 1) - 1, 0), p[0], ell)
+        u1m, _ = occupancy(max(for_type(n, 1) - 1, 0), p[0], ell)
         qp1 = 1.0 - u1m
         qp2 = u1m
         for u, _v in uv[1:]:
@@ -216,7 +216,7 @@ def _energy_components_uniform(n, rough, ell, T, b, gammas, bp1, frame_slots):
         qpp1 = 1.0 - u1 - v1
         qppp2 = v1
         qppp3 = u1
-        ubm, _ = occupancy(max(_get(n, b) - 1, 0), p[b - 1], ell)
+        ubm, _ = occupancy(max(for_type(n, b) - 1, 0), p[b - 1], ell)
         qppp3 *= 1.0 - ubm
         for i in range(2, T + 1):
             if i == b:
@@ -241,23 +241,23 @@ def _energy_components_trial(n, t_T, T, b, gammas, s_w, frame_slots):
     for h in range(1, t_T + 1):
         ph = block_probability(h, t_T)
         if b == 1:
-            u1m, _ = occupancy_geometric(max(_get(n, 1) - 1, 0), h, t_T)
+            u1m, _ = occupancy_geometric(max(for_type(n, 1) - 1, 0), h, t_T)
             qp1 = 1.0 - u1m
             qp2 = u1m
             for i in range(2, T + 1):
-                u, _v = occupancy_geometric(_get(n, i), h, t_T)
+                u, _v = occupancy_geometric(for_type(n, i), h, t_T)
                 qp2 *= 1.0 - u
             tx += ph * ((T - 1) + qp1 + qp2)
         else:
-            u1, v1 = occupancy_geometric(_get(n, 1), h, t_T)
+            u1, v1 = occupancy_geometric(for_type(n, 1), h, t_T)
             qpp1 = 1.0 - u1 - v1
             qppp2 = v1
-            ubm, _ = occupancy_geometric(max(_get(n, b) - 1, 0), h, t_T)
+            ubm, _ = occupancy_geometric(max(for_type(n, b) - 1, 0), h, t_T)
             qppp3 = u1 * (1.0 - ubm)
             for i in range(2, T + 1):
                 if i == b:
                     continue
-                u, v = occupancy_geometric(_get(n, i), h, t_T)
+                u, v = occupancy_geometric(for_type(n, i), h, t_T)
                 qppp2 *= 1.0 - u
                 qppp3 *= 1.0 - u - v
             tx += ph * (1.0 + qpp1)
@@ -325,7 +325,7 @@ def expected_energy_hsrc1(n, rough, config: ProtocolConfig, phase2_method,
         total = config.m_prime * phase1[b]["energy"]
         total += boundary_slots * config.gamma_rho
         if phase2_method == "TRepBB":
-            total += expected_energy_trepbb(_get(rough, b), config.ell,
+            total += expected_energy_trepbb(for_type(rough, b), config.ell,
                                             config.gammas)["energy"]
         else:
             p2 = expected_energy_3ss(n, config, "bb", rough=rough,
@@ -333,10 +333,3 @@ def expected_energy_hsrc1(n, rough, config: ProtocolConfig, phase2_method,
             total += p2[b]["energy"]
         out[b] = total
     return out
-
-
-def _get(seq, b):
-    """Type-b lookup: dicts are keyed 1-based, sequences are 0-based."""
-    if isinstance(seq, dict):
-        return seq[b]
-    return seq[b - 1]

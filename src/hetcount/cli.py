@@ -16,6 +16,7 @@ from .core import ELL_TABLE, UnknownAccuracyKey, derive_config
 from .harness import (
     ConfigError,
     ExperimentSpec,
+    TABLE_SCHEMES,
     apply_sweep,
     calibrate_ell,
     figure_preset,
@@ -23,6 +24,7 @@ from .harness import (
     run_experiment,
     validate_accuracy,
 )
+from .two_stage import MAX_TABLE_T
 
 
 # Sweep variables that take whole numbers.  Their values are parsed as int,
@@ -71,6 +73,7 @@ def build_parser():
     sim.add_argument("--sweep-var", default="none",
                      choices=SIMULATE_SWEEP_VARS)
     sim.add_argument("--sweep-values", default="0")
+    sim.set_defaults(replicates=100)
 
     fig = subs.add_parser("figure", help="published-figure preset")
     fig.add_argument("name", choices=["fig7a", "fig7b", "fig8a", "fig8b",
@@ -90,10 +93,12 @@ def build_parser():
     cal = subs.add_parser("calibrate-ell", help="calibrate the trial length")
     _add_common(cal)
     cal.add_argument("--n-grid", type=_parse_n, default=(1000, 10000, 50000))
+    cal.set_defaults(replicates=300)
 
     val = subs.add_parser("validate", help="accuracy-contract check")
     _add_common(val)
     val.add_argument("--scheme", default="hsrc1")
+    val.set_defaults(replicates=300)
     return parser
 
 
@@ -138,17 +143,27 @@ def _check_types(parser, T, n):
         parser.error(f"--n gives {len(n)} types but T is {T}")
 
 
-def _check_tabulated(parser, params):
-    """Fail on an epsilon or delta with no tabulated ell or m'."""
+def _check_config(parser, params):
+    """Fail on an epsilon or delta with no tabulated ell or m', or on a
+    setting the protocol config rejects (ell, m', s_w < 1, a cost < 0)."""
+    keys = ("ell", "m_prime", "s_w", "gamma_tau", "gamma_rho", "gamma_iota")
     try:
         derive_config(params["epsilon"], params["delta"], (2,),
-                      ell=params.get("ell"), m_prime=params.get("m_prime"))
+                      **{k: params[k] for k in keys if k in params})
     except UnknownAccuracyKey as exc:
         parser.error(exc.args[0])
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
-def _check_totals(parser, params):
-    """Fail on more active nodes per type than n_all (else D) allows."""
+def _check_population(parser, params):
+    """Fail on a q outside [0, 1], a negative node count, or more active
+    nodes per type than n_all (else D) allows."""
+    q = params.get("q")
+    if q is not None and not 0 <= q <= 1:
+        parser.error(f"q must be in [0, 1], got {q}")
+    if min(params.get("n") or (0,)) < 0 or params.get("D", 0) < 0:
+        parser.error("node counts (--n, D) must be >= 0")
     total = params.get("n_all") or params.get("D")
     most = max(params["n"]) if params.get("n") is not None else params.get("D")
     if total and most is not None and most > total:
@@ -156,16 +171,28 @@ def _check_totals(parser, params):
                      f"(else D) is {total}")
 
 
+def _check_tables(parser, T, schemes):
+    """Fail on a scheme that decodes through a 2SS table past its bound."""
+    using = [s for s in schemes if s in TABLE_SCHEMES]
+    if T > MAX_TABLE_T and using:
+        parser.error(f"{', '.join(using)}: 2SS decoder tables are built for "
+                     f"T <= {MAX_TABLE_T}, got T = {T}")
+
+
 def main(argv=None):
     argv = list(sys.argv if argv is None else ["hetcount"] + list(argv))
     argv = _load_config(argv)
     parser = build_parser()
     args = parser.parse_args(argv[1:])
+    if getattr(args, "replicates", None) is not None and args.replicates < 1:
+        parser.error(f"--replicates must be at least 1, got {args.replicates}")
     if args.command in ("simulate", "analyze", "validate"):
         T = args.T if args.T is not None else len(args.n) if args.n else 3
     if args.command in ("analyze", "validate"):
         _check_types(parser, T, args.n)
-        _check_tabulated(parser, {"epsilon": args.eps, "delta": args.delta})
+        _check_config(parser, {"epsilon": args.eps, "delta": args.delta})
+    if args.command == "validate":
+        _check_tables(parser, T, [args.scheme])
 
     if args.command == "simulate":
         fixed = {"T": T, "epsilon": args.eps, "delta": args.delta}
@@ -187,7 +214,7 @@ def main(argv=None):
             spec = ExperimentSpec(
                 schemes=args.schemes.split(","), sweep_var=args.sweep_var,
                 sweep_values=values, fixed=fixed,
-                replicates=args.replicates or 100, seed=args.seed,
+                replicates=args.replicates, seed=args.seed,
                 out=args.out, include_overhead=args.include_overhead)
         except ConfigError as exc:
             parser.error(str(exc))
@@ -195,8 +222,9 @@ def main(argv=None):
         for value in values:
             cell = apply_sweep(dict(fixed), args.sweep_var, value)
             _check_types(parser, cell["T"], args.n)
-            _check_tabulated(parser, cell)
-            _check_totals(parser, cell)
+            _check_population(parser, cell)
+            _check_config(parser, cell)
+            _check_tables(parser, cell["T"], spec.schemes)
         sys.stdout.write(format_csv(run_experiment(spec)))
     elif args.command == "figure":
         rows = figure_preset(args.name, replicates=args.replicates,
@@ -230,8 +258,7 @@ def main(argv=None):
                 f"energy={comp['energy']:.4f}\n")
     elif args.command == "calibrate-ell":
         ell = calibrate_ell(args.eps, args.delta, args.n_grid,
-                            replicates=args.replicates or 300,
-                            seed=args.seed)
+                            replicates=args.replicates, seed=args.seed)
         table = ELL_TABLE.get(round(args.eps, 6))
         ref = f" (table: {table})" if table else ""
         sys.stdout.write(f"calibrated ell={ell}{ref}\n")
@@ -240,7 +267,7 @@ def main(argv=None):
         rates = validate_accuracy(
             args.scheme, [n], {"T": T, "epsilon": args.eps,
                                "delta": args.delta},
-            replicates=args.replicates or 300, seed=args.seed)
+            replicates=args.replicates, seed=args.seed)
         for b, (rate, (lo, hi)) in sorted(rates.items()):
             sys.stdout.write(
                 f"type {b}: rate={rate:.4f} wilson95=({lo:.4f},{hi:.4f})\n")

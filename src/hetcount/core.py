@@ -370,5 +370,12 @@ def uniform_block_choices(rng, n, ell, p):
     return u < p, blocks
 
 
+def for_type(values, b):
+    """Type b's entry: dicts are keyed 1-based, sequences are 0-based."""
+    if isinstance(values, dict):
+        return values[b]
+    return values[b - 1]
+
+
 def bitmap_bp_slots(bits, s_w) -> int:
     return -(-int(bits) // int(s_w))

@@ -48,6 +48,8 @@ class ConfigError(ValueError):
 
 # Schemes that run phase 2 alone, on rough estimates the experiment gives.
 PHASE2_ONLY = ("p2-3ssbb", "p2-2ssbb", "p2-trepbb")
+# Schemes that decode through the 2SS tables (two_stage.resolver_lut).
+TABLE_SCHEMES = ("hsrc2", "hsrc2-trepbb", "hsrc2-ssbb", "2ss-rep", "p2-2ssbb")
 
 
 @dataclass

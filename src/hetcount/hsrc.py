@@ -46,7 +46,7 @@ def _run_trepbb_phase2(population, rough, config, bank):
     ell = config.ell
     z = {}
     ledger = SlotLedger(stage1=T * ell)
-    energy = EnergyLedger.zeros(population)
+    energy = EnergyLedger(T)
     for b in range(1, T + 1):
         nb = population.n[b - 1]
         p = participation_probability(ell, rough[b])

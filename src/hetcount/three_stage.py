@@ -30,6 +30,7 @@ from .core import (
     SlotLedger,
     SlotOutcome,
     bitmap_bp_slots,
+    for_type,
     geometric_block_choices,
     uniform_block_choices,
 )
@@ -73,12 +74,12 @@ def outcomes_3ss(counts) -> np.ndarray:
     return out
 
 
-def run_3ss_stage1(population: PopulationSpec, n_blocks, distribution,
-                   participation, rngs) -> Stage1Result3SS:
-    """Stage 1 only.  distribution is "geometric" (trial mode) or "uniform"
-    (bb mode); participation is a per-type probability list (ignored in
-    geometric mode, where everyone participates); rngs is one generator per
-    type, in type order."""
+def draw_blocks(population: PopulationSpec, n_blocks, distribution,
+                participation, rngs):
+    """(counts, chosen): (n_blocks, T) transmitters per block, and each
+    type's 1-based block per node (0 = idle).  distribution is "geometric"
+    (trial mode, everyone participates) or "uniform" (bb mode, type b with
+    probability participation[b - 1]); rngs holds one generator per type."""
     T = population.T
     counts = np.zeros((n_blocks, T), dtype=np.int64)
     chosen = {}
@@ -95,9 +96,16 @@ def run_3ss_stage1(population: PopulationSpec, n_blocks, distribution,
         chosen[b] = blocks
         active = blocks[blocks > 0]
         counts[:, b - 1] = np.bincount(active, minlength=n_blocks + 1)[1:]
+    return counts, chosen
+
+
+def run_3ss_stage1(population: PopulationSpec, n_blocks, distribution,
+                   participation, rngs) -> Stage1Result3SS:
+    """Stage 1 only, drawn as in draw_blocks."""
+    counts, chosen = draw_blocks(population, n_blocks, distribution,
+                                 participation, rngs)
     outcomes = outcomes_3ss(counts)
-    flagged = [int(h) + 1 for h in
-               np.flatnonzero((outcomes == _COLL).all(axis=1))]
+    flagged = (np.flatnonzero((outcomes == _COLL).all(axis=1)) + 1).tolist()
     return Stage1Result3SS(counts=counts, outcomes=outcomes, chosen=chosen,
                            flagged=flagged)
 
@@ -178,19 +186,14 @@ def run_3ss_followup(stage1: Stage1Result3SS, s_w) -> Frame3SS:
     presence[:, 0] = (out == _SA).any(axis=1)
     presence[:, 1:] = (out == _SB) | (out == _COLL)
 
+    # Flagged blocks: with at most one type-1 node, every other type must
+    # fill its own colliding slot; with two or more, stage 3 counts each.
     flagged = stage1.flagged
-    r_list = []
-    for h in flagged:
-        c1 = counts[h - 1, 0]
-        if c1 == 1:
-            presence[h - 1, :] = True
-        elif c1 == 0:
-            presence[h - 1, 0] = False
-            presence[h - 1, 1:] = True
-        else:
-            presence[h - 1, 0] = True
-            r_list.append(h)
-            presence[h - 1, 1:] = counts[h - 1, 1:] > 0
+    rows = np.asarray(flagged, dtype=np.intp) - 1
+    c1 = counts[rows, 0]
+    presence[rows, 0] = c1 > 0
+    presence[rows, 1:] = (c1 <= 1)[:, None] | (counts[rows, 1:] > 0)
+    r_list = (rows[c1 >= 2] + 1).tolist()
     ledger = SlotLedger(
         stage1=(T - 1) * n_blocks,
         stage2=len(flagged),
@@ -205,23 +208,19 @@ def _energy_3ss(frame: Frame3SS, population, config, frame_total):
     n_blocks, T = frame.presence.shape
     flagged_mask = np.zeros(n_blocks + 1, dtype=bool)
     rflag_mask = np.zeros(n_blocks + 1, dtype=bool)
-    for h in frame.flagged:
-        flagged_mask[h] = True
-    for h in frame.r_list:
-        rflag_mask[h] = True
+    flagged_mask[frame.flagged] = True
+    rflag_mask[frame.r_list] = True
     bp1 = bitmap_bp_slots(n_blocks, config.s_w)
-    energy = EnergyLedger.zeros(population)
+    energy = EnergyLedger(T)
     for b in range(1, T + 1):
         blocks = frame.stage1.chosen[b]
         part = (blocks > 0).astype(float)
         if b == 1:
-            tx = part * (T - 1) + part * flagged_mask[blocks]
-            rx = np.full(blocks.shape, float(bp1))
+            energy.tx[b] = part * (T - 1) + part * flagged_mask[blocks]
+            energy.rx[b] = np.full(blocks.shape, float(bp1))
         else:
-            tx = part + part * rflag_mask[blocks]
-            rx = bp1 + part * flagged_mask[blocks]
-        energy.tx[b] = tx
-        energy.rx[b] = rx
+            energy.tx[b] = part + part * rflag_mask[blocks]
+            energy.rx[b] = bp1 + part * flagged_mask[blocks]
         energy.accounted[b] = np.full(blocks.shape, float(frame_total))
     return energy
 
@@ -254,7 +253,7 @@ def run_3ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
     """Balls-and-bins mode: ell blocks, uniform choice, participation p_b
     derived from the rough estimates (1-based dict or sequence)."""
     T = population.T
-    p = [participation_probability(config.ell, _get(rough, b))
+    p = [participation_probability(config.ell, for_type(rough, b))
          for b in range(1, T + 1)]
     rngs = [bank.stream("p2", b) for b in range(1, T + 1)]
     stage1 = run_3ss_stage1(population, config.ell, "uniform", p, rngs)
@@ -264,10 +263,3 @@ def run_3ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
     energy = _energy_3ss(frame, population, config, frame.ledger.total)
     return Run3SSResult(j=None, z=z, frame=frame, ledger=frame.ledger,
                         energy=energy)
-
-
-def _get(rough, b):
-    """Type-b lookup: dicts are keyed 1-based, sequences are 0-based."""
-    if isinstance(rough, dict):
-        return rough[b]
-    return rough[b - 1]

@@ -19,7 +19,7 @@ all 3^T codes in one numpy pass per stage-1 outcome, on its first use
 (``resolver_lut(T).ensure``); it costs O(3^T) time and memory, e.g. 59 049
 codes at T = 10, built in well under a second.  ``resolve_block_2ss``
 resolves one block the slow, readable way and is kept as the reference the
-tables are tested against; tables are tested for T <= 10.
+tables are tested against; tables are tested, and built, for T <= 10.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .core import (
     SlotLedger,
     SlotOutcome,
     bitmap_bp_slots,
-    geometric_block_choices,
-    uniform_block_choices,
+    for_type,
 )
 from .core import EnergyLedger
 from .homogeneous import participation_probability
@@ -47,7 +46,9 @@ from .three_stage import (
     ABSENT,
     AMBIGUOUS,
     PRESENT,
+    Frame3SS,
     Run3SSResult,
+    draw_blocks,
     run_3ss_bb,
     run_3ss_trial,
     sym3_matrix,
@@ -461,13 +462,17 @@ class _ResolverLUT:
             self.filled[:] = True
 
 
-_luts = {}
+# Largest T with a decoder table: a table costs O(3^T) time and memory, and
+# the tests check every code for soundness up to here.
+MAX_TABLE_T = 10
 
 
+@lru_cache(maxsize=None)
 def resolver_lut(T) -> _ResolverLUT:
-    if T not in _luts:
-        _luts[T] = _ResolverLUT(T)
-    return _luts[T]
+    if T > MAX_TABLE_T:
+        raise ValueError(f"2SS decoder tables are built for T <= "
+                         f"{MAX_TABLE_T}, got T = {T}")
+    return _ResolverLUT(T)
 
 
 def class_codes(counts) -> np.ndarray:
@@ -486,31 +491,13 @@ class Frame2SS:
     chosen: dict
     codes: np.ndarray
 
-    def presence_sets(self):
-        N, T = self.presence.shape
-        return {b: {int(h) + 1 for h in np.flatnonzero(self.presence[:, b - 1])}
-                for b in range(1, T + 1)}
-
-    def first_absent(self, b):
-        absent = np.flatnonzero(~self.presence[:, b - 1])
-        return int(absent[0]) + 1 if absent.size else self.presence.shape[0]
+    first_absent = Frame3SS.first_absent
 
 
 def _run_2ss_frame(population, n_blocks, distribution, part, rngs, s_w):
     T = population.T
-    counts = np.zeros((n_blocks, T), dtype=np.int64)
-    chosen = {}
-    for b in range(1, T + 1):
-        nb = population.n[b - 1]
-        if distribution == "geometric":
-            blocks = geometric_block_choices(rngs[b - 1], nb, n_blocks)
-        else:
-            mask, blocks = uniform_block_choices(
-                rngs[b - 1], nb, n_blocks, part[b - 1])
-            blocks = np.where(mask, blocks, 0)
-        chosen[b] = blocks
-        active = blocks[blocks > 0]
-        counts[:, b - 1] = np.bincount(active, minlength=n_blocks + 1)[1:]
+    counts, chosen = draw_blocks(population, n_blocks, distribution, part,
+                                 rngs)
     codes = class_codes(counts)
     lut = resolver_lut(T)
     lut.ensure(codes)
@@ -529,7 +516,7 @@ def _energy_2ss(frame: Frame2SS, population, config, frame_total):
     row_symbols = _row_symbols(T)
     lut = resolver_lut(T)
     bp_total = frame.ledger.bp
-    energy = EnergyLedger.zeros(population)
+    energy = EnergyLedger(T)
     for b in range(1, T + 1):
         blocks = frame.chosen[b]
         part = (blocks > 0).astype(float)
@@ -567,7 +554,7 @@ def run_2ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
     T = population.T
     if T <= 3:
         return run_3ss_bb(population, rough, config, bank)
-    p = [participation_probability(config.ell, _get(rough, b))
+    p = [participation_probability(config.ell, for_type(rough, b))
          for b in range(1, T + 1)]
     rngs = [bank.stream("p2", b) for b in range(1, T + 1)]
     frame = _run_2ss_frame(population, config.ell, "uniform", p, rngs,
@@ -577,10 +564,3 @@ def run_2ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
     energy = _energy_2ss(frame, population, config, frame.ledger.total)
     return Run3SSResult(j=None, z=z, frame=frame, ledger=frame.ledger,
                         energy=energy)
-
-
-def _get(rough, b):
-    """Type-b lookup: dicts are keyed 1-based, sequences are 0-based."""
-    if isinstance(rough, dict):
-        return rough[b]
-    return rough[b - 1]

@@ -9,9 +9,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hetcount
 from hetcount import cli, harness
+from hetcount.core import PopulationSpec, RngBank, derive_config
 from hetcount.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -152,6 +155,30 @@ class TestSharedReplicates:
                 ["txsrcs"], "D", [value], {"T": 3, "epsilon": 0.03,
                                            "q": 0.3}, replicates=2, seed=4)))
         assert run(50) == run(50.0)
+
+
+class TestSchemeInvariants:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(harness.SCHEMES)), st.integers(0, 2 ** 32),
+           st.lists(st.integers(0, 40), min_size=2, max_size=5))
+    def test_ledger_and_energy(self, scheme, seed, n):
+        """Every scheme on a random small population: the slot total is
+        the sum of its stages, and no node of any type has negative idle
+        time or is awake longer than the frame."""
+        pop = PopulationSpec.fixed(n, n_all=(1024,) * len(n))
+        cfg = derive_config(0.05, 0.2, pop.n_all)
+        prm = {"rough": dict(enumerate(n, 1))}
+        report = harness.SCHEMES[scheme](pop, cfg, RngBank(seed), prm)
+        led = report.ledger
+        assert min(led.stage1, led.stage2, led.stage3, led.bp) >= 0
+        assert led.total == led.stage1 + led.stage2 + led.stage3 + led.bp
+        assert 0 <= report.comparable_total <= led.total
+        if report.energy is None:
+            return
+        for b in range(1, pop.T + 1):
+            assert report.energy.tx[b].shape == (n[b - 1],)
+            assert (report.energy.idle(b) >= 0).all()
+            assert (report.energy.accounted[b] <= led.total).all()
 
 
 class TestPresets:
@@ -323,6 +350,30 @@ class TestCli:
          "up to 80 active nodes"),
         (["simulate", "--D", "100", "--q", "0.5", "--sweep-var", "n_all",
           "--sweep-values", "50"], "n_all (else D) is 50"),
+        (["simulate", "--n", "5,5,5", "--replicates", "0"],
+         "--replicates must be at least 1, got 0"),
+        (["validate", "--replicates", "0"], "--replicates must be at least 1"),
+        (["calibrate-ell", "--replicates", "0"],
+         "--replicates must be at least 1"),
+        (["simulate", "--D", "10", "--q", "1.5", "--T", "3"],
+         "q must be in [0, 1], got 1.5"),
+        (["simulate", "--n", "5,-5,5"], "node counts (--n, D) must be >= 0"),
+        (["simulate", "--D", "-5", "--q", "0.5"], "must be >= 0"),
+        (["simulate", "--n", "5,5,5", "--sweep-var", "ell",
+          "--sweep-values", "0"], "ell, m_prime, s_w, t_T must all be >= 1"),
+        (["simulate", "--n", "5,5,5", "--sweep-var", "gamma_rho",
+          "--sweep-values", "-1"], "energy costs must be >= 0"),
+        (["simulate", "--n", ",".join(["5"] * 11), "--schemes",
+          "hsrc1,2ss-rep,txsrcs"],
+         "2ss-rep: 2SS decoder tables are built for T <= 10, got T = 11"),
+        (["simulate", "--T", "12", "--D", "10", "--q", "0.5", "--schemes",
+          "hsrc2,hsrc2-ssbb"], "hsrc2, hsrc2-ssbb: 2SS decoder tables"),
+        (["simulate", "--sweep-var", "T", "--sweep-values", "10,11", "--D",
+          "10", "--q", "0.5", "--schemes", "hsrc2-trepbb"], "got T = 11"),
+        (["simulate", "--n", ",".join(["5"] * 11), "--sweep-var", "n2_value",
+          "--sweep-values", "5", "--schemes", "p2-2ssbb"],
+         "p2-2ssbb: 2SS decoder tables are built for T <= 10"),
+        (["validate", "--scheme", "2ss-rep", "--T", "11"], "got T = 11"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -342,6 +393,20 @@ class TestCli:
         err = capsys.readouterr().err.strip().split("\n")
         assert err[-1].startswith("hetcount simulate: error: argument "
                                   f"--sweep-var: invalid choice: '{var}'")
+
+    def test_replicates_default_only_when_absent(self):
+        argv = ["simulate", "--schemes", "txsrcs", "--n", "5,5,5"]
+        assert self._capture(argv).split("\n")[1].startswith(
+            "none,0,txsrcs,100,")
+        assert self._capture(argv + ["--replicates", "1"]).split(
+            "\n")[1].startswith("none,0,txsrcs,1,")
+
+    def test_table_bound_spares_other_schemes(self):
+        out = self._capture(["simulate", "--n", ",".join(["5"] * 11),
+                             "--schemes", "hsrc1,txsrcs,3ss-rep",
+                             "--replicates", "1"])
+        assert [line.split(",")[2] for line in out.strip().split("\n")[1:]] \
+            == ["hsrc1", "txsrcs", "3ss-rep"]
 
     def test_stdout_equals_out_file(self, tmp_path):
         out = tmp_path / "o.csv"

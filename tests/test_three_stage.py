@@ -3,8 +3,12 @@ resolution, ledgers, and energy accounting."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hetcount.core import (
+    EnergyLedger,
     InconsistentOutcome,
     PopulationSpec,
     RngBank,
@@ -18,6 +22,7 @@ from hetcount.three_stage import (
     AMBIGUOUS,
     PRESENT,
     Stage1Result3SS,
+    _energy_3ss,
     decode_block_3ss,
     outcomes_3ss,
     run_3ss_bb,
@@ -251,3 +256,108 @@ class TestBBMode:
         assert (res.frame.presence == (res.frame.stage1.counts > 0)).all()
         assert res.ledger.stage2 == len(res.frame.flagged)
         assert res.ledger.stage3 == 2 * len(res.frame.r_list)
+
+
+def _followup_loop(stage1, s_w):
+    """Reference follow-up: the per-block loop over flagged blocks."""
+    counts = stage1.counts
+    out = stage1.outcomes
+    n_blocks, T = counts.shape
+    presence = np.zeros((n_blocks, T), dtype=bool)
+    presence[:, 0] = (out == SA).any(axis=1)
+    presence[:, 1:] = (out == SB) | (out == C)
+    r_list = []
+    for h in stage1.flagged:
+        c1 = counts[h - 1, 0]
+        if c1 == 1:
+            presence[h - 1, :] = True
+        elif c1 == 0:
+            presence[h - 1, 0] = False
+            presence[h - 1, 1:] = True
+        else:
+            presence[h - 1, 0] = True
+            r_list.append(h)
+            presence[h - 1, 1:] = counts[h - 1, 1:] > 0
+    ledger = (T - 1) * n_blocks, len(stage1.flagged), (T - 1) * len(r_list), \
+        bitmap_bp_slots(n_blocks, s_w) + bitmap_bp_slots(len(stage1.flagged),
+                                                         s_w)
+    return presence, r_list, ledger
+
+
+def _energy_loop(frame, population, config, frame_total):
+    """Reference energy accounting: masks built block by block, on a
+    zero-filled ledger."""
+    n_blocks, T = frame.presence.shape
+    flagged_mask = np.zeros(n_blocks + 1, dtype=bool)
+    rflag_mask = np.zeros(n_blocks + 1, dtype=bool)
+    for h in frame.flagged:
+        flagged_mask[h] = True
+    for h in frame.r_list:
+        rflag_mask[h] = True
+    bp1 = bitmap_bp_slots(n_blocks, config.s_w)
+    energy = EnergyLedger.zeros(population)
+    for b in range(1, T + 1):
+        blocks = frame.stage1.chosen[b]
+        part = (blocks > 0).astype(float)
+        if b == 1:
+            energy.tx[b] = part * (T - 1) + part * flagged_mask[blocks]
+            energy.rx[b] = np.full(blocks.shape, float(bp1))
+        else:
+            energy.tx[b] = part + part * rflag_mask[blocks]
+            energy.rx[b] = bp1 + part * flagged_mask[blocks]
+        energy.accounted[b] = np.full(blocks.shape, float(frame_total))
+    return energy
+
+
+def _is_int_list(xs):
+    return type(xs) is list and all(type(x) is int for x in xs)
+
+
+class TestFollowupMatchesLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(arrays(np.int64, st.tuples(st.integers(1, 60), st.integers(2, 8)),
+                  elements=st.integers(0, 4)),
+           st.integers(1, 8))
+    @example(np.zeros((7, 4), dtype=np.int64), 6)          # nothing flagged
+    @example(np.full((9, 5), 2, dtype=np.int64), 6)        # all flagged
+    @example(np.array([[1, 1, 1], [0, 2, 3], [3, 0, 2]]), 1)  # every case
+    def test_followup_equals_loop(self, counts, s_w):
+        stage1 = _stage1_from_counts(counts)
+        frame = run_3ss_followup(stage1, s_w)
+        presence, r_list, ledger = _followup_loop(stage1, s_w)
+        assert (frame.presence == presence).all()
+        assert frame.flagged == stage1.flagged
+        assert frame.r_list == r_list
+        assert _is_int_list(frame.flagged) and _is_int_list(frame.r_list)
+        assert (frame.ledger.stage1, frame.ledger.stage2, frame.ledger.stage3,
+                frame.ledger.bp) == ledger
+
+    def test_extremes_reach_both_ends(self):
+        none = _stage1_from_counts(np.zeros((7, 4), dtype=np.int64))
+        every = _stage1_from_counts(np.full((9, 5), 2, dtype=np.int64))
+        assert none.flagged == [] and run_3ss_followup(none, 6).r_list == []
+        assert every.flagged == list(range(1, 10))
+        assert run_3ss_followup(every, 6).r_list == list(range(1, 10))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.integers(1, 60),
+           st.sampled_from(["geometric", "uniform"]), st.integers(1, 8),
+           st.data())
+    def test_energy_equals_loop(self, seed, T, n_blocks, distribution, s_w,
+                                data):
+        n = data.draw(st.lists(st.integers(0, 30), min_size=T, max_size=T))
+        part = data.draw(st.lists(st.floats(0, 1), min_size=T, max_size=T))
+        pop = PopulationSpec.fixed(n, n_all=(64,) * T)
+        cfg = derive_config(0.03, 0.2, pop.n_all, s_w=s_w)
+        rngs = [np.random.default_rng([seed, b]) for b in range(T)]
+        stage1 = run_3ss_stage1(pop, n_blocks, distribution, part, rngs)
+        assert _is_int_list(stage1.flagged)
+        frame = run_3ss_followup(stage1, s_w)
+        energy = _energy_3ss(frame, pop, cfg, frame.ledger.total)
+        ref = _energy_loop(frame, pop, cfg, frame.ledger.total)
+        for field in ("tx", "rx", "accounted"):
+            got, want = getattr(energy, field), getattr(ref, field)
+            assert sorted(got) == sorted(want) == list(range(1, T + 1))
+            for b in want:
+                assert got[b].dtype == want[b].dtype
+                assert np.array_equal(got[b], want[b])

@@ -1,6 +1,7 @@
 """Two-stage block code: symbol matrix, decoding, recursive resolution,
 and parity with the three-stage scheme at small T."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from hetcount.core import PopulationSpec, RngBank, SlotOutcome, derive_config
 from hetcount.three_stage import ABSENT, AMBIGUOUS, PRESENT, run_3ss_trial, sym3_matrix
 from hetcount.two_stage import (
+    MAX_TABLE_T,
     build_sym2_matrix,
     class_codes,
     decode_block_2ss,
@@ -180,6 +182,22 @@ class TestResolution:
         lut.ensure([0])
         with pytest.raises(ValueError):
             lut.extra[0] = 1
+
+    def test_tables_bounded_in_t(self):
+        """Past MAX_TABLE_T the table is refused before anything is
+        allocated or cached."""
+        cached = resolver_lut.cache_info().currsize
+        tracemalloc.start()
+        try:
+            for T in (MAX_TABLE_T + 1, 16, 40):
+                with pytest.raises(ValueError, match="T <= 10, got T = "):
+                    resolver_lut(T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert MAX_TABLE_T == 10
+        assert peak < 1 << 20
+        assert resolver_lut.cache_info().currsize == cached
 
     @settings(max_examples=80, deadline=None)
     @given(arrays(np.int64, st.tuples(st.integers(1, 30), st.integers(2, 10)),
