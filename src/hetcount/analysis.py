@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .core import LOAD_FACTOR, ProtocolConfig, for_type
-from .homogeneous import participation_probability
+from .homogeneous import participation_probability, participations
 
 # Calibrated constants, stored exactly as printed.
 C_0366 = 0.366
@@ -60,16 +60,11 @@ def occupancy_geometric(n, h, t):
     return u, v
 
 
-def _participations(rough, ell, T):
-    return [participation_probability(ell, for_type(rough, b))
-            for b in range(1, T + 1)]
-
-
 def q_probs(n, rough, ell, T):
     """Probabilities of the three all-slot-collision cases of one block:
     Q1 (>= 2 type-1 nodes), Q2 (exactly one type-1, every other type
     represented), Q3 (no type-1, >= 2 of every other type)."""
-    p = _participations(rough, ell, T)
+    p = participations(rough, ell, T)
     uv = [occupancy(for_type(n, b), p[b - 1], ell) for b in range(1, T + 1)]
     u1, v1 = uv[0]
     q1 = 1.0 - u1 - v1
@@ -87,17 +82,16 @@ def expected_K_R(n, rough, ell, T):
 
 
 def lambda_I(T, t_T, s_w, ek, er) -> float:
-    """Expected slots of one trial-mode three-stage execution, given the
-    (empirically estimated) stage-2 / stage-3 block moments."""
+    """Expected slots of one three-stage execution over t_T blocks, given
+    the expected stage-2 / stage-3 block counts (in trial mode, their
+    empirical estimates)."""
     return ((T - 1) * t_T + _ceil(t_T / s_w)
             + ek + _ceil(ek / s_w) + (T - 1) * er)
 
 
 def lambda_II(n, rough, ell, T, s_w) -> float:
     """Expected slots of the balls-and-bins three-stage execution."""
-    ek, er = expected_K_R(n, rough, ell, T)
-    return ((T - 1) * ell + _ceil(ell / s_w)
-            + ek + _ceil(ek / s_w) + (T - 1) * er)
+    return lambda_I(T, ell, s_w, *expected_K_R(n, rough, ell, T))
 
 
 def G1(T) -> float:
@@ -179,11 +173,7 @@ def n1_star(T, ell, s_w=6) -> float:
         q1 = 1.0 - u1 - v1
         q2 = v1 * one_minus_u ** (T - 1)
         q3 = u1 * one_minus_uv ** (T - 1)
-        ek = ell * (q1 + q2 + q3)
-        er = ell * q1
-        lam = ((T - 1) * ell + _ceil(ell / s_w)
-               + ek + _ceil(ek / s_w) + (T - 1) * er)
-        return lam - T * ell
+        return lambda_I(T, ell, s_w, ell * (q1 + q2 + q3), ell * q1) - T * ell
 
     lo, hi = 1e-6, LOAD_FACTOR * ell
     if gap(lo) >= 0 or gap(hi) <= 0:
@@ -197,71 +187,42 @@ def n1_star(T, ell, s_w=6) -> float:
     return 0.5 * (lo + hi)
 
 
-def _energy_components_uniform(n, rough, ell, T, b, gammas, bp1, frame_slots):
-    """Expected (tx, rx, idle) slot counts and energy of a type-b node in a
-    uniform-block (balls-and-bins) execution, participation included."""
+def _energy_components(n, T, b, classes, bp1, gammas, frame_slots):
+    """Expected (tx, rx, idle) slot counts and energy of a type-b node in
+    one three-stage execution, summed over the classes of block the node
+    may transmit in.  ``classes`` holds (weight, occ) pairs: weight is the
+    chance the node transmits in such a block, and occ(count, i) the (u, v)
+    occupancy of ``count`` type-i nodes there.  Balls-and-bins mode has one
+    class of weight p_b; trial mode one per block h, of weight 2^-h."""
     gt, gr, gi = gammas
-    p = _participations(rough, ell, T)
-    uv = [occupancy(for_type(n, i), p[i - 1], ell) for i in range(1, T + 1)]
-    if b == 1:
-        u1m, _ = occupancy(max(for_type(n, 1) - 1, 0), p[0], ell)
-        qp1 = 1.0 - u1m
-        qp2 = u1m
-        for u, _v in uv[1:]:
-            qp2 *= 1.0 - u
-        tx = p[0] * ((T - 1) + qp1 + qp2)
-        rx = float(bp1)
-    else:
-        u1, v1 = uv[0]
-        qpp1 = 1.0 - u1 - v1
-        qppp2 = v1
-        qppp3 = u1
-        ubm, _ = occupancy(max(for_type(n, b) - 1, 0), p[b - 1], ell)
-        qppp3 *= 1.0 - ubm
-        for i in range(2, T + 1):
-            if i == b:
-                continue
-            u, v = uv[i - 1]
-            qppp2 *= 1.0 - u
-            qppp3 *= 1.0 - u - v
-        tx = p[b - 1] * (1.0 + qpp1)
-        rx = bp1 + p[b - 1] * (qpp1 + qppp2 + qppp3)
-    idle = frame_slots - tx - rx
-    return {"tx_slots": tx, "rx_slots": rx, "idle_slots": idle,
-            "energy": tx * gt + rx * gr + idle * gi}
-
-
-def _energy_components_trial(n, t_T, T, b, gammas, s_w, frame_slots):
-    """Same as above for the trial mode, averaging over the node's own
-    geometrically chosen block."""
-    gt, gr, gi = gammas
-    bp1 = _ceil(t_T / s_w)
-    tx = 0.0
-    rx = float(bp1)
-    for h in range(1, t_T + 1):
-        ph = block_probability(h, t_T)
+    tx, rx = 0.0, float(bp1)
+    for weight, occ in classes:
         if b == 1:
-            u1m, _ = occupancy_geometric(max(for_type(n, 1) - 1, 0), h, t_T)
+            # Stage 2 when the block is flagged: another type-1 node is
+            # there (qp1), or none is and every other type is (qp2).
+            u1m, _ = occ(max(for_type(n, 1) - 1, 0), 1)
             qp1 = 1.0 - u1m
             qp2 = u1m
             for i in range(2, T + 1):
-                u, _v = occupancy_geometric(for_type(n, i), h, t_T)
+                u, _v = occ(for_type(n, i), i)
                 qp2 *= 1.0 - u
-            tx += ph * ((T - 1) + qp1 + qp2)
+            tx += weight * ((T - 1) + qp1 + qp2)
         else:
-            u1, v1 = occupancy_geometric(for_type(n, 1), h, t_T)
+            # Stage 3 when two or more type-1 nodes are there (qpp1);
+            # stage 2 is heard whenever the block is flagged.
+            u1, v1 = occ(for_type(n, 1), 1)
             qpp1 = 1.0 - u1 - v1
             qppp2 = v1
-            ubm, _ = occupancy_geometric(max(for_type(n, b) - 1, 0), h, t_T)
+            ubm, _ = occ(max(for_type(n, b) - 1, 0), b)
             qppp3 = u1 * (1.0 - ubm)
             for i in range(2, T + 1):
                 if i == b:
                     continue
-                u, v = occupancy_geometric(for_type(n, i), h, t_T)
+                u, v = occ(for_type(n, i), i)
                 qppp2 *= 1.0 - u
                 qppp3 *= 1.0 - u - v
-            tx += ph * (1.0 + qpp1)
-            rx += ph * (qpp1 + qppp2 + qppp3)
+            tx += weight * (1.0 + qpp1)
+            rx += weight * (qpp1 + qppp2 + qppp3)
     idle = frame_slots - tx - rx
     return {"tx_slots": tx, "rx_slots": rx, "idle_slots": idle,
             "energy": tx * gt + rx * gr + idle * gi}
@@ -277,28 +238,31 @@ def expected_energy_3ss(n, config: ProtocolConfig, mode, rough=None,
     frame_slots defaults to lambda_II.
     """
     T = len(n) if not isinstance(n, dict) else len(n.keys())
-    gammas = config.gammas
-    out = {}
+    t, ell = config.t_T, config.ell
     if mode == "trial":
         if frame_slots is None:
             if moments is None:
                 raise ValueError("trial mode needs frame_slots or moments")
-            frame_slots = lambda_I(T, config.t_T, config.s_w, *moments)
-        for b in range(1, T + 1):
-            out[b] = _energy_components_trial(n, config.t_T, T, b, gammas,
-                                              config.s_w, frame_slots)
+            frame_slots = lambda_I(T, t, config.s_w, *moments)
+        bp1 = _ceil(t / config.s_w)
+        blocks = [(block_probability(h, t),
+                   lambda count, i, h=h: occupancy_geometric(count, h, t))
+                  for h in range(1, t + 1)]
+        classes = {b: blocks for b in range(1, T + 1)}
     elif mode == "bb":
         if rough is None:
             raise ValueError("bb mode needs rough estimates")
         if frame_slots is None:
-            frame_slots = lambda_II(n, rough, config.ell, T, config.s_w)
-        bp1 = _ceil(config.ell / config.s_w)
-        for b in range(1, T + 1):
-            out[b] = _energy_components_uniform(n, rough, config.ell, T, b,
-                                                gammas, bp1, frame_slots)
+            frame_slots = lambda_II(n, rough, ell, T, config.s_w)
+        bp1 = _ceil(ell / config.s_w)
+        p = participations(rough, ell, T)
+        occ = lambda count, i: occupancy(count, p[i - 1], ell)
+        classes = {b: [(p[b - 1], occ)] for b in range(1, T + 1)}
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return out
+    return {b: _energy_components(n, T, b, classes[b], bp1, config.gammas,
+                                  frame_slots)
+            for b in range(1, T + 1)}
 
 
 def expected_energy_trepbb(rough_b, ell, gammas):

@@ -97,7 +97,9 @@ def build_parser():
 
     val = subs.add_parser("validate", help="accuracy-contract check")
     _add_common(val)
-    val.add_argument("--scheme", default="hsrc1")
+    val.add_argument("--scheme", default="hsrc1",
+                     choices=[s for s in harness.SCHEMES
+                              if s not in harness.PHASE2_ONLY])
     val.set_defaults(replicates=300)
     return parser
 
@@ -157,16 +159,18 @@ def _check_config(parser, params):
 
 
 def _check_population(parser, params):
-    """Fail on a q outside [0, 1], a negative node count, or more active
-    nodes per type than n_all (else D) allows."""
+    """Fail on a q outside [0, 1], a negative node count or rough estimate,
+    or more active nodes per type than n_all (else D) allows."""
     q = params.get("q")
     if q is not None and not 0 <= q <= 1:
         parser.error(f"q must be in [0, 1], got {q}")
     if min(params.get("n") or (0,)) < 0 or params.get("D", 0) < 0:
         parser.error("node counts (--n, D) must be >= 0")
-    total = params.get("n_all") or params.get("D")
+    if min(params.get("rough") or (0,)) < 0:
+        parser.error("rough estimates (--rough) must be >= 0")
+    total = params.get("n_all", params.get("D"))
     most = max(params["n"]) if params.get("n") is not None else params.get("D")
-    if total and most is not None and most > total:
+    if total is not None and most is not None and most > total:
         parser.error(f"up to {most} active nodes per type, but n_all "
                      f"(else D) is {total}")
 
@@ -190,6 +194,8 @@ def main(argv=None):
         T = args.T if args.T is not None else len(args.n) if args.n else 3
     if args.command in ("analyze", "validate"):
         _check_types(parser, T, args.n)
+        _check_population(parser, {"n": args.n,
+                                   "rough": getattr(args, "rough", None)})
         _check_config(parser, {"epsilon": args.eps, "delta": args.delta})
     if args.command == "validate":
         _check_tables(parser, T, [args.scheme])

@@ -20,12 +20,10 @@ from .core import (
     EstimateReport,
     PopulationSpec,
     RngBank,
-    SlotLedger,
-    bitmap_bp_slots,
     derive_config,
 )
 from .homogeneous import run_srcs
-from .hsrc import _finalize, _run_trepbb_phase2, run_baseline, run_hsrc
+from .hsrc import _finalize, run_baseline, run_hsrc, run_phase2
 from .three_stage import run_3ss_bb
 from .two_stage import run_2ss_bb
 
@@ -105,15 +103,10 @@ def _rep_seed(seed, sweep_var, value, rep) -> int:
 
 
 def _phase2_only(kind, population, rough, config, bank) -> EstimateReport:
-    if kind == "trepbb":
-        z, ledger, energy = _run_trepbb_phase2(population, rough, config, bank)
-        overhead = 0
-    else:
-        runner = run_3ss_bb if kind == "3ssbb" else run_2ss_bb
-        res = runner(population, rough, config, bank)
-        z, ledger, energy = res.z, res.ledger, res.energy
-        overhead = (bitmap_bp_slots(2 * config.ell, config.s_w)
-                    if kind == "2ssbb" and population.T >= 4 else 0)
+    z, ledger, energy, overhead = run_phase2(
+        "TRepBB" if kind == "trepbb" else "SSBB",
+        run_2ss_bb if kind == "2ssbb" else run_3ss_bb,
+        population, rough, config, bank)
     final, flags = _finalize(z, rough, config)
     return EstimateReport(rough=dict(rough), final=final,
                           phase2_method=kind.upper(), ledger=ledger,
@@ -149,9 +142,9 @@ SCHEMES = {
 def _build_population(params, bank):
     if params.get("n") is not None:
         n = tuple(int(x) for x in params["n"])
-        if params.get("n_all"):
+        if params.get("n_all") is not None:
             n_all = (int(params["n_all"]),) * len(n)
-        elif params.get("D"):
+        elif params.get("D") is not None:
             n_all = (int(params["D"]),) * len(n)
         else:
             n_all = tuple(max(x, 2) for x in n)
@@ -159,7 +152,7 @@ def _build_population(params, bank):
     T = params["T"]
     pop = PopulationSpec.sample_activity(T, params["D"], params["q"],
                                          bank.stream("pop"))
-    if params.get("n_all"):
+    if params.get("n_all") is not None:
         pop = PopulationSpec(n=pop.n, n_all=(int(params["n_all"]),) * T,
                              D=pop.D, q=pop.q)
     return pop

@@ -25,6 +25,7 @@ from .core import (
     ProtocolConfig,
     RngBank,
     SlotLedger,
+    for_type,
     geometric_block_choices,
     uniform_block_choices,
 )
@@ -41,6 +42,13 @@ def participation_probability(ell, n_rough) -> float:
     if n_rough <= 0:
         return 1.0
     return min(1.0, LOAD_FACTOR * ell / n_rough)
+
+
+def participations(rough, ell, T):
+    """p_b of every type (0-based list) from the rough estimates (a 1-based
+    dict or a sequence)."""
+    return [participation_probability(ell, for_type(rough, b))
+            for b in range(1, T + 1)]
 
 
 def lof_slot_index(rng, t) -> int:
@@ -84,11 +92,10 @@ def srcs_phase1(n, config: ProtocolConfig, bank: RngBank, type_index=1):
 def bb_trial(n, plan: BBTrialPlan, rng):
     """One balls-and-bins trial: each node joins with probability plan.p and
     picks one of plan.ell slots uniformly.  Returns (empty-slot count,
-    occupancy vector)."""
+    per-node participation mask)."""
     mask, slots = uniform_block_choices(rng, n, plan.ell, plan.p)
     occupancy = np.bincount(slots[mask], minlength=plan.ell + 1)[1:]
-    z = int(np.count_nonzero(occupancy == 0))
-    return z, occupancy
+    return int(np.count_nonzero(occupancy == 0)), mask
 
 
 def srcs_final_estimate(z, ell, p) -> float:
@@ -118,10 +125,8 @@ def run_srcs(n, config: ProtocolConfig, bank: RngBank, type_index=1):
     """
     rough, phase1_slots = srcs_phase1(n, config, bank, type_index)
     p = participation_probability(config.ell, rough)
-    mask, slots = uniform_block_choices(bank.stream("p2", type_index),
-                                        n, config.ell, p)
-    occupancy = np.bincount(slots[mask], minlength=config.ell + 1)[1:]
-    z = int(np.count_nonzero(occupancy == 0))
+    z, mask = bb_trial(n, BBTrialPlan(ell=config.ell, p=p),
+                       bank.stream("p2", type_index))
     flagged = z == 0
     if flagged:
         final = busy_fallback_estimate(config.ell, p)

@@ -26,9 +26,10 @@ from .core import (
     SlotLedger,
     _geometric_blocks,
     bitmap_bp_slots,
-    uniform_block_choices,
 )
 from .homogeneous import (
+    BBTrialPlan,
+    bb_trial,
     busy_fallback_estimate,
     lof_estimate,
     participation_probability,
@@ -36,7 +37,8 @@ from .homogeneous import (
     t_repetitions_srcs,
 )
 from .three_stage import run_3ss_bb, run_3ss_trial
-from .two_stage import resolver_lut, run_2ss_bb, run_2ss_trial, sigma_slots
+from .two_stage import (plan_slots, resolve_2ss, run_2ss_bb, run_2ss_trial,
+                        sigma_slots)
 
 
 def _run_trepbb_phase2(population, rough, config, bank):
@@ -49,15 +51,24 @@ def _run_trepbb_phase2(population, rough, config, bank):
     energy = EnergyLedger(T)
     for b in range(1, T + 1):
         nb = population.n[b - 1]
-        p = participation_probability(ell, rough[b])
-        mask, slots = uniform_block_choices(bank.stream("p2", b), nb, ell, p)
-        occupancy = np.bincount(slots[mask], minlength=ell + 1)[1:]
-        z[b] = int(np.count_nonzero(occupancy == 0))
+        plan = BBTrialPlan(ell=ell, p=participation_probability(ell, rough[b]))
+        z[b], mask = bb_trial(nb, plan, bank.stream("p2", b))
         # A node is awake only during its own type's trial.
         energy.tx[b] = mask.astype(float)
         energy.rx[b] = np.zeros(nb)
         energy.accounted[b] = np.full(nb, float(ell))
     return z, ledger, energy
+
+
+def run_phase2(method, bb_runner, population, rough, config, bank):
+    """Phase 2 as (z, ledger, energy, plan-broadcast slots): "TRepBB" runs
+    one balls-and-bins trial per type, "SSBB" one bb_runner execution."""
+    if method == "TRepBB":
+        return (*_run_trepbb_phase2(population, rough, config, bank), 0)
+    if method == "SSBB":
+        res = bb_runner(population, rough, config, bank)
+        return res.z, res.ledger, res.energy, res.overhead
+    raise ValueError(f"unknown phase-2 method {method!r}")
 
 
 def _finalize(z, rough, config):
@@ -93,8 +104,7 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
         energy.add(res.energy)
         for b in range(1, T + 1):
             j_lists[b].append(res.j[b])
-        if variant == "HSRC2" and T >= 4:
-            plan_overhead += bitmap_bp_slots(2 * config.t_T, config.s_w)
+        plan_overhead += res.overhead
     rough = {b: lof_estimate(j_lists[b]) for b in range(1, T + 1)}
 
     # Phase-boundary broadcast of the rough estimates, received by everyone.
@@ -106,16 +116,8 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
     else:
         method, zone = select_phase2(rough, config.ell, T, config.s_w)
 
-    if method == "TRepBB":
-        z, phase2_ledger, p2_energy = _run_trepbb_phase2(
-            population, rough, config, bank)
-    elif method == "SSBB":
-        res = bb_runner(population, rough, config, bank)
-        z, phase2_ledger, p2_energy = res.z, res.ledger, res.energy
-        if variant == "HSRC2" and T >= 4:
-            plan_overhead += bitmap_bp_slots(2 * config.ell, config.s_w)
-    else:
-        raise ValueError(f"unknown phase-2 method {method!r}")
+    z, phase2_ledger, p2_energy, p2_plan = run_phase2(
+        method, bb_runner, population, rough, config, bank)
     energy.add(p2_energy)
 
     final, flags = _finalize(z, rough, config)
@@ -124,7 +126,7 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
                           phase2_zone=zone, ledger=ledger, energy=energy,
                           flags=flags, phase1_ledger=phase1_ledger,
                           phase2_ledger=phase2_ledger,
-                          overhead_slots=boundary + plan_overhead)
+                          overhead_slots=boundary + plan_overhead + p2_plan)
 
 
 # Uniforms drawn at once per type by the repeated baselines: trials are
@@ -194,18 +196,13 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
         # (decoder soundness tests), so the fast path reads it directly.
         presence = counts > 0
     else:
-        codes = np.minimum(counts, 2).astype(np.int64) @ (
-            3 ** np.arange(T, dtype=np.int64))
-        lut = resolver_lut(T)
-        lut.ensure(codes.ravel())
-        extra = lut.extra[codes]
+        _codes, presence, extra = resolve_2ss(counts)
         stage1 = sigma_slots(T) * t * M
         stage2 = int(extra.sum())
         stage3 = 0
-        plan = bitmap_bp_slots(2 * t, s_w)
+        plan = plan_slots(T, t, s_w)
         bp = M * (bitmap_bp_slots(t, s_w) + plan)
         overhead = M * plan
-        presence = lut.presence[codes]
     final = {}
     for b in range(1, T + 1):
         j = _j_from_presence(presence[:, :, b - 1], t)

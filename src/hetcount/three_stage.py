@@ -30,11 +30,10 @@ from .core import (
     SlotLedger,
     SlotOutcome,
     bitmap_bp_slots,
-    for_type,
     geometric_block_choices,
     uniform_block_choices,
 )
-from .homogeneous import participation_probability
+from .homogeneous import participations
 
 _EMPTY = SlotOutcome.EMPTY.value
 _SA = SlotOutcome.SINGLE_ALPHA.value
@@ -146,6 +145,19 @@ def decode_block_3ss(outcome):
     return _decode_3ss_cached(codes, len(codes) + 1)
 
 
+def resolve_flagged(counts):
+    """Stages 2 and 3 of all-collision blocks, from their (k, T) per-type
+    counts: (presence, stage3).  Stage 2 is one slot where only type-1
+    nodes transmit.  With at most one type-1 node, every other type must
+    fill its own colliding slot (an empty stage-2 slot even proves two or
+    more of each); with two or more (stage3), stage 3 gives every other type
+    a dedicated slot."""
+    c1 = counts[:, :1]
+    presence = counts > 0
+    presence[:, 1:] |= c1 <= 1
+    return presence, c1[:, 0] >= 2
+
+
 @dataclass
 class Frame3SS:
     presence: np.ndarray    # (N, T) bool, exact per-type presence per block
@@ -165,15 +177,9 @@ class Frame3SS:
 
 
 def run_3ss_followup(stage1: Stage1Result3SS, s_w) -> Frame3SS:
-    """Stages 2 and 3 plus broadcast accounting.
-
-    Presence of every type in every block is resolved: non-flagged blocks
-    decode directly from their slot outcomes; flagged blocks get a stage-2
-    slot where only their type-1 nodes transmit, and a stage-3 round of
-    dedicated slots when stage 2 still collides.  A stage-2 Empty slot
-    proves type 1 absent and (since the block collided everywhere) at least
-    two of every other type present, so stage 3 is skipped there too.
-    """
+    """Stages 2 and 3 plus broadcast accounting.  Presence of every type
+    in every block is resolved: non-flagged blocks decode directly from their
+    slot outcomes, flagged blocks through resolve_flagged."""
     counts = stage1.counts
     out = stage1.outcomes
     n_blocks, T = counts.shape
@@ -186,14 +192,10 @@ def run_3ss_followup(stage1: Stage1Result3SS, s_w) -> Frame3SS:
     presence[:, 0] = (out == _SA).any(axis=1)
     presence[:, 1:] = (out == _SB) | (out == _COLL)
 
-    # Flagged blocks: with at most one type-1 node, every other type must
-    # fill its own colliding slot; with two or more, stage 3 counts each.
     flagged = stage1.flagged
     rows = np.asarray(flagged, dtype=np.intp) - 1
-    c1 = counts[rows, 0]
-    presence[rows, 0] = c1 > 0
-    presence[rows, 1:] = (c1 <= 1)[:, None] | (counts[rows, 1:] > 0)
-    r_list = (rows[c1 >= 2] + 1).tolist()
+    presence[rows], stage3 = resolve_flagged(counts[rows])
+    r_list = (rows[stage3] + 1).tolist()
     ledger = SlotLedger(
         stage1=(T - 1) * n_blocks,
         stage2=len(flagged),
@@ -204,25 +206,19 @@ def run_3ss_followup(stage1: Stage1Result3SS, s_w) -> Frame3SS:
 
 
 def _energy_3ss(frame: Frame3SS, population, config, frame_total):
-    """Per-node radio accounting for one frame, honoring participation."""
+    """Per-node radio accounting for one frame, honoring participation:
+    type 1 sends in every stage-1 slot and in stage 2, type b >= 2 in its
+    own slot and in stage 3, and listens to stage 2."""
     n_blocks, T = frame.presence.shape
-    flagged_mask = np.zeros(n_blocks + 1, dtype=bool)
-    rflag_mask = np.zeros(n_blocks + 1, dtype=bool)
-    flagged_mask[frame.flagged] = True
-    rflag_mask[frame.r_list] = True
+    flagged, stage3 = np.zeros((2, n_blocks + 1))    # index 0: idle nodes
+    flagged[frame.flagged] = 1.0
+    stage3[frame.r_list] = 1.0
+    tx1, txb = (T - 1) + flagged, 1.0 + stage3
+    tx1[0] = txb[0] = 0.0
     bp1 = bitmap_bp_slots(n_blocks, config.s_w)
-    energy = EnergyLedger(T)
-    for b in range(1, T + 1):
-        blocks = frame.stage1.chosen[b]
-        part = (blocks > 0).astype(float)
-        if b == 1:
-            energy.tx[b] = part * (T - 1) + part * flagged_mask[blocks]
-            energy.rx[b] = np.full(blocks.shape, float(bp1))
-        else:
-            energy.tx[b] = part + part * rflag_mask[blocks]
-            energy.rx[b] = bp1 + part * flagged_mask[blocks]
-        energy.accounted[b] = np.full(blocks.shape, float(frame_total))
-    return energy
+    rx1, rxb = np.full(n_blocks + 1, float(bp1)), bp1 + flagged
+    return EnergyLedger.per_block(frame.stage1.chosen, [tx1] + [txb] * (T - 1),
+                                  [rx1] + [rxb] * (T - 1), frame_total)
 
 
 @dataclass
@@ -232,6 +228,7 @@ class Run3SSResult:
     frame: Frame3SS
     ledger: SlotLedger
     energy: EnergyLedger
+    overhead: int = 0       # plan-broadcast slots (two_stage.plan_slots)
 
 
 def run_3ss_trial(population: PopulationSpec, config: ProtocolConfig,
@@ -253,8 +250,7 @@ def run_3ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
     """Balls-and-bins mode: ell blocks, uniform choice, participation p_b
     derived from the rough estimates (1-based dict or sequence)."""
     T = population.T
-    p = [participation_probability(config.ell, for_type(rough, b))
-         for b in range(1, T + 1)]
+    p = participations(rough, config.ell, T)
     rngs = [bank.stream("p2", b) for b in range(1, T + 1)]
     stage1 = run_3ss_stage1(population, config.ell, "uniform", p, rngs)
     frame = run_3ss_followup(stage1, config.s_w)

@@ -31,6 +31,7 @@ from itertools import product
 import numpy as np
 
 from .core import (
+    EnergyLedger,
     InconsistentOutcome,
     PopulationSpec,
     ProtocolConfig,
@@ -38,10 +39,8 @@ from .core import (
     SlotLedger,
     SlotOutcome,
     bitmap_bp_slots,
-    for_type,
 )
-from .core import EnergyLedger
-from .homogeneous import participation_probability
+from .homogeneous import participations
 from .three_stage import (
     ABSENT,
     AMBIGUOUS,
@@ -49,6 +48,7 @@ from .three_stage import (
     Frame3SS,
     Run3SSResult,
     draw_blocks,
+    resolve_flagged,
     run_3ss_bb,
     run_3ss_trial,
     sym3_matrix,
@@ -350,21 +350,6 @@ def _probe_search(classes, pattern, candidates):
     return probes, signature
 
 
-def _follow_up_3ss(classes):
-    """Three-stage follow-up of all-collision blocks (T <= 3): one stage-2
-    slot where only type 1 transmits, then a dedicated slot per other type
-    if type 1 still collides."""
-    T = classes.shape[1]
-    stage3 = classes[:, 0] >= 2
-    extra = 1 + (T - 1) * stage3
-    tx = np.ones(classes.shape, dtype=np.int16)
-    tx[:, 1:] = stage3[:, None]
-    presence = np.ones(classes.shape, dtype=bool)
-    presence[:, 0] = classes[:, 0] > 0
-    presence[stage3, 1:] = classes[stage3, 1:] > 0
-    return extra, presence, tx
-
-
 def _split_halves(codes, T):
     """All-collision blocks (T > 3): each half of the type set re-runs
     stage 1 on its own sub-block, resolved through the half's table.  Both
@@ -417,7 +402,10 @@ def _build_table(T):
     rows = all_collision[group]
     if rows.any():
         if T <= 3:
-            resolved = _follow_up_3ss(classes[rows])
+            # Three-stage follow-up: type 1 sends in stage 2, the rest in 3.
+            flagged_presence, stage3 = resolve_flagged(classes[rows])
+            flagged_tx = (np.arange(T) == 0) | stage3[:, None]
+            resolved = 1 + (T - 1) * stage3, flagged_presence, flagged_tx
             failure = "follow-up contradicts ground truth"
         else:
             resolved = _split_halves(codes[rows], T)
@@ -476,11 +464,24 @@ def resolver_lut(T) -> _ResolverLUT:
 
 
 def class_codes(counts) -> np.ndarray:
-    """Base-3 encoding of per-block count-class vectors."""
-    T = counts.shape[1]
-    classes = np.minimum(counts, 2)
-    weights = 3 ** np.arange(T, dtype=np.int64)
-    return classes @ weights
+    """Base-3 encoding of per-block count-class vectors (types last)."""
+    weights = 3 ** np.arange(counts.shape[-1], dtype=np.int64)
+    return np.minimum(counts, 2) @ weights
+
+
+def resolve_2ss(counts):
+    """Table lookup of per-block counts of any leading shape, types last:
+    (codes, presence, extra follow-up slots)."""
+    codes = class_codes(counts)
+    lut = resolver_lut(counts.shape[-1])
+    lut.ensure(codes.ravel())
+    return codes, lut.presence[codes], lut.extra[codes]
+
+
+def plan_slots(T, n_blocks, s_w) -> int:
+    """Slots of the 2SS plan broadcast, two bits per block; none for T <= 3,
+    where the scheme is the three-stage one."""
+    return 0 if T <= 3 else bitmap_bp_slots(2 * n_blocks, s_w)
 
 
 @dataclass
@@ -498,37 +499,33 @@ def _run_2ss_frame(population, n_blocks, distribution, part, rngs, s_w):
     T = population.T
     counts, chosen = draw_blocks(population, n_blocks, distribution, part,
                                  rngs)
-    codes = class_codes(counts)
-    lut = resolver_lut(T)
-    lut.ensure(codes)
-    presence = lut.presence[codes]
-    extra = lut.extra[codes]
+    codes, presence, extra = resolve_2ss(counts)
     ledger = SlotLedger(
         stage1=sigma_slots(T) * n_blocks,
         stage2=int(extra.sum()),
-        bp=bitmap_bp_slots(n_blocks, s_w) + bitmap_bp_slots(2 * n_blocks, s_w))
+        bp=bitmap_bp_slots(n_blocks, s_w) + plan_slots(T, n_blocks, s_w))
     return Frame2SS(presence=presence, extra_per_block=extra, ledger=ledger,
                     chosen=chosen, codes=codes)
 
 
+@lru_cache(maxsize=None)
+def _node_tx(T):
+    """(T, 3^T + 1) transmissions of a node by type and block code: row
+    symbols plus follow-up slots.  The last column, zero, is for idle nodes."""
+    table = np.zeros((T, 3 ** T + 1))
+    table[:, :-1] = _row_symbols(T)[:, None] + resolver_lut(T).tx.T
+    table.setflags(write=False)
+    return table
+
+
 def _energy_2ss(frame: Frame2SS, population, config, frame_total):
+    """Per-node radio accounting for one frame: a node sends its matrix
+    row's symbols and its block's follow-up transmissions, and everyone
+    listens to every broadcast."""
     T = population.T
-    row_symbols = _row_symbols(T)
-    lut = resolver_lut(T)
-    bp_total = frame.ledger.bp
-    energy = EnergyLedger(T)
-    for b in range(1, T + 1):
-        blocks = frame.chosen[b]
-        part = (blocks > 0).astype(float)
-        row_syms = int(row_symbols[b - 1])
-        extra_tx = np.zeros(blocks.shape)
-        active = blocks > 0
-        if active.any():
-            extra_tx[active] = lut.tx[frame.codes[blocks[active] - 1], b - 1]
-        energy.tx[b] = part * row_syms + part * extra_tx
-        energy.rx[b] = np.full(blocks.shape, float(bp_total))
-        energy.accounted[b] = np.full(blocks.shape, float(frame_total))
-    return energy
+    tx = _node_tx(T).take(np.concatenate(([3 ** T], frame.codes)), axis=1)
+    rx = np.full(tx.shape, float(frame.ledger.bp))
+    return EnergyLedger.per_block(frame.chosen, tx, rx, frame_total)
 
 
 def run_2ss_trial(population: PopulationSpec, config: ProtocolConfig,
@@ -544,7 +541,8 @@ def run_2ss_trial(population: PopulationSpec, config: ProtocolConfig,
     j = {b: frame.first_absent(b) for b in range(1, T + 1)}
     energy = _energy_2ss(frame, population, config, frame.ledger.total)
     return Run3SSResult(j=j, z=None, frame=frame, ledger=frame.ledger,
-                        energy=energy)
+                        energy=energy,
+                        overhead=plan_slots(T, config.t_T, config.s_w))
 
 
 def run_2ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
@@ -554,8 +552,7 @@ def run_2ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
     T = population.T
     if T <= 3:
         return run_3ss_bb(population, rough, config, bank)
-    p = [participation_probability(config.ell, for_type(rough, b))
-         for b in range(1, T + 1)]
+    p = participations(rough, config.ell, T)
     rngs = [bank.stream("p2", b) for b in range(1, T + 1)]
     frame = _run_2ss_frame(population, config.ell, "uniform", p, rngs,
                            config.s_w)
@@ -563,4 +560,5 @@ def run_2ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
          for b in range(1, T + 1)}
     energy = _energy_2ss(frame, population, config, frame.ledger.total)
     return Run3SSResult(j=None, z=z, frame=frame, ledger=frame.ledger,
-                        energy=energy)
+                        energy=energy,
+                        overhead=plan_slots(T, config.ell, config.s_w))

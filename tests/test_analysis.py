@@ -1,5 +1,6 @@
 """Closed-form slot counts, thresholds, selection logic, and energy."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -236,3 +237,35 @@ class TestEnergy:
             p2 = expected_energy_trepbb(n[b - 1], cfg.ell, cfg.gammas)
             assert total[b] == pytest.approx(
                 phase1[b]["energy"] + 5 * cfg.gamma_rho + p2["energy"])
+
+
+def _analysis_outputs():
+    """Closed-form outputs over a fixed grid of T, s_w, epsilon and loads:
+    n1*, the stage-2/3 moments, lambda_I, lambda_II, the phase-2 choice and
+    the expected energy in both modes."""
+    out = []
+    for T in range(2, 9):
+        for s_w, eps in ((6, 0.03), (4, 0.05)):
+            cfg = derive_config(eps, 0.2, (1 << 20,) * T, s_w=s_w)
+            ell = cfg.ell
+            out.append(n1_star(T, ell, s_w))
+            for scale in (0.05, 0.4, 1.2):
+                n = tuple(int(scale * ell * (1 + 0.3 * b)) for b in range(T))
+                rough = {b: 0.9 * x + 7 for b, x in enumerate(n, 1)}
+                ek, er = expected_K_R(n, rough, ell, T)
+                out.append((ek, er, lambda_II(n, rough, ell, T, s_w),
+                            select_phase2(rough, ell, T, s_w)))
+                out.append(expected_energy_3ss(n, cfg, "bb", rough=rough))
+                small = tuple(max(1, x // 100) for x in n)
+                out.append(expected_energy_3ss(small, cfg, "trial",
+                                               moments=(ek / ell, er / ell)))
+                out.append(lambda_I(T, cfg.t_T, s_w, ek / ell, er / ell))
+    return out
+
+
+def test_outputs_bit_identical_on_grid():
+    """Every float is pinned through its repr, so a change in the order of
+    any floating-point operation in the formulas moves the digest."""
+    digest = hashlib.sha256(repr(_analysis_outputs()).encode()).hexdigest()
+    assert digest == ("94861397fdf729c7c5b97fe134f8521b"
+                      "ca795e97e04544cea22a8b3a896d290d")

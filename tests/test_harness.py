@@ -62,6 +62,14 @@ class TestSpecValidation:
         ExperimentSpec([scheme], "n2_value", [60], fixed)
         ExperimentSpec([scheme], "none", [0], dict(fixed, rough=(50,) * 3))
 
+    def test_zero_n_all_or_d_is_used(self):
+        bank = RngBank(0)
+        for key in ("n_all", "D"):
+            with pytest.raises(ValueError, match="n_all_b"):
+                harness._build_population({"n": (5, 5), key: 0}, bank)
+            pop = harness._build_population({"n": (0, 0), key: 0}, bank)
+            assert pop.n_all == (0, 0)
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             figure_preset("fig99")
@@ -374,6 +382,13 @@ class TestCli:
           "--sweep-values", "5", "--schemes", "p2-2ssbb"],
          "p2-2ssbb: 2SS decoder tables are built for T <= 10"),
         (["validate", "--scheme", "2ss-rep", "--T", "11"], "got T = 11"),
+        (["analyze", "--n", "5,-5,5"], "node counts (--n, D) must be >= 0"),
+        (["analyze", "--n", "5,5,5", "--rough", "5,-1,5"],
+         "rough estimates (--rough) must be >= 0"),
+        (["validate", "--n", "5,-5,5"], "node counts (--n, D) must be >= 0"),
+        (["simulate", "--n", "5,5,5", "--sweep-var", "n_all",
+          "--sweep-values", "0"], "n_all (else D) is 0"),
+        (["simulate", "--n", "5,5,5", "--D", "0"], "n_all (else D) is 0"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -393,6 +408,16 @@ class TestCli:
         err = capsys.readouterr().err.strip().split("\n")
         assert err[-1].startswith("hetcount simulate: error: argument "
                                   f"--sweep-var: invalid choice: '{var}'")
+
+    @pytest.mark.parametrize("scheme", ["bogus", "p2-trepbb"])
+    def test_validate_rejects_schemes_it_cannot_run(self, capsys, scheme):
+        # Phase-2-only schemes need rough estimates, which validate lacks.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "--scheme", scheme, "--replicates", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[-1].startswith("hetcount validate: error: argument "
+                                  f"--scheme: invalid choice: '{scheme}'")
 
     def test_replicates_default_only_when_absent(self):
         argv = ["simulate", "--schemes", "txsrcs", "--n", "5,5,5"]

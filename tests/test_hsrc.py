@@ -103,6 +103,24 @@ class TestRunHsrc:
                           phase2_override="TRepBB")
         assert forced.phase2_zone == "override"
 
+    @pytest.mark.parametrize("T", [3, 4, 5])
+    @pytest.mark.parametrize("override", ["SSBB", "TRepBB"])
+    def test_hsrc2_overhead_counts_every_broadcast(self, T, override):
+        """The rough-estimate broadcast, plus from T = 4 a plan broadcast
+        (two bits per block) after every trial and after a 2SS phase 2."""
+        pop = _pop((40,) * T, 1 << 20)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        rep = run_hsrc("HSRC2", pop, cfg, RngBank(7),
+                       phase2_override=override)
+
+        def plan(blocks):
+            return -(-2 * blocks // cfg.s_w) if T >= 4 else 0
+
+        want = -(-T * cfg.t_T // cfg.s_w) + cfg.m_prime * plan(cfg.t_T)
+        if override == "SSBB":
+            want += plan(cfg.ell)
+        assert rep.overhead_slots == want
+
 
 class TestBaselines:
     def test_unknown_scheme(self):

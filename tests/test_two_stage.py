@@ -10,10 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hetcount.core import PopulationSpec, RngBank, SlotOutcome, derive_config
+from hetcount.core import (
+    EnergyLedger,
+    PopulationSpec,
+    RngBank,
+    SlotOutcome,
+    derive_config,
+)
 from hetcount.three_stage import ABSENT, AMBIGUOUS, PRESENT, run_3ss_trial, sym3_matrix
 from hetcount.two_stage import (
     MAX_TABLE_T,
+    _energy_2ss,
+    _row_symbols,
+    _run_2ss_frame,
     build_sym2_matrix,
     class_codes,
     decode_block_2ss,
@@ -263,3 +272,47 @@ class TestRunners:
                       for seed in range(30)]
             means.append(np.mean(totals))
         assert means[0] < means[1] < means[2]
+
+
+def _energy_2ss_loop(frame, population, config, frame_total):
+    """Reference energy accounting, type by type: a participating node
+    sends its matrix row's symbols plus its block's follow-up
+    transmissions, and every node hears every broadcast."""
+    T = population.T
+    row_symbols = _row_symbols(T)
+    lut = resolver_lut(T)
+    energy = EnergyLedger(T)
+    for b in range(1, T + 1):
+        blocks = frame.chosen[b]
+        part = (blocks > 0).astype(float)
+        extra_tx = np.zeros(blocks.shape)
+        active = blocks > 0
+        if active.any():
+            extra_tx[active] = lut.tx[frame.codes[blocks[active] - 1], b - 1]
+        energy.tx[b] = part * int(row_symbols[b - 1]) + part * extra_tx
+        energy.rx[b] = np.full(blocks.shape, float(frame.ledger.bp))
+        energy.accounted[b] = np.full(blocks.shape, float(frame_total))
+    return energy
+
+
+class TestEnergy:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 8), st.integers(1, 60),
+           st.sampled_from(["geometric", "uniform"]), st.integers(1, 8),
+           st.data())
+    def test_energy_equals_loop(self, seed, T, n_blocks, distribution, s_w,
+                                data):
+        n = data.draw(st.lists(st.integers(0, 30), min_size=T, max_size=T))
+        part = data.draw(st.lists(st.floats(0, 1), min_size=T, max_size=T))
+        pop = PopulationSpec.fixed(n, n_all=(64,) * T)
+        cfg = derive_config(0.03, 0.2, pop.n_all, s_w=s_w)
+        rngs = [np.random.default_rng([seed, b]) for b in range(T)]
+        frame = _run_2ss_frame(pop, n_blocks, distribution, part, rngs, s_w)
+        energy = _energy_2ss(frame, pop, cfg, frame.ledger.total)
+        ref = _energy_2ss_loop(frame, pop, cfg, frame.ledger.total)
+        for field in ("tx", "rx", "accounted"):
+            got, want = getattr(energy, field), getattr(ref, field)
+            assert sorted(got) == sorted(want) == list(range(1, T + 1))
+            for b in want:
+                assert got[b].dtype == want[b].dtype
+                assert np.array_equal(got[b], want[b])
