@@ -16,6 +16,7 @@ from .core import ELL_TABLE, UnknownAccuracyKey, derive_config
 from .harness import (
     ConfigError,
     ExperimentSpec,
+    PRESET_N_ALL,
     TABLE_SCHEMES,
     apply_sweep,
     calibrate_ell,
@@ -61,6 +62,13 @@ def _add_common(sub):
     sub.add_argument("--config", help="key=value file preloading any flag")
 
 
+def _add_n_all(sub):
+    sub.add_argument(
+        "--n-all", type=int,
+        help="manufactured nodes per type, which set the phase-1 depth "
+             f"(default: --D if given, else {PRESET_N_ALL} as in the presets)")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hetcount",
@@ -73,6 +81,7 @@ def build_parser():
     sim.add_argument("--sweep-var", default="none",
                      choices=SIMULATE_SWEEP_VARS)
     sim.add_argument("--sweep-values", default="0")
+    _add_n_all(sim)
     sim.set_defaults(replicates=100)
 
     fig = subs.add_parser("figure", help="published-figure preset")
@@ -100,6 +109,7 @@ def build_parser():
     val.add_argument("--scheme", default="hsrc1",
                      choices=[s for s in harness.SCHEMES
                               if s not in harness.PHASE2_ONLY])
+    _add_n_all(val)
     val.set_defaults(replicates=300)
     return parser
 
@@ -192,12 +202,20 @@ def main(argv=None):
         parser.error(f"--replicates must be at least 1, got {args.replicates}")
     if args.command in ("simulate", "analyze", "validate"):
         T = args.T if args.T is not None else len(args.n) if args.n else 3
-    if args.command in ("analyze", "validate"):
+    if args.command == "analyze":
         _check_types(parser, T, args.n)
-        _check_population(parser, {"n": args.n,
-                                   "rough": getattr(args, "rough", None)})
+        _check_population(parser, {"n": args.n, "rough": args.rough})
         _check_config(parser, {"epsilon": args.eps, "delta": args.delta})
     if args.command == "validate":
+        _check_types(parser, T, args.n)
+        # n_all = n would cut phase 1 at ceil(log2 n) blocks and bias the
+        # first-absent estimates low.
+        n_all = next(v for v in (args.n_all, args.D, PRESET_N_ALL)
+                     if v is not None)
+        params = {"T": T, "epsilon": args.eps, "delta": args.delta,
+                  "n_all": n_all}
+        _check_population(parser, dict(params, n=args.n or (1000,) * T))
+        _check_config(parser, params)
         _check_tables(parser, T, [args.scheme])
 
     if args.command == "simulate":
@@ -208,6 +226,12 @@ def main(argv=None):
             fixed["q"] = args.q
         if args.n is not None:
             fixed["n"] = args.n
+        # Without D the population has no manufactured size; n_all = n would
+        # cut phase 1 at ceil(log2 n) blocks and bias the estimates low.
+        if args.n_all is not None:
+            fixed["n_all"] = args.n_all
+        elif args.D is None and args.sweep_var != "D":
+            fixed["n_all"] = PRESET_N_ALL
         values = _sweep_values(parser, args.sweep_var, args.sweep_values)
         missing = [f"--{k}" for k in ("D", "q")
                    if k not in fixed and args.sweep_var != k]
@@ -269,10 +293,8 @@ def main(argv=None):
         ref = f" (table: {table})" if table else ""
         sys.stdout.write(f"calibrated ell={ell}{ref}\n")
     elif args.command == "validate":
-        n = args.n or (1000,) * T
         rates = validate_accuracy(
-            args.scheme, [n], {"T": T, "epsilon": args.eps,
-                               "delta": args.delta},
+            args.scheme, [args.n or (1000,) * T], params,
             replicates=args.replicates, seed=args.seed)
         for b, (rate, (lo, hi)) in sorted(rates.items()):
             sys.stdout.write(

@@ -44,6 +44,11 @@ class ConfigError(ValueError):
     pass
 
 
+# Manufactured nodes per type of the figure presets (and the CLI default);
+# fixes the phase-1 trial depth at 20 blocks, which the published slot
+# totals (e.g. T x SRC_S = T*(10*20 + ell)) correspond to.
+PRESET_N_ALL = 1 << 20
+
 # Schemes that run phase 2 alone, on rough estimates the experiment gives.
 PHASE2_ONLY = ("p2-3ssbb", "p2-2ssbb", "p2-trepbb")
 # Schemes that decode through the 2SS tables (two_stage.resolver_lut).
@@ -317,10 +322,7 @@ def figure_preset(name, replicates=None, seed=0, out=None,
     composite = ["hsrc1-trepbb", "hsrc1-ssbb", "hsrc2-trepbb", "hsrc2-ssbb"]
     all_schemes = ["3ss-rep", "2ss-rep", "txsrcs", "hsrc1", "hsrc2"]
     phase2 = ["p2-3ssbb", "p2-2ssbb", "p2-trepbb"]
-    # Manufactured-population size for the sampled-activity presets; fixes
-    # the phase-1 trial depth at 20 blocks, which the published slot totals
-    # (e.g. T x SRC_S = T*(10*20 + ell)) correspond to.
-    n_all = 1 << 20
+    n_all = PRESET_N_ALL
     reps = replicates
     if name == "fig7a":
         spec = ExperimentSpec(composite, "q",

@@ -389,6 +389,11 @@ class TestCli:
         (["simulate", "--n", "5,5,5", "--sweep-var", "n_all",
           "--sweep-values", "0"], "n_all (else D) is 0"),
         (["simulate", "--n", "5,5,5", "--D", "0"], "n_all (else D) is 0"),
+        (["simulate", "--n", "5,50,5", "--n-all", "40"],
+         "up to 50 active nodes per type, but n_all (else D) is 40"),
+        (["validate", "--n", "1000,1000,1000", "--n-all", "999"],
+         "n_all (else D) is 999"),
+        (["validate", "--n", "3000000,5,5"], "n_all (else D) is 1048576"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -457,3 +462,25 @@ class TestCli:
             timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split("\n")[1].startswith("2,0.4932")
+
+    def test_validate_default_depth_meets_contract(self):
+        # With n_all = n, phase 1 stopped at ceil(log2 1000) = 10 blocks and
+        # 3ss-rep estimated about 0.58 n, so no replicate was within epsilon.
+        out = self._capture(["validate", "--scheme", "3ss-rep", "--n",
+                             "1000,1000,1000", "--replicates", "100",
+                             "--seed", "7"])
+        lines = out.strip().split("\n")
+        assert len(lines) == 3
+        for line in lines:
+            hi = float(line.split("wilson95=(")[1].split(",")[1].rstrip(")"))
+            assert hi >= 0.8                  # 1 - delta is not ruled out
+
+    def test_n_all_sets_phase1_depth(self):
+        argv = ["simulate", "--schemes", "3ss-rep", "--n", "40,40",
+                "--replicates", "1"]
+        preset = self._capture(argv)
+        assert self._capture(argv + ["--n-all", str(1 << 20)]) == preset
+        # 20 blocks of one slot per trial at T = 2, against 6 at n_all = 40.
+        assert preset.split("\n")[1].split(",")[6] == str(20 * 1136)
+        assert self._capture(argv + ["--n-all", "40"]).split(
+            "\n")[1].split(",")[6] == str(6 * 1136)

@@ -1,10 +1,13 @@
 """Composite estimators and baselines: equality under shared randomness,
 override consistency, determinism, and ledgers."""
 
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetcount import hsrc
 from hetcount.analysis import select_phase2
@@ -179,6 +182,73 @@ class TestBaselines:
         assert r2.overhead_slots == cfg.m_lof * -(-2 * cfg.t_T // cfg.s_w)
 
 
+class TestEqualityProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.lists(st.integers(0, 60), min_size=2, max_size=6))
+    def test_estimates_agree_under_one_bank(self, seed, n):
+        pop = _pop(n, 1 << 10)
+        cfg = derive_config(0.05, 0.2, pop.n_all)
+        bank = RngBank(seed)
+        r1 = run_hsrc("HSRC1", pop, cfg, bank)
+        r2 = run_hsrc("HSRC2", pop, cfg, bank)
+        rt = t_repetitions_srcs(pop, cfg, bank)
+        assert r1.rough == r2.rough == rt.rough
+        assert r1.final == r2.final == rt.final
+
+
+REPEATED = ("3SS-repeated", "2SS-repeated")
+
+
+class TestSharedRepeatedTrials:
+    """Both repeated baselines read one draw of the trials per bank."""
+
+    @pytest.mark.parametrize("n", [(30, 0, 45), (20, 35, 0, 50, 12)])
+    @pytest.mark.parametrize("first", REPEATED)
+    def test_shared_bank_equals_fresh_banks(self, n, first, monkeypatch):
+        pop = _pop(n, 1 << 20)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        fresh = {s: run_baseline(s, pop, cfg, RngBank(5)) for s in REPEATED}
+        bank = RngBank(5)
+        shared = {first: run_baseline(first, pop, cfg, bank)}
+
+        def stream(*key):
+            raise AssertionError(f"stream {key} drawn again")
+        monkeypatch.setattr(bank, "stream", stream)
+        for s in REPEATED:
+            if s != first:
+                shared[s] = run_baseline(s, pop, cfg, bank)
+        for s in REPEATED:
+            assert shared[s].rough == fresh[s].rough
+            assert shared[s].final == fresh[s].final
+            assert shared[s].ledger == fresh[s].ledger
+            assert shared[s].overhead_slots == fresh[s].overhead_slots
+
+    def test_memo_size_and_lifetime(self):
+        pop = _pop((300,) * 8, 1 << 20)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        M, t, T = cfg.m_lof, cfg.t_T, pop.T
+        bank = RngBank(2)
+        for b in range(1, T + 1):       # seed words are not the memo's
+            bank.stream("rep", b)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            classes = hsrc._repeated_classes(pop, t, M, bank)
+            del classes
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+            del bank
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Two bit planes of M t T bits; an unpacked uint8 tensor is 4x that.
+        assert M * t * T / 4 <= kept <= M * t * T / 4 + 1024
+        assert left <= 1024
+
+
 def _one_shot_block_counts(population, t, M, bank):
     """Reference: the whole (M, n_b) geometric draw at once, per type."""
     T = population.T
@@ -203,6 +273,9 @@ class TestRepeatedBlockCounts:
         (1 << 20, (1 << 20, 1), 3, 20),          # n_b at the budget
         (1 << 20, ((1 << 20) + 1, 2), 2, 1),     # n_b above it, t = 1
         (100, (30, 250, 0), 11, 9),              # 3 rows + 2, and 1 row
+        (100, (30, 250, 7), 11, 1),              # small chunks at t = 1, 2
+        (100, (30, 250, 7), 11, 2),
+        (64, (100, 33, 5), 17, 20),              # 1 row per chunk, t = 20
     ])
     def test_equals_one_shot_draw(self, chunk, n, M, t, monkeypatch):
         monkeypatch.setattr(hsrc, "_REP_CHUNK", chunk)
