@@ -62,13 +62,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="key=value file preloading any flag")
 
 
-def _add_n_all(sub):
-    sub.add_argument(
-        "--n-all", type=int,
-        help="manufactured nodes per type, which set the phase-1 depth "
-             f"(default: --D if given, else {PRESET_N_ALL} as in the presets)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hetcount",
@@ -81,7 +74,6 @@ def build_parser():
     sim.add_argument("--sweep-var", default="none",
                      choices=SIMULATE_SWEEP_VARS)
     sim.add_argument("--sweep-values", default="0")
-    _add_n_all(sim)
     sim.set_defaults(replicates=100)
 
     fig = subs.add_parser("figure", help="published-figure preset")
@@ -109,7 +101,6 @@ def build_parser():
     val.add_argument("--scheme", default="hsrc1",
                      choices=[s for s in harness.SCHEMES
                               if s not in harness.PHASE2_ONLY])
-    _add_n_all(val)
     val.set_defaults(replicates=300)
     return parser
 
@@ -146,6 +137,14 @@ def _sweep_values(parser, var, text):
             value = int(value)
         values.append(value)
     return values
+
+
+def _n_all(D, n):
+    """Manufactured nodes per type, which set the phase-1 depth: D if given,
+    else the presets' 2^20, or the most active nodes of a type if more.
+    n_all = n would cut phase 1 at ceil(log2 n) blocks and bias the
+    first-absent estimates low."""
+    return D if D is not None else max(PRESET_N_ALL, *n)
 
 
 def _check_types(parser, T, n):
@@ -208,13 +207,10 @@ def main(argv=None):
         _check_config(parser, {"epsilon": args.eps, "delta": args.delta})
     if args.command == "validate":
         _check_types(parser, T, args.n)
-        # n_all = n would cut phase 1 at ceil(log2 n) blocks and bias the
-        # first-absent estimates low.
-        n_all = next(v for v in (args.n_all, args.D, PRESET_N_ALL)
-                     if v is not None)
+        n = args.n or (1000,) * T
         params = {"T": T, "epsilon": args.eps, "delta": args.delta,
-                  "n_all": n_all}
-        _check_population(parser, dict(params, n=args.n or (1000,) * T))
+                  "n_all": _n_all(args.D, n)}
+        _check_population(parser, dict(params, n=n))
         _check_config(parser, params)
         _check_tables(parser, T, [args.scheme])
 
@@ -224,15 +220,12 @@ def main(argv=None):
             fixed["D"] = args.D
         if args.q is not None:
             fixed["q"] = args.q
+        values = _sweep_values(parser, args.sweep_var, args.sweep_values)
         if args.n is not None:
             fixed["n"] = args.n
-        # Without D the population has no manufactured size; n_all = n would
-        # cut phase 1 at ceil(log2 n) blocks and bias the estimates low.
-        if args.n_all is not None:
-            fixed["n_all"] = args.n_all
-        elif args.D is None and args.sweep_var != "D":
-            fixed["n_all"] = PRESET_N_ALL
-        values = _sweep_values(parser, args.sweep_var, args.sweep_values)
+            if args.sweep_var not in ("D", "n_all"):
+                swept = values if args.sweep_var == "n2_value" else ()
+                fixed["n_all"] = _n_all(args.D, (*args.n, *swept))
         missing = [f"--{k}" for k in ("D", "q")
                    if k not in fixed and args.sweep_var != k]
         if args.n is None and missing:
@@ -294,7 +287,7 @@ def main(argv=None):
         sys.stdout.write(f"calibrated ell={ell}{ref}\n")
     elif args.command == "validate":
         rates = validate_accuracy(
-            args.scheme, [args.n or (1000,) * T], params,
+            args.scheme, [n], params,
             replicates=args.replicates, seed=args.seed)
         for b, (rate, (lo, hi)) in sorted(rates.items()):
             sys.stdout.write(

@@ -304,23 +304,23 @@ class RngBank:
     A key's seed words are derived once per bank and replayed after that:
     every call still returns a fresh Generator at the start of the stream,
     sharing no state with earlier ones.  The bank keeps about 0.25 KB per key.
-    Draws that several schemes read alike can be kept with the bank as well
-    (``shared``), so they are made once and freed with it.
+    A bank made with ``share=True`` also holds results that one scheme run
+    on it works out for another (``keep``) until that one takes them.
     """
 
-    def __init__(self, seed):
+    def __init__(self, seed, share=False):
         self.seed = int(seed)
+        self.share = share
         self._words = {}
-        self._shared = {}
+        self._kept = {}
 
-    def shared(self, key, make):
-        """``make()``, called on the first request for ``key`` and kept with
-        the bank; later requests get that same value.  For values drawn
-        only from this bank's streams, which every reader would draw alike."""
-        value = self._shared.get(key)
-        if value is None:
-            value = self._shared[key] = make()
-        return value
+    def keep(self, key, value):
+        """Hold ``value`` for one later ``take(key)``."""
+        self._kept[key] = value
+
+    def take(self, key):
+        """The value kept under ``key``, released; None if there is none."""
+        return self._kept.pop(key, None)
 
     def stream(self, *key) -> np.random.Generator:
         name = repr(key)

@@ -184,23 +184,26 @@ def _with_rough(params):
     return params
 
 
-def _replicate(prm, seed):
+def _replicate(prm, seed, share=False):
     """Bank, population and config of one replicate."""
-    bank = RngBank(seed)
+    bank = RngBank(seed, share)
     population = _build_population(prm, bank)
     return bank, population, _build_config(prm, population)
 
 
 def run_experiment(spec: ExperimentSpec):
     rows = []
+    share = {"3ss-rep", "2ss-rep"} <= set(spec.schemes)
     for value in spec.sweep_values:
         prm = _with_rough(apply_sweep(dict(spec.fixed), spec.sweep_var,
                                       value))
         # Every scheme runs the same replicates, so one bank per replicate
         # derives each stream once for all of them.  Cells still run one
-        # after another, each over its replicates in order.
+        # after another, each over its replicates in order.  The repeated
+        # baselines read the same trials; when the spec runs both, the
+        # first of them to run reports for the other as well.
         contexts = [_replicate(prm, _rep_seed(spec.seed, spec.sweep_var,
-                                              value, rep))
+                                              value, rep), share)
                     for rep in range(spec.replicates)]
         for scheme in spec.schemes:
             rows.append(_run_cell(spec, prm, contexts, scheme, value))

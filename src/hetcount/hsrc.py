@@ -24,6 +24,7 @@ from .core import (
     ProtocolConfig,
     RngBank,
     SlotLedger,
+    _geometric_blocks,
     bitmap_bp_slots,
 )
 from .homogeneous import (
@@ -138,16 +139,9 @@ def _repeated_block_counts(population, t, M, bank):
     """(M, t, T) per-trial per-block transmitter counts for the repeated
     baselines, drawn in row chunks from one stream per type.  Successive
     draws from one generator continue its sequence, so the counts equal
-    those of a single (M, n_b) draw.
-
-    Blocks are core._geometric_blocks worked into the bin index in place:
-    1 - U floored at 2^-t has biased exponent 1023 - min(block, t), or 1023
-    at U = 0 (block 1), so trial r's node lands in bin r (t + 1) + block of
-    a (k, t + 1) histogram whose column 0 is then folded into block 1.
-    """
+    those of a single (M, n_b) draw."""
     T = population.T
     counts = np.zeros((M, t, T), dtype=np.int32)
-    floor = 2.0 ** -t
     for b in range(1, T + 1):
         nb = population.n[b - 1]
         if nb == 0:
@@ -155,38 +149,13 @@ def _repeated_block_counts(population, t, M, bank):
         rng = bank.stream("rep", b)
         rows = min(M, max(1, _REP_CHUNK // nb))
         chunk = np.empty((rows, nb))
-        bins = chunk.view(np.int64)
-        offsets = np.arange(1023, 1023 + rows * (t + 1), t + 1)[:, None]
         for s in range(0, M, rows):
             k = min(rows, M - s)
-            u = chunk[:k]
-            rng.random(out=u)
-            np.subtract(1.0, u, out=u)
-            np.maximum(u, floor, out=u)
-            idx = bins[:k]
-            idx >>= 52
-            np.subtract(offsets[:k], idx, out=idx)
-            hist = np.bincount(idx.ravel(), minlength=k * (t + 1))
-            hist = hist.reshape(k, t + 1)
-            hist[:, 1] += hist[:, 0]
-            counts[s:s + k, :, b - 1] = hist[:, 1:]
+            idx = _geometric_blocks(rng.random(out=chunk[:k]), t)
+            idx += np.arange(-1, k * t - 1, t)[:, None]
+            counts[s:s + k, :, b - 1] = np.bincount(
+                idx.ravel(), minlength=k * t).reshape(k, t)
     return counts
-
-
-def _repeated_classes(population, t, M, bank):
-    """(M, t, T) uint8 count classes min(count, 2) of the repeated
-    baselines' trials.  Both baselines read the same trials, so the first
-    to run in a replicate draws them and keeps them with the bank, as two
-    bit planes (count >= 1, count >= 2) of M t T / 8 bytes each."""
-    def draw():
-        flat = _repeated_block_counts(population, t, M, bank).ravel()
-        return np.packbits(flat >= 1), np.packbits(flat >= 2)
-
-    ge1, ge2 = bank.shared(("rep-classes", population.n, t, M), draw)
-    size = M * t * population.T
-    classes = np.unpackbits(ge1, count=size)
-    classes += np.unpackbits(ge2, count=size)
-    return classes.reshape(M, t, population.T)
 
 
 def _j_from_presence(presence, t):
@@ -197,6 +166,9 @@ def _j_from_presence(presence, t):
     return np.where(any_absent, idx, t)
 
 
+_REPEATED = ("3SS-repeated", "2SS-repeated")
+
+
 def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
                  bank: RngBank) -> EstimateReport:
     """Standalone-accuracy baselines: "3SS-repeated", "2SS-repeated" (m_lof
@@ -204,19 +176,33 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
     homogeneous protocol once per type)."""
     if scheme == "TxSRCS":
         return t_repetitions_srcs(population, config, bank)
-    if scheme not in ("3SS-repeated", "2SS-repeated"):
+    if scheme not in _REPEATED:
         raise ValueError(f"unknown baseline {scheme!r}")
+    # Both repeated baselines read the same trials.  On a sharing bank the
+    # first to run reports for the other as well and leaves it that report,
+    # so the trials are drawn once per replicate.
+    report = bank.take((scheme, population.n, config))
+    if report is None:
+        counts = _repeated_block_counts(population, config.t_T,
+                                        config.m_lof, bank)
+        report = _repeated_report(scheme, population, config, counts)
+        if bank.share:
+            other, = (s for s in _REPEATED if s != scheme)
+            bank.keep((other, population.n, config),
+                      _repeated_report(other, population, config, counts))
+    return report
+
+
+def _repeated_report(scheme, population, config, counts):
+    """Report of a repeated baseline on its trials' (M, t, T) block counts."""
     T = population.T
     t = config.t_T
     M = config.m_lof
     s_w = config.s_w
-    # Count classes decide both codes: min(x, 2) + min(y, 2) >= 2 exactly
-    # when x + y >= 2, and the 2SS table is indexed by classes.
-    classes = _repeated_classes(population, t, M, bank)
+    c1 = counts[:, :, 0]
+    cb = counts[:, :, 1:]
 
     if scheme == "3SS-repeated" or T <= 3:
-        c1 = classes[:, :, 0]
-        cb = classes[:, :, 1:]
         flagged = ((c1[:, :, None] + cb) >= 2).all(axis=2)
         K = flagged.sum(axis=1)
         R = (flagged & (c1 >= 2)).sum(axis=1)
@@ -228,9 +214,9 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
         overhead = 0
         # The three-stage follow-up provably recovers exact presence
         # (decoder soundness tests), so the fast path reads it directly.
-        presence = classes > 0
+        presence = counts > 0
     else:
-        _codes, presence, extra = resolve_2ss(classes)
+        _codes, presence, extra = resolve_2ss(counts)
         stage1 = sigma_slots(T) * t * M
         stage2 = int(extra.sum())
         stage3 = 0

@@ -57,11 +57,6 @@ class Stage1Result3SS:
     outcomes: np.ndarray    # (N, T-1) SlotOutcome codes as seen by the BS
     chosen: dict            # type -> 1-based block index per node (0 = idle)
     flagged: list           # ascending 1-based all-collision block indices
-    flagged_rows: np.ndarray | None = None  # 0-based; derived when omitted
-
-    def __post_init__(self):
-        if self.flagged_rows is None:
-            self.flagged_rows = np.asarray(self.flagged, dtype=np.intp) - 1
 
 
 def outcomes_3ss(counts) -> np.ndarray:
@@ -109,9 +104,9 @@ def run_3ss_stage1(population: PopulationSpec, n_blocks, distribution,
     counts, chosen = draw_blocks(population, n_blocks, distribution,
                                  participation, rngs)
     outcomes = outcomes_3ss(counts)
-    rows = np.flatnonzero((outcomes == _COLL).all(axis=1))
+    flagged = (np.flatnonzero((outcomes == _COLL).all(axis=1)) + 1).tolist()
     return Stage1Result3SS(counts=counts, outcomes=outcomes, chosen=chosen,
-                           flagged=(rows + 1).tolist(), flagged_rows=rows)
+                           flagged=flagged)
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +165,6 @@ class Frame3SS:
     r_list: list            # stage-3 block indices, ascending, 1-based
     ledger: SlotLedger
     stage1: Stage1Result3SS
-    r_rows: np.ndarray      # r_list as 0-based rows
 
     def presence_sets(self):
         N, T = self.presence.shape
@@ -198,17 +192,17 @@ def run_3ss_followup(stage1: Stage1Result3SS, s_w) -> Frame3SS:
     presence[:, 0] = (out == _SA).any(axis=1)
     presence[:, 1:] = (out == _SB) | (out == _COLL)
 
-    rows = stage1.flagged_rows
+    flagged = stage1.flagged
+    rows = np.asarray(flagged, dtype=np.intp) - 1
     presence[rows], stage3 = resolve_flagged(counts[rows])
-    r_rows = rows[stage3]
+    r_list = (rows[stage3] + 1).tolist()
     ledger = SlotLedger(
         stage1=(T - 1) * n_blocks,
-        stage2=len(rows),
-        stage3=(T - 1) * len(r_rows),
-        bp=bitmap_bp_slots(n_blocks, s_w) + bitmap_bp_slots(len(rows), s_w))
-    return Frame3SS(presence=presence, flagged=stage1.flagged,
-                    r_list=(r_rows + 1).tolist(), ledger=ledger,
-                    stage1=stage1, r_rows=r_rows)
+        stage2=len(flagged),
+        stage3=(T - 1) * len(r_list),
+        bp=bitmap_bp_slots(n_blocks, s_w) + bitmap_bp_slots(len(flagged), s_w))
+    return Frame3SS(presence=presence, flagged=flagged, r_list=r_list,
+                    ledger=ledger, stage1=stage1)
 
 
 def _energy_3ss(frame: Frame3SS, population, config, frame_total):
@@ -217,8 +211,8 @@ def _energy_3ss(frame: Frame3SS, population, config, frame_total):
     own slot and in stage 3, and listens to stage 2."""
     n_blocks, T = frame.presence.shape
     flagged, stage3 = np.zeros((2, n_blocks + 1))    # index 0: idle nodes
-    flagged[1:][frame.stage1.flagged_rows] = 1.0
-    stage3[1:][frame.r_rows] = 1.0
+    flagged[frame.flagged] = 1.0
+    stage3[frame.r_list] = 1.0
     tx1, txb = (T - 1) + flagged, 1.0 + stage3
     tx1[0] = txb[0] = 0.0
     bp1 = bitmap_bp_slots(n_blocks, config.s_w)

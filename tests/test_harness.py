@@ -138,6 +138,24 @@ class TestSharedReplicates:
                          for D in (40, 60) for scheme in schemes
                          for rep in range(3)]
 
+    @pytest.mark.parametrize("schemes", [
+        ["3ss-rep", "2ss-rep"], ["2ss-rep", "hsrc1", "3ss-rep"], ["3ss-rep"]])
+    def test_repeated_trials_drawn_once(self, schemes, monkeypatch):
+        opened = []
+        stream = RngBank.stream
+
+        def counted(bank, *key):
+            opened.append((bank.seed, key))
+            return stream(bank, *key)
+        monkeypatch.setattr(RngBank, "stream", counted)
+        run_experiment(ExperimentSpec(
+            schemes, "none", [0], {"T": 4, "epsilon": 0.03,
+                                   "n": (20, 0, 30, 10), "n_all": 1 << 10},
+            replicates=3, seed=2))
+        # Once per replicate and type with nodes.
+        rep = [(seed, key) for seed, key in opened if key[0] == "rep"]
+        assert len(rep) == len(set(rep)) == 3 * 3
+
     def test_schemes_share_populations(self, monkeypatch):
         seen = {}
         for scheme, fn in list(harness.SCHEMES.items()):
@@ -389,11 +407,8 @@ class TestCli:
         (["simulate", "--n", "5,5,5", "--sweep-var", "n_all",
           "--sweep-values", "0"], "n_all (else D) is 0"),
         (["simulate", "--n", "5,5,5", "--D", "0"], "n_all (else D) is 0"),
-        (["simulate", "--n", "5,50,5", "--n-all", "40"],
-         "up to 50 active nodes per type, but n_all (else D) is 40"),
-        (["validate", "--n", "1000,1000,1000", "--n-all", "999"],
+        (["validate", "--n", "1000,1000,1000", "--D", "999"],
          "n_all (else D) is 999"),
-        (["validate", "--n", "3000000,5,5"], "n_all (else D) is 1048576"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -463,7 +478,7 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split("\n")[1].startswith("2,0.4932")
 
-    def test_validate_default_depth_meets_contract(self):
+    def test_validate_default_depth_not_ruled_out(self):
         # With n_all = n, phase 1 stopped at ceil(log2 1000) = 10 blocks and
         # 3ss-rep estimated about 0.58 n, so no replicate was within epsilon.
         out = self._capture(["validate", "--scheme", "3ss-rep", "--n",
@@ -475,12 +490,17 @@ class TestCli:
             hi = float(line.split("wilson95=(")[1].split(",")[1].rstrip(")"))
             assert hi >= 0.8                  # 1 - delta is not ruled out
 
-    def test_n_all_sets_phase1_depth(self):
+    def test_default_n_all(self):
+        assert cli._n_all(None, (5, 40)) == harness.PRESET_N_ALL
+        assert cli._n_all(None, (3_000_000, 5, 5)) == 3_000_000
+        assert cli._n_all(60, (5, 40)) == 60
+
+    def test_default_n_all_sets_phase1_depth(self):
         argv = ["simulate", "--schemes", "3ss-rep", "--n", "40,40",
                 "--replicates", "1"]
         preset = self._capture(argv)
-        assert self._capture(argv + ["--n-all", str(1 << 20)]) == preset
-        # 20 blocks of one slot per trial at T = 2, against 6 at n_all = 40.
+        assert self._capture(argv + ["--D", str(1 << 20)]) == preset
+        # 20 blocks of one slot per trial at T = 2, against 6 at D = 40.
         assert preset.split("\n")[1].split(",")[6] == str(20 * 1136)
-        assert self._capture(argv + ["--n-all", "40"]).split(
+        assert self._capture(argv + ["--D", "40"]).split(
             "\n")[1].split(",")[6] == str(6 * 1136)

@@ -209,7 +209,7 @@ class TestSharedRepeatedTrials:
         pop = _pop(n, 1 << 20)
         cfg = derive_config(0.03, 0.2, pop.n_all)
         fresh = {s: run_baseline(s, pop, cfg, RngBank(5)) for s in REPEATED}
-        bank = RngBank(5)
+        bank = RngBank(5, share=True)
         shared = {first: run_baseline(first, pop, cfg, bank)}
 
         def stream(*key):
@@ -224,29 +224,43 @@ class TestSharedRepeatedTrials:
             assert shared[s].ledger == fresh[s].ledger
             assert shared[s].overhead_slots == fresh[s].overhead_slots
 
-    def test_memo_size_and_lifetime(self):
+    @staticmethod
+    def _kept_bytes(share, schemes, drop_bank):
+        """Bytes still held after running ``schemes`` on a fresh bank (and
+        after dropping the bank, if ``drop_bank``)."""
         pop = _pop((300,) * 8, 1 << 20)
         cfg = derive_config(0.03, 0.2, pop.n_all)
-        M, t, T = cfg.m_lof, cfg.t_T, pop.T
-        bank = RngBank(2)
-        for b in range(1, T + 1):       # seed words are not the memo's
+        for s in REPEATED:      # fill the 2SS decoder table for these codes
+            run_baseline(s, pop, cfg, RngBank(2))
+        bank = RngBank(2, share=share)
+        for b in range(1, pop.T + 1):   # seed words are not the memo's
             bank.stream("rep", b)
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            classes = hsrc._repeated_classes(pop, t, M, bank)
-            del classes
+            for s in schemes:
+                run_baseline(s, pop, cfg, bank)
+            if drop_bank:
+                del bank
             gc.collect()
-            kept = tracemalloc.get_traced_memory()[0] - before
-            del bank
-            gc.collect()
-            left = tracemalloc.get_traced_memory()[0] - before
+            return tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # Two bit planes of M t T bits; an unpacked uint8 tensor is 4x that.
-        assert M * t * T / 4 <= kept <= M * t * T / 4 + 1024
-        assert left <= 1024
+
+    def test_memo_is_one_report(self):
+        # One report of T = 8 estimates, not the (M, t, T) trials (181 760
+        # counts).
+        assert 0 < self._kept_bytes(True, REPEATED[:1], False) <= 4096
+
+    @pytest.mark.parametrize("share, schemes, drop_bank", [
+        (True, REPEATED, False),        # the second reader takes it
+        (True, REPEATED[::-1], False),
+        (True, REPEATED[:1], True),     # freed with the bank
+        (False, REPEATED[:1], False),   # a bank that does not share keeps
+    ])                                  # nothing
+    def test_memo_freed(self, share, schemes, drop_bank):
+        assert self._kept_bytes(share, schemes, drop_bank) <= 1024
 
 
 def _one_shot_block_counts(population, t, M, bank):
