@@ -16,10 +16,10 @@ from .core import ELL_TABLE, UnknownAccuracyKey, derive_config
 from .harness import (
     ConfigError,
     ExperimentSpec,
-    PRESET_N_ALL,
     TABLE_SCHEMES,
     apply_sweep,
     calibrate_ell,
+    default_n_all as _n_all,
     figure_preset,
     format_csv,
     run_experiment,
@@ -102,6 +102,9 @@ def build_parser():
                      choices=[s for s in harness.SCHEMES
                               if s not in harness.PHASE2_ONLY])
     val.set_defaults(replicates=300)
+    for sub in (sim, val):      # default: the tables' entries
+        sub.add_argument("--ell", type=int)
+        sub.add_argument("--m-prime", type=int)
     return parser
 
 
@@ -137,14 +140,6 @@ def _sweep_values(parser, var, text):
             value = int(value)
         values.append(value)
     return values
-
-
-def _n_all(D, n):
-    """Manufactured nodes per type, which set the phase-1 depth: D if given,
-    else the presets' 2^20, or the most active nodes of a type if more.
-    n_all = n would cut phase 1 at ceil(log2 n) blocks and bias the
-    first-absent estimates low."""
-    return D if D is not None else max(PRESET_N_ALL, *n)
 
 
 def _check_types(parser, T, n):
@@ -209,13 +204,15 @@ def main(argv=None):
         _check_types(parser, T, args.n)
         n = args.n or (1000,) * T
         params = {"T": T, "epsilon": args.eps, "delta": args.delta,
-                  "n_all": _n_all(args.D, n)}
+                  "n_all": _n_all(args.D, n), "ell": args.ell,
+                  "m_prime": args.m_prime}
         _check_population(parser, dict(params, n=n))
         _check_config(parser, params)
         _check_tables(parser, T, [args.scheme])
 
     if args.command == "simulate":
-        fixed = {"T": T, "epsilon": args.eps, "delta": args.delta}
+        fixed = {"T": T, "epsilon": args.eps, "delta": args.delta,
+                 "ell": args.ell, "m_prime": args.m_prime}
         if args.D is not None:
             fixed["D"] = args.D
         if args.q is not None:

@@ -95,6 +95,7 @@ class PopulationSpec:
 
     @staticmethod
     def fixed(n, n_all=None) -> "PopulationSpec":
+        """n_all defaults to n; the phase-1 depth t_T follows n_all."""
         n = tuple(int(x) for x in n)
         if n_all is None:
             n_all = tuple(max(x, 1) for x in n)
@@ -193,13 +194,6 @@ class SlotLedger:
         return SlotLedger(self.stage1 + other.stage1, self.stage2 + other.stage2,
                           self.stage3 + other.stage3, self.bp + other.bp)
 
-    def __iadd__(self, other: "SlotLedger") -> "SlotLedger":
-        self.stage1 += other.stage1
-        self.stage2 += other.stage2
-        self.stage3 += other.stage3
-        self.bp += other.bp
-        return self
-
 
 class EnergyLedger:
     """Per-node radio-state accounting, one record set per node type.
@@ -239,10 +233,6 @@ class EnergyLedger:
             led.rx[b] = rx[b - 1][blocks]
             led.accounted[b] = np.full(blocks.shape, float(frame_total))
         return led
-
-    @property
-    def types(self):
-        return sorted(self.tx)
 
     def idle(self, b):
         return self.accounted[b] - self.tx[b] - self.rx[b]

@@ -144,16 +144,20 @@ SCHEMES = {
 }
 
 
+def default_n_all(D, n):
+    """Manufactured nodes per type, which set the phase-1 depth: D, else
+    PRESET_N_ALL or the most active nodes of a type (n_all = n would bias
+    the first-absent estimates low)."""
+    return D if D is not None else max(PRESET_N_ALL, *n)
+
+
 def _build_population(params, bank):
     if params.get("n") is not None:
         n = tuple(int(x) for x in params["n"])
-        if params.get("n_all") is not None:
-            n_all = (int(params["n_all"]),) * len(n)
-        elif params.get("D") is not None:
-            n_all = (int(params["D"]),) * len(n)
-        else:
-            n_all = tuple(max(x, 2) for x in n)
-        return PopulationSpec(n=n, n_all=n_all)
+        n_all = params.get("n_all")
+        if n_all is None:
+            n_all = default_n_all(params.get("D"), n)
+        return PopulationSpec(n=n, n_all=(int(n_all),) * len(n))
     T = params["T"]
     pop = PopulationSpec.sample_activity(T, params["D"], params["q"],
                                          bank.stream("pop"))

@@ -69,11 +69,10 @@ def lof_trial(n, t, rng) -> int:
 
 def lof_estimate(j_list) -> float:
     """Estimate 1.2897 * 2^(mean of (j-1)) from first-empty-slot indices."""
-    js = list(j_list)
-    if not js:
+    js = np.asarray(j_list, dtype=np.int64)
+    if not js.size:
         raise EmptyInput("need at least one trial result")
-    mean = sum(j - 1 for j in js) / len(js)
-    return LOF_FACTOR * 2.0 ** mean
+    return LOF_FACTOR * 2.0 ** (int(js.sum() - js.size) / js.size)
 
 
 def srcs_phase1(n, config: ProtocolConfig, bank: RngBank, type_index=1):

@@ -1,14 +1,15 @@
 """Composite per-type estimators and the repeated-scheme baselines.
 
 The composite scheme runs m_prime trial-mode executions of the three-stage
-scheme (variant 1) or two-stage scheme (variant 2), turns the per-trial
-first-absent-block indices into rough estimates, broadcasts them, selects a
-phase-2 method (per-type balls-and-bins repetitions, or one multiplexed
+scheme (variant 1) or two-stage scheme (variant 2), turns their
+first-absent-block indices into rough estimates, broadcasts them, selects
+a phase-2 method (per-type balls-and-bins repetitions, or one multiplexed
 balls-and-bins execution of the block code), and produces final estimates
-from the per-type empty-slot counts.
-
-Baselines: the same block-coded schemes repeated to standalone accuracy,
-and the two-phase homogeneous protocol run once per type.
+from the per-type empty-slot counts.  The baselines are the block-coded
+schemes repeated to standalone accuracy, and the two-phase homogeneous
+protocol run once per type.  Phase 1 and the repeated baselines resolve
+their trials in one engine, ``run_trials``, over a types-first (T, M, t)
+count tensor; the single-frame runners are its reference.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .analysis import select_phase2
 from .core import (
     EnergyLedger,
     EstimateReport,
-    LOF_FACTOR,
     PopulationSpec,
     ProtocolConfig,
     RngBank,
@@ -36,8 +36,8 @@ from .homogeneous import (
     srcs_final_estimate,
     t_repetitions_srcs,
 )
-from .three_stage import run_3ss_bb, run_3ss_trial
-from .two_stage import (plan_slots, resolve_2ss, run_2ss_bb, run_2ss_trial,
+from .three_stage import block_energy_3ss, draw_blocks, run_3ss_bb
+from .two_stage import (_node_tx, plan_slots, resolve_2ss, run_2ss_bb,
                         sigma_slots)
 
 
@@ -91,21 +91,11 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
     if variant not in ("HSRC1", "HSRC2"):
         raise ValueError(f"unknown variant {variant!r}")
     T = population.T
-    trial_runner = run_3ss_trial if variant == "HSRC1" else run_2ss_trial
     bb_runner = run_3ss_bb if variant == "HSRC1" else run_2ss_bb
 
-    phase1_ledger = SlotLedger()
-    energy = EnergyLedger.zeros(population)
-    j_lists = {b: [] for b in range(1, T + 1)}
-    plan_overhead = 0
-    for m in range(config.m_prime):
-        res = trial_runner(population, config, bank, trial_index=m)
-        phase1_ledger += res.ledger
-        energy.add(res.energy)
-        for b in range(1, T + 1):
-            j_lists[b].append(res.j[b])
-        plan_overhead += res.overhead
-    rough = {b: lof_estimate(j_lists[b]) for b in range(1, T + 1)}
+    phase1_ledger, j, plan_overhead, energy = _phase1(
+        variant == "HSRC2", population, config, bank)
+    rough = {b: lof_estimate(jb) for b, jb in enumerate(j, 1)}
 
     # Phase-boundary broadcast of the rough estimates, received by everyone.
     boundary = bitmap_bp_slots(T * config.t_T, config.s_w)
@@ -129,6 +119,74 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
                           overhead_slots=boundary + plan_overhead + p2_plan)
 
 
+def _phase1(two_stage, population, config, bank):
+    """Phase 1's m' trials, drawn as the single-frame runners draw them, in
+    one run_trials call: (ledger, j, plan-broadcast slots, energy).  Each
+    node's 0-based blocks are kept in one byte per trial."""
+    T, M, t = population.T, config.m_prime, config.t_T
+    counts = np.empty((T, M, t), dtype=np.int64)
+    blocks = [np.empty((M, nb), dtype=np.min_scalar_type(t))
+              for nb in population.n]
+    for m in range(M):
+        rngs = [bank.stream("p1", m, b) for b in range(1, T + 1)]
+        trial, chosen = draw_blocks(population, t, "geometric", None, rngs)
+        counts[:, m] = trial.T
+        for b, row in chosen.items():
+            blocks[b - 1][m] = row - 1
+    ledger, j, overhead, (tx, rx) = run_trials(counts, config.s_w, two_stage,
+                                               energy=True)
+    energy = EnergyLedger(T)
+    for b, nb in enumerate(population.n, 1):
+        energy.tx[b] = _node_sums(tx[b - 1], blocks[b - 1])
+        energy.rx[b] = _node_sums(rx[b - 1], blocks[b - 1])
+        energy.accounted[b] = np.full(nb, float(ledger.total))
+    return ledger, j, overhead, energy
+
+
+def _node_sums(rows, blocks):
+    """Per node i, the sum over trials m of rows[m, blocks[m, i]]."""
+    out = np.zeros(blocks.shape[1])
+    for row, at in zip(rows, blocks):
+        out += row.take(at)
+    return out
+
+
+def run_trials(counts, s_w, two_stage, energy=False):
+    """M trial-mode frames of the 3SS or 2SS code from their types-first
+    (T, M, t) block counts: summed ledger, (T, M) first-absent blocks j,
+    plan-broadcast slots, and if ``energy`` a node's (tx, rx) per type,
+    trial and block.  Both decoders recover presence exactly (the 2SS
+    tables are checked code by code against it), so presence is counts > 0."""
+    T, M, t = counts.shape
+    absent = counts == 0
+    absent[:, :, -1] = True     # j = t whether or not the last block is hit
+    j = absent.argmax(axis=2) + 1
+    bp1 = bitmap_bp_slots(t, s_w)
+    rows = None
+    if not two_stage or T <= 3:
+        c1 = counts[0]
+        flagged = c1 + counts[1:].min(axis=0) >= 2
+        stage3 = flagged & (c1 >= 2)
+        K = flagged.sum(axis=1)
+        ledger = SlotLedger(stage1=(T - 1) * t * M, stage2=int(K.sum()),
+                            stage3=(T - 1) * int(stage3.sum()),
+                            bp=M * bp1 + int((-(-K // s_w)).sum()))
+        overhead = 0
+        if energy:
+            rows = block_energy_3ss(flagged, stage3, T, bp1)
+    else:
+        codes, lut = resolve_2ss(counts, axis=0)
+        plan = plan_slots(T, t, s_w)
+        ledger = SlotLedger(stage1=sigma_slots(T) * t * M,
+                            stage2=int(lut.extra[codes].sum()),
+                            bp=M * (bp1 + plan))
+        overhead = M * plan
+        if energy:
+            tx = _node_tx(T)[:, codes]
+            rows = tx, np.full(tx.shape, float(bp1 + plan))
+    return ledger, j, overhead, rows
+
+
 # Uniforms drawn at once per type by the repeated baselines: trials are
 # drawn in chunks of max(1, _REP_CHUNK // n_b) rows, so memory stays flat in
 # m_lof x n_b.
@@ -137,11 +195,11 @@ _REP_CHUNK = 1 << 20
 
 def _repeated_block_counts(population, t, M, bank):
     """(M, t, T) per-trial per-block transmitter counts for the repeated
-    baselines, drawn in row chunks from one stream per type.  Successive
-    draws from one generator continue its sequence, so the counts equal
-    those of a single (M, n_b) draw."""
+    baselines, a view of types-first storage, drawn in row chunks from one
+    stream per type.  Successive draws from one generator continue its
+    sequence, so the counts equal those of a single (M, n_b) draw."""
     T = population.T
-    counts = np.zeros((M, t, T), dtype=np.int32)
+    counts = np.zeros((T, M, t), dtype=np.int32)
     for b in range(1, T + 1):
         nb = population.n[b - 1]
         if nb == 0:
@@ -153,17 +211,9 @@ def _repeated_block_counts(population, t, M, bank):
             k = min(rows, M - s)
             idx = _geometric_blocks(rng.random(out=chunk[:k]), t)
             idx += np.arange(-1, k * t - 1, t)[:, None]
-            counts[s:s + k, :, b - 1] = np.bincount(
+            counts[b - 1, s:s + k] = np.bincount(
                 idx.ravel(), minlength=k * t).reshape(k, t)
-    return counts
-
-
-def _j_from_presence(presence, t):
-    """First block index with no presence, per trial; t if every block hit."""
-    absent = ~presence
-    any_absent = absent.any(axis=1)
-    idx = absent.argmax(axis=1) + 1
-    return np.where(any_absent, idx, t)
+    return counts.transpose(1, 2, 0)
 
 
 _REPEATED = ("3SS-repeated", "2SS-repeated")
@@ -184,50 +234,19 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
     report = bank.take((scheme, population.n, config))
     if report is None:
         counts = _repeated_block_counts(population, config.t_T,
-                                        config.m_lof, bank)
-        report = _repeated_report(scheme, population, config, counts)
+                                        config.m_lof, bank).transpose(2, 0, 1)
+        report = _repeated_report(scheme, counts, config.s_w)
         if bank.share:
             other, = (s for s in _REPEATED if s != scheme)
             bank.keep((other, population.n, config),
-                      _repeated_report(other, population, config, counts))
+                      _repeated_report(other, counts, config.s_w))
     return report
 
 
-def _repeated_report(scheme, population, config, counts):
-    """Report of a repeated baseline on its trials' (M, t, T) block counts."""
-    T = population.T
-    t = config.t_T
-    M = config.m_lof
-    s_w = config.s_w
-    c1 = counts[:, :, 0]
-    cb = counts[:, :, 1:]
-
-    if scheme == "3SS-repeated" or T <= 3:
-        flagged = ((c1[:, :, None] + cb) >= 2).all(axis=2)
-        K = flagged.sum(axis=1)
-        R = (flagged & (c1 >= 2)).sum(axis=1)
-        stage1 = (T - 1) * t * M
-        stage2 = int(K.sum())
-        stage3 = (T - 1) * int(R.sum())
-        bp = M * bitmap_bp_slots(t, s_w) + int(
-            np.ceil(K / s_w).astype(np.int64).sum())
-        overhead = 0
-        # The three-stage follow-up provably recovers exact presence
-        # (decoder soundness tests), so the fast path reads it directly.
-        presence = counts > 0
-    else:
-        _codes, presence, extra = resolve_2ss(counts)
-        stage1 = sigma_slots(T) * t * M
-        stage2 = int(extra.sum())
-        stage3 = 0
-        plan = plan_slots(T, t, s_w)
-        bp = M * (bitmap_bp_slots(t, s_w) + plan)
-        overhead = M * plan
-    final = {}
-    for b in range(1, T + 1):
-        j = _j_from_presence(presence[:, :, b - 1], t)
-        final[b] = LOF_FACTOR * 2.0 ** (float(j.sum() - M) / M)
-    ledger = SlotLedger(stage1=stage1, stage2=stage2, stage3=stage3, bp=bp)
+def _repeated_report(scheme, counts, s_w):
+    """Report of a repeated baseline on its trials' (T, M, t) counts."""
+    ledger, j, overhead, _ = run_trials(counts, s_w, scheme == _REPEATED[1])
+    final = {b: lof_estimate(jb) for b, jb in enumerate(j, 1)}
     return EstimateReport(rough=dict(final), final=final, phase2_method=None,
                           ledger=ledger, energy=None,
                           overhead_slots=overhead)

@@ -205,20 +205,27 @@ def run_3ss_followup(stage1: Stage1Result3SS, s_w) -> Frame3SS:
                     ledger=ledger, stage1=stage1)
 
 
+def block_energy_3ss(flagged, stage3, T, bp1):
+    """(tx, rx) of a node of each type per block, (T, *flagged.shape), from
+    0/1 flagged and stage-3 masks: type 1 sends in every stage-1 slot and in
+    stage 2, type b >= 2 in its own slot and in stage 3 and listens to
+    stage 2; all hear the bp1-slot stage-1 bitmap."""
+    tx = np.stack([(T - 1) + flagged] + [1.0 + stage3] * (T - 1))
+    rx = np.stack([np.full(np.shape(flagged), float(bp1))]
+                  + [bp1 + flagged] * (T - 1))
+    return tx, rx
+
+
 def _energy_3ss(frame: Frame3SS, population, config, frame_total):
-    """Per-node radio accounting for one frame, honoring participation:
-    type 1 sends in every stage-1 slot and in stage 2, type b >= 2 in its
-    own slot and in stage 3, and listens to stage 2."""
+    """Per-node radio accounting for one frame, honoring participation."""
     n_blocks, T = frame.presence.shape
     flagged, stage3 = np.zeros((2, n_blocks + 1))    # index 0: idle nodes
     flagged[frame.flagged] = 1.0
     stage3[frame.r_list] = 1.0
-    tx1, txb = (T - 1) + flagged, 1.0 + stage3
-    tx1[0] = txb[0] = 0.0
-    bp1 = bitmap_bp_slots(n_blocks, config.s_w)
-    rx1, rxb = np.full(n_blocks + 1, float(bp1)), bp1 + flagged
-    return EnergyLedger.per_block(frame.stage1.chosen, [tx1] + [txb] * (T - 1),
-                                  [rx1] + [rxb] * (T - 1), frame_total)
+    tx, rx = block_energy_3ss(flagged, stage3, T,
+                              bitmap_bp_slots(n_blocks, config.s_w))
+    tx[:, 0] = 0.0
+    return EnergyLedger.per_block(frame.stage1.chosen, tx, rx, frame_total)
 
 
 @dataclass

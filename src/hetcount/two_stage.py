@@ -91,8 +91,7 @@ def build_sym2_matrix(T) -> Sym2Matrix:
     rows = []
     for k in range(1, eta(T) + 1):
         rows.append(tuple("alpha" if j < k else None for j in range(s)))
-    beta_users = eta(T) if T % 2 == 0 else eta(T)
-    for m in range(1, beta_users + 1):
+    for m in range(1, eta(T) + 1):
         rows.append(tuple("beta" if j >= s - m else None for j in range(s)))
     if T % 2 == 1:
         last = [None] * s
@@ -463,19 +462,22 @@ def resolver_lut(T) -> _ResolverLUT:
     return _ResolverLUT(T)
 
 
-def class_codes(counts) -> np.ndarray:
-    """Base-3 encoding of per-block count-class vectors (types last)."""
-    weights = 3 ** np.arange(counts.shape[-1], dtype=np.int64)
-    return np.minimum(counts, 2) @ weights
+def class_codes(counts, axis=-1) -> np.ndarray:
+    """Base-3 encoding of per-block count-class vectors; the types run along
+    ``axis``."""
+    codes = np.int64(0)
+    for c in np.minimum(np.moveaxis(counts, axis, 0), 2)[::-1]:
+        codes = codes * 3 + c
+    return codes
 
 
-def resolve_2ss(counts):
-    """Table lookup of per-block counts of any leading shape, types last:
-    (codes, presence, extra follow-up slots)."""
-    codes = class_codes(counts)
-    lut = resolver_lut(counts.shape[-1])
+def resolve_2ss(counts, axis=-1):
+    """(codes, table) of per-block counts of any shape, the types along
+    ``axis``, with the codes' table entries made available."""
+    codes = class_codes(counts, axis)
+    lut = resolver_lut(counts.shape[axis])
     lut.ensure(codes.ravel())
-    return codes, lut.presence[codes], lut.extra[codes]
+    return codes, lut
 
 
 def plan_slots(T, n_blocks, s_w) -> int:
@@ -499,7 +501,8 @@ def _run_2ss_frame(population, n_blocks, distribution, part, rngs, s_w):
     T = population.T
     counts, chosen = draw_blocks(population, n_blocks, distribution, part,
                                  rngs)
-    codes, presence, extra = resolve_2ss(counts)
+    codes, lut = resolve_2ss(counts)
+    presence, extra = lut.presence[codes], lut.extra[codes]
     ledger = SlotLedger(
         stage1=sigma_slots(T) * n_blocks,
         stage2=int(extra.sum()),

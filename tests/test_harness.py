@@ -62,6 +62,18 @@ class TestSpecValidation:
         ExperimentSpec([scheme], "n2_value", [60], fixed)
         ExperimentSpec([scheme], "none", [0], dict(fixed, rough=(50,) * 3))
 
+    def test_api_default_n_all_sets_phase1_depth(self):
+        # Without n_all or D the harness takes the CLI's default, 2^20
+        # manufactured nodes per type: 20 one-slot blocks per trial at T = 2.
+        spec = ExperimentSpec(["3ss-rep"], "none", [0],
+                              {"epsilon": 0.03, "delta": 0.2, "n": (40, 40)},
+                              replicates=1)
+        row, = run_experiment(spec)
+        assert row.stage1 == 20 * 1136
+        population = harness._build_population(spec.fixed, RngBank(0))
+        assert population.n_all == (harness.PRESET_N_ALL,) * 2
+        assert cli._n_all is harness.default_n_all
+
     def test_zero_n_all_or_d_is_used(self):
         bank = RngBank(0)
         for key in ("n_all", "D"):
@@ -409,6 +421,14 @@ class TestCli:
         (["simulate", "--n", "5,5,5", "--D", "0"], "n_all (else D) is 0"),
         (["validate", "--n", "1000,1000,1000", "--D", "999"],
          "n_all (else D) is 999"),
+        (["simulate", "--n", "5,5,5", "--ell", "0"],
+         "ell, m_prime, s_w, t_T must all be >= 1"),
+        (["simulate", "--n", "5,5,5", "--m-prime", "0"],
+         "ell, m_prime, s_w, t_T must all be >= 1"),
+        (["validate", "--n", "5,5,5", "--ell", "-3"],
+         "ell, m_prime, s_w, t_T must all be >= 1"),
+        (["validate", "--m-prime", "0"],
+         "ell, m_prime, s_w, t_T must all be >= 1"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -494,6 +514,23 @@ class TestCli:
         assert cli._n_all(None, (5, 40)) == harness.PRESET_N_ALL
         assert cli._n_all(None, (3_000_000, 5, 5)) == 3_000_000
         assert cli._n_all(60, (5, 40)) == 60
+
+    @pytest.mark.parametrize("flags, stage1", [
+        ([], 10 * 2 * 20 + 3 * 500),
+        (["--m-prime", "3"], 3 * 2 * 20 + 3 * 500),
+    ])
+    def test_ell_and_m_prime_flags(self, flags, stage1):
+        # An untabulated epsilon runs once --ell is given; phase 1 is m'
+        # trials of 20 two-slot blocks, TRepBB phase 2 one ell-slot trial
+        # per type.
+        out = self._capture(["simulate", "--n", "5,5,5", "--eps", "0.07",
+                             "--ell", "500", "--schemes", "hsrc1-trepbb",
+                             "--replicates", "1", *flags])
+        assert out.split("\n")[1].split(",")[6] == str(stage1)
+        out = self._capture(["validate", "--n", "50,50", "--eps", "0.07",
+                             "--ell", "800", "--replicates", "2", *flags])
+        assert [line.split(":")[0] for line in out.strip().split("\n")] \
+            == ["type 1", "type 2"]
 
     def test_default_n_all_sets_phase1_depth(self):
         argv = ["simulate", "--schemes", "3ss-rep", "--n", "40,40",

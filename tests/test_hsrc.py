@@ -11,9 +11,16 @@ from hypothesis import strategies as st
 
 from hetcount import hsrc
 from hetcount.analysis import select_phase2
-from hetcount.core import PopulationSpec, RngBank, derive_config
-from hetcount.hsrc import _repeated_block_counts, run_baseline, run_hsrc
-from hetcount.homogeneous import t_repetitions_srcs
+from hetcount.core import (LOF_FACTOR, EnergyLedger, PopulationSpec, RngBank,
+                           SlotLedger, SlotOutcome, bitmap_bp_slots,
+                           derive_config)
+from hetcount.hsrc import (_repeated_block_counts, run_baseline, run_hsrc,
+                           run_phase2)
+from hetcount.homogeneous import lof_estimate, t_repetitions_srcs
+from hetcount.three_stage import (Stage1Result3SS, outcomes_3ss, run_3ss_bb,
+                                  run_3ss_followup, run_3ss_trial)
+from hetcount.two_stage import (class_codes, plan_slots, resolver_lut,
+                                run_2ss_bb, run_2ss_trial, sigma_slots)
 
 
 def _pop(n, n_all_each):
@@ -310,3 +317,136 @@ class TestRepeatedBlockCounts:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+def _hsrc_by_frames(variant, population, config, bank, method):
+    """run_hsrc with phase 1 as m' single-frame trials, each with its own
+    ledgers, summed one after another."""
+    T = population.T
+    trial = run_3ss_trial if variant == "HSRC1" else run_2ss_trial
+    bb_runner = run_3ss_bb if variant == "HSRC1" else run_2ss_bb
+    phase1, overhead = SlotLedger(), 0
+    energy = EnergyLedger.zeros(population)
+    js = {b: [] for b in range(1, T + 1)}
+    for m in range(config.m_prime):
+        res = trial(population, config, bank, trial_index=m)
+        phase1 = phase1 + res.ledger
+        energy.add(res.energy)
+        overhead += res.overhead
+        for b in js:
+            js[b].append(res.j[b])
+    rough = {b: lof_estimate(js[b]) for b in js}
+    boundary = bitmap_bp_slots(T * config.t_T, config.s_w)
+    energy.charge_all(rx=boundary, accounted=boundary)
+    _z, _ledger, p2_energy, p2_plan = run_phase2(
+        method, bb_runner, population, rough, config, bank)
+    energy.add(p2_energy)
+    return rough, phase1, boundary + overhead + p2_plan, energy
+
+
+class TestTrialEngineMatchesFrames:
+    """Phase 1 through the trial engine equals m' single-frame trials."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["HSRC1", "HSRC2"]),
+           st.sampled_from(["SSBB", "TRepBB"]), st.integers(2, 10),
+           st.integers(1, 8), st.integers(1, 10), st.integers(6, 20),
+           st.sampled_from([None, 40]), st.data())
+    def test_run_hsrc_equals_single_frames(self, seed, variant, method, T,
+                                           s_w, m_prime, depth, chunk, data):
+        n = data.draw(st.lists(st.integers(0, 60), min_size=T, max_size=T))
+        if chunk is not None:   # at least one type above the chunk budget
+            n[data.draw(st.integers(0, T - 1))] = data.draw(
+                st.integers(chunk + 1, 60))
+        pop = _pop(n, 1 << depth)
+        cfg = derive_config(0.05, 0.2, pop.n_all, s_w=s_w, m_prime=m_prime)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(hsrc, "_REP_CHUNK", chunk)
+            got = run_hsrc(variant, pop, cfg, RngBank(seed),
+                           phase2_override=method)
+        rough, phase1, overhead, energy = _hsrc_by_frames(
+            variant, pop, cfg, RngBank(seed), method)
+        assert got.rough == rough
+        assert got.phase1_ledger == phase1
+        assert got.overhead_slots == overhead
+        for field in ("tx", "rx", "accounted"):
+            have, want = getattr(got.energy, field), getattr(energy, field)
+            assert sorted(have) == sorted(want) == list(range(1, T + 1))
+            for b in want:
+                assert have[b].dtype == want[b].dtype
+                assert np.array_equal(have[b], want[b])
+
+    @pytest.mark.parametrize("variant", ["HSRC1", "HSRC2"])
+    def test_phase1_memory(self, variant):
+        # (m', n) int64 blocks per type alone would hold 64 MB here; the
+        # single-frame loop peaked at 67 MB.
+        pop = _pop((200_000,) * 4, 1 << 20)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        run_hsrc(variant, pop, cfg, RngBank(0))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_hsrc(variant, pop, cfg, RngBank(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
+
+
+def _repeated_report_by_formula(scheme, counts, s_w):
+    """The repeated baselines' report from (M, t, T) counts by the count
+    formulas of their first bulk version, with presence decoded per block
+    (the 3SS follow-up, the 2SS tables)."""
+    M, t, T = counts.shape
+    c1 = counts[:, :, 0]
+    cb = counts[:, :, 1:]
+    if scheme == "3SS-repeated" or T <= 3:
+        flagged = ((c1[:, :, None] + cb) >= 2).all(axis=2)
+        K = flagged.sum(axis=1)
+        R = (flagged & (c1 >= 2)).sum(axis=1)
+        ledger = SlotLedger(
+            stage1=(T - 1) * t * M, stage2=int(K.sum()),
+            stage3=(T - 1) * int(R.sum()),
+            bp=M * bitmap_bp_slots(t, s_w) + int(
+                np.ceil(K / s_w).astype(np.int64).sum()))
+        overhead = 0
+        presence = np.zeros(counts.shape, dtype=bool)
+        for m in range(M):
+            out = outcomes_3ss(counts[m])
+            rows = np.flatnonzero((out == SlotOutcome.COLLISION.value).all(
+                axis=1))
+            stage1 = Stage1Result3SS(counts[m], out, {}, (rows + 1).tolist())
+            presence[m] = run_3ss_followup(stage1, s_w).presence
+    else:
+        codes = class_codes(counts)
+        lut = resolver_lut(T)
+        lut.ensure(codes.ravel())
+        presence, extra = lut.presence[codes], lut.extra[codes]
+        plan = plan_slots(T, t, s_w)
+        ledger = SlotLedger(stage1=sigma_slots(T) * t * M,
+                            stage2=int(extra.sum()),
+                            bp=M * (bitmap_bp_slots(t, s_w) + plan))
+        overhead = M * plan
+    final = {}
+    for b in range(1, T + 1):
+        absent = ~presence[:, :, b - 1]
+        j = np.where(absent.any(axis=1), absent.argmax(axis=1) + 1, t)
+        final[b] = LOF_FACTOR * 2.0 ** (float(j.sum() - M) / M)
+    return final, ledger, overhead
+
+
+class TestRepeatedReportMatchesFormula:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 10),
+           st.integers(1, 40), st.integers(1, 20), st.integers(1, 8),
+           st.sampled_from([0.2, 0.8, 2.5]), st.sampled_from(REPEATED))
+    def test_report_equals_formula(self, seed, T, M, t, s_w, load, scheme):
+        counts = np.random.default_rng(seed).poisson(
+            load, size=(M, t, T)).astype(np.int32)
+        rep = hsrc._repeated_report(scheme, counts.transpose(2, 0, 1), s_w)
+        final, ledger, overhead = _repeated_report_by_formula(scheme, counts,
+                                                              s_w)
+        assert rep.final == rep.rough == final
+        assert rep.ledger == ledger
+        assert rep.overhead_slots == overhead
