@@ -14,11 +14,10 @@ from .core import (
     SlotOutcome,
     UnknownAccuracyKey,
     derive_config,
-    resolve_slot,
 )
 
 __all__ = [
     "AllSlotsBusy", "EnergyLedger", "EstimateReport", "InconsistentOutcome",
     "PopulationSpec", "ProtocolConfig", "RngBank", "SlotLedger",
-    "SlotOutcome", "UnknownAccuracyKey", "derive_config", "resolve_slot",
+    "SlotOutcome", "UnknownAccuracyKey", "derive_config",
 ]

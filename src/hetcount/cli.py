@@ -36,29 +36,41 @@ SIMULATE_SWEEP_VARS = tuple(v for v in harness.SWEEP_VARS if v != "rough1")
 
 
 def _parse_n(text):
-    """Parse "1=500,2=1000" or "500,1000" into a tuple in type order."""
+    """Parse "1=500,2=1000" or "500,1000" into a tuple in type order; keyed
+    counts must name the types 1..k once each."""
     parts = [p for p in text.split(",") if p]
-    if "=" in parts[0]:
-        items = {}
-        for p in parts:
-            k, v = p.split("=")
-            items[int(k)] = int(v)
-        return tuple(items[b] for b in sorted(items))
-    return tuple(int(p) for p in parts)
+    if not parts:
+        raise argparse.ArgumentTypeError("need at least one count")
+    if "=" not in parts[0]:
+        return tuple(int(p) for p in parts)
+    items = sorted(tuple(int(x) for x in p.split("=")) for p in parts)
+    if [k for k, _v in items] != list(range(1, len(items) + 1)):
+        raise argparse.ArgumentTypeError(
+            f"keys must be the types 1..{len(items)}, once each: {text!r}")
+    return tuple(v for _k, v in items)
 
 
-def _add_common(sub):
-    sub.add_argument("--T", type=int,
-                     help="number of types (default: the length of --n, else 3)")
-    sub.add_argument("--eps", type=float, default=0.03)
-    sub.add_argument("--delta", type=float, default=0.2)
-    sub.add_argument("--D", type=int)
-    sub.add_argument("--q", type=float)
-    sub.add_argument("--n", type=_parse_n)
-    sub.add_argument("--replicates", type=int)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out")
-    sub.add_argument("--include-overhead", action="store_true")
+# Flags a subcommand may take; each subcommand adds those it reads.
+FLAGS = {
+    "T": dict(type=int,
+              help="number of types (default: the length of --n, else 3)"),
+    "eps": dict(type=float, default=0.03),
+    "delta": dict(type=float, default=0.2),
+    "D": dict(type=int),
+    "q": dict(type=float),
+    "n": dict(type=_parse_n),
+    "replicates": dict(type=int),
+    "seed": dict(type=int, default=0),
+    "out": {},
+    "include-overhead": dict(action="store_true"),
+    "ell": dict(type=int, help="default: the table entry for --eps"),
+    "m-prime": dict(type=int, help="default: the table entry for --delta"),
+}
+
+
+def _add_flags(sub, *names):
+    for name in names:
+        sub.add_argument(f"--{name}", **FLAGS[name])
     sub.add_argument("--config", help="key=value file preloading any flag")
 
 
@@ -69,7 +81,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     sim = subs.add_parser("simulate", help="ad-hoc Monte-Carlo run")
-    _add_common(sim)
+    _add_flags(sim, *FLAGS)
     sim.add_argument("--schemes", default="hsrc1,hsrc2,txsrcs")
     sim.add_argument("--sweep-var", default="none",
                      choices=SIMULATE_SWEEP_VARS)
@@ -80,7 +92,7 @@ def build_parser():
     fig.add_argument("name", choices=["fig7a", "fig7b", "fig8a", "fig8b",
                                       "fig9a", "fig9b", "fig10", "fig11a",
                                       "fig11b"])
-    _add_common(fig)
+    _add_flags(fig, "replicates", "seed", "out", "include-overhead")
 
     zet = subs.add_parser("zeta", help="threshold table")
     zet.add_argument("--t-min", type=int, default=2)
@@ -88,41 +100,46 @@ def build_parser():
     zet.add_argument("--ell", type=int, default=3009)
 
     ana = subs.add_parser("analyze", help="closed-form tables")
-    _add_common(ana)
+    _add_flags(ana, "T", "eps", "delta", "n")
     ana.add_argument("--rough", type=_parse_n)
 
     cal = subs.add_parser("calibrate-ell", help="calibrate the trial length")
-    _add_common(cal)
+    _add_flags(cal, "eps", "delta", "replicates", "seed")
     cal.add_argument("--n-grid", type=_parse_n, default=(1000, 10000, 50000))
     cal.set_defaults(replicates=300)
 
     val = subs.add_parser("validate", help="accuracy-contract check")
-    _add_common(val)
+    _add_flags(val, "T", "eps", "delta", "D", "n", "replicates", "seed",
+               "ell", "m-prime")
     val.add_argument("--scheme", default="hsrc1",
                      choices=[s for s in harness.SCHEMES
                               if s not in harness.PHASE2_ONLY])
     val.set_defaults(replicates=300)
-    for sub in (sim, val):      # default: the tables' entries
-        sub.add_argument("--ell", type=int)
-        sub.add_argument("--m-prime", type=int)
     return parser
 
 
-def _load_config(argv):
+def _load_config(parser, argv):
     """Pre-scan for --config and splice its key=value pairs right after the
-    subcommand, so explicit flags (parsed later) still win."""
+    subcommand as --key=value, so explicit flags (parsed later) still win
+    and a key the subcommand does not take is an unrecognized argument."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        parser.error("argument --config: expected one argument")
     path = argv[i + 1]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        parser.error(f"--config {path}: {exc.strerror}")
     extra = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            extra.extend([f"--{key.strip()}", value.strip()])
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        extra.append(f"--{key.strip()}={value.strip()}")
     return argv[:2] + extra + argv[2:]
 
 
@@ -189,8 +206,8 @@ def _check_tables(parser, T, schemes):
 
 def main(argv=None):
     argv = list(sys.argv if argv is None else ["hetcount"] + list(argv))
-    argv = _load_config(argv)
     parser = build_parser()
+    argv = _load_config(parser, argv)
     args = parser.parse_args(argv[1:])
     if getattr(args, "replicates", None) is not None and args.replicates < 1:
         parser.error(f"--replicates must be at least 1, got {args.replicates}")
@@ -198,6 +215,8 @@ def main(argv=None):
         T = args.T if args.T is not None else len(args.n) if args.n else 3
     if args.command == "analyze":
         _check_types(parser, T, args.n)
+        if args.rough is not None and len(args.rough) != T:
+            parser.error(f"--rough gives {len(args.rough)} types but T is {T}")
         _check_population(parser, {"n": args.n, "rough": args.rough})
         _check_config(parser, {"epsilon": args.eps, "delta": args.delta})
     if args.command == "validate":
@@ -252,12 +271,20 @@ def main(argv=None):
                              include_overhead=args.include_overhead)
         sys.stdout.write(format_csv(rows))
     elif args.command == "zeta":
-        sys.stdout.write("T,zeta1,zeta2,n1_star_over_ell\n")
+        if args.t_min < 2:
+            parser.error(f"--t-min must be at least 2, got {args.t_min}")
+        if args.ell < 1:
+            parser.error(f"--ell must be at least 1, got {args.ell}")
+        rows = ["T,zeta1,zeta2,n1_star_over_ell\n"]
         for T in range(args.t_min, args.t_max + 1):
+            try:
+                star = analysis.n1_star(T, args.ell) / args.ell
+            except (analysis.NoBracket, ZeroDivisionError):
+                parser.error(f"no n1* crossover at T = {T}, ell = {args.ell}")
             z1 = analysis.zeta(T, 1)
             z2 = analysis.zeta(T, 2)
-            star = analysis.n1_star(T, args.ell) / args.ell
-            sys.stdout.write(f"{T},{z1:.4f},{z2:.4f},{star:.4f}\n")
+            rows.append(f"{T},{z1:.4f},{z2:.4f},{star:.4f}\n")
+        sys.stdout.write("".join(rows))
     elif args.command == "analyze":
         n = args.n or (1000,) * T
         rough = args.rough or n

@@ -18,9 +18,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-ALPHA = "alpha"
-BETA = "beta"
-
 # Published lookup tables for the two-phase homogeneous estimator.  The
 # ell table maps the relative-error target to the phase-2 trial length; the
 # m_prime table maps the failure probability to the phase-1 repetition count.
@@ -58,14 +55,16 @@ class SlotOutcome(Enum):
     COLLISION = 3
 
 
-def resolve_slot(symbols) -> SlotOutcome:
-    """Outcome of one slot given the multiset of transmitted symbols."""
-    syms = list(symbols)
-    if not syms:
-        return SlotOutcome.EMPTY
-    if len(syms) > 1:
-        return SlotOutcome.COLLISION
-    return SlotOutcome.SINGLE_ALPHA if syms[0] == ALPHA else SlotOutcome.SINGLE_BETA
+def slot_outcomes(alpha, beta) -> np.ndarray:
+    """SlotOutcome codes (uint8) of slots with ``alpha`` alpha and ``beta``
+    beta transmitters, over broadcastable count arrays."""
+    total = alpha + beta
+    out = np.full(total.shape, SlotOutcome.COLLISION.value, dtype=np.uint8)
+    out[total == 0] = SlotOutcome.EMPTY.value
+    single = total == 1
+    out[single & (alpha == 1)] = SlotOutcome.SINGLE_ALPHA.value
+    out[single & (beta == 1)] = SlotOutcome.SINGLE_BETA.value
+    return out
 
 
 @dataclass(frozen=True)

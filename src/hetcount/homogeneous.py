@@ -10,7 +10,6 @@ schemes are measured against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +30,6 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class BBTrialPlan:
-    ell: int
-    p: float
-
-
 def participation_probability(ell, n_rough) -> float:
     """p = min(1, 1.6*ell/n_rough)."""
     if n_rough <= 0:
@@ -51,20 +44,13 @@ def participations(rough, ell, T):
             for b in range(1, T + 1)]
 
 
-def lof_slot_index(rng, t) -> int:
-    """Slot chosen by one node: slot i with probability 2^-i, tail on slot t."""
-    if t < 1:
-        raise ValueError("need t >= 1")
-    return int(min(rng.geometric(0.5), t))
-
-
-def lof_trial(n, t, rng) -> int:
-    """Index of the first empty slot after n nodes each pick a slot; t if
-    every slot is occupied."""
-    choices = geometric_block_choices(rng, n, t)
-    counts = np.bincount(choices, minlength=t + 1)[1:]
-    empties = np.flatnonzero(counts == 0)
-    return int(empties[0]) + 1 if empties.size else t
+def first_empty(counts):
+    """1-based index of the first empty slot along the last axis of per-slot
+    counts, the last slot counting as empty: j of a first-empty-slot trial,
+    and the first-absent block of a type in a block-coded frame."""
+    empty = counts == 0
+    empty[..., -1] = True
+    return empty.argmax(axis=-1) + 1
 
 
 def lof_estimate(j_list) -> float:
@@ -83,17 +69,19 @@ def srcs_phase1(n, config: ProtocolConfig, bank: RngBank, type_index=1):
     phase-1 block choices from the same streams.
     """
     t = config.t_T
-    js = [lof_trial(n, t, bank.stream("p1", m, type_index))
-          for m in range(config.m_prime)]
-    return lof_estimate(js), config.m_prime * t
+    counts = np.stack([
+        np.bincount(geometric_block_choices(
+            bank.stream("p1", m, type_index), n, t), minlength=t + 1)[1:]
+        for m in range(config.m_prime)])
+    return lof_estimate(first_empty(counts)), config.m_prime * t
 
 
-def bb_trial(n, plan: BBTrialPlan, rng):
-    """One balls-and-bins trial: each node joins with probability plan.p and
-    picks one of plan.ell slots uniformly.  Returns (empty-slot count,
-    per-node participation mask)."""
-    mask, slots = uniform_block_choices(rng, n, plan.ell, plan.p)
-    occupancy = np.bincount(slots[mask], minlength=plan.ell + 1)[1:]
+def bb_trial(n, ell, p, rng):
+    """One balls-and-bins trial: each node joins with probability p and
+    picks one of ell slots uniformly.  Returns (empty-slot count, per-node
+    participation mask)."""
+    mask, slots = uniform_block_choices(rng, n, ell, p)
+    occupancy = np.bincount(slots[mask], minlength=ell + 1)[1:]
     return int(np.count_nonzero(occupancy == 0)), mask
 
 
@@ -110,10 +98,13 @@ def srcs_final_estimate(z, ell, p) -> float:
     return math.log(z / ell) / math.log(1.0 - p / ell)
 
 
-def busy_fallback_estimate(ell, p) -> float:
-    """Pseudo-count reported when every slot was occupied: pretend half a
-    slot was empty so the log stays finite."""
-    return math.log(1.0 / (2.0 * ell)) / math.log(1.0 - p / ell)
+def srcs_estimate(z, ell, p):
+    """(n_hat, busy) from z empty slots of ell at participation p.  When
+    every slot was busy (z = 0) the log-ratio is undefined: n_hat then
+    pretends half a slot was empty so the log stays finite."""
+    if z == 0:
+        return math.log(1.0 / (2.0 * ell)) / math.log(1.0 - p / ell), True
+    return srcs_final_estimate(z, ell, p), False
 
 
 def run_srcs(n, config: ProtocolConfig, bank: RngBank, type_index=1):
@@ -124,13 +115,8 @@ def run_srcs(n, config: ProtocolConfig, bank: RngBank, type_index=1):
     """
     rough, phase1_slots = srcs_phase1(n, config, bank, type_index)
     p = participation_probability(config.ell, rough)
-    z, mask = bb_trial(n, BBTrialPlan(ell=config.ell, p=p),
-                       bank.stream("p2", type_index))
-    flagged = z == 0
-    if flagged:
-        final = busy_fallback_estimate(config.ell, p)
-    else:
-        final = srcs_final_estimate(z, config.ell, p)
+    z, mask = bb_trial(n, config.ell, p, bank.stream("p2", type_index))
+    final, flagged = srcs_estimate(z, config.ell, p)
     ledger = SlotLedger(stage1=phase1_slots, stage2=config.ell, bp=1)
     return rough, final, ledger, flagged, mask
 

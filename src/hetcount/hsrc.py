@@ -28,12 +28,11 @@ from .core import (
     bitmap_bp_slots,
 )
 from .homogeneous import (
-    BBTrialPlan,
     bb_trial,
-    busy_fallback_estimate,
+    first_empty,
     lof_estimate,
     participation_probability,
-    srcs_final_estimate,
+    srcs_estimate,
     t_repetitions_srcs,
 )
 from .three_stage import block_energy_3ss, draw_blocks, run_3ss_bb
@@ -51,8 +50,8 @@ def _run_trepbb_phase2(population, rough, config, bank):
     energy = EnergyLedger(T)
     for b in range(1, T + 1):
         nb = population.n[b - 1]
-        plan = BBTrialPlan(ell=ell, p=participation_probability(ell, rough[b]))
-        z[b], mask = bb_trial(nb, plan, bank.stream("p2", b))
+        p = participation_probability(ell, rough[b])
+        z[b], mask = bb_trial(nb, ell, p, bank.stream("p2", b))
         # A node is awake only during its own type's trial.
         energy.tx[b] = mask.astype(float)
         energy.rx[b] = np.zeros(nb)
@@ -75,11 +74,9 @@ def _finalize(z, rough, config):
     final, flags = {}, {}
     for b, zb in z.items():
         p = participation_probability(config.ell, rough[b])
-        if zb == 0:
-            final[b] = busy_fallback_estimate(config.ell, p)
+        final[b], busy = srcs_estimate(zb, config.ell, p)
+        if busy:
             flags[b] = "all_slots_busy"
-        else:
-            final[b] = srcs_final_estimate(zb, config.ell, p)
     return final, flags
 
 
@@ -158,9 +155,7 @@ def run_trials(counts, s_w, two_stage, energy=False):
     trial and block.  Both decoders recover presence exactly (the 2SS
     tables are checked code by code against it), so presence is counts > 0."""
     T, M, t = counts.shape
-    absent = counts == 0
-    absent[:, :, -1] = True     # j = t whether or not the last block is hit
-    j = absent.argmax(axis=2) + 1
+    j = first_empty(counts)
     bp1 = bitmap_bp_slots(t, s_w)
     rows = None
     if not two_stage or T <= 3:

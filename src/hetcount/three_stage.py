@@ -16,14 +16,11 @@ empty-block counts z_b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .core import (
     EnergyLedger,
-    InconsistentOutcome,
     PopulationSpec,
     ProtocolConfig,
     RngBank,
@@ -31,16 +28,14 @@ from .core import (
     SlotOutcome,
     bitmap_bp_slots,
     geometric_block_choices,
+    slot_outcomes,
     uniform_block_choices,
 )
-from .homogeneous import participations
+from .homogeneous import first_empty, participations
 
-_EMPTY = SlotOutcome.EMPTY.value
 _SA = SlotOutcome.SINGLE_ALPHA.value
 _SB = SlotOutcome.SINGLE_BETA.value
 _COLL = SlotOutcome.COLLISION.value
-
-ABSENT, PRESENT, AMBIGUOUS = "Absent", "Present", "Ambiguous"
 
 
 def sym3_matrix(T):
@@ -61,16 +56,7 @@ class Stage1Result3SS:
 
 def outcomes_3ss(counts) -> np.ndarray:
     """Slot outcomes of every block from the per-type transmitter counts."""
-    n_blocks, T = counts.shape
-    c1 = counts[:, :1]
-    cb = counts[:, 1:]
-    total = c1 + cb
-    out = np.full((n_blocks, T - 1), _COLL, dtype=np.uint8)
-    out[total == 0] = _EMPTY
-    single = total == 1
-    out[single & (c1 == 1)] = _SA
-    out[single & (cb == 1)] = _SB
-    return out
+    return slot_outcomes(counts[:, :1], counts[:, 1:])
 
 
 def draw_blocks(population: PopulationSpec, n_blocks, distribution,
@@ -109,42 +95,6 @@ def run_3ss_stage1(population: PopulationSpec, n_blocks, distribution,
                            flagged=flagged)
 
 
-@lru_cache(maxsize=None)
-def _decode_3ss_cached(outcome, T):
-    consistent = []
-    for classes in product((0, 1, 2), repeat=T):
-        ok = True
-        for s in range(T - 1):
-            tot = classes[0] + classes[s + 1]
-            if tot == 0:
-                pred = _EMPTY
-            elif tot == 1:
-                pred = _SA if classes[0] == 1 else _SB
-            else:
-                pred = _COLL
-            if pred != outcome[s]:
-                ok = False
-                break
-        if ok:
-            consistent.append(classes)
-    if not consistent:
-        raise InconsistentOutcome(f"no population produces outcome {outcome}")
-    verdicts = []
-    for b in range(T):
-        present = {c[b] > 0 for c in consistent}
-        verdicts.append(PRESENT if present == {True}
-                        else ABSENT if present == {False} else AMBIGUOUS)
-    return tuple(verdicts)
-
-
-def decode_block_3ss(outcome):
-    """Per-type presence verdict for one block, by enumerating every
-    count-class vector (0 / 1 / >=2 per type) consistent with the outcome."""
-    codes = tuple(o.value if isinstance(o, SlotOutcome) else int(o)
-                  for o in outcome)
-    return _decode_3ss_cached(codes, len(codes) + 1)
-
-
 def resolve_flagged(counts):
     """Stages 2 and 3 of all-collision blocks, from their (k, T) per-type
     counts: (presence, stage3).  Stage 2 is one slot where only type-1
@@ -166,14 +116,8 @@ class Frame3SS:
     ledger: SlotLedger
     stage1: Stage1Result3SS
 
-    def presence_sets(self):
-        N, T = self.presence.shape
-        return {b: {int(h) + 1 for h in np.flatnonzero(self.presence[:, b - 1])}
-                for b in range(1, T + 1)}
-
     def first_absent(self, b):
-        absent = np.flatnonzero(~self.presence[:, b - 1])
-        return int(absent[0]) + 1 if absent.size else self.presence.shape[0]
+        return int(first_empty(self.presence[:, b - 1]))
 
 
 def run_3ss_followup(stage1: Stage1Result3SS, s_w) -> Frame3SS:

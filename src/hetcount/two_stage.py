@@ -39,12 +39,10 @@ from .core import (
     SlotLedger,
     SlotOutcome,
     bitmap_bp_slots,
+    slot_outcomes,
 )
 from .homogeneous import participations
 from .three_stage import (
-    ABSENT,
-    AMBIGUOUS,
-    PRESENT,
     Frame3SS,
     Run3SSResult,
     draw_blocks,
@@ -58,6 +56,8 @@ _EMPTY = SlotOutcome.EMPTY.value
 _SA = SlotOutcome.SINGLE_ALPHA.value
 _SB = SlotOutcome.SINGLE_BETA.value
 _COLL = SlotOutcome.COLLISION.value
+
+ABSENT, PRESENT, AMBIGUOUS = "Absent", "Present", "Ambiguous"
 
 
 def eta(T) -> int:
@@ -280,17 +280,6 @@ def resolve_block_2ss(classes, T) -> BlockResolution:
     return BlockResolution(truth, len(probes), tuple(tx), steps)
 
 
-def plan_resolution(verdict_list, T):
-    """Stage-2 plan for a frame: one entry per block, None where nothing is
-    needed.  verdict_list pairs each block's verdicts with its count-class
-    vector (the simulator's channel state)."""
-    plan = []
-    for classes in verdict_list:
-        res = resolve_block_2ss(tuple(classes), T)
-        plan.append(res.steps if res.steps else None)
-    return plan
-
-
 def _row_symbols(T) -> np.ndarray:
     """Stage-1 transmissions per type: the symbols in its matrix row."""
     return np.array([sum(1 for sym in row if sym)
@@ -302,10 +291,8 @@ def _outcome_keys(classes, matrix: Sym2Matrix) -> np.ndarray:
     def incidence(symbol):
         return np.array([[sym == symbol for sym in row] for row in matrix.rows],
                         dtype=np.int64)
-    a = classes @ incidence("alpha")
-    b = classes @ incidence("beta")
-    slots = np.where(a + b >= 2, _COLL,
-                     np.where(a == 1, _SA, np.where(b == 1, _SB, _EMPTY)))
+    slots = slot_outcomes(classes @ incidence("alpha"),
+                          classes @ incidence("beta"))
     return slots @ 4 ** np.arange(matrix.slots, dtype=np.int64)
 
 

@@ -27,7 +27,7 @@ from hetcount.core import (
     derive_config,
     geometric_block_choices,
     lof_trial_count,
-    resolve_slot,
+    slot_outcomes,
     uniform_block_choices,
 )
 
@@ -42,29 +42,51 @@ def _series_erfinv(y, terms=400):
     return sum(ck / (2 * k + 1) * z ** (2 * k + 1) for k, ck in enumerate(c))
 
 
+def _slot(alpha, beta):
+    return SlotOutcome(int(slot_outcomes(np.array(alpha), np.array(beta))))
+
+
 class TestResolveSlot:
     def test_empty(self):
-        assert resolve_slot([]) is SlotOutcome.EMPTY
+        assert _slot(0, 0) is SlotOutcome.EMPTY
 
     def test_singles(self):
-        assert resolve_slot(["alpha"]) is SlotOutcome.SINGLE_ALPHA
-        assert resolve_slot(["beta"]) is SlotOutcome.SINGLE_BETA
+        assert _slot(1, 0) is SlotOutcome.SINGLE_ALPHA
+        assert _slot(0, 1) is SlotOutcome.SINGLE_BETA
 
     def test_brute_force_all_multisets_up_to_three(self):
-        for size in range(4):
-            for syms in product(("alpha", "beta"), repeat=size):
-                out = resolve_slot(syms)
-                if size == 0:
-                    assert out is SlotOutcome.EMPTY
-                elif size == 1:
-                    expected = (SlotOutcome.SINGLE_ALPHA if syms[0] == "alpha"
-                                else SlotOutcome.SINGLE_BETA)
-                    assert out is expected
-                else:
-                    assert out is SlotOutcome.COLLISION
+        for alpha, beta in product(range(4), repeat=2):
+            if alpha + beta == 0:
+                expected = SlotOutcome.EMPTY
+            elif alpha + beta == 1:
+                expected = (SlotOutcome.SINGLE_ALPHA if alpha
+                            else SlotOutcome.SINGLE_BETA)
+            else:
+                expected = SlotOutcome.COLLISION
+            assert _slot(alpha, beta) is expected
 
     def test_commutative(self):
-        assert resolve_slot(["alpha", "beta"]) is resolve_slot(["beta", "alpha"])
+        # Swapping the symbols swaps the two singles and nothing else.
+        swap = {SlotOutcome.SINGLE_ALPHA: SlotOutcome.SINGLE_BETA,
+                SlotOutcome.SINGLE_BETA: SlotOutcome.SINGLE_ALPHA}
+        for alpha, beta in product(range(4), repeat=2):
+            out = _slot(alpha, beta)
+            assert _slot(beta, alpha) is swap.get(out, out)
+
+    @pytest.mark.parametrize("alpha_shape, beta_shape", [
+        ((7, 1), (7, 3)),       # 3SS: type 1 against every beta slot
+        ((27, 2), (27, 2)),     # 2SS: alpha and beta senders per slot
+    ])
+    def test_dtype_and_caller_shapes(self, alpha_shape, beta_shape):
+        rng = np.random.default_rng(0)
+        alpha = rng.integers(0, 3, alpha_shape)
+        beta = rng.integers(0, 3, beta_shape)
+        out = slot_outcomes(alpha, beta)
+        assert out.dtype == np.uint8
+        assert out.shape == np.broadcast_shapes(alpha_shape, beta_shape)
+        a, b = np.broadcast_arrays(alpha, beta)
+        assert [int(o) for o in out.ravel()] == [
+            _slot(x, y).value for x, y in zip(a.ravel(), b.ravel())]
 
 
 class TestDeriveConfig:

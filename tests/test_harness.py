@@ -322,6 +322,7 @@ class TestCli:
 
     def test_n_parsing_forms(self):
         assert cli._parse_n("1=500,2=1000") == (500, 1000)
+        assert cli._parse_n("2=1000,1=500") == (500, 1000)
         assert cli._parse_n("500,1000") == (500, 1000)
 
     def test_analyze_smoke(self):
@@ -429,6 +430,27 @@ class TestCli:
          "ell, m_prime, s_w, t_T must all be >= 1"),
         (["validate", "--m-prime", "0"],
          "ell, m_prime, s_w, t_T must all be >= 1"),
+        (["simulate", "--n", "5,5,5", "--config"],
+         "argument --config: expected one argument"),
+        (["simulate", "--config", "no/such/run.cfg"],
+         "--config no/such/run.cfg: No such file or directory"),
+        (["simulate", "--config", "."], "--config .: Is a directory"),
+        (["analyze", "--n", "5,5,5", "--rough", "5,5"],
+         "--rough gives 2 types but T is 3"),
+        (["analyze", "--n", "5,5,5", "--rough", "5,5,5,5"],
+         "--rough gives 4 types but T is 3"),
+        (["zeta", "--t-min", "1"], "--t-min must be at least 2, got 1"),
+        (["zeta", "--ell", "0"], "--ell must be at least 1, got 0"),
+        (["zeta", "--ell", "-5"], "--ell must be at least 1, got -5"),
+        (["zeta", "--ell", "2"], "no n1* crossover at T = 2, ell = 2"),
+        # Each subcommand takes only the flags it reads.
+        (["figure", "fig9b", "--eps", "0.05"],
+         "unrecognized arguments: --eps 0.05"),
+        (["analyze", "--replicates", "5"],
+         "unrecognized arguments: --replicates 5"),
+        (["calibrate-ell", "--T", "3"], "unrecognized arguments: --T 3"),
+        (["validate", "--include-overhead"],
+         "unrecognized arguments: --include-overhead"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -437,6 +459,29 @@ class TestCli:
         err = capsys.readouterr().err.strip().split("\n")
         assert err[-1].startswith("hetcount: error: ")
         assert message in err[-1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--n", ","], "--n: need at least one count"),
+        (["calibrate-ell", "--n-grid", ","],
+         "--n-grid: need at least one count"),
+        (["simulate", "--n", "1=5,3=5"], "keys must be the types 1..2"),
+        (["simulate", "--n", "1=5,1=6"], "keys must be the types 1..2"),
+    ])
+    def test_bad_count_list_one_line_error(self, capsys, argv, message):
+        # A count list is parsed by the subcommand's own parser.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[-1].startswith(f"hetcount {argv[0]}: error: argument ")
+        assert message in err[-1]
+
+    def test_config_keys_are_subcommand_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps=0.05\n")
+        with pytest.raises(SystemExit):
+            cli.main(["figure", "fig9b", "--config", str(cfg)])
+        assert "unrecognized arguments: --eps=0.05" in capsys.readouterr().err
 
     @pytest.mark.parametrize("var", ["rough1", "bogus"])
     def test_unknown_sweep_variable_rejected(self, capsys, var):

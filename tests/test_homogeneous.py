@@ -5,23 +5,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from hetcount.core import (
+    LOF_FACTOR,
     AllSlotsBusy,
     EmptyInput,
     PopulationSpec,
     RngBank,
     derive_config,
+    geometric_block_choices,
 )
 from hetcount.homogeneous import (
-    BBTrialPlan,
     bb_trial,
-    busy_fallback_estimate,
+    first_empty,
     lof_estimate,
-    lof_slot_index,
-    lof_trial,
     participation_probability,
     run_srcs,
+    srcs_estimate,
     srcs_final_estimate,
     srcs_phase1,
     t_repetitions_srcs,
@@ -38,40 +41,55 @@ def _slot_probs(t):
 
 
 class TestLofSlotIndex:
+    """The slot a node picks in a first-empty-slot trial."""
+
     def test_t1_always_one(self):
         rng = np.random.default_rng(0)
-        assert all(lof_slot_index(rng, 1) == 1 for _ in range(50))
+        assert (geometric_block_choices(rng, 50, 1) == 1).all()
 
     @pytest.mark.parametrize("t", [2, 4, 8])
     def test_distribution_chi2(self, t):
         rng = np.random.default_rng(42 + t)
         draws = 100_000
-        counts = np.bincount(
-            [lof_slot_index(rng, t) for _ in range(draws)], minlength=t + 1)[1:]
+        counts = np.bincount(geometric_block_choices(rng, draws, t),
+                             minlength=t + 1)[1:]
         expected = np.array(_slot_probs(t)) * draws
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < _CHI2_CRIT[t]
 
-    def test_invalid_t(self):
-        with pytest.raises(ValueError):
-            lof_slot_index(np.random.default_rng(0), 0)
-
 
 class TestLofTrial:
     def test_empty_network(self):
-        assert lof_trial(0, 5, np.random.default_rng(0)) == 1
+        assert (first_empty(np.zeros((3, 5), dtype=np.int64)) == 1).all()
 
     def test_single_node_first_slot_probability(self):
         rng = np.random.default_rng(1)
-        reps = 20_000
-        hits = sum(lof_trial(1, 3, rng) == 1 for _ in range(reps))
+        reps, t = 20_000, 3
+        # One lone node per trial: row r counts trial r's node in its slot.
+        counts = np.zeros((reps, t), dtype=np.int64)
+        counts[np.arange(reps), geometric_block_choices(rng, reps, t) - 1] = 1
+        hits = int((first_empty(counts) == 1).sum())
         # j=1 iff the lone node chose slot >= 2, probability 1/2.
         assert abs(hits / reps - 0.5) < 3 * math.sqrt(0.25 / reps)
 
     def test_saturated_network(self):
         t = 4
-        rng = np.random.default_rng(2)
-        assert all(lof_trial(10 * 2 ** t, t, rng) == t for _ in range(200))
+        cfg = derive_config(0.03, 0.2, (2 ** t,))
+        assert cfg.t_T == t
+        # Every trial reads j = t, so the rough estimate is 1.2897 * 2^(t-1).
+        for seed in range(20):
+            assert srcs_phase1(10 * 2 ** t, cfg, RngBank(seed)) == (
+                LOF_FACTOR * 2.0 ** (t - 1), cfg.m_prime * t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.int64, array_shapes(min_dims=1, max_dims=3),
+                  elements=st.integers(0, 2)))
+    def test_first_empty_is_first_zero_else_t(self, counts):
+        t = counts.shape[-1]
+        expected = [next((i + 1 for i, c in enumerate(row) if c == 0), t)
+                    for row in counts.reshape(-1, t).tolist()]
+        assert first_empty(counts).shape == counts.shape[:-1]
+        assert first_empty(counts).ravel().tolist() == expected
 
 
 class TestLofEstimate:
@@ -109,34 +127,29 @@ class TestSrcsPhase1:
 
 class TestBBTrial:
     def test_empty_and_nonparticipating(self):
-        plan = BBTrialPlan(ell=50, p=1.0)
-        z, occ = bb_trial(0, plan, np.random.default_rng(0))
+        z, occ = bb_trial(0, 50, 1.0, np.random.default_rng(0))
         assert z == 50 and occ.sum() == 0
-        z, occ = bb_trial(100, BBTrialPlan(ell=50, p=0.0),
-                          np.random.default_rng(0))
+        z, occ = bb_trial(100, 50, 0.0, np.random.default_rng(0))
         assert z == 50 and occ.sum() == 0
 
     def test_occupancy_sums_to_participants(self):
         rng = np.random.default_rng(3)
-        plan = BBTrialPlan(ell=100, p=0.6)
         for _ in range(20):
-            _z, occ = bb_trial(500, plan, rng)
+            _z, occ = bb_trial(500, 100, 0.6, rng)
             assert 0 <= occ.sum() <= 500
 
     def test_participation_binomial_mean(self):
         rng = np.random.default_rng(4)
         n, p = 1000, 0.4
-        plan = BBTrialPlan(ell=100, p=p)
-        parts = [bb_trial(n, plan, rng)[1].sum() for _ in range(1000)]
+        parts = [bb_trial(n, 100, p, rng)[1].sum() for _ in range(1000)]
         se = math.sqrt(n * p * (1 - p) / len(parts))
         assert abs(np.mean(parts) - n * p) < 3 * se
 
     def test_empty_fraction_matches_occupancy_formula(self):
         n, ell = 1000, 1075
         p = participation_probability(ell, n)
-        plan = BBTrialPlan(ell=ell, p=p)
         rng = np.random.default_rng(5)
-        zs = np.array([bb_trial(n, plan, rng)[0] for _ in range(1000)])
+        zs = np.array([bb_trial(n, ell, p, rng)[0] for _ in range(1000)])
         target = (1 - p / ell) ** n
         se = zs.std(ddof=1) / math.sqrt(len(zs)) / ell
         assert abs(zs.mean() / ell - target) < 3 * se
@@ -160,8 +173,10 @@ class TestSrcsFinalEstimate:
             srcs_final_estimate(0, 100, 0.5)
 
     def test_busy_fallback_exceeds_any_regular_estimate(self):
-        fallback = busy_fallback_estimate(100, 0.5)
-        assert fallback > srcs_final_estimate(1, 100, 0.5)
+        fallback, busy = srcs_estimate(0, 100, 0.5)
+        assert busy and fallback > srcs_final_estimate(1, 100, 0.5)
+        assert srcs_estimate(1, 100, 0.5) == (
+            srcs_final_estimate(1, 100, 0.5), False)
 
     def test_participation_probability(self):
         assert participation_probability(100, 0) == 1.0

@@ -9,21 +9,16 @@ from hypothesis.extra.numpy import arrays
 
 from hetcount.core import (
     EnergyLedger,
-    InconsistentOutcome,
     PopulationSpec,
     RngBank,
     SlotOutcome,
     bitmap_bp_slots,
     derive_config,
 )
-from hetcount.homogeneous import BBTrialPlan, bb_trial, participation_probability
+from hetcount.homogeneous import bb_trial, participation_probability
 from hetcount.three_stage import (
-    ABSENT,
-    AMBIGUOUS,
-    PRESENT,
     Stage1Result3SS,
     _energy_3ss,
-    decode_block_3ss,
     outcomes_3ss,
     run_3ss_bb,
     run_3ss_followup,
@@ -103,33 +98,36 @@ class TestStage1Outcomes:
                            [np.random.default_rng(0)] * 2)
 
 
+def _decode(counts):
+    """(stage-1 outcomes, decoded presence, flagged) of one T = 3 block."""
+    stage1 = _stage1_from_counts([counts])
+    frame = run_3ss_followup(stage1, s_w=6)
+    return (list(stage1.outcomes[0]), frame.presence[0].tolist(),
+            frame.flagged)
+
+
 class TestDecode:
+    """The paper's T = 3 block examples: the outcomes stage 1 shows and the
+    presence the follow-up decodes from them."""
+
     def test_all_empty(self):
-        assert decode_block_3ss((E, E)) == (ABSENT, ABSENT, ABSENT)
+        assert _decode([0, 0, 0]) == ([E, E], [False, False, False], [])
 
     def test_single_beta_then_empty(self):
-        assert decode_block_3ss((SB, E)) == (ABSENT, PRESENT, ABSENT)
+        assert _decode([0, 1, 0]) == ([SB, E], [False, True, False], [])
 
     def test_all_collision_is_ambiguous(self):
-        assert decode_block_3ss((C, C)) == (AMBIGUOUS,) * 3
+        # Stage 1 cannot decode it, so the block is flagged for stage 2.
+        outcomes, _presence, flagged = _decode([2, 0, 0])
+        assert outcomes == [C, C] and flagged == [1]
 
     def test_single_alpha_everywhere(self):
-        assert decode_block_3ss((SA, SA)) == (PRESENT, ABSENT, ABSENT)
+        assert _decode([1, 0, 0]) == ([SA, SA], [True, False, False], [])
 
     def test_collision_with_clean_slot(self):
         # (Collision, SingleAlpha): the clean slot pins exactly one type-1
         # node, so slot 1's collision needs a type-2 node.
-        assert decode_block_3ss((C, SA)) == (PRESENT, PRESENT, ABSENT)
-
-    def test_inconsistent_outcome(self):
-        # A lone type-1 node transmits in both slots; (SingleAlpha, Empty)
-        # is impossible.
-        with pytest.raises(InconsistentOutcome):
-            decode_block_3ss((SA, E))
-
-    def test_accepts_enum_values(self):
-        outcome = (SlotOutcome.SINGLE_BETA, SlotOutcome.EMPTY)
-        assert decode_block_3ss(outcome) == (ABSENT, PRESENT, ABSENT)
+        assert _decode([1, 1, 0]) == ([C, SA], [True, True, False], [])
 
 
 class TestFollowup:
@@ -193,7 +191,9 @@ class TestFollowup:
         frame = run_3ss_followup(stage1, s_w=6)
         assert frame.first_absent(1) == 1
         assert frame.first_absent(2) == 2
-        assert frame.presence_sets() == {1: {2}, 2: {1}, 3: set()}
+        assert frame.presence.tolist() == [[False, True, False],
+                                           [True, False, False],
+                                           [False, False, False]]
 
 
 class TestTrialMode:
@@ -244,7 +244,7 @@ class TestBBMode:
         res = run_3ss_bb(pop, rough, cfg, bank)
         for b in (1, 2, 3):
             p = participation_probability(cfg.ell, rough[b])
-            z_solo, _ = bb_trial(pop.n[b - 1], BBTrialPlan(ell=cfg.ell, p=p),
+            z_solo, _ = bb_trial(pop.n[b - 1], cfg.ell, p,
                                  bank.stream("p2", b))
             assert res.z[b] == z_solo
 

@@ -17,9 +17,12 @@ from hetcount.core import (
     SlotOutcome,
     derive_config,
 )
-from hetcount.three_stage import ABSENT, AMBIGUOUS, PRESENT, run_3ss_trial, sym3_matrix
+from hetcount.three_stage import run_3ss_trial, sym3_matrix
 from hetcount.two_stage import (
+    ABSENT,
+    AMBIGUOUS,
     MAX_TABLE_T,
+    PRESENT,
     _energy_2ss,
     _row_symbols,
     _run_2ss_frame,
@@ -27,7 +30,6 @@ from hetcount.two_stage import (
     class_codes,
     decode_block_2ss,
     eta,
-    plan_resolution,
     resolve_block_2ss,
     resolver_lut,
     run_2ss_bb,
@@ -122,11 +124,6 @@ class TestResolution:
         res = resolve_block_2ss((1, 2, 2), 3)
         assert res.extra_slots == 1
         assert res.presence == (True, True, True)
-
-    def test_plan_resolution(self):
-        plan = plan_resolution([(0, 0, 0, 0), (1, 0, 2, 0)], 4)
-        assert plan[0] is None
-        assert plan[1] is not None
 
     def test_exhaustive_soundness_small_t(self):
         for T in range(2, 7):
