@@ -176,7 +176,8 @@ def n1_star(T, ell, s_w=6) -> float:
         return lambda_I(T, ell, s_w, ell * (q1 + q2 + q3), ell * q1) - T * ell
 
     lo, hi = 1e-6, LOAD_FACTOR * ell
-    if gap(lo) >= 0 or gap(hi) <= 0:
+    # One block (ell = 1) takes every participant: n1 < 1 divides by zero.
+    if ell < 2 or gap(lo) >= 0 or gap(hi) <= 0:
         raise NoBracket("no crossover in (0, 1.6*ell)")
     while hi - lo > 1e-6 * ell:
         mid = 0.5 * (lo + hi)

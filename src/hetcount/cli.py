@@ -9,6 +9,7 @@ file can preload any flag via --config.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import analysis, harness
@@ -75,12 +76,14 @@ def _add_flags(sub, *names):
 
 
 def build_parser():
+    # No prefix matching: calibrate-ell --n is not --n-grid.
     parser = argparse.ArgumentParser(
-        prog="hetcount",
+        prog="hetcount", allow_abbrev=False,
         description="Per-type active-node cardinality estimation toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    sim = subs.add_parser("simulate", help="ad-hoc Monte-Carlo run")
+    sim = add_parser("simulate", help="ad-hoc Monte-Carlo run")
     _add_flags(sim, *FLAGS)
     sim.add_argument("--schemes", default="hsrc1,hsrc2,txsrcs")
     sim.add_argument("--sweep-var", default="none",
@@ -88,27 +91,27 @@ def build_parser():
     sim.add_argument("--sweep-values", default="0")
     sim.set_defaults(replicates=100)
 
-    fig = subs.add_parser("figure", help="published-figure preset")
+    fig = add_parser("figure", help="published-figure preset")
     fig.add_argument("name", choices=["fig7a", "fig7b", "fig8a", "fig8b",
                                       "fig9a", "fig9b", "fig10", "fig11a",
                                       "fig11b"])
     _add_flags(fig, "replicates", "seed", "out", "include-overhead")
 
-    zet = subs.add_parser("zeta", help="threshold table")
+    zet = add_parser("zeta", help="threshold table")
     zet.add_argument("--t-min", type=int, default=2)
     zet.add_argument("--t-max", type=int, default=8)
     zet.add_argument("--ell", type=int, default=3009)
 
-    ana = subs.add_parser("analyze", help="closed-form tables")
+    ana = add_parser("analyze", help="closed-form tables")
     _add_flags(ana, "T", "eps", "delta", "n")
     ana.add_argument("--rough", type=_parse_n)
 
-    cal = subs.add_parser("calibrate-ell", help="calibrate the trial length")
+    cal = add_parser("calibrate-ell", help="calibrate the trial length")
     _add_flags(cal, "eps", "delta", "replicates", "seed")
     cal.add_argument("--n-grid", type=_parse_n, default=(1000, 10000, 50000))
     cal.set_defaults(replicates=300)
 
-    val = subs.add_parser("validate", help="accuracy-contract check")
+    val = add_parser("validate", help="accuracy-contract check")
     _add_flags(val, "T", "eps", "delta", "D", "n", "replicates", "seed",
                "ell", "m-prime")
     val.add_argument("--scheme", default="hsrc1",
@@ -279,7 +282,7 @@ def main(argv=None):
         for T in range(args.t_min, args.t_max + 1):
             try:
                 star = analysis.n1_star(T, args.ell) / args.ell
-            except (analysis.NoBracket, ZeroDivisionError):
+            except analysis.NoBracket:
                 parser.error(f"no n1* crossover at T = {T}, ell = {args.ell}")
             z1 = analysis.zeta(T, 1)
             z2 = analysis.zeta(T, 2)

@@ -221,18 +221,6 @@ class EnergyLedger:
             led.accounted[b] = np.zeros(nb)
         return led
 
-    @staticmethod
-    def per_block(chosen, tx, rx, frame_total) -> "EnergyLedger":
-        """Ledger of one block-coded frame: chosen[b] is type b's 1-based
-        block per node (0 = idle), and tx[b - 1][h], rx[b - 1][h] are what a
-        type-b node in block h spends, over T rows of blocks + 1 entries."""
-        led = EnergyLedger(len(chosen))
-        for b, blocks in chosen.items():
-            led.tx[b] = tx[b - 1][blocks]
-            led.rx[b] = rx[b - 1][blocks]
-            led.accounted[b] = np.full(blocks.shape, float(frame_total))
-        return led
-
     def idle(self, b):
         return self.accounted[b] - self.tx[b] - self.rx[b]
 

@@ -7,9 +7,9 @@ a phase-2 method (per-type balls-and-bins repetitions, or one multiplexed
 balls-and-bins execution of the block code), and produces final estimates
 from the per-type empty-slot counts.  The baselines are the block-coded
 schemes repeated to standalone accuracy, and the two-phase homogeneous
-protocol run once per type.  Phase 1 and the repeated baselines resolve
-their trials in one engine, ``run_trials``, over a types-first (T, M, t)
-count tensor; the single-frame runners are its reference.
+protocol run once per type.  Phase 1 runs as m' frames of
+``three_stage.run_frames``; each repeated baseline is one call of its
+code's resolver on the (T, m_lof, t) counts of its trials.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from .homogeneous import (
     srcs_estimate,
     t_repetitions_srcs,
 )
-from .three_stage import block_energy_3ss, draw_blocks, run_3ss_bb
-from .two_stage import (_node_tx, plan_slots, resolve_2ss, run_2ss_bb,
-                        sigma_slots)
+from .three_stage import resolve_3ss, run_3ss_bb, trial_frames
+from .two_stage import resolve_2ss, run_2ss_bb
 
 
 def _run_trepbb_phase2(population, rough, config, bank):
@@ -88,11 +87,13 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
     if variant not in ("HSRC1", "HSRC2"):
         raise ValueError(f"unknown variant {variant!r}")
     T = population.T
-    bb_runner = run_3ss_bb if variant == "HSRC1" else run_2ss_bb
+    resolve, bb_runner = ((resolve_3ss, run_3ss_bb) if variant == "HSRC1"
+                          else (resolve_2ss, run_2ss_bb))
 
-    phase1_ledger, j, plan_overhead, energy = _phase1(
-        variant == "HSRC2", population, config, bank)
-    rough = {b: lof_estimate(jb) for b, jb in enumerate(j, 1)}
+    counts, phase1_ledger, plan_overhead, energy = trial_frames(
+        resolve, population, config, bank, range(config.m_prime))
+    rough = {b: lof_estimate(jb)
+             for b, jb in enumerate(first_empty(counts), 1)}
 
     # Phase-boundary broadcast of the rough estimates, received by everyone.
     boundary = bitmap_bp_slots(T * config.t_T, config.s_w)
@@ -114,72 +115,6 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
                           flags=flags, phase1_ledger=phase1_ledger,
                           phase2_ledger=phase2_ledger,
                           overhead_slots=boundary + plan_overhead + p2_plan)
-
-
-def _phase1(two_stage, population, config, bank):
-    """Phase 1's m' trials, drawn as the single-frame runners draw them, in
-    one run_trials call: (ledger, j, plan-broadcast slots, energy).  Each
-    node's 0-based blocks are kept in one byte per trial."""
-    T, M, t = population.T, config.m_prime, config.t_T
-    counts = np.empty((T, M, t), dtype=np.int64)
-    blocks = [np.empty((M, nb), dtype=np.min_scalar_type(t))
-              for nb in population.n]
-    for m in range(M):
-        rngs = [bank.stream("p1", m, b) for b in range(1, T + 1)]
-        trial, chosen = draw_blocks(population, t, "geometric", None, rngs)
-        counts[:, m] = trial.T
-        for b, row in chosen.items():
-            blocks[b - 1][m] = row - 1
-    ledger, j, overhead, (tx, rx) = run_trials(counts, config.s_w, two_stage,
-                                               energy=True)
-    energy = EnergyLedger(T)
-    for b, nb in enumerate(population.n, 1):
-        energy.tx[b] = _node_sums(tx[b - 1], blocks[b - 1])
-        energy.rx[b] = _node_sums(rx[b - 1], blocks[b - 1])
-        energy.accounted[b] = np.full(nb, float(ledger.total))
-    return ledger, j, overhead, energy
-
-
-def _node_sums(rows, blocks):
-    """Per node i, the sum over trials m of rows[m, blocks[m, i]]."""
-    out = np.zeros(blocks.shape[1])
-    for row, at in zip(rows, blocks):
-        out += row.take(at)
-    return out
-
-
-def run_trials(counts, s_w, two_stage, energy=False):
-    """M trial-mode frames of the 3SS or 2SS code from their types-first
-    (T, M, t) block counts: summed ledger, (T, M) first-absent blocks j,
-    plan-broadcast slots, and if ``energy`` a node's (tx, rx) per type,
-    trial and block.  Both decoders recover presence exactly (the 2SS
-    tables are checked code by code against it), so presence is counts > 0."""
-    T, M, t = counts.shape
-    j = first_empty(counts)
-    bp1 = bitmap_bp_slots(t, s_w)
-    rows = None
-    if not two_stage or T <= 3:
-        c1 = counts[0]
-        flagged = c1 + counts[1:].min(axis=0) >= 2
-        stage3 = flagged & (c1 >= 2)
-        K = flagged.sum(axis=1)
-        ledger = SlotLedger(stage1=(T - 1) * t * M, stage2=int(K.sum()),
-                            stage3=(T - 1) * int(stage3.sum()),
-                            bp=M * bp1 + int((-(-K // s_w)).sum()))
-        overhead = 0
-        if energy:
-            rows = block_energy_3ss(flagged, stage3, T, bp1)
-    else:
-        codes, lut = resolve_2ss(counts, axis=0)
-        plan = plan_slots(T, t, s_w)
-        ledger = SlotLedger(stage1=sigma_slots(T) * t * M,
-                            stage2=int(lut.extra[codes].sum()),
-                            bp=M * (bp1 + plan))
-        overhead = M * plan
-        if energy:
-            tx = _node_tx(T)[:, codes]
-            rows = tx, np.full(tx.shape, float(bp1 + plan))
-    return ledger, j, overhead, rows
 
 
 # Uniforms drawn at once per type by the repeated baselines: trials are
@@ -240,8 +175,10 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
 
 def _repeated_report(scheme, counts, s_w):
     """Report of a repeated baseline on its trials' (T, M, t) counts."""
-    ledger, j, overhead, _ = run_trials(counts, s_w, scheme == _REPEATED[1])
-    final = {b: lof_estimate(jb) for b, jb in enumerate(j, 1)}
+    resolve = resolve_2ss if scheme == _REPEATED[1] else resolve_3ss
+    ledger, overhead, _ = resolve(counts, s_w)
+    final = {b: lof_estimate(jb)
+             for b, jb in enumerate(first_empty(counts), 1)}
     return EstimateReport(rough=dict(final), final=final, phase2_method=None,
                           ledger=ledger, energy=None,
                           overhead_slots=overhead)

@@ -61,12 +61,13 @@ def outcomes_3ss(counts) -> np.ndarray:
 
 def draw_blocks(population: PopulationSpec, n_blocks, distribution,
                 participation, rngs):
-    """(counts, chosen): (n_blocks, T) transmitters per block, and each
-    type's 1-based block per node (0 = idle).  distribution is "geometric"
-    (trial mode, everyone participates) or "uniform" (bb mode, type b with
-    probability participation[b - 1]); rngs holds one generator per type."""
+    """(counts, chosen): types-first (T, n_blocks) transmitters per block,
+    and each type's 1-based block per node (0 = idle).  distribution is
+    "geometric" (trial mode, everyone participates) or "uniform" (bb mode,
+    type b with probability participation[b - 1]); rngs holds one generator
+    per type."""
     T = population.T
-    counts = np.zeros((n_blocks, T), dtype=np.int64)
+    counts = np.zeros((T, n_blocks), dtype=np.int64)
     chosen = {}
     for b in range(1, T + 1):
         nb = population.n[b - 1]
@@ -80,7 +81,7 @@ def draw_blocks(population: PopulationSpec, n_blocks, distribution,
             raise ValueError(f"unknown block distribution {distribution!r}")
         chosen[b] = blocks
         # Bin 0 counts idle nodes and is dropped.
-        counts[:, b - 1] = np.bincount(blocks, minlength=n_blocks + 1)[1:]
+        counts[b - 1] = np.bincount(blocks, minlength=n_blocks + 1)[1:]
     return counts, chosen
 
 
@@ -89,9 +90,9 @@ def run_3ss_stage1(population: PopulationSpec, n_blocks, distribution,
     """Stage 1 only, drawn as in draw_blocks."""
     counts, chosen = draw_blocks(population, n_blocks, distribution,
                                  participation, rngs)
-    outcomes = outcomes_3ss(counts)
+    outcomes = outcomes_3ss(counts.T)
     flagged = (np.flatnonzero((outcomes == _COLL).all(axis=1)) + 1).tolist()
-    return Stage1Result3SS(counts=counts, outcomes=outcomes, chosen=chosen,
+    return Stage1Result3SS(counts=counts.T, outcomes=outcomes, chosen=chosen,
                            flagged=flagged)
 
 
@@ -115,9 +116,6 @@ class Frame3SS:
     r_list: list            # stage-3 block indices, ascending, 1-based
     ledger: SlotLedger
     stage1: Stage1Result3SS
-
-    def first_absent(self, b):
-        return int(first_empty(self.presence[:, b - 1]))
 
 
 def run_3ss_followup(stage1: Stage1Result3SS, s_w) -> Frame3SS:
@@ -149,64 +147,128 @@ def run_3ss_followup(stage1: Stage1Result3SS, s_w) -> Frame3SS:
                     ledger=ledger, stage1=stage1)
 
 
-def block_energy_3ss(flagged, stage3, T, bp1):
-    """(tx, rx) of a node of each type per block, (T, *flagged.shape), from
-    0/1 flagged and stage-3 masks: type 1 sends in every stage-1 slot and in
-    stage 2, type b >= 2 in its own slot and in stage 3 and listens to
-    stage 2; all hear the bp1-slot stage-1 bitmap."""
-    tx = np.stack([(T - 1) + flagged] + [1.0 + stage3] * (T - 1))
-    rx = np.stack([np.full(np.shape(flagged), float(bp1))]
-                  + [bp1 + flagged] * (T - 1))
+def resolve_3ss(counts, s_w, energy=False):
+    """M frames of the three-stage code from their types-first
+    (T, M, n_blocks) block counts: (summed ledger, plan-broadcast slots,
+    which this code has none of, and if ``energy`` the _energy_3ss tables).
+
+    The follow-up recovers every type's presence exactly (run_3ss_followup
+    is the reference), so presence is counts > 0 and only the follow-up's
+    cost is worked out: a block is flagged when every slot collides, i.e.
+    c_1 + c_b >= 2 for every b >= 2, and goes to stage 3 when c_1 >= 2."""
+    T, M, n_blocks = counts.shape
+    c1 = counts[0]
+    flagged = c1 + counts[1:].min(axis=0) >= 2
+    stage3 = flagged & (c1 >= 2)
+    K = flagged.sum(axis=1)
+    bp1 = bitmap_bp_slots(n_blocks, s_w)
+    ledger = SlotLedger(stage1=(T - 1) * n_blocks * M, stage2=int(K.sum()),
+                        stage3=(T - 1) * int(stage3.sum()),
+                        bp=M * bp1 + int((-(-K // s_w)).sum()))
+    return ledger, 0, _energy_3ss(flagged, stage3, T, bp1) if energy else None
+
+
+def _energy_3ss(flagged, stage3, T, bp1):
+    """(tx, rx) of a node by type, frame and block, (T, M, n_blocks + 1),
+    from (M, n_blocks) flagged and stage-3 masks.  Type 1 sends in every
+    stage-1 slot and in stage 2, type b >= 2 in its own slot and in stage 3
+    and listens to stage 2; all hear the bp1-slot stage-1 bitmap.  Entry 0
+    is an idle node, which only hears the bitmap."""
+    M, n_blocks = flagged.shape
+    tx = np.zeros((T, M, n_blocks + 1))
+    rx = np.full(tx.shape, float(bp1))
+    tx[0, :, 1:] = (T - 1) + flagged
+    tx[1:, :, 1:] = 1.0 + stage3
+    rx[1:, :, 1:] += flagged
     return tx, rx
 
 
-def _energy_3ss(frame: Frame3SS, population, config, frame_total):
-    """Per-node radio accounting for one frame, honoring participation."""
-    n_blocks, T = frame.presence.shape
-    flagged, stage3 = np.zeros((2, n_blocks + 1))    # index 0: idle nodes
-    flagged[frame.flagged] = 1.0
-    stage3[frame.r_list] = 1.0
-    tx, rx = block_energy_3ss(flagged, stage3, T,
-                              bitmap_bp_slots(n_blocks, config.s_w))
-    tx[:, 0] = 0.0
-    return EnergyLedger.per_block(frame.stage1.chosen, tx, rx, frame_total)
+def run_frames(resolve, population: PopulationSpec, n_blocks, distribution,
+               participation, trial_rngs, s_w):
+    """M frames of one block code, frame m drawn by draw_blocks from
+    trial_rngs[m] and all resolved by ``resolve`` (resolve_3ss or
+    two_stage.resolve_2ss): (counts, ledger, plan-broadcast slots, energy),
+    with types-first (T, M, n_blocks) counts and the ledger and each node's
+    energy summed over the frames.  A node's blocks are kept as drawn, or in
+    one byte per frame over several frames, until its energy is summed."""
+    T, M = population.T, len(trial_rngs)
+    counts = np.empty((T, M, n_blocks), dtype=np.int64)
+    kept = np.int64 if M == 1 else np.min_scalar_type(n_blocks)
+    blocks = [[] for _ in range(T)]
+    for m, rngs in enumerate(trial_rngs):
+        counts[:, m], chosen = draw_blocks(population, n_blocks, distribution,
+                                           participation, rngs)
+        for b, node_blocks in enumerate(blocks, 1):
+            node_blocks.append(chosen[b].astype(kept, copy=False))
+    ledger, overhead, (tx, rx) = resolve(counts, s_w, energy=True)
+    energy = EnergyLedger(T)
+    for b, node_blocks in enumerate(blocks, 1):
+        energy.tx[b] = _node_sums(tx[b - 1], node_blocks)
+        energy.rx[b] = _node_sums(rx[b - 1], node_blocks)
+        energy.accounted[b] = np.full(population.n[b - 1],
+                                      float(ledger.total))
+    return counts, ledger, overhead, energy
+
+
+def _node_sums(rows, blocks):
+    """Per node i, the sum over frames m of rows[m, blocks[m][i]]."""
+    total = rows[0].take(blocks[0])
+    for m in range(1, len(blocks)):
+        total += rows[m].take(blocks[m])
+    return total
 
 
 @dataclass
 class Run3SSResult:
     j: dict | None
     z: dict | None
-    frame: Frame3SS
+    counts: np.ndarray      # (T, n_blocks) transmitters per type and block
     ledger: SlotLedger
     energy: EnergyLedger
     overhead: int = 0       # plan-broadcast slots (two_stage.plan_slots)
 
 
+def trial_frames(resolve, population: PopulationSpec, config: ProtocolConfig,
+                 bank: RngBank, trials):
+    """run_frames over the trial-mode frames numbered ``trials``: t_T
+    blocks, geometric block choice, streams ("p1", trial, type)."""
+    rngs = [[bank.stream("p1", m, b) for b in range(1, population.T + 1)]
+            for m in trials]
+    return run_frames(resolve, population, config.t_T, "geometric", None,
+                      rngs, config.s_w)
+
+
+def run_trial(resolve, population, config, bank, trial_index):
+    """Trial frame ``trial_index`` of the code ``resolve`` decodes."""
+    counts, ledger, overhead, energy = trial_frames(
+        resolve, population, config, bank, [trial_index])
+    j = dict(enumerate(first_empty(counts[:, 0]).tolist(), 1))
+    return Run3SSResult(j=j, z=None, counts=counts[:, 0], ledger=ledger,
+                        energy=energy, overhead=overhead)
+
+
+def run_bb(resolve, population, rough, config, bank):
+    """The balls-and-bins frame of the code ``resolve`` decodes: ell
+    blocks, uniform choice, participation p_b derived from the rough
+    estimates (1-based dict or sequence)."""
+    T = population.T
+    rngs = [bank.stream("p2", b) for b in range(1, T + 1)]
+    counts, ledger, overhead, energy = run_frames(
+        resolve, population, config.ell, "uniform",
+        participations(rough, config.ell, T), [rngs], config.s_w)
+    z = config.ell - np.count_nonzero(counts[:, 0], axis=1)
+    return Run3SSResult(j=None, z=dict(enumerate(z.tolist(), 1)),
+                        counts=counts[:, 0], ledger=ledger, energy=energy,
+                        overhead=overhead)
+
+
 def run_3ss_trial(population: PopulationSpec, config: ProtocolConfig,
                   bank: RngBank, trial_index=0) -> Run3SSResult:
-    """One trial-mode execution: t_T blocks, geometric block choice."""
-    T = population.T
-    rngs = [bank.stream("p1", trial_index, b) for b in range(1, T + 1)]
-    stage1 = run_3ss_stage1(population, config.t_T, "geometric",
-                            [1.0] * T, rngs)
-    frame = run_3ss_followup(stage1, config.s_w)
-    j = {b: frame.first_absent(b) for b in range(1, T + 1)}
-    energy = _energy_3ss(frame, population, config, frame.ledger.total)
-    return Run3SSResult(j=j, z=None, frame=frame, ledger=frame.ledger,
-                        energy=energy)
+    """One trial-mode frame of the three-stage code (see run_trial)."""
+    return run_trial(resolve_3ss, population, config, bank, trial_index)
 
 
 def run_3ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
                bank: RngBank) -> Run3SSResult:
-    """Balls-and-bins mode: ell blocks, uniform choice, participation p_b
-    derived from the rough estimates (1-based dict or sequence)."""
-    T = population.T
-    p = participations(rough, config.ell, T)
-    rngs = [bank.stream("p2", b) for b in range(1, T + 1)]
-    stage1 = run_3ss_stage1(population, config.ell, "uniform", p, rngs)
-    frame = run_3ss_followup(stage1, config.s_w)
-    z = {b: config.ell - int(frame.presence[:, b - 1].sum())
-         for b in range(1, T + 1)}
-    energy = _energy_3ss(frame, population, config, frame.ledger.total)
-    return Run3SSResult(j=None, z=z, frame=frame, ledger=frame.ledger,
-                        energy=energy)
+    """The balls-and-bins frame of the three-stage code (see run_bb)."""
+    return run_bb(resolve_3ss, population, rough, config, bank)

@@ -5,7 +5,7 @@ Stage 1 uses blocks of only sigma(T) = floor(T/2) slots (T even) or
 of increasing length, the rest beta-suffixes of increasing length, and for
 odd T the last type transmits beta in the first slot plus alpha in the last.
 For T = 2 and T = 3 the scheme coincides with the three-stage scheme, and
-the runners delegate there.
+resolve_2ss delegates there.
 
 Ambiguity left after stage 1 is resolved in stage 2: blocks colliding in
 every slot split the type set in half and re-run a stage-1 sub-block per
@@ -31,7 +31,6 @@ from itertools import product
 import numpy as np
 
 from .core import (
-    EnergyLedger,
     InconsistentOutcome,
     PopulationSpec,
     ProtocolConfig,
@@ -41,14 +40,12 @@ from .core import (
     bitmap_bp_slots,
     slot_outcomes,
 )
-from .homogeneous import participations
 from .three_stage import (
-    Frame3SS,
     Run3SSResult,
-    draw_blocks,
+    resolve_3ss,
     resolve_flagged,
-    run_3ss_bb,
-    run_3ss_trial,
+    run_bb,
+    run_trial,
     sym3_matrix,
 )
 
@@ -458,44 +455,30 @@ def class_codes(counts, axis=-1) -> np.ndarray:
     return codes
 
 
-def resolve_2ss(counts, axis=-1):
-    """(codes, table) of per-block counts of any shape, the types along
-    ``axis``, with the codes' table entries made available."""
-    codes = class_codes(counts, axis)
-    lut = resolver_lut(counts.shape[axis])
-    lut.ensure(codes.ravel())
-    return codes, lut
-
-
 def plan_slots(T, n_blocks, s_w) -> int:
     """Slots of the 2SS plan broadcast, two bits per block; none for T <= 3,
     where the scheme is the three-stage one."""
     return 0 if T <= 3 else bitmap_bp_slots(2 * n_blocks, s_w)
 
 
-@dataclass
-class Frame2SS:
-    presence: np.ndarray
-    extra_per_block: np.ndarray
-    ledger: SlotLedger
-    chosen: dict
-    codes: np.ndarray
-
-    first_absent = Frame3SS.first_absent
-
-
-def _run_2ss_frame(population, n_blocks, distribution, part, rngs, s_w):
-    T = population.T
-    counts, chosen = draw_blocks(population, n_blocks, distribution, part,
-                                 rngs)
-    codes, lut = resolve_2ss(counts)
-    presence, extra = lut.presence[codes], lut.extra[codes]
-    ledger = SlotLedger(
-        stage1=sigma_slots(T) * n_blocks,
-        stage2=int(extra.sum()),
-        bp=bitmap_bp_slots(n_blocks, s_w) + plan_slots(T, n_blocks, s_w))
-    return Frame2SS(presence=presence, extra_per_block=extra, ledger=ledger,
-                    chosen=chosen, codes=codes)
+def resolve_2ss(counts, s_w, energy=False):
+    """M frames of the two-stage code from their types-first
+    (T, M, n_blocks) block counts, as three_stage.resolve_3ss: (summed
+    ledger, plan-broadcast slots, and if ``energy`` the _energy_2ss
+    tables).  For T <= 3 the code is the three-stage one.  The tables
+    recover every type's presence exactly (they are checked against it code
+    by code when built), so only the follow-up cost is looked up."""
+    T, M, n_blocks = counts.shape
+    if T <= 3:
+        return resolve_3ss(counts, s_w, energy)
+    codes = class_codes(counts, axis=0)
+    lut = resolver_lut(T)
+    lut.ensure(codes.ravel())
+    plan = plan_slots(T, n_blocks, s_w)
+    bp = bitmap_bp_slots(n_blocks, s_w) + plan
+    ledger = SlotLedger(stage1=sigma_slots(T) * n_blocks * M,
+                        stage2=int(lut.extra[codes].sum()), bp=M * bp)
+    return ledger, M * plan, _energy_2ss(codes, T, bp) if energy else None
 
 
 @lru_cache(maxsize=None)
@@ -508,47 +491,23 @@ def _node_tx(T):
     return table
 
 
-def _energy_2ss(frame: Frame2SS, population, config, frame_total):
-    """Per-node radio accounting for one frame: a node sends its matrix
-    row's symbols and its block's follow-up transmissions, and everyone
-    listens to every broadcast."""
-    T = population.T
-    tx = _node_tx(T).take(np.concatenate(([3 ** T], frame.codes)), axis=1)
-    rx = np.full(tx.shape, float(frame.ledger.bp))
-    return EnergyLedger.per_block(frame.chosen, tx, rx, frame_total)
+def _energy_2ss(codes, T, bp):
+    """(tx, rx) of a node by type, frame and block, (T, M, n_blocks + 1),
+    from (M, n_blocks) block codes: a node sends its matrix row's symbols
+    and its block's follow-up transmissions, and every node hears the bp
+    broadcast slots.  Entry 0 is an idle node, which sends nothing."""
+    idle = np.full((len(codes), 1), 3 ** T)
+    tx = _node_tx(T).take(np.hstack((idle, codes)), axis=1)
+    return tx, np.full(tx.shape, float(bp))
 
 
 def run_2ss_trial(population: PopulationSpec, config: ProtocolConfig,
                   bank: RngBank, trial_index=0) -> Run3SSResult:
-    """Trial mode: t_T blocks, geometric block choice.  For T <= 3 the
-    scheme is the three-stage scheme and the runner delegates to it."""
-    T = population.T
-    if T <= 3:
-        return run_3ss_trial(population, config, bank, trial_index)
-    rngs = [bank.stream("p1", trial_index, b) for b in range(1, T + 1)]
-    frame = _run_2ss_frame(population, config.t_T, "geometric", None, rngs,
-                           config.s_w)
-    j = {b: frame.first_absent(b) for b in range(1, T + 1)}
-    energy = _energy_2ss(frame, population, config, frame.ledger.total)
-    return Run3SSResult(j=j, z=None, frame=frame, ledger=frame.ledger,
-                        energy=energy,
-                        overhead=plan_slots(T, config.t_T, config.s_w))
+    """One trial-mode frame of the two-stage code (see run_trial)."""
+    return run_trial(resolve_2ss, population, config, bank, trial_index)
 
 
 def run_2ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
                bank: RngBank) -> Run3SSResult:
-    """Balls-and-bins mode: ell blocks, uniform choice, participation from
-    the rough estimates."""
-    T = population.T
-    if T <= 3:
-        return run_3ss_bb(population, rough, config, bank)
-    p = participations(rough, config.ell, T)
-    rngs = [bank.stream("p2", b) for b in range(1, T + 1)]
-    frame = _run_2ss_frame(population, config.ell, "uniform", p, rngs,
-                           config.s_w)
-    z = {b: config.ell - int(frame.presence[:, b - 1].sum())
-         for b in range(1, T + 1)}
-    energy = _energy_2ss(frame, population, config, frame.ledger.total)
-    return Run3SSResult(j=None, z=z, frame=frame, ledger=frame.ledger,
-                        energy=energy,
-                        overhead=plan_slots(T, config.ell, config.s_w))
+    """The balls-and-bins frame of the two-stage code (see run_bb)."""
+    return run_bb(resolve_2ss, population, rough, config, bank)

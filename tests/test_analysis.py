@@ -84,8 +84,8 @@ class TestQProbs:
         pop = PopulationSpec.fixed(n, n_all=(2000,) * 4)
         cfg = derive_config(0.03, 0.2, pop.n_all)
         qsum = sum(q_probs(n, n, cfg.ell, 4))
-        ks = [len(run_3ss_bb(pop, dict(enumerate(n, 1)), cfg,
-                             RngBank(seed)).frame.flagged)
+        ks = [run_3ss_bb(pop, dict(enumerate(n, 1)), cfg,
+                         RngBank(seed)).ledger.stage2
               for seed in range(30)]
         mean_k = np.mean(ks)
         se = np.std(ks, ddof=1) / math.sqrt(len(ks))
@@ -160,6 +160,12 @@ class TestThresholds:
             a, b = case2_condition_lhs(n1)
             for T in range(2, 9):
                 assert G1(T) * a + G2(T) * b < 6 * T - 4
+
+    @pytest.mark.parametrize("T", [2, 3, 8])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_n1_star_short_trial_has_no_bracket(self, T, ell):
+        with pytest.raises(NoBracket):
+            n1_star(T, ell)
 
     def test_n1_star_bracketed_by_zetas(self):
         for T in range(2, 9):

@@ -451,6 +451,10 @@ class TestCli:
         (["calibrate-ell", "--T", "3"], "unrecognized arguments: --T 3"),
         (["validate", "--include-overhead"],
          "unrecognized arguments: --include-overhead"),
+        # No flag is matched by a prefix of its name.
+        (["calibrate-ell", "--n", "5,5,5"],
+         "unrecognized arguments: --n 5,5,5"),
+        (["analyze", "--r", "5,5,5"], "unrecognized arguments: --r 5,5,5"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

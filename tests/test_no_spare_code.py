@@ -1,11 +1,12 @@
-"""Every module-level function and class in the package is used by the
-package itself or named by the benchmark; a second implementation that
-nothing runs fails here instead of lingering."""
+"""Every module-level function and class in the package, and every method
+of its classes, is used by the package itself or named by the benchmark; a
+second implementation that nothing runs fails here instead of lingering."""
 
 import ast
 import functools
 import os
 import re
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 SRC = os.path.join(ROOT, "src", "hetcount")
@@ -37,28 +38,46 @@ def _bench_text():
 
 
 def _names(node):
-    """Names loaded and attributes read anywhere in ``node``."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+    """Occurrences of each name loaded and attribute read in ``node``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _methods(node):
+    """Non-dunder methods of a class statement."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [m for m in node.body if isinstance(m, ast.FunctionDef)
+            and not (m.name.startswith("__") and m.name.endswith("__"))]
 
 
 @functools.cache
 def spare_definitions():
     """(module, name) of every module-level def or class that no other
-    top-level statement of the package uses and the benchmark does not
-    name."""
+    top-level statement of the package uses, and (module, "Class.method")
+    of every method that the package reads nowhere outside the method
+    itself; either only when the benchmark does not name it."""
     statements = [(module, node, _names(node))
                   for module, tree in _modules() for node in tree.body]
+    reads = sum((names for _m, _node, names in statements), Counter())
     bench = _bench_text()
+
+    def named(name):
+        return re.search(rf"\b{re.escape(name)}\b", bench)
+
     spare = []
     for module, node, _own in statements:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         used = any(node.name in names
                    for _m, other, names in statements if other is not node)
-        if not used and not re.search(rf"\b{re.escape(node.name)}\b", bench):
+        if not used and not named(node.name):
             spare.append((module, node.name))
+        for method in _methods(node):
+            if (reads[method.name] == _names(method)[method.name]
+                    and not named(method.name)):
+                spare.append((module, f"{node.name}.{method.name}"))
     return spare
 
 

@@ -1,6 +1,8 @@
 """Three-stage block code: stage-1 outcomes, decoding, follow-up
 resolution, ledgers, and energy accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,10 +17,14 @@ from hetcount.core import (
     bitmap_bp_slots,
     derive_config,
 )
-from hetcount.homogeneous import bb_trial, participation_probability
+from hetcount.homogeneous import (
+    bb_trial,
+    first_empty,
+    participation_probability,
+    participations,
+)
 from hetcount.three_stage import (
     Stage1Result3SS,
-    _energy_3ss,
     outcomes_3ss,
     run_3ss_bb,
     run_3ss_followup,
@@ -189,8 +195,8 @@ class TestFollowup:
     def test_first_absent(self):
         stage1 = _stage1_from_counts([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
         frame = run_3ss_followup(stage1, s_w=6)
-        assert frame.first_absent(1) == 1
-        assert frame.first_absent(2) == 2
+        assert first_empty(frame.presence[:, 0]) == 1
+        assert first_empty(frame.presence[:, 1]) == 2
         assert frame.presence.tolist() == [[False, True, False],
                                            [True, False, False],
                                            [False, False, False]]
@@ -208,7 +214,7 @@ class TestTrialMode:
         cfg = derive_config(0.03, 0.2, pop.n_all)
         for seed in range(40):
             res = run_3ss_trial(pop, cfg, RngBank(seed))
-            if res.frame.stage1.chosen[2][0] == 1:
+            if res.counts[1, 0] == 1:
                 assert res.j == {1: 1, 2: 2, 3: 1}
                 return
         pytest.fail("no seed put the lone node in block 1")
@@ -218,8 +224,10 @@ class TestTrialMode:
         cfg = derive_config(0.03, 0.2, pop.n_all)
         for seed in range(10):
             res = run_3ss_trial(pop, cfg, RngBank(seed))
-            truth = res.frame.stage1.counts > 0
-            assert (res.frame.presence == truth).all()
+            frame = run_3ss_followup(_stage1_from_counts(res.counts.T),
+                                     cfg.s_w)
+            assert (frame.presence == (res.counts.T > 0)).all()
+            assert res.ledger == frame.ledger
             for b in (1, 2, 3):
                 assert (res.energy.idle(b) >= 0).all()
                 assert np.allclose(res.energy.accounted[b], res.ledger.total)
@@ -253,9 +261,10 @@ class TestBBMode:
         cfg = derive_config(0.03, 0.2, pop.n_all)
         res = run_3ss_bb(pop, {1: 2000, 2: 1000, 3: 3000}, cfg, RngBank(4))
         assert res.ledger.stage1 == 2 * cfg.ell
-        assert (res.frame.presence == (res.frame.stage1.counts > 0)).all()
-        assert res.ledger.stage2 == len(res.frame.flagged)
-        assert res.ledger.stage3 == 2 * len(res.frame.r_list)
+        frame = run_3ss_followup(_stage1_from_counts(res.counts.T), cfg.s_w)
+        assert (frame.presence == (res.counts.T > 0)).all()
+        assert res.ledger.stage2 == len(frame.flagged)
+        assert res.ledger.stage3 == 2 * len(frame.r_list)
 
 
 def _followup_loop(stage1, s_w):
@@ -341,22 +350,33 @@ class TestFollowupMatchesLoop:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.integers(1, 60),
-           st.sampled_from(["geometric", "uniform"]), st.integers(1, 8),
-           st.data())
-    def test_energy_equals_loop(self, seed, T, n_blocks, distribution, s_w,
-                                data):
+           st.sampled_from(["trial", "bb"]), st.integers(1, 8), st.data())
+    def test_energy_equals_loop(self, seed, T, n_blocks, mode, s_w, data):
+        """The runners' per-node energy equals the reference loop run on
+        the stage-1 frame drawn from the same generators."""
         n = data.draw(st.lists(st.integers(0, 30), min_size=T, max_size=T))
-        part = data.draw(st.lists(st.floats(0, 1), min_size=T, max_size=T))
+        rough = data.draw(st.lists(st.integers(0, 200), min_size=T,
+                                   max_size=T))
         pop = PopulationSpec.fixed(n, n_all=(64,) * T)
-        cfg = derive_config(0.03, 0.2, pop.n_all, s_w=s_w)
-        rngs = [np.random.default_rng([seed, b]) for b in range(T)]
-        stage1 = run_3ss_stage1(pop, n_blocks, distribution, part, rngs)
+        cfg = dataclasses.replace(
+            derive_config(0.03, 0.2, pop.n_all, s_w=s_w, ell=n_blocks),
+            t_T=n_blocks)
+        bank = RngBank(seed)
+        if mode == "trial":
+            res = run_3ss_trial(pop, cfg, bank, trial_index=2)
+            stage1 = run_3ss_stage1(
+                pop, n_blocks, "geometric", None,
+                [bank.stream("p1", 2, b) for b in range(1, T + 1)])
+        else:
+            res = run_3ss_bb(pop, rough, cfg, bank)
+            stage1 = run_3ss_stage1(
+                pop, n_blocks, "uniform", participations(rough, n_blocks, T),
+                [bank.stream("p2", b) for b in range(1, T + 1)])
         assert _is_int_list(stage1.flagged)
         frame = run_3ss_followup(stage1, s_w)
-        energy = _energy_3ss(frame, pop, cfg, frame.ledger.total)
         ref = _energy_loop(frame, pop, cfg, frame.ledger.total)
         for field in ("tx", "rx", "accounted"):
-            got, want = getattr(energy, field), getattr(ref, field)
+            got, want = getattr(res.energy, field), getattr(ref, field)
             assert sorted(got) == sorted(want) == list(range(1, T + 1))
             for b in want:
                 assert got[b].dtype == want[b].dtype

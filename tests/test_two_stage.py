@@ -1,6 +1,7 @@
 """Two-stage block code: symbol matrix, decoding, recursive resolution,
 and parity with the three-stage scheme at small T."""
 
+import dataclasses
 import tracemalloc
 from itertools import product
 
@@ -15,21 +16,22 @@ from hetcount.core import (
     PopulationSpec,
     RngBank,
     SlotOutcome,
+    bitmap_bp_slots,
     derive_config,
 )
-from hetcount.three_stage import run_3ss_trial, sym3_matrix
+from hetcount.homogeneous import participations
+from hetcount.three_stage import run_3ss_stage1, run_3ss_trial, sym3_matrix
 from hetcount.two_stage import (
     ABSENT,
     AMBIGUOUS,
     MAX_TABLE_T,
     PRESENT,
-    _energy_2ss,
     _row_symbols,
-    _run_2ss_frame,
     build_sym2_matrix,
     class_codes,
     decode_block_2ss,
     eta,
+    plan_slots,
     resolve_block_2ss,
     resolver_lut,
     run_2ss_bb,
@@ -237,14 +239,12 @@ class TestRunners:
         cfg = derive_config(0.03, 0.2, pop.n_all)
         for seed in range(10):
             res = run_2ss_trial(pop, cfg, RngBank(seed))
-            counts = np.zeros((cfg.t_T, 5), dtype=np.int64)
-            for b in range(1, 6):
-                blocks = res.frame.chosen[b]
-                counts[:, b - 1] = np.bincount(blocks,
-                                               minlength=cfg.t_T + 1)[1:]
-            assert (res.frame.presence == (counts > 0)).all()
+            assert res.counts.sum(axis=1).tolist() == list(pop.n)
+            codes = class_codes(res.counts, axis=0)
+            lut = resolver_lut(5)
+            assert (lut.presence[codes] == (res.counts > 0).T).all()
             assert res.ledger.stage1 == sigma_slots(5) * cfg.t_T
-            assert res.ledger.stage2 == int(res.frame.extra_per_block.sum())
+            assert res.ledger.stage2 == int(lut.extra[codes].sum())
             for b in range(1, 6):
                 assert (res.energy.idle(b) >= 0).all()
                 assert np.allclose(res.energy.energy(b, cfg),
@@ -271,7 +271,7 @@ class TestRunners:
         assert means[0] < means[1] < means[2]
 
 
-def _energy_2ss_loop(frame, population, config, frame_total):
+def _energy_2ss_loop(chosen, codes, bp, population, frame_total):
     """Reference energy accounting, type by type: a participating node
     sends its matrix row's symbols plus its block's follow-up
     transmissions, and every node hears every broadcast."""
@@ -280,14 +280,14 @@ def _energy_2ss_loop(frame, population, config, frame_total):
     lut = resolver_lut(T)
     energy = EnergyLedger(T)
     for b in range(1, T + 1):
-        blocks = frame.chosen[b]
+        blocks = chosen[b]
         part = (blocks > 0).astype(float)
         extra_tx = np.zeros(blocks.shape)
         active = blocks > 0
         if active.any():
-            extra_tx[active] = lut.tx[frame.codes[blocks[active] - 1], b - 1]
+            extra_tx[active] = lut.tx[codes[blocks[active] - 1], b - 1]
         energy.tx[b] = part * int(row_symbols[b - 1]) + part * extra_tx
-        energy.rx[b] = np.full(blocks.shape, float(frame.ledger.bp))
+        energy.rx[b] = np.full(blocks.shape, float(bp))
         energy.accounted[b] = np.full(blocks.shape, float(frame_total))
     return energy
 
@@ -295,20 +295,37 @@ def _energy_2ss_loop(frame, population, config, frame_total):
 class TestEnergy:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 8), st.integers(1, 60),
-           st.sampled_from(["geometric", "uniform"]), st.integers(1, 8),
-           st.data())
-    def test_energy_equals_loop(self, seed, T, n_blocks, distribution, s_w,
-                                data):
+           st.sampled_from(["trial", "bb"]), st.integers(1, 8), st.data())
+    def test_energy_equals_loop(self, seed, T, n_blocks, mode, s_w, data):
+        """The runners' per-node energy equals the reference loop run on
+        the stage-1 frame drawn from the same generators."""
         n = data.draw(st.lists(st.integers(0, 30), min_size=T, max_size=T))
-        part = data.draw(st.lists(st.floats(0, 1), min_size=T, max_size=T))
+        rough = data.draw(st.lists(st.integers(0, 200), min_size=T,
+                                   max_size=T))
         pop = PopulationSpec.fixed(n, n_all=(64,) * T)
-        cfg = derive_config(0.03, 0.2, pop.n_all, s_w=s_w)
-        rngs = [np.random.default_rng([seed, b]) for b in range(T)]
-        frame = _run_2ss_frame(pop, n_blocks, distribution, part, rngs, s_w)
-        energy = _energy_2ss(frame, pop, cfg, frame.ledger.total)
-        ref = _energy_2ss_loop(frame, pop, cfg, frame.ledger.total)
+        cfg = dataclasses.replace(
+            derive_config(0.03, 0.2, pop.n_all, s_w=s_w, ell=n_blocks),
+            t_T=n_blocks)
+        bank = RngBank(seed)
+        if mode == "trial":
+            res = run_2ss_trial(pop, cfg, bank, trial_index=2)
+            stage1 = run_3ss_stage1(
+                pop, n_blocks, "geometric", None,
+                [bank.stream("p1", 2, b) for b in range(1, T + 1)])
+        else:
+            res = run_2ss_bb(pop, rough, cfg, bank)
+            stage1 = run_3ss_stage1(
+                pop, n_blocks, "uniform", participations(rough, n_blocks, T),
+                [bank.stream("p2", b) for b in range(1, T + 1)])
+        codes = class_codes(stage1.counts)
+        lut = resolver_lut(T)
+        lut.ensure(codes)
+        bp = bitmap_bp_slots(n_blocks, s_w) + plan_slots(T, n_blocks, s_w)
+        total = (sigma_slots(T) * n_blocks + int(lut.extra[codes].sum())
+                 + bp)
+        ref = _energy_2ss_loop(stage1.chosen, codes, bp, pop, total)
         for field in ("tx", "rx", "accounted"):
-            got, want = getattr(energy, field), getattr(ref, field)
+            got, want = getattr(res.energy, field), getattr(ref, field)
             assert sorted(got) == sorted(want) == list(range(1, T + 1))
             for b in want:
                 assert got[b].dtype == want[b].dtype
