@@ -13,7 +13,7 @@ import functools
 import sys
 
 from . import analysis, harness
-from .core import ELL_TABLE, UnknownAccuracyKey, derive_config
+from .core import ELL_TABLE, UnknownAccuracyKey
 from .harness import (
     ConfigError,
     ExperimentSpec,
@@ -92,9 +92,7 @@ def build_parser():
     sim.set_defaults(replicates=100)
 
     fig = add_parser("figure", help="published-figure preset")
-    fig.add_argument("name", choices=["fig7a", "fig7b", "fig8a", "fig8b",
-                                      "fig9a", "fig9b", "fig10", "fig11a",
-                                      "fig11b"])
+    fig.add_argument("name", choices=list(harness.PRESETS))
     _add_flags(fig, "replicates", "seed", "out", "include-overhead")
 
     zet = add_parser("zeta", help="threshold table")
@@ -169,13 +167,11 @@ def _check_types(parser, T, n):
         parser.error(f"--n gives {len(n)} types but T is {T}")
 
 
-def _check_config(parser, params):
-    """Fail on an epsilon or delta with no tabulated ell or m', or on a
-    setting the protocol config rejects (ell, m', s_w < 1, a cost < 0)."""
-    keys = ("ell", "m_prime", "s_w", "gamma_tau", "gamma_rho", "gamma_iota")
+def _check_config(parser, params, n_all=(2,)):
+    """The protocol config of ``params`` at ``n_all``, or a one-line error
+    for a setting that derive_config rejects."""
     try:
-        derive_config(params["epsilon"], params["delta"], (2,),
-                      **{k: params[k] for k in keys if k in params})
+        return harness.build_config(params, n_all)
     except UnknownAccuracyKey as exc:
         parser.error(exc.args[0])
     except ValueError as exc:
@@ -221,13 +217,11 @@ def main(argv=None):
         if args.rough is not None and len(args.rough) != T:
             parser.error(f"--rough gives {len(args.rough)} types but T is {T}")
         _check_population(parser, {"n": args.n, "rough": args.rough})
-        _check_config(parser, {"epsilon": args.eps, "delta": args.delta})
     if args.command == "validate":
         _check_types(parser, T, args.n)
         n = args.n or (1000,) * T
-        params = {"T": T, "epsilon": args.eps, "delta": args.delta,
-                  "n_all": _n_all(args.D, n), "ell": args.ell,
-                  "m_prime": args.m_prime}
+        params = {"epsilon": args.eps, "delta": args.delta, "ell": args.ell,
+                  "m_prime": args.m_prime, "n_all": _n_all(args.D, n)}
         _check_population(parser, dict(params, n=n))
         _check_config(parser, params)
         _check_tables(parser, T, [args.scheme])
@@ -278,20 +272,20 @@ def main(argv=None):
             parser.error(f"--t-min must be at least 2, got {args.t_min}")
         if args.ell < 1:
             parser.error(f"--ell must be at least 1, got {args.ell}")
-        rows = ["T,zeta1,zeta2,n1_star_over_ell\n"]
+        lines = ["T,zeta1,zeta2,n1_star_over_ell\n"]
         for T in range(args.t_min, args.t_max + 1):
             try:
-                star = analysis.n1_star(T, args.ell) / args.ell
+                rows = harness.threshold_rows([T], args.ell)
             except analysis.NoBracket:
                 parser.error(f"no n1* crossover at T = {T}, ell = {args.ell}")
-            z1 = analysis.zeta(T, 1)
-            z2 = analysis.zeta(T, 2)
-            rows.append(f"{T},{z1:.4f},{z2:.4f},{star:.4f}\n")
-        sys.stdout.write("".join(rows))
+            values = ",".join(f"{r.mean_slots:.4f}" for r in rows)
+            lines.append(f"{T},{values}\n")
+        sys.stdout.write("".join(lines))
     elif args.command == "analyze":
         n = args.n or (1000,) * T
         rough = args.rough or n
-        config = derive_config(args.eps, args.delta,
+        config = _check_config(parser, {"epsilon": args.eps,
+                                        "delta": args.delta},
                                tuple(max(x, 2) for x in n))
         ek, er = analysis.expected_K_R(n, rough, config.ell, T)
         lam = analysis.lambda_II(n, rough, config.ell, T, config.s_w)
@@ -307,6 +301,11 @@ def main(argv=None):
                 f"rx={comp['rx_slots']:.4f} idle={comp['idle_slots']:.4f} "
                 f"energy={comp['energy']:.4f}\n")
     elif args.command == "calibrate-ell":
+        if min(args.n_grid) < 0:
+            parser.error("node counts (--n-grid) must be >= 0")
+        # ell is what is calibrated, so epsilon need not be tabulated.
+        _check_config(parser, {"epsilon": args.eps, "delta": args.delta,
+                               "ell": 1})
         ell = calibrate_ell(args.eps, args.delta, args.n_grid,
                             replicates=args.replicates, seed=args.seed)
         table = ELL_TABLE.get(round(args.eps, 6))

@@ -156,7 +156,11 @@ def derive_config(epsilon, delta, n_all, s_w=6, ell=None, m_prime=None,
 
     Explicit ell / m_prime arguments override the tables (e.g. after a
     calibration run); otherwise unknown keys raise UnknownAccuracyKey.
+    epsilon and delta outside (0, 1) raise ValueError.
     """
+    for name, value in (("epsilon", epsilon), ("delta", delta)):
+        if not 0 < value < 1:
+            raise ValueError(f"{name} must be in (0, 1), got {value}")
     if ell is None:
         try:
             ell = ELL_TABLE[round(float(epsilon), 6)]

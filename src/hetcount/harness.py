@@ -11,33 +11,31 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .analysis import n1_star, zeta
 from .core import (
-    EstimateReport,
     PopulationSpec,
     RngBank,
     derive_config,
 )
 from .homogeneous import run_srcs
-from .hsrc import _finalize, run_baseline, run_hsrc, run_phase2
+from .hsrc import run_baseline, run_hsrc, run_phase2
 from .three_stage import run_3ss_bb
 from .two_stage import run_2ss_bb
 
-CSV_COLUMNS = ["sweep_var", "sweep_value", "scheme", "replicates",
-               "mean_slots", "se_slots", "stage1", "stage2", "stage3", "bp",
-               "acc_rate_min", "energy_mean_per_type"]
 
-
+# Parameters build_config passes on to derive_config besides epsilon and
+# delta.
+CONFIG_KEYS = ("s_w", "ell", "m_prime", "gamma_tau", "gamma_rho",
+               "gamma_iota")
 # Sweep variables run_experiment reads: "none", the per-type sweeps of
 # apply_sweep, and the scalar parameters of _build_population and
-# _build_config.
+# build_config.
 SWEEP_VARS = ("none", "rough1", "n2_value", "T", "D", "q", "n_all",
-              "epsilon", "delta", "s_w", "ell", "m_prime", "gamma_tau",
-              "gamma_rho", "gamma_iota")
+              "epsilon", "delta", *CONFIG_KEYS)
 
 
 class ConfigError(ValueError):
@@ -85,18 +83,22 @@ class ExperimentSpec:
 
 @dataclass
 class ResultRow:
+    """One CSV row; the fields, in order, are the columns."""
     sweep_var: str
     sweep_value: object
     scheme: str
     replicates: int
     mean_slots: float
-    se_slots: float
-    stage1: float
-    stage2: float
-    stage3: float
-    bp: float
-    acc_rate_min: float
+    se_slots: float = 0.0
+    stage1: float = 0.0
+    stage2: float = 0.0
+    stage3: float = 0.0
+    bp: float = 0.0
+    acc_rate_min: float = 0.0
     energy_mean_per_type: list = field(default_factory=list)
+
+
+CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def _rep_seed(seed, sweep_var, value, rep) -> int:
@@ -105,18 +107,6 @@ def _rep_seed(seed, sweep_var, value, rep) -> int:
         value = int(value)
     digest = hashlib.sha256(repr((seed, sweep_var, value, rep)).encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _phase2_only(kind, population, rough, config, bank) -> EstimateReport:
-    z, ledger, energy, overhead = run_phase2(
-        "TRepBB" if kind == "trepbb" else "SSBB",
-        run_2ss_bb if kind == "2ssbb" else run_3ss_bb,
-        population, rough, config, bank)
-    final, flags = _finalize(z, rough, config)
-    return EstimateReport(rough=dict(rough), final=final,
-                          phase2_method=kind.upper(), ledger=ledger,
-                          energy=energy, flags=flags, phase2_ledger=ledger,
-                          overhead_slots=overhead)
 
 
 SCHEMES = {
@@ -135,12 +125,12 @@ SCHEMES = {
         "3SS-repeated", pop, cfg, bank),
     "2ss-rep": lambda pop, cfg, bank, prm: run_baseline(
         "2SS-repeated", pop, cfg, bank),
-    "p2-3ssbb": lambda pop, cfg, bank, prm: _phase2_only(
-        "3ssbb", pop, prm["rough"], cfg, bank),
-    "p2-2ssbb": lambda pop, cfg, bank, prm: _phase2_only(
-        "2ssbb", pop, prm["rough"], cfg, bank),
-    "p2-trepbb": lambda pop, cfg, bank, prm: _phase2_only(
-        "trepbb", pop, prm["rough"], cfg, bank),
+    "p2-3ssbb": lambda pop, cfg, bank, prm: run_phase2(
+        "SSBB", run_3ss_bb, pop, prm["rough"], cfg, bank),
+    "p2-2ssbb": lambda pop, cfg, bank, prm: run_phase2(
+        "SSBB", run_2ss_bb, pop, prm["rough"], cfg, bank),
+    "p2-trepbb": lambda pop, cfg, bank, prm: run_phase2(
+        "TRepBB", None, pop, prm["rough"], cfg, bank),
 }
 
 
@@ -167,14 +157,12 @@ def _build_population(params, bank):
     return pop
 
 
-def _build_config(params, population):
-    return derive_config(
-        params["epsilon"], params.get("delta", 0.2), population.n_all,
-        s_w=params.get("s_w", 6), ell=params.get("ell"),
-        m_prime=params.get("m_prime"),
-        gamma_tau=params.get("gamma_tau", 1.0),
-        gamma_rho=params.get("gamma_rho", 1.0),
-        gamma_iota=params.get("gamma_iota", 1.0))
+def build_config(params, n_all):
+    """The ProtocolConfig of ``params`` at manufactured totals ``n_all``; a
+    parameter absent or None takes derive_config's default."""
+    return derive_config(params["epsilon"], params.get("delta", 0.2), n_all,
+                         **{k: params[k] for k in CONFIG_KEYS
+                            if params.get(k) is not None})
 
 
 def _with_rough(params):
@@ -192,7 +180,7 @@ def _replicate(prm, seed, share=False):
     """Bank, population and config of one replicate."""
     bank = RngBank(seed, share)
     population = _build_population(prm, bank)
-    return bank, population, _build_config(prm, population)
+    return bank, population, build_config(prm, population.n_all)
 
 
 def run_experiment(spec: ExperimentSpec):
@@ -223,7 +211,6 @@ def apply_sweep(params, sweep_var, value):
         rough = list(params["rough"])
         rough[0] = value
         params["rough"] = tuple(rough)
-        params["n"] = tuple(int(round(x)) for x in rough)
     elif sweep_var == "n2_value":
         n = list(params["n"])
         n[1] = value
@@ -238,8 +225,9 @@ def _run_cell(spec, prm, contexts, scheme, value) -> ResultRow:
     run = SCHEMES[scheme]
     totals = []
     stages = np.zeros(4)
-    acc_ok = None
-    energy_sums = None
+    T = contexts[0][1].T
+    acc_ok = np.zeros(T)
+    energy_sums = np.zeros(T)
     for bank, population, config in contexts:
         report = run(population, config, bank, prm)
         total = report.ledger.total if spec.include_overhead \
@@ -247,10 +235,6 @@ def _run_cell(spec, prm, contexts, scheme, value) -> ResultRow:
         totals.append(total)
         led = report.ledger
         stages += (led.stage1, led.stage2, led.stage3, led.bp)
-        T = population.T
-        if acc_ok is None:
-            acc_ok = np.zeros(T)
-            energy_sums = np.zeros(T)
         for b in range(1, T + 1):
             nb = population.n[b - 1]
             if abs(report.final[b] - nb) <= config.epsilon * nb:
@@ -260,33 +244,26 @@ def _run_cell(spec, prm, contexts, scheme, value) -> ResultRow:
     totals = np.asarray(totals, dtype=float)
     reps = spec.replicates
     se = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    has_energy = bool(np.any(energy_sums)) if energy_sums is not None else False
-    return ResultRow(
-        sweep_var=spec.sweep_var, sweep_value=value, scheme=scheme,
-        replicates=reps, mean_slots=float(totals.mean()), se_slots=se,
-        stage1=float(stages[0] / reps), stage2=float(stages[1] / reps),
-        stage3=float(stages[2] / reps), bp=float(stages[3] / reps),
-        acc_rate_min=float(acc_ok.min() / reps),
-        energy_mean_per_type=[float(x / reps) for x in energy_sums]
-        if has_energy else [])
+    energy = ([float(x / reps) for x in energy_sums] if np.any(energy_sums)
+              else [])
+    # The stage columns follow the ledger's stage order.
+    return ResultRow(spec.sweep_var, value, scheme, reps,
+                     float(totals.mean()), se, *map(float, stages / reps),
+                     float(acc_ok.min() / reps), energy)
 
 
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.6g}"
+    if isinstance(x, list):
+        return ";".join(_fmt(e) for e in x)
     return str(x)
 
 
 def format_csv(rows) -> str:
     """The CSV text of ``rows``, header included, as write_csv writes it."""
     lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        energy = ";".join(_fmt(e) for e in r.energy_mean_per_type)
-        lines.append(",".join([
-            r.sweep_var, _fmt(r.sweep_value), r.scheme, str(r.replicates),
-            _fmt(r.mean_slots), _fmt(r.se_slots), _fmt(r.stage1),
-            _fmt(r.stage2), _fmt(r.stage3), _fmt(r.bp), _fmt(r.acc_rate_min),
-            energy]))
+    lines += [",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -304,78 +281,58 @@ def threshold_rows(t_values, ell=3009, s_w=6):
     for T in t_values:
         for name, val in (("zeta1", zeta(T, 1)), ("zeta2", zeta(T, 2)),
                           ("n1_star_over_ell", n1_star(T, ell, s_w) / ell)):
-            rows.append(ResultRow(sweep_var="T", sweep_value=T, scheme=name,
-                                  replicates=0, mean_slots=val, se_slots=0.0,
-                                  stage1=0.0, stage2=0.0, stage3=0.0, bp=0.0,
-                                  acc_rate_min=0.0))
+            rows.append(ResultRow("T", T, name, 0, val))
     return rows
 
 
 def crossover_rows(ell_values, T=3, s_w=6):
-    rows = []
-    for ell in ell_values:
-        rows.append(ResultRow(sweep_var="ell", sweep_value=ell,
-                              scheme="n1_star_over_ell", replicates=0,
-                              mean_slots=n1_star(T, ell, s_w) / ell,
-                              se_slots=0.0, stage1=0.0, stage2=0.0,
-                              stage3=0.0, bp=0.0, acc_rate_min=0.0))
-    return rows
+    return [ResultRow("ell", ell, "n1_star_over_ell", 0,
+                      n1_star(T, ell, s_w) / ell) for ell in ell_values]
+
+
+_COMPOSITE = ("hsrc1-trepbb", "hsrc1-ssbb", "hsrc2-trepbb", "hsrc2-ssbb")
+_FULL = ("3ss-rep", "2ss-rep", "txsrcs", "hsrc1", "hsrc2")
+_TARGETS = {"epsilon": 0.03, "delta": 0.2}
+
+# Each published comparison at desk scale: (schemes, sweep variable, sweep
+# values, fixed parameters, default replicates), or the builder of the rows
+# of an analytical figure.
+PRESETS = {
+    "fig7a": (_COMPOSITE, "q", [round(0.1 * k, 1) for k in range(1, 10)],
+              dict(_TARGETS, T=4, D=1000, n_all=PRESET_N_ALL), 500),
+    "fig7b": (_COMPOSITE, "D", [100 * k for k in range(1, 11)],
+              dict(_TARGETS, T=4, q=0.8, n_all=PRESET_N_ALL), 500),
+    "fig8a": (PHASE2_ONLY, "n2_value", [500 * k for k in range(1, 7)],
+              dict(_TARGETS, T=4, n=(500,) * 4), 500),
+    "fig8b": (PHASE2_ONLY, "n2_value", [500 * k for k in range(1, 7)],
+              dict(_TARGETS, T=5, n=(500,) * 5), 500),
+    "fig9a": lambda: threshold_rows(range(2, 9)),
+    "fig9b": lambda: crossover_rows([6638, 3009, 1674, 1075]),
+    # Types 2 and 3 are rough-estimated at 2 ell, ell = 3009.
+    "fig10": (("p2-3ssbb",), "rough1", [1500, 4000],
+              dict(_TARGETS, T=3, rough=(1500, 2 * 3009, 2 * 3009)), 300),
+    "fig11a": (_FULL, "T", list(range(3, 9)),
+               dict(_TARGETS, D=100, q=0.15, n_all=PRESET_N_ALL), 500),
+    "fig11b": (_FULL, "epsilon", [0.02, 0.03, 0.04, 0.05],
+               dict(T=4, delta=0.2, D=100, q=0.15, n_all=PRESET_N_ALL), 500),
+}
 
 
 def figure_preset(name, replicates=None, seed=0, out=None,
                   include_overhead=False):
-    """Experiment specification (or precomputed rows, for the analytical
-    figures) reproducing one published comparison at desk scale."""
-    composite = ["hsrc1-trepbb", "hsrc1-ssbb", "hsrc2-trepbb", "hsrc2-ssbb"]
-    all_schemes = ["3ss-rep", "2ss-rep", "txsrcs", "hsrc1", "hsrc2"]
-    phase2 = ["p2-3ssbb", "p2-2ssbb", "p2-trepbb"]
-    n_all = PRESET_N_ALL
-    reps = replicates
-    if name == "fig7a":
-        spec = ExperimentSpec(composite, "q",
-                              [round(0.1 * k, 1) for k in range(1, 10)],
-                              {"T": 4, "epsilon": 0.03, "delta": 0.2,
-                               "D": 1000, "n_all": n_all}, reps or 500, seed,
-                              out, include_overhead)
-    elif name == "fig7b":
-        spec = ExperimentSpec(composite, "D",
-                              [100 * k for k in range(1, 11)],
-                              {"T": 4, "epsilon": 0.03, "delta": 0.2,
-                               "q": 0.8, "n_all": n_all}, reps or 500, seed,
-                              out, include_overhead)
-    elif name in ("fig8a", "fig8b"):
-        T = 4 if name == "fig8a" else 5
-        spec = ExperimentSpec(phase2, "n2_value",
-                              [500 * k for k in range(1, 7)],
-                              {"T": T, "epsilon": 0.03, "delta": 0.2,
-                               "n": (500,) * T}, reps or 500, seed,
-                              out, include_overhead)
-    elif name in ("fig9a", "fig9b"):
-        rows = (threshold_rows(range(2, 9)) if name == "fig9a"
-                else crossover_rows([6638, 3009, 1674, 1075]))
+    """The rows of one PRESETS entry; ``replicates`` defaults to the
+    preset's own count, and analytical figures ignore it."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown figure preset {name!r}")
+    if callable(PRESETS[name]):
+        rows = PRESETS[name]()
         if out:
             write_csv(out, rows)
         return rows
-    elif name == "fig10":
-        ell = 3009
-        spec = ExperimentSpec(["p2-3ssbb"], "rough1", [1500, 4000],
-                              {"T": 3, "epsilon": 0.03, "delta": 0.2,
-                               "rough": (1500, 2 * ell, 2 * ell)},
-                              reps or 300, seed, out, include_overhead)
-    elif name == "fig11a":
-        spec = ExperimentSpec(all_schemes, "T", list(range(3, 9)),
-                              {"epsilon": 0.03, "delta": 0.2, "D": 100,
-                               "q": 0.15, "n_all": n_all}, reps or 500, seed,
-                              out, include_overhead)
-    elif name == "fig11b":
-        spec = ExperimentSpec(all_schemes, "epsilon",
-                              [0.02, 0.03, 0.04, 0.05],
-                              {"T": 4, "delta": 0.2, "D": 100, "q": 0.15,
-                               "n_all": n_all},
-                              reps or 500, seed, out, include_overhead)
-    else:
-        raise ConfigError(f"unknown figure preset {name!r}")
-    return run_experiment(spec)
+    *experiment, default_reps = PRESETS[name]
+    return run_experiment(ExperimentSpec(
+        *experiment, default_reps if replicates is None else replicates,
+        seed, out, include_overhead))
 
 
 def validate_accuracy(scheme, populations, params, replicates, seed=0):

@@ -101,8 +101,11 @@ def srcs_final_estimate(z, ell, p) -> float:
 def srcs_estimate(z, ell, p):
     """(n_hat, busy) from z empty slots of ell at participation p.  When
     every slot was busy (z = 0) the log-ratio is undefined: n_hat then
-    pretends half a slot was empty so the log stays finite."""
+    pretends half a slot was empty so the log stays finite; at p = ell = 1
+    every node hits the one slot and n_hat is 1, the fewest that fill it."""
     if z == 0:
+        if p == ell:
+            return 1.0, True
         return math.log(1.0 / (2.0 * ell)) / math.log(1.0 - p / ell), True
     return srcs_final_estimate(z, ell, p), False
 
@@ -110,8 +113,8 @@ def srcs_estimate(z, ell, p):
 def run_srcs(n, config: ProtocolConfig, bank: RngBank, type_index=1):
     """Full two-phase run for one type.
 
-    Returns (rough, final, ledger, flagged) where flagged marks the
-    all-slots-busy fallback.  Phase-2 draws come from stream ("p2", b).
+    Returns (rough, final, ledger, flagged, phase-2 participation mask),
+    flagged marking the all-slots-busy fallback; phase 2 reads ("p2", b).
     """
     rough, phase1_slots = srcs_phase1(n, config, bank, type_index)
     p = participation_probability(config.ell, rough)

@@ -14,6 +14,8 @@ code's resolver on the (T, m_lof, t) counts of its trials.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .analysis import select_phase2
@@ -58,25 +60,28 @@ def _run_trepbb_phase2(population, rough, config, bank):
     return z, ledger, energy
 
 
-def run_phase2(method, bb_runner, population, rough, config, bank):
-    """Phase 2 as (z, ledger, energy, plan-broadcast slots): "TRepBB" runs
-    one balls-and-bins trial per type, "SSBB" one bb_runner execution."""
+def run_phase2(method, bb_runner, population, rough, config,
+               bank) -> EstimateReport:
+    """Phase 2 on the rough estimates: "TRepBB" runs one balls-and-bins
+    trial per type, "SSBB" one bb_runner execution.  Its report's ledger is
+    phase 2's and its overhead the plan broadcast."""
     if method == "TRepBB":
-        return (*_run_trepbb_phase2(population, rough, config, bank), 0)
-    if method == "SSBB":
+        z, ledger, energy = _run_trepbb_phase2(population, rough, config, bank)
+        plan = 0
+    elif method == "SSBB":
         res = bb_runner(population, rough, config, bank)
-        return res.z, res.ledger, res.energy, res.overhead
-    raise ValueError(f"unknown phase-2 method {method!r}")
-
-
-def _finalize(z, rough, config):
+        z, ledger, energy, plan = res.z, res.ledger, res.energy, res.overhead
+    else:
+        raise ValueError(f"unknown phase-2 method {method!r}")
     final, flags = {}, {}
     for b, zb in z.items():
         p = participation_probability(config.ell, rough[b])
         final[b], busy = srcs_estimate(zb, config.ell, p)
         if busy:
             flags[b] = "all_slots_busy"
-    return final, flags
+    return EstimateReport(rough=dict(rough), final=final, phase2_method=method,
+                          ledger=ledger, energy=energy, flags=flags,
+                          phase2_ledger=ledger, overhead_slots=plan)
 
 
 def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
@@ -104,17 +109,14 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
     else:
         method, zone = select_phase2(rough, config.ell, T, config.s_w)
 
-    z, phase2_ledger, p2_energy, p2_plan = run_phase2(
-        method, bb_runner, population, rough, config, bank)
-    energy.add(p2_energy)
+    phase2 = run_phase2(method, bb_runner, population, rough, config, bank)
+    energy.add(phase2.energy)
 
-    final, flags = _finalize(z, rough, config)
-    ledger = phase1_ledger + phase2_ledger + SlotLedger(bp=boundary)
-    return EstimateReport(rough=rough, final=final, phase2_method=method,
-                          phase2_zone=zone, ledger=ledger, energy=energy,
-                          flags=flags, phase1_ledger=phase1_ledger,
-                          phase2_ledger=phase2_ledger,
-                          overhead_slots=boundary + plan_overhead + p2_plan)
+    ledger = phase1_ledger + phase2.ledger + SlotLedger(bp=boundary)
+    return replace(phase2, rough=rough, phase2_zone=zone, ledger=ledger,
+                   energy=energy, phase1_ledger=phase1_ledger,
+                   overhead_slots=boundary + plan_overhead
+                   + phase2.overhead_slots)
 
 
 # Uniforms drawn at once per type by the repeated baselines: trials are
@@ -124,10 +126,10 @@ _REP_CHUNK = 1 << 20
 
 
 def _repeated_block_counts(population, t, M, bank):
-    """(M, t, T) per-trial per-block transmitter counts for the repeated
-    baselines, a view of types-first storage, drawn in row chunks from one
-    stream per type.  Successive draws from one generator continue its
-    sequence, so the counts equal those of a single (M, n_b) draw."""
+    """(T, M, t) per-type per-trial per-block transmitter counts for the
+    repeated baselines, drawn in row chunks from one stream per type.
+    Successive draws from one generator continue its sequence, so the
+    counts equal those of a single (M, n_b) draw."""
     T = population.T
     counts = np.zeros((T, M, t), dtype=np.int32)
     for b in range(1, T + 1):
@@ -143,7 +145,7 @@ def _repeated_block_counts(population, t, M, bank):
             idx += np.arange(-1, k * t - 1, t)[:, None]
             counts[b - 1, s:s + k] = np.bincount(
                 idx.ravel(), minlength=k * t).reshape(k, t)
-    return counts.transpose(1, 2, 0)
+    return counts
 
 
 _REPEATED = ("3SS-repeated", "2SS-repeated")
@@ -164,7 +166,7 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
     report = bank.take((scheme, population.n, config))
     if report is None:
         counts = _repeated_block_counts(population, config.t_T,
-                                        config.m_lof, bank).transpose(2, 0, 1)
+                                        config.m_lof, bank)
         report = _repeated_report(scheme, counts, config.s_w)
         if bank.share:
             other, = (s for s in _REPEATED if s != scheme)

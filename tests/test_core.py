@@ -105,6 +105,16 @@ class TestDeriveConfig:
         with pytest.raises(UnknownAccuracyKey):
             derive_config(0.03, 0.1, (1000,))
 
+    @pytest.mark.parametrize("epsilon, delta, bad", [
+        (0.0, 0.2, "epsilon"), (-0.1, 0.2, "epsilon"), (1.5, 0.2, "epsilon"),
+        (float("nan"), 0.2, "epsilon"), (0.03, 1.0, "delta"),
+        (0.03, 0.0, "delta")])
+    def test_accuracy_targets_outside_unit_interval(self, epsilon, delta,
+                                                    bad):
+        # Rejected before the tables are read and before any arithmetic.
+        with pytest.raises(ValueError, match=f"{bad} must be in \\(0, 1\\)"):
+            derive_config(epsilon, delta, (1000,), ell=100, m_prime=5)
+
     def test_overrides_accepted(self):
         cfg = derive_config(0.025, 0.1, (1000,), ell=500, m_prime=7)
         assert (cfg.ell, cfg.m_prime) == (500, 7)

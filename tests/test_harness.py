@@ -28,6 +28,7 @@ from hetcount.harness import (
     validate_accuracy,
     write_csv,
 )
+from hetcount.hsrc import run_hsrc
 
 
 def _small_spec(out=None):
@@ -85,6 +86,10 @@ class TestSpecValidation:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             figure_preset("fig99")
+
+    def test_preset_zero_replicates(self):
+        with pytest.raises(ConfigError, match="replicates"):
+            figure_preset("fig10", replicates=0)
 
 
 class TestRunExperiment:
@@ -223,6 +228,30 @@ class TestSchemeInvariants:
             assert report.energy.tx[b].shape == (n[b - 1],)
             assert (report.energy.idle(b) >= 0).all()
             assert (report.energy.accounted[b] <= led.total).all()
+
+
+class TestPhase2Schemes:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["HSRC1", "HSRC2"]),
+           st.sampled_from(["SSBB", "TRepBB"]), st.integers(2, 7),
+           st.integers(1, 64), st.data())
+    def test_p2_scheme_reproduces_hsrc_phase2(self, seed, variant, method, T,
+                                              ell, data):
+        """On run_hsrc's rough estimates and seed, the p2-* scheme of the
+        same code and method is run_hsrc's phase 2."""
+        n = data.draw(st.lists(st.integers(0, 200), min_size=T, max_size=T))
+        pop = PopulationSpec.fixed(n, n_all=(1 << 10,) * T)
+        cfg = derive_config(0.05, 0.2, pop.n_all, ell=ell)
+        full = run_hsrc(variant, pop, cfg, RngBank(seed),
+                        phase2_override=method)
+        scheme = ("p2-trepbb" if method == "TRepBB" else
+                  "p2-3ssbb" if variant == "HSRC1" else "p2-2ssbb")
+        alone = harness.SCHEMES[scheme](pop, cfg, RngBank(seed),
+                                        {"rough": full.rough})
+        assert alone.final == full.final
+        assert alone.flags == full.flags
+        assert alone.phase2_ledger == full.phase2_ledger
+        assert alone.phase2_method == full.phase2_method == method
 
 
 class TestPresets:
@@ -461,6 +490,26 @@ class TestCli:
         (["calibrate-ell", "--n", "5,5,5"],
          "unrecognized arguments: --n 5,5,5"),
         (["analyze", "--r", "5,5,5"], "unrecognized arguments: --r 5,5,5"),
+        # epsilon and delta lie in (0, 1), also where ell or m' is given.
+        (["simulate", "--n", "5,5,5", "--eps", "0", "--ell", "100"],
+         "epsilon must be in (0, 1), got 0.0"),
+        (["validate", "--eps", "0", "--ell", "100"],
+         "epsilon must be in (0, 1), got 0.0"),
+        (["simulate", "--n", "5,5,5", "--eps", "-0.1", "--ell", "100"],
+         "epsilon must be in (0, 1), got -0.1"),
+        (["simulate", "--n", "5,5,5", "--eps", "1.5", "--ell", "100"],
+         "epsilon must be in (0, 1), got 1.5"),
+        (["simulate", "--n", "5,5,5", "--delta", "1", "--m-prime", "5",
+          "--schemes", "3ss-rep"], "delta must be in (0, 1), got 1.0"),
+        (["simulate", "--n", "5,5,5", "--m-prime", "5", "--sweep-var",
+          "delta", "--sweep-values", "0.2,0"],
+         "delta must be in (0, 1), got 0.0"),
+        (["analyze", "--eps", "0"], "epsilon must be in (0, 1), got 0.0"),
+        (["calibrate-ell", "--n-grid", "-5"],
+         "node counts (--n-grid) must be >= 0"),
+        (["calibrate-ell", "--delta", "0.1"], "delta=0.1"),
+        (["calibrate-ell", "--eps", "0"],
+         "epsilon must be in (0, 1), got 0.0"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -178,6 +178,12 @@ class TestSrcsFinalEstimate:
         assert srcs_estimate(1, 100, 0.5) == (
             srcs_final_estimate(1, 100, 0.5), False)
 
+    def test_busy_fallback_single_certain_slot(self):
+        # One slot that every node joins: a busy slot means at least one
+        # node, and a free slot none.
+        assert srcs_estimate(0, 1, 1.0) == (1.0, True)
+        assert srcs_estimate(1, 1, 1.0) == (0.0, False)
+
     def test_participation_probability(self):
         assert participation_probability(100, 0) == 1.0
         assert participation_probability(100, 50) == 1.0

@@ -256,7 +256,7 @@ class TestSharedRepeatedTrials:
             tracemalloc.stop()
 
     def test_memo_is_one_report(self):
-        # One report of T = 8 estimates, not the (M, t, T) trials (181 760
+        # One report of T = 8 estimates, not the (T, M, t) trials (181 760
         # counts).
         assert 0 < self._kept_bytes(True, REPEATED[:1], False) <= 4096
 
@@ -273,7 +273,7 @@ class TestSharedRepeatedTrials:
 def _one_shot_block_counts(population, t, M, bank):
     """Reference: the whole (M, n_b) geometric draw at once, per type."""
     T = population.T
-    counts = np.zeros((M, t, T), dtype=np.int32)
+    counts = np.zeros((T, M, t), dtype=np.int32)
     for b in range(1, T + 1):
         nb = population.n[b - 1]
         if nb == 0:
@@ -281,7 +281,7 @@ def _one_shot_block_counts(population, t, M, bank):
         rng = bank.stream("rep", b)
         g = np.minimum(rng.geometric(0.5, size=(M, nb)), t)
         idx = (np.arange(M)[:, None] * t + (g - 1)).ravel()
-        counts[:, :, b - 1] = np.bincount(idx, minlength=M * t).reshape(M, t)
+        counts[b - 1] = np.bincount(idx, minlength=M * t).reshape(M, t)
     return counts
 
 
@@ -338,10 +338,9 @@ def _hsrc_by_frames(variant, population, config, bank, method):
     rough = {b: lof_estimate(js[b]) for b in js}
     boundary = bitmap_bp_slots(T * config.t_T, config.s_w)
     energy.charge_all(rx=boundary, accounted=boundary)
-    _z, _ledger, p2_energy, p2_plan = run_phase2(
-        method, bb_runner, population, rough, config, bank)
-    energy.add(p2_energy)
-    return rough, phase1, boundary + overhead + p2_plan, energy
+    phase2 = run_phase2(method, bb_runner, population, rough, config, bank)
+    energy.add(phase2.energy)
+    return rough, phase1, boundary + overhead + phase2.overhead_slots, energy
 
 
 class TestTrialEngineMatchesFrames:
