@@ -101,7 +101,7 @@ def build_parser():
     zet.add_argument("--ell", type=int, default=3009)
 
     ana = add_parser("analyze", help="closed-form tables")
-    _add_flags(ana, "T", "eps", "delta", "n")
+    _add_flags(ana, "T", "eps", "delta", "n", "ell", "m-prime")
     ana.add_argument("--rough", type=_parse_n)
 
     cal = add_parser("calibrate-ell", help="calibrate the trial length")
@@ -285,7 +285,8 @@ def main(argv=None):
         n = args.n or (1000,) * T
         rough = args.rough or n
         config = _check_config(parser, {"epsilon": args.eps,
-                                        "delta": args.delta},
+                                        "delta": args.delta, "ell": args.ell,
+                                        "m_prime": args.m_prime},
                                tuple(max(x, 2) for x in n))
         ek, er = analysis.expected_K_R(n, rough, config.ell, T)
         lam = analysis.lambda_II(n, rough, config.ell, T, config.s_w)

@@ -343,9 +343,10 @@ def _exponent_blocks(t):
     return blocks
 
 
-def _geometric_blocks(u, t):
+def _geometric_blocks(u, t, out=None):
     """Blocks min(Geometric(1/2), t) as int64 from uniforms u in [0, 1)
-    (any shape, float64, C-contiguous), which it overwrites.
+    (any shape, float64, C-contiguous), which it overwrites; written into
+    ``out`` (int64, u's shape) when given.
 
     numpy's ``Generator.geometric(0.5)`` takes one uniform U per variate and
     returns the least k >= 1 with U <= 1 - 2^-k; its partial sums are exact
@@ -353,11 +354,13 @@ def _geometric_blocks(u, t):
     which the exponent field of 1 - U gives directly.  So
     ``_geometric_blocks(rng.random(n), t)`` equals
     ``np.minimum(rng.geometric(0.5, size=n), t)`` value for value and leaves
-    rng in the same state.
+    rng in the same state.  1 - U lies in (0, 1], so every exponent is in
+    the table and ``mode="clip"`` changes no value; under the default
+    ``"raise"`` numpy would fill ``out`` through a temporary.
     """
     exponents = np.subtract(1.0, u, out=u).view(np.int64)
     exponents >>= 52
-    return _exponent_blocks(t).take(exponents)
+    return _exponent_blocks(t).take(exponents, out=out, mode="clip")
 
 
 def geometric_block_choices(rng, n, t):

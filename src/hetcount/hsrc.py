@@ -10,10 +10,19 @@ schemes repeated to standalone accuracy, and the two-phase homogeneous
 protocol run once per type.  Phase 1 runs as m' frames of
 ``three_stage.run_frames``; each repeated baseline is one call of its
 code's resolver on the (T, m_lof, t) counts of its trials.
+
+The repeated baselines draw their types' trials on up to min(T, CPUs)
+threads, where CPUs are those the process may run on (``taskset`` narrows
+them).  Each type is drawn by one thread from its own stream, so the counts
+are bit-identical to a one-thread draw.  The workers share one chunk budget
+of memory, and the draw stays on the calling thread when one chunk holds
+every type's trials.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -119,33 +128,80 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
                    + phase2.overhead_slots)
 
 
-# Uniforms drawn at once per type by the repeated baselines: trials are
-# drawn in chunks of max(1, _REP_CHUNK // n_b) rows, so memory stays flat in
-# m_lof x n_b.
+# Uniforms drawn at once by the repeated baselines, shared by the draw's
+# workers: each draws its trials in chunks of max(1, chunk // n_b) rows, so
+# memory stays flat in m_lof x n_b.
 _REP_CHUNK = 1 << 20
+# CPUs this process may run on; the repeated baselines draw their types on up
+# to min(T, _CPUS) threads.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
+@functools.cache
+def _rep_pool():
+    """Process-wide threads for the repeated baselines' draws, made on first
+    use: importing hetcount starts no thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=_CPUS,
+                              thread_name_prefix="hetcount-rep")
 
 
 def _repeated_block_counts(population, t, M, bank):
     """(T, M, t) per-type per-trial per-block transmitter counts for the
     repeated baselines, drawn in row chunks from one stream per type.
     Successive draws from one generator continue its sequence, so the
-    counts equal those of a single (M, n_b) draw."""
+    counts equal those of a single (M, n_b) draw.
+
+    Where some type needs more than one chunk, the types are dealt
+    round-robin to min(T, _CPUS) workers that draw on pool threads, each
+    into its own types' slices of the counts, one type after another, so
+    the counts do not depend on the scheduling.  The streams and every
+    worker's buffers are made here, on the calling thread: traced functions
+    keep one span stack, and arrays freed on pool threads would linger in
+    per-thread malloc arenas."""
     T = population.T
     counts = np.zeros((T, M, t), dtype=np.int32)
-    for b in range(1, T + 1):
-        nb = population.n[b - 1]
-        if nb == 0:
-            continue
-        rng = bank.stream("rep", b)
-        rows = min(M, max(1, _REP_CHUNK // nb))
-        chunk = np.empty((rows, nb))
+    workers = (min(T, _CPUS) if M * max(population.n, default=0) > _REP_CHUNK
+               else 1)
+    chunk = _REP_CHUNK // workers
+    groups = []
+    for first in range(1, workers + 1):
+        jobs = []
+        for b in range(first, T + 1, workers):
+            nb = population.n[b - 1]
+            if nb:
+                jobs.append((counts[b - 1], bank.stream("rep", b), nb,
+                             min(M, max(1, chunk // nb))))
+        if jobs:
+            size = max(nb * rows for _out, _rng, nb, rows in jobs)
+            groups.append((jobs, t, np.empty(size),
+                           np.empty(size, dtype=np.int64)))
+    if len(groups) > 1:
+        for future in [_rep_pool().submit(_draw_types, *group)
+                       for group in groups]:
+            future.result()
+    else:
+        for group in groups:
+            _draw_types(*group)
+    return counts
+
+
+def _draw_types(jobs, t, u, idx):
+    """Each job's (M, t) counts into its ``out``, chunk after chunk of
+    ``rows`` trials of ``nb`` nodes from its ``rng``, through the float64
+    buffer u and the int64 buffer idx."""
+    for out, rng, nb, rows in jobs:
+        M = len(out)
         for s in range(0, M, rows):
             k = min(rows, M - s)
-            idx = _geometric_blocks(rng.random(out=chunk[:k]), t)
-            idx += np.arange(-1, k * t - 1, t)[:, None]
-            counts[b - 1, s:s + k] = np.bincount(
-                idx.ravel(), minlength=k * t).reshape(k, t)
-    return counts
+            drawn = rng.random(out=u[:k * nb].reshape(k, nb))
+            blocks = _geometric_blocks(drawn, t,
+                                       out=idx[:k * nb].reshape(k, nb))
+            blocks += np.arange(-1, k * t - 1, t)[:, None]
+            out[s:s + k] = np.bincount(
+                blocks.ravel(), minlength=k * t).reshape(k, t)
 
 
 _REPEATED = ("3SS-repeated", "2SS-repeated")

@@ -274,13 +274,17 @@ class TestRngBank:
         src = os.path.dirname(os.path.dirname(hetcount.__file__))
         path = filter(None, [src, os.environ.get("PYTHONPATH")])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        code = ("import sys, hetcount, hetcount.harness, hetcount.cli; "
-                "print('numpy.random' in sys.modules)")
+        # Nor the repeated baselines' thread pool: no concurrent.futures and
+        # no thread but the main one.
+        code = ("import sys, threading, hetcount, hetcount.harness, "
+                "hetcount.cli; print('numpy.random' in sys.modules, "
+                "'concurrent.futures' in sys.modules, "
+                "threading.active_count())")
         done = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=env,
                               timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.split() == ["False", "False", "1"]
 
 
 class TestDrawHelpers:

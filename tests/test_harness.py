@@ -364,6 +364,13 @@ class TestCli:
         out = self._capture(["analyze", "--T", "3", "--n", "500,500,500"])
         assert "lambda_II=" in out and "phase2=" in out
 
+    def test_analyze_untabulated_eps_with_ell(self):
+        # The error for an untabulated epsilon says to pass ell; analyze
+        # takes it.
+        out = self._capture(["analyze", "--eps", "0.07", "--ell", "1400",
+                             "--n", "5,5,5"])
+        assert out.startswith("ell=1400 ")
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("T=3\nn=100,100,100\nreplicates=2\n")
@@ -510,6 +517,7 @@ class TestCli:
         (["calibrate-ell", "--delta", "0.1"], "delta=0.1"),
         (["calibrate-ell", "--eps", "0"],
          "epsilon must be in (0, 1), got 0.0"),
+        (["analyze", "--ell", "0"], "ell, m_prime, s_w, t_T must all be"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

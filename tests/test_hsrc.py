@@ -2,18 +2,22 @@
 override consistency, determinism, and ledgers."""
 
 import gc
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetcount import hsrc
+from hetcount import core, hsrc
 from hetcount.analysis import select_phase2
 from hetcount.core import (LOF_FACTOR, EnergyLedger, PopulationSpec, RngBank,
                            SlotLedger, SlotOutcome, bitmap_bp_slots,
                            derive_config)
+from hetcount.harness import figure_preset
 from hetcount.hsrc import (_repeated_block_counts, run_baseline, run_hsrc,
                            run_phase2)
 from hetcount.homogeneous import lof_estimate, t_repetitions_srcs
@@ -288,18 +292,40 @@ def _one_shot_block_counts(population, t, M, bank):
 class TestRepeatedBlockCounts:
     # Chunked draws of uniforms must reproduce numpy's one-shot geometric
     # draw exactly; this fails if a numpy release changes that algorithm.
-    @pytest.mark.parametrize("chunk, n, M, t", [
-        (1 << 20, (40, 7, 0), 13, 5),            # n_b far below the budget
-        (1 << 20, (1023, 0, 5), 1030, 6),        # 1025 rows per chunk
-        (1 << 20, (1 << 20, 1), 3, 20),          # n_b at the budget
-        (1 << 20, ((1 << 20) + 1, 2), 2, 1),     # n_b above it, t = 1
-        (100, (30, 250, 0), 11, 9),              # 3 rows + 2, and 1 row
-        (100, (30, 250, 7), 11, 1),              # small chunks at t = 1, 2
-        (100, (30, 250, 7), 11, 2),
-        (64, (100, 33, 5), 17, 20),              # 1 row per chunk, t = 20
+    # ``cpus`` sets the workers to min(T, cpus) wherever some type's trials
+    # span more than one chunk, so the pooled draw runs on any machine.  The
+    # first eight cases keep the ids they had without it.
+    @pytest.mark.parametrize("chunk, n, M, t, cpus", [
+        # n_b far below the budget: one chunk, drawn inline.
+        pytest.param(1 << 20, (40, 7, 0), 13, 5, 2, id="1048576-n0-13-5"),
+        # 1030 trials span chunks; types 1 and 3 on two of three workers.
+        pytest.param(1 << 20, (1023, 0, 5), 1030, 6, 3,
+                     id="1048576-n1-1030-6"),
+        # n_b at the budget, and above it at t = 1: one row per chunk.
+        pytest.param(1 << 20, (1 << 20, 1), 3, 20, 2, id="1048576-n2-3-20"),
+        pytest.param(1 << 20, ((1 << 20) + 1, 2), 2, 1, 2,
+                     id="1048576-n3-2-1"),
+        # 3 rows + 2, and 1 row, on one worker.
+        pytest.param(100, (30, 250, 0), 11, 9, 1, id="100-n4-11-9"),
+        # Small chunks at t = 1, 2.
+        pytest.param(100, (30, 250, 7), 11, 1, 3, id="100-n5-11-1"),
+        pytest.param(100, (30, 250, 7), 11, 2, 2, id="100-n6-11-2"),
+        # 1 row per chunk, t = 20.
+        pytest.param(64, (100, 33, 5), 17, 20, 2, id="64-n7-17-20"),
+        # T = 3 on 2 workers: two types on one, one on the other.
+        pytest.param(100, (40, 25, 9), 13, 4, 2, id="uneven-split"),
+        # A zero-count type beside a drawn one in a worker's group.
+        pytest.param(100, (40, 25, 0, 9), 13, 5, 2, id="zero-type-in-group"),
+        # One worker's types need 45 and 70 uniforms a chunk, the other's
+        # 40 and 45, each through its worker's one pair of buffers.
+        pytest.param(100, (3, 20, 70, 45), 15, 6, 2, id="mixed-n-in-group"),
+        # M * max(n_b) at the budget (inline) and one trial row above it.
+        pytest.param(100, (5, 4, 5), 20, 4, 3, id="at-budget"),
+        pytest.param(100, (5, 4, 5), 21, 4, 3, id="above-budget"),
     ])
-    def test_equals_one_shot_draw(self, chunk, n, M, t, monkeypatch):
+    def test_equals_one_shot_draw(self, chunk, n, M, t, cpus, monkeypatch):
         monkeypatch.setattr(hsrc, "_REP_CHUNK", chunk)
+        monkeypatch.setattr(hsrc, "_CPUS", cpus)
         pop = _pop(n, max(n))
         got = _repeated_block_counts(pop, t, M, RngBank(3))
         assert got.dtype == np.int32
@@ -317,6 +343,75 @@ class TestRepeatedBlockCounts:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestRepeatedDrawThreads:
+    """The pooled draw runs no stream derivation or traced draw on a pool
+    thread, and small draws never make the pool."""
+
+    def test_streams_and_draws_on_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(hsrc, "_REP_CHUNK", 1000)
+        pop = _pop((300, 200, 250), 1 << 20)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        monkeypatch.setattr(hsrc, "_CPUS", 1)
+        inline = {s: run_baseline(s, pop, cfg, RngBank(5)) for s in REPEATED}
+        monkeypatch.setattr(hsrc, "_CPUS", 2)
+
+        threads = {"stream": [], "draw": [], "worker": []}
+
+        def recorded(kind, fn):
+            def call(*args, **kwargs):
+                threads[kind].append(threading.get_ident())
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(RngBank, "stream",
+                            recorded("stream", RngBank.stream))
+        draw = core.geometric_block_choices
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("hetcount"):
+                for key, value in list(vars(module).items()):
+                    if value is draw:
+                        monkeypatch.setattr(module, key,
+                                            recorded("draw", draw))
+        monkeypatch.setattr(hsrc, "_draw_types",
+                            recorded("worker", hsrc._draw_types))
+        bank = RngBank(5, share=True)
+        reports = {s: run_baseline(s, pop, cfg, bank) for s in REPEATED}
+
+        caller = threading.get_ident()
+        assert len(threads["stream"]) == pop.T
+        assert set(threads["stream"] + threads["draw"]) == {caller}
+        assert len(threads["worker"]) == 2
+        assert caller not in threads["worker"]
+        for s in REPEATED:
+            assert reports[s].final == inline[s].final
+            assert reports[s].ledger == inline[s].ledger
+
+    def test_more_threads_than_cpus_under_fast_switching(self, monkeypatch):
+        # Six workers share the counts array, each writing its own types'
+        # slices; a lost or misplaced write shows against the one-shot draw.
+        monkeypatch.setattr(hsrc, "_REP_CHUNK", 600)
+        monkeypatch.setattr(hsrc, "_CPUS", 6)
+        pool = ThreadPoolExecutor(max_workers=6)
+        monkeypatch.setattr(hsrc, "_rep_pool", lambda: pool)
+        pop = _pop((90, 45, 0, 120, 7, 60), 120)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _repeated_block_counts(pop, 8, 200, RngBank(4))
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=True)
+        assert np.array_equal(got, _one_shot_block_counts(pop, 8, 200,
+                                                          RngBank(4)))
+
+    def test_fig11a_never_makes_the_pool(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("thread pool made")
+        monkeypatch.setattr(hsrc, "_rep_pool", no_pool)
+        monkeypatch.setattr(hsrc, "_CPUS", 8)
+        assert figure_preset("fig11a", replicates=1)
 
 
 def _hsrc_by_frames(variant, population, config, bank, method):
