@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import struct
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import NormalDist
@@ -282,16 +282,25 @@ class RngBank:
     is what lets different schemes replay identical draws for the same
     (type, purpose) role, which the estimator-equality tests rely on.
 
-    A key's seed words are derived once per bank and replayed after that:
-    every call still returns a fresh Generator at the start of the stream,
-    sharing no state with earlier ones.  The bank keeps about 0.25 KB per key.
-    A bank made with ``share=True`` also holds results that one scheme run
-    on it works out for another (``keep``) until that one takes them.
+    A key's stream is ``default_rng(SeedSequence(seed, spawn_key=words))``,
+    the words being the first four little-endian 32-bit words of the
+    SHA-256 of ``repr(key)``.  ``streams`` derives the seed words of every
+    key it has not seen before in one vectorised pass, which restates
+    SeedSequence bit for bit (the seed's share of it is worked out once per
+    bank), and replays them after that: every call still returns fresh
+    Generators at the start of their streams, sharing no state with earlier
+    ones.  The bank keeps about 0.25 KB per key.  A bank made with
+    ``share=True`` also holds results that one scheme run on it works out
+    for another (``keep``) until that one takes them.
     """
 
     def __init__(self, seed, share=False):
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self.share = share
+        self._mixed = None
         self._words = {}
         self._kept = {}
 
@@ -303,16 +312,111 @@ class RngBank:
         """The value kept under ``key``, released; None if there is none."""
         return self._kept.pop(key, None)
 
+    def streams(self, keys) -> list:
+        """One Generator per key tuple in ``keys``, in order."""
+        names = [repr(key) for key in keys]
+        new = [name for name in dict.fromkeys(names)
+               if name not in self._words]
+        if new:
+            self._derive(new)
+        replay = _replay_type()
+        generator, pcg64 = np.random.Generator, np.random.PCG64
+        return [generator(pcg64(replay(self._words[name])))
+                for name in names]
+
     def stream(self, *key) -> np.random.Generator:
-        name = repr(key)
-        words = self._words.get(name)
-        if words is None:
-            digest = hashlib.sha256(name.encode()).digest()
-            seq = np.random.SeedSequence(
-                entropy=self.seed, spawn_key=struct.unpack("<4I", digest[:16]))
-            words = self._words[name] = seq.generate_state(4, np.uint64)
-            words.flags.writeable = False
-        return np.random.Generator(np.random.PCG64(_replay_type()(words)))
+        return self.streams([key])[0]
+
+    def _derive(self, names):
+        """Seed words of the keys named ``names`` (distinct, new), in one
+        pass."""
+        if self._mixed is None:
+            self._mixed = _mixed_seed(self.seed)
+        digests = b"".join(hashlib.sha256(name.encode()).digest()[:16]
+                           for name in names)
+        words = _spawned_words(self._mixed, np.frombuffer(
+            digests, dtype="<u4").reshape(-1, 4))
+        words.flags.writeable = False
+        self._words.update(zip(names, words))
+
+
+# numpy's SeedSequence (pool size 4) in its own terms: hashmix, mix and the
+# constants of their 32-bit hashes.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+@functools.cache
+def _hash_constants(first, mult, n):
+    """The first n + 1 constants of a SeedSequence hash: its call k xors
+    with constant k and multiplies by constant k + 1."""
+    consts = [first]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _M32)
+    return tuple(consts)
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hashmix of 32-bit words, as Python ints or uint32
+    arrays, with its hash constants given."""
+    value = (value ^ xor) * mult & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (_MIX_L * x - _MIX_R * y) & _M32
+    return result ^ result >> 16
+
+
+def _mixed_seed(seed):
+    """What a SeedSequence with entropy ``seed`` and a four-word spawn key
+    has worked out before it reads the spawn key: (its uint32 pool, and the
+    (4, 4) xor and multiply constants of the spawn key's hashmix calls, by
+    spawn word and pool word).  The seed's words are padded with zeros to
+    the pool size; every hashmix call before the spawn key's, four per word,
+    takes the next hash constant."""
+    words = [seed >> 32 * i & _M32
+             for i in range(max(4, -(-seed.bit_length() // 32)))]
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 * len(words))
+    pairs = zip(consts, consts[1:])
+    pool = [_hashmix(w, *next(pairs)) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(pairs)))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(w, *next(pairs)))
+    return (np.array(pool, dtype=np.uint32),
+            *_hash_pairs(_INIT_A, _MULT_A, 4 * len(words), (4, 4)))
+
+
+@functools.cache
+def _hash_pairs(first, mult, start, shape):
+    """Read-only uint32 (xor, multiply) constants of the hashmix calls
+    start, start + 1, ... of a SeedSequence hash, laid out in ``shape``."""
+    size = math.prod(shape)
+    consts = np.array(_hash_constants(first, mult, start + size)[start:],
+                      dtype=np.uint32)
+    consts.flags.writeable = False
+    return consts[:-1].reshape(shape), consts[1:].reshape(shape)
+
+
+def _spawned_words(mixed, spawn):
+    """``generate_state(4, uint64)`` of the SeedSequences of one seed
+    (``mixed``, by _mixed_seed) and the (K, 4) uint32 spawn keys ``spawn``,
+    as (K, 4) uint64: each spawn word is mixed into every pool word, then
+    the pool is hashed out twice over as the eight state words."""
+    pool, xor, mult = mixed
+    hashed = _hashmix(spawn[:, :, None], xor, mult)
+    for word in range(4):
+        pool = _mix(pool, hashed[:, word])
+    xor, mult = _hash_pairs(_INIT_B, _MULT_B, 0, (8,))
+    state = _hashmix(np.concatenate((pool, pool), axis=1), xor, mult)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64,
+                                                              copy=False)
 
 
 @functools.cache
@@ -367,6 +471,48 @@ def geometric_block_choices(rng, n, t):
     """Block index per node: block i with probability 2^-i, the tail mass
     folded onto block t."""
     return _geometric_blocks(rng.random(n), t)
+
+
+# Nodes in one chunk of a trial draw: max(1, _TRIAL_CHUNK // n_b) trials, so
+# phase 1 at n_b = 2e5 draws one frame per chunk and its memory stays flat
+# in m' x n_b.
+_TRIAL_CHUNK = 1 << 18
+
+
+def draw_trials(rngs, nb, t, blocks=False):
+    """Trial-mode draws of nb nodes over t blocks, trial m from rngs[m]:
+    (the (M, t) int64 block counts, each node's 1-based block per trial as
+    (M, nb) bytes if ``blocks``, else None).  Trial m's nodes take their
+    blocks as ``geometric_block_choices(rngs[m], nb, t)`` would; chunks of
+    trials are counted by _count_chunk."""
+    M = len(rngs)
+    rows = max(1, min(M, _TRIAL_CHUNK // max(nb, 1)))
+    u = np.empty((rows, nb))
+    idx = np.empty((rows, nb), dtype=np.int64)
+    counts = np.empty((M, t), dtype=np.int64)
+    kept = np.empty((M, nb), dtype=np.min_scalar_type(t)) if blocks else None
+    for s in range(0, M, rows):
+        k = min(rows, M - s)
+        for row, rng in zip(u, rngs[s:s + k]):
+            rng.random(out=row)
+        _count_chunk(u[:k], t, idx[:k], counts[s:s + k],
+                     None if kept is None else kept[s:s + k])
+    return counts, kept
+
+
+def _count_chunk(u, t, idx, out, keep=None):
+    """Counts into ``out`` (k, t) of k trials' blocks min(Geometric(1/2), t),
+    from their nodes' uniforms u (k, n_b; overwritten), by one bincount over
+    the blocks offset by t per row (bin 0 stays empty and is dropped; row 0
+    needs no offset).  idx (int64, u's shape) holds the blocks, and
+    ``keep`` receives them 1-based if given."""
+    k = len(u)
+    blocks = _geometric_blocks(u, t, out=idx)
+    if keep is not None:
+        keep[...] = blocks
+    blocks[1:] += np.arange(t, k * t, t)[:, None]
+    out[...] = np.bincount(blocks.ravel(),
+                           minlength=k * t + 1)[1:].reshape(k, t)
 
 
 def uniform_block_choices(rng, n, ell, p):

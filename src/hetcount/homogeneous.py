@@ -4,7 +4,9 @@ Two protocols live here: the first-empty-slot ("lof") protocol, whose trials
 give rough order-of-magnitude estimates, and the two-phase protocol ("srcs")
 that refines a rough estimate with one balls-and-bins trial.  Running the
 two-phase protocol once per type is the naive baseline the heterogeneous
-schemes are measured against.
+schemes are measured against; it opens all its streams in one
+``RngBank.streams`` call, and each type's first-empty-slot trials are drawn
+by ``core.draw_trials``, the draw HSRC phase 1 reads too.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .core import (
     ProtocolConfig,
     RngBank,
     SlotLedger,
+    draw_trials,
     for_type,
-    geometric_block_choices,
     uniform_block_choices,
 )
 
@@ -68,12 +70,16 @@ def srcs_phase1(n, config: ProtocolConfig, bank: RngBank, type_index=1):
     cross-scheme randomness contract: the composite estimators draw their
     phase-1 block choices from the same streams.
     """
-    t = config.t_T
-    counts = np.stack([
-        np.bincount(geometric_block_choices(
-            bank.stream("p1", m, type_index), n, t), minlength=t + 1)[1:]
-        for m in range(config.m_prime)])
-    return lof_estimate(first_empty(counts)), config.m_prime * t
+    rngs = bank.streams([("p1", m, type_index)
+                         for m in range(config.m_prime)])
+    return lof_rough(rngs, n, config.t_T), config.m_prime * config.t_T
+
+
+def lof_rough(rngs, n, t):
+    """Rough estimate of n nodes from first-empty-slot trials over t slots,
+    trial m drawn from rngs[m] by core.draw_trials, the draw HSRC phase 1
+    reads its first-absent blocks from."""
+    return lof_estimate(first_empty(draw_trials(rngs, n, t)[0]))
 
 
 def bb_trial(n, ell, p, rng):
@@ -110,6 +116,16 @@ def srcs_estimate(z, ell, p):
     return srcs_final_estimate(z, ell, p), False
 
 
+def srcs_phase2(n, rough, config: ProtocolConfig, rng):
+    """Phase 2: one balls-and-bins trial from ``rng`` at the participation
+    the rough estimate sets.  Returns (final, flagged, participation mask),
+    flagged marking the all-slots-busy fallback."""
+    p = participation_probability(config.ell, rough)
+    z, mask = bb_trial(n, config.ell, p, rng)
+    final, flagged = srcs_estimate(z, config.ell, p)
+    return final, flagged, mask
+
+
 def run_srcs(n, config: ProtocolConfig, bank: RngBank, type_index=1):
     """Full two-phase run for one type.
 
@@ -117,28 +133,34 @@ def run_srcs(n, config: ProtocolConfig, bank: RngBank, type_index=1):
     flagged marking the all-slots-busy fallback; phase 2 reads ("p2", b).
     """
     rough, phase1_slots = srcs_phase1(n, config, bank, type_index)
-    p = participation_probability(config.ell, rough)
-    z, mask = bb_trial(n, config.ell, p, bank.stream("p2", type_index))
-    final, flagged = srcs_estimate(z, config.ell, p)
+    final, flagged, mask = srcs_phase2(n, rough, config,
+                                       bank.stream("p2", type_index))
     ledger = SlotLedger(stage1=phase1_slots, stage2=config.ell, bp=1)
     return rough, final, ledger, flagged, mask
 
 
 def t_repetitions_srcs(population: PopulationSpec, config: ProtocolConfig,
                        bank: RngBank) -> EstimateReport:
-    """Baseline: run the two-phase protocol separately for every type.
+    """Baseline: run the two-phase protocol separately for every type, all
+    its streams opened in one ``streams`` call.
 
     The single phase-boundary broadcast slot per execution (carrying the
     rough estimate so nodes can compute p) is tracked under bp and counted
     as overhead relative to the published totals.
     """
+    T, M = population.T, config.m_prime
+    rngs = bank.streams([("p1", m, b) for b in range(1, T + 1)
+                         for m in range(M)]
+                        + [("p2", b) for b in range(1, T + 1)])
     rough, final, flags = {}, {}, {}
+    lb = SlotLedger(stage1=M * config.t_T, stage2=config.ell, bp=1)
     ledger = SlotLedger()
     energy = EnergyLedger.zeros(population)
-    for b in range(1, population.T + 1):
+    for b in range(1, T + 1):
         nb = population.n[b - 1]
-        rb, fb, lb, flag, part = run_srcs(nb, config, bank, type_index=b)
-        rough[b], final[b] = rb, fb
+        rough[b] = lof_rough(rngs[(b - 1) * M:b * M], nb, config.t_T)
+        final[b], flag, part = srcs_phase2(nb, rough[b], config,
+                                           rngs[T * M + b - 1])
         if flag:
             flags[b] = "all_slots_busy"
         ledger += lb

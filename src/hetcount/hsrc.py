@@ -7,9 +7,13 @@ a phase-2 method (per-type balls-and-bins repetitions, or one multiplexed
 balls-and-bins execution of the block code), and produces final estimates
 from the per-type empty-slot counts.  The baselines are the block-coded
 schemes repeated to standalone accuracy, and the two-phase homogeneous
-protocol run once per type.  Phase 1 runs as m' frames of
-``three_stage.run_frames``; each repeated baseline is one call of its
-code's resolver on the (T, m_lof, t) counts of its trials.
+protocol run once per type.  Phase 1 opens its m'·T streams in one
+``RngBank.streams`` call, draws each type's m' trial frames in one
+``core.draw_trials`` call (TxSRCS's phase 1 reads the same draw, so the
+rough estimates agree by construction) and resolves them in one
+``three_stage.run_frames`` call; each repeated baseline is one call of its
+code's resolver on the (T, m_lof, t) counts of its trials, which are
+counted by the same chunk kernel as phase 1's.
 
 The repeated baselines draw their types' trials on up to min(T, CPUs)
 threads, where CPUs are those the process may run on (``taskset`` narrows
@@ -35,7 +39,7 @@ from .core import (
     ProtocolConfig,
     RngBank,
     SlotLedger,
-    _geometric_blocks,
+    _count_chunk,
     bitmap_bp_slots,
 )
 from .homogeneous import (
@@ -58,10 +62,11 @@ def _run_trepbb_phase2(population, rough, config, bank):
     z = {}
     ledger = SlotLedger(stage1=T * ell)
     energy = EnergyLedger(T)
-    for b in range(1, T + 1):
+    rngs = bank.streams([("p2", b) for b in range(1, T + 1)])
+    for b, rng in enumerate(rngs, 1):
         nb = population.n[b - 1]
         p = participation_probability(ell, rough[b])
-        z[b], mask = bb_trial(nb, ell, p, bank.stream("p2", b))
+        z[b], mask = bb_trial(nb, ell, p, rng)
         # A node is awake only during its own type's trial.
         energy.tx[b] = mask.astype(float)
         energy.rx[b] = np.zeros(nb)
@@ -166,13 +171,15 @@ def _repeated_block_counts(population, t, M, bank):
     workers = (min(T, _CPUS) if M * max(population.n, default=0) > _REP_CHUNK
                else 1)
     chunk = _REP_CHUNK // workers
+    drawn = [b for b, nb in enumerate(population.n, 1) if nb]
+    rngs = dict(zip(drawn, bank.streams([("rep", b) for b in drawn])))
     groups = []
     for first in range(1, workers + 1):
         jobs = []
         for b in range(first, T + 1, workers):
             nb = population.n[b - 1]
             if nb:
-                jobs.append((counts[b - 1], bank.stream("rep", b), nb,
+                jobs.append((counts[b - 1], rngs[b], nb,
                              min(M, max(1, chunk // nb))))
         if jobs:
             size = max(nb * rows for _out, _rng, nb, rows in jobs)
@@ -197,11 +204,7 @@ def _draw_types(jobs, t, u, idx):
         for s in range(0, M, rows):
             k = min(rows, M - s)
             drawn = rng.random(out=u[:k * nb].reshape(k, nb))
-            blocks = _geometric_blocks(drawn, t,
-                                       out=idx[:k * nb].reshape(k, nb))
-            blocks += np.arange(-1, k * t - 1, t)[:, None]
-            out[s:s + k] = np.bincount(
-                blocks.ravel(), minlength=k * t).reshape(k, t)
+            _count_chunk(drawn, t, idx[:k * nb].reshape(k, nb), out[s:s + k])
 
 
 _REPEATED = ("3SS-repeated", "2SS-repeated")

@@ -27,6 +27,7 @@ from .core import (
     SlotLedger,
     SlotOutcome,
     bitmap_bp_slots,
+    draw_trials,
     geometric_block_choices,
     slot_outcomes,
     uniform_block_choices,
@@ -183,31 +184,20 @@ def _energy_3ss(flagged, stage3, T, bp1):
     return tx, rx
 
 
-def run_frames(resolve, population: PopulationSpec, n_blocks, distribution,
-               participation, trial_rngs, s_w):
-    """M frames of one block code, frame m drawn by draw_blocks from
-    trial_rngs[m] and all resolved by ``resolve`` (resolve_3ss or
-    two_stage.resolve_2ss): (counts, ledger, plan-broadcast slots, energy),
-    with types-first (T, M, n_blocks) counts and the ledger and each node's
-    energy summed over the frames.  A node's blocks are kept as drawn, or in
-    one byte per frame over several frames, until its energy is summed."""
-    T, M = population.T, len(trial_rngs)
-    counts = np.empty((T, M, n_blocks), dtype=np.int64)
-    kept = np.int64 if M == 1 else np.min_scalar_type(n_blocks)
-    blocks = [[] for _ in range(T)]
-    for m, rngs in enumerate(trial_rngs):
-        counts[:, m], chosen = draw_blocks(population, n_blocks, distribution,
-                                           participation, rngs)
-        for b, node_blocks in enumerate(blocks, 1):
-            node_blocks.append(chosen[b].astype(kept, copy=False))
+def run_frames(resolve, counts, blocks, s_w):
+    """M frames of one block code resolved by ``resolve`` (resolve_3ss or
+    two_stage.resolve_2ss) from their types-first (T, M, n_blocks) counts
+    and each type's (M, n_b) 1-based block per node (0 = idle):
+    (ledger, plan-broadcast slots, energy), the ledger and each node's
+    energy summed over the frames."""
     ledger, overhead, (tx, rx) = resolve(counts, s_w, energy=True)
-    energy = EnergyLedger(T)
+    energy = EnergyLedger(len(blocks))
     for b, node_blocks in enumerate(blocks, 1):
         energy.tx[b] = _node_sums(tx[b - 1], node_blocks)
         energy.rx[b] = _node_sums(rx[b - 1], node_blocks)
-        energy.accounted[b] = np.full(population.n[b - 1],
+        energy.accounted[b] = np.full(node_blocks.shape[1],
                                       float(ledger.total))
-    return counts, ledger, overhead, energy
+    return ledger, overhead, energy
 
 
 def _node_sums(rows, blocks):
@@ -230,12 +220,20 @@ class Run3SSResult:
 
 def trial_frames(resolve, population: PopulationSpec, config: ProtocolConfig,
                  bank: RngBank, trials):
-    """run_frames over the trial-mode frames numbered ``trials``: t_T
-    blocks, geometric block choice, streams ("p1", trial, type)."""
-    rngs = [[bank.stream("p1", m, b) for b in range(1, population.T + 1)]
-            for m in trials]
-    return run_frames(resolve, population, config.t_T, "geometric", None,
-                      rngs, config.s_w)
+    """The trial-mode frames numbered ``trials`` (t_T blocks, geometric
+    block choice, streams ("p1", trial, type)), each type's drawn by
+    draw_trials and all resolved by run_frames: (counts, ledger,
+    plan-broadcast slots, energy), counts types-first (T, M, t_T)."""
+    T, M = population.T, len(trials)
+    rngs = bank.streams([("p1", m, b) for b in range(1, T + 1)
+                         for m in trials])
+    counts = np.empty((T, M, config.t_T), dtype=np.int64)
+    blocks = []
+    for b, nb in enumerate(population.n):
+        counts[b], node_blocks = draw_trials(rngs[b * M:(b + 1) * M], nb,
+                                             config.t_T, blocks=True)
+        blocks.append(node_blocks)
+    return (counts, *run_frames(resolve, counts, blocks, config.s_w))
 
 
 def run_trial(resolve, population, config, bank, trial_index):
@@ -252,13 +250,16 @@ def run_bb(resolve, population, rough, config, bank):
     blocks, uniform choice, participation p_b derived from the rough
     estimates (1-based dict or sequence)."""
     T = population.T
-    rngs = [bank.stream("p2", b) for b in range(1, T + 1)]
-    counts, ledger, overhead, energy = run_frames(
-        resolve, population, config.ell, "uniform",
-        participations(rough, config.ell, T), [rngs], config.s_w)
-    z = config.ell - np.count_nonzero(counts[:, 0], axis=1)
+    counts, chosen = draw_blocks(
+        population, config.ell, "uniform",
+        participations(rough, config.ell, T),
+        bank.streams([("p2", b) for b in range(1, T + 1)]))
+    ledger, overhead, energy = run_frames(
+        resolve, counts[:, None], [chosen[b][None] for b in chosen],
+        config.s_w)
+    z = config.ell - np.count_nonzero(counts, axis=1)
     return Run3SSResult(j=None, z=dict(enumerate(z.tolist(), 1)),
-                        counts=counts[:, 0], ledger=ledger, energy=energy,
+                        counts=counts, ledger=ledger, energy=energy,
                         overhead=overhead)
 
 

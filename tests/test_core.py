@@ -206,6 +206,12 @@ _STREAM_KEYS = st.one_of(
     st.tuples(st.just("rep"), st.integers(1, 12)),
     st.just(("pop",)))
 
+# Keys of ints, floats and strings, as names of any stream.
+_ANY_KEYS = st.one_of(_STREAM_KEYS, st.tuples(st.one_of(
+    st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=8)),
+    st.integers(0, 50)))
+
 
 class TestRngBank:
     def test_deterministic(self):
@@ -269,6 +275,33 @@ class TestRngBank:
         b = bank.stream("p1", 1.0, 2).random(5)
         assert not np.array_equal(a, b)
         assert np.array_equal(b, _derived_stream(7, ("p1", 1.0, 2)).random(5))
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 70), 1.5, 2.0, "7", None])
+    def test_rejects_bad_seed_at_construction(self, seed):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            RngBank(seed)
+
+    def test_numpy_integer_seed(self):
+        a = RngBank(np.uint64(2 ** 64 - 1)).stream("p2", 1).random(5)
+        b = RngBank(2 ** 64 - 1).stream("p2", 1).random(5)
+        assert np.array_equal(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 64]),
+                     st.integers(0, 2 ** 200)),
+           st.lists(_ANY_KEYS, min_size=1, max_size=100), st.data())
+    def test_property_batch_equals_seed_sequence(self, seed, keys, data):
+        # A first batch, then one with repeated keys and keys it already
+        # derived; seeds of more than four 32-bit words included.
+        bank = RngBank(seed)
+        again = data.draw(st.lists(st.sampled_from(keys), max_size=20))
+        for batch in (keys, again + data.draw(
+                st.lists(_ANY_KEYS, min_size=1, max_size=20)) + again):
+            got = bank.streams(batch)
+            assert len(got) == len(batch)
+            for rng, key in zip(got, batch):
+                assert (rng.bit_generator.state
+                        == _derived_stream(seed, key).bit_generator.state)
 
     def test_import_leaves_numpy_random_unloaded(self):
         src = os.path.dirname(os.path.dirname(hetcount.__file__))

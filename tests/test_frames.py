@@ -3,14 +3,17 @@ three_stage.run_frames and each code's resolver) against the reference
 decoders run on the same generators: the 3SS stage-1 and follow-up
 decoders, and the 2SS decoder tables. The per-node energy of each code is
 checked against its own reference loop in test_three_stage and
-test_two_stage."""
+test_two_stage. The batched trial draw (core.draw_trials) is checked
+against frames drawn one by one by draw_blocks."""
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetcount import core
 from hetcount.core import (
     PopulationSpec,
     RngBank,
@@ -18,16 +21,25 @@ from hetcount.core import (
     bitmap_bp_slots,
     derive_config,
 )
-from hetcount.homogeneous import first_empty, participations
+from hetcount.homogeneous import (
+    first_empty,
+    lof_estimate,
+    participations,
+    srcs_phase1,
+)
 from hetcount.three_stage import (
+    draw_blocks,
+    resolve_3ss,
     run_3ss_bb,
     run_3ss_followup,
     run_3ss_stage1,
     run_3ss_trial,
+    trial_frames,
 )
 from hetcount.two_stage import (
     class_codes,
     plan_slots,
+    resolve_2ss,
     resolver_lut,
     run_2ss_bb,
     run_2ss_trial,
@@ -100,3 +112,57 @@ class TestFrameMatchesReference:
                              for b in range(1, T + 1)}
         assert res.ledger == ledger
         assert res.overhead == plan
+
+
+def _frames_by_draw_blocks(resolve, population, config, bank, M):
+    """Trial-mode frames 0..M-1 drawn one at a time by draw_blocks and
+    resolved one at a time: (counts, ledger, per-node tx, per-node rx)."""
+    T = population.T
+    counts = np.empty((T, M, config.t_T), dtype=np.int64)
+    ledger = SlotLedger()
+    tx = {b: np.zeros(population.n[b - 1]) for b in range(1, T + 1)}
+    rx = {b: np.zeros(population.n[b - 1]) for b in range(1, T + 1)}
+    for m in range(M):
+        frame, chosen = draw_blocks(
+            population, config.t_T, "geometric", None,
+            [bank.stream("p1", m, b) for b in range(1, T + 1)])
+        counts[:, m] = frame
+        frame_ledger, _plan, (frame_tx, frame_rx) = resolve(
+            frame[:, None], config.s_w, energy=True)
+        ledger = ledger + frame_ledger
+        for b in tx:
+            tx[b] += frame_tx[b - 1, 0, chosen[b]]
+            rx[b] += frame_rx[b - 1, 0, chosen[b]]
+    return counts, ledger, tx, rx
+
+
+class TestBatchedTrialDraw:
+    """Each type's trial frames drawn in chunks by draw_trials equal the
+    frames drawn one by one; the chunk budget is cut to CHUNK nodes."""
+
+    CHUNK = 12
+
+    @pytest.mark.parametrize("resolve", [resolve_3ss, resolve_2ss])
+    @pytest.mark.parametrize("nb", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("M", ["one", "m_prime", "rows_plus_one"])
+    def test_equals_frames_drawn_one_by_one(self, resolve, nb, M,
+                                            monkeypatch):
+        monkeypatch.setattr(core, "_TRIAL_CHUNK", self.CHUNK)
+        M = {"one": 1, "m_prime": 10,
+             "rows_plus_one": max(1, self.CHUNK // max(nb, 1)) + 1}[M]
+        pop = PopulationSpec.fixed((nb, 3, 0, nb + 2), n_all=(64,) * 4)
+        cfg = dataclasses.replace(derive_config(0.03, 0.2, pop.n_all),
+                                  m_prime=M)
+        counts, ledger, plan, energy = trial_frames(
+            resolve, pop, cfg, RngBank(9), range(M))
+        want, want_ledger, tx, rx = _frames_by_draw_blocks(
+            resolve, pop, cfg, RngBank(9), M)
+        assert np.array_equal(counts, want)
+        assert np.array_equal(first_empty(counts), first_empty(want))
+        assert ledger == want_ledger
+        for b in tx:
+            assert np.array_equal(energy.tx[b], tx[b])
+            assert np.array_equal(energy.rx[b], rx[b])
+        # TxSRCS phase 1 reads the same draw for its first type.
+        rough, _slots = srcs_phase1(nb, cfg, RngBank(9))
+        assert rough == lof_estimate(first_empty(want[0]))

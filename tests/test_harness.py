@@ -165,12 +165,12 @@ class TestSharedReplicates:
         ["3ss-rep", "2ss-rep"], ["2ss-rep", "hsrc1", "3ss-rep"], ["3ss-rep"]])
     def test_repeated_trials_drawn_once(self, schemes, monkeypatch):
         opened = []
-        stream = RngBank.stream
+        streams = RngBank.streams
 
-        def counted(bank, *key):
-            opened.append((bank.seed, key))
-            return stream(bank, *key)
-        monkeypatch.setattr(RngBank, "stream", counted)
+        def counted(bank, keys):
+            opened.extend((bank.seed, key) for key in keys)
+            return streams(bank, keys)
+        monkeypatch.setattr(RngBank, "streams", counted)
         run_experiment(ExperimentSpec(
             schemes, "none", [0], {"T": 4, "epsilon": 0.03,
                                    "n": (20, 0, 30, 10), "n_all": 1 << 10},
@@ -178,6 +178,35 @@ class TestSharedReplicates:
         # Once per replicate and type with nodes.
         rep = [(seed, key) for seed, key in opened if key[0] == "rep"]
         assert len(rep) == len(set(rep)) == 3 * 3
+
+    def test_fig11a_derives_each_key_once_in_few_passes(self, monkeypatch):
+        # Every stream key is derived once per bank, and no scheme-run
+        # derives its keys in more than two passes.
+        names, run_passes, current = {}, [], []
+        derive = RngBank._derive
+
+        def spy(bank, new):
+            names.setdefault(id(bank), []).extend(new)
+            if current:
+                run_passes[-1] += 1
+            return derive(bank, new)
+        monkeypatch.setattr(RngBank, "_derive", spy)
+        for scheme, fn in list(harness.SCHEMES.items()):
+            def recorded(pop, cfg, bank, prm, fn=fn):
+                current.append(bank)
+                run_passes.append(0)
+                try:
+                    return fn(pop, cfg, bank, prm)
+                finally:
+                    current.pop()
+            monkeypatch.setitem(harness.SCHEMES, scheme, recorded)
+        figure_preset("fig11a", replicates=1)
+        assert len(run_passes) == 30 and max(run_passes) <= 2
+        assert len(names) == 6
+        for derived in names.values():
+            assert len(derived) == len(set(derived))
+        # At least the phase-1 keys: m' x T per bank, T = 3..8.
+        assert sum(map(len, names.values())) >= 10 * 33
 
     def test_schemes_share_populations(self, monkeypatch):
         seen = {}

@@ -365,8 +365,12 @@ class TestRepeatedDrawThreads:
                 return fn(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(RngBank, "stream",
-                            recorded("stream", RngBank.stream))
+        streams = RngBank.streams
+
+        def opened(bank, keys):
+            threads["stream"].extend(threading.get_ident() for _ in keys)
+            return streams(bank, keys)
+        monkeypatch.setattr(RngBank, "streams", opened)
         draw = core.geometric_block_choices
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("hetcount"):
