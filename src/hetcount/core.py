@@ -201,29 +201,52 @@ class SlotLedger:
 class EnergyLedger:
     """Per-node radio-state accounting, one record set per node type.
 
-    For each type b (1-based) we keep arrays over that type's active nodes:
-    transmit-slot counts, receive-slot counts, and the number of slots during
-    which the node was awake and accountable ("accounted").  Idle slots are
-    the difference.  For full-scheme runs accounted equals the frame total
-    for every node; the one exception is the repeated balls-and-bins
-    phase-2 baseline, where a node sleeps outside its own type's trial and
-    accounted equals that trial's length.
+    Each of the n[b - 1] active nodes of type b (1-based) has transmit
+    slots, receive slots, and slots during which it was awake and
+    accountable ("accounted"); idle slots are the difference.  For
+    full-scheme runs accounted equals the frame total for every node; the
+    one exception is the repeated balls-and-bins phase-2 baseline, where a
+    node sleeps outside its own type's trial and accounted equals that
+    trial's length.
+
+    ``sums`` holds each type's exact (tx, rx, accounted) slot sums over its
+    nodes, all that mean_energy reads.  The per-node arrays ``tx``, ``rx``
+    and ``accounted`` are built from the charges when read after a charge.
     """
 
-    def __init__(self, T):
-        self.tx = {b: np.zeros(0) for b in range(1, T + 1)}
-        self.rx = {b: np.zeros(0) for b in range(1, T + 1)}
-        self.accounted = {b: np.zeros(0) for b in range(1, T + 1)}
+    def __init__(self, T, n=None):
+        self.n = (0,) * T if n is None else tuple(n)
+        self.sums = np.zeros((T, 3))
+        self._charges = []
+        self._arrays = None
 
     @staticmethod
     def zeros(population: PopulationSpec) -> "EnergyLedger":
-        led = EnergyLedger(population.T)
-        for b in range(1, population.T + 1):
-            nb = population.n[b - 1]
-            led.tx[b] = np.zeros(nb)
-            led.rx[b] = np.zeros(nb)
-            led.accounted[b] = np.zeros(nb)
-        return led
+        return EnergyLedger(population.T, population.n)
+
+    tx = property(lambda self: self._per_node()[0])
+    rx = property(lambda self: self._per_node()[1])
+    accounted = property(lambda self: self._per_node()[2])
+
+    def _per_node(self):
+        if self._arrays is None:
+            self._arrays = tuple({b: np.zeros(nb)
+                                  for b, nb in enumerate(self.n, 1)}
+                                 for _ in range(3))
+            for b, *amounts in self._charges:
+                for arrays, a in zip(self._arrays, amounts):
+                    arrays[b] = arrays[b] + (a() if callable(a) else a)
+        return self._arrays
+
+    def charge(self, b, sums, tx=0.0, rx=0.0, accounted=0.0):
+        """Add per-node amounts to type b's nodes, each a number, an (n_b,)
+        array, or a function of no arguments returning one that is called
+        only if the per-node arrays are read; ``sums`` are the three
+        amounts summed over the nodes."""
+        self.sums[b - 1] += sums
+        self._charges.append((b, tx, rx, accounted))
+        self._arrays = None
+        return self
 
     def idle(self, b):
         return self.accounted[b] - self.tx[b] - self.rx[b]
@@ -233,22 +256,24 @@ class EnergyLedger:
                 + self.idle(b) * config.gamma_iota)
 
     def mean_energy(self, b, config: ProtocolConfig):
-        e = self.energy(b, config)
-        return float(e.mean()) if e.size else 0.0
+        """The mean of energy(b, config), from type b's sums alone."""
+        tx, rx, accounted = self.sums[b - 1].tolist()
+        nb = self.n[b - 1]
+        return ((tx * config.gamma_tau + rx * config.gamma_rho
+                 + (accounted - tx - rx) * config.gamma_iota) / nb
+                if nb else 0.0)
 
     def add(self, other: "EnergyLedger"):
-        for b in self.tx:
-            self.tx[b] = self.tx[b] + other.tx[b]
-            self.rx[b] = self.rx[b] + other.rx[b]
-            self.accounted[b] = self.accounted[b] + other.accounted[b]
+        self.sums += other.sums
+        self._charges += other._charges
+        self._arrays = None
         return self
 
     def charge_all(self, tx=0.0, rx=0.0, accounted=0.0):
         """Add the same per-node amounts to every node of every type."""
-        for b in self.tx:
-            self.tx[b] = self.tx[b] + tx
-            self.rx[b] = self.rx[b] + rx
-            self.accounted[b] = self.accounted[b] + accounted
+        for b, nb in enumerate(self.n, 1):
+            self.charge(b, (tx * nb, rx * nb, accounted * nb), tx, rx,
+                        accounted)
         return self
 
 

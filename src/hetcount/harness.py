@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -102,9 +103,9 @@ CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def _rep_seed(seed, sweep_var, value, rep) -> int:
-    # 3 and 3.0 name one cell, so they get one seed.
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
+    # 3, 3.0 and np.int64(3) name one cell, so they get one seed.
+    if isinstance(value, numbers.Real):
+        value = int(value) if float(value).is_integer() else float(value)
     digest = hashlib.sha256(repr((seed, sweep_var, value, rep)).encode()).digest()
     return int.from_bytes(digest[:8], "little")
 

@@ -167,9 +167,8 @@ def t_repetitions_srcs(population: PopulationSpec, config: ProtocolConfig,
         # Energy for this type's own execution: one tx per phase-1 trial,
         # one phase-2 tx if participating, one rx for the boundary
         # broadcast; nodes of other types sleep through it.
-        energy.tx[b] = energy.tx[b] + config.m_prime + part.astype(float)
-        energy.rx[b] = energy.rx[b] + 1.0
-        energy.accounted[b] = energy.accounted[b] + lb.total
+        energy.charge(b, (M * nb, nb, lb.total * nb), M, 1.0, lb.total)
+        energy.charge(b, (np.count_nonzero(part), 0, 0), part)
     return EstimateReport(rough=rough, final=final, phase2_method=None,
                           ledger=ledger, energy=energy, flags=flags,
                           overhead_slots=population.T)

@@ -61,16 +61,15 @@ def _run_trepbb_phase2(population, rough, config, bank):
     ell = config.ell
     z = {}
     ledger = SlotLedger(stage1=T * ell)
-    energy = EnergyLedger(T)
+    energy = EnergyLedger.zeros(population)
     rngs = bank.streams([("p2", b) for b in range(1, T + 1)])
     for b, rng in enumerate(rngs, 1):
         nb = population.n[b - 1]
         p = participation_probability(ell, rough[b])
         z[b], mask = bb_trial(nb, ell, p, rng)
         # A node is awake only during its own type's trial.
-        energy.tx[b] = mask.astype(float)
-        energy.rx[b] = np.zeros(nb)
-        energy.accounted[b] = np.full(nb, float(ell))
+        energy.charge(b, (np.count_nonzero(mask), 0, ell * nb), tx=mask,
+                      accounted=ell)
     return z, ledger, energy
 
 
@@ -111,8 +110,7 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
 
     counts, phase1_ledger, plan_overhead, energy = trial_frames(
         resolve, population, config, bank, range(config.m_prime))
-    rough = {b: lof_estimate(jb)
-             for b, jb in enumerate(first_empty(counts), 1)}
+    rough = _lof_estimates(counts)
 
     # Phase-boundary broadcast of the rough estimates, received by everyone.
     boundary = bitmap_bp_slots(T * config.t_T, config.s_w)
@@ -226,20 +224,25 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
     if report is None:
         counts = _repeated_block_counts(population, config.t_T,
                                         config.m_lof, bank)
-        report = _repeated_report(scheme, counts, config.s_w)
+        final = _lof_estimates(counts)
+        report = _repeated_report(scheme, counts, config.s_w, final)
         if bank.share:
             other, = (s for s in _REPEATED if s != scheme)
             bank.keep((other, population.n, config),
-                      _repeated_report(other, counts, config.s_w))
+                      _repeated_report(other, counts, config.s_w, final))
     return report
 
 
-def _repeated_report(scheme, counts, s_w):
+def _lof_estimates(counts):
+    """Each type's first-empty-slot estimate from its trials' types-first
+    (T, M, t) block counts."""
+    return {b: lof_estimate(jb) for b, jb in enumerate(first_empty(counts), 1)}
+
+
+def _repeated_report(scheme, counts, s_w, final):
     """Report of a repeated baseline on its trials' (T, M, t) counts."""
     resolve = resolve_2ss if scheme == _REPEATED[1] else resolve_3ss
     ledger, overhead, _ = resolve(counts, s_w)
-    final = {b: lof_estimate(jb)
-             for b, jb in enumerate(first_empty(counts), 1)}
-    return EstimateReport(rough=dict(final), final=final, phase2_method=None,
-                          ledger=ledger, energy=None,
+    return EstimateReport(rough=dict(final), final=dict(final),
+                          phase2_method=None, ledger=ledger, energy=None,
                           overhead_slots=overhead)

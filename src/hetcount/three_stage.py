@@ -15,7 +15,9 @@ empty-block counts z_b.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -189,14 +191,20 @@ def run_frames(resolve, counts, blocks, s_w):
     two_stage.resolve_2ss) from their types-first (T, M, n_blocks) counts
     and each type's (M, n_b) 1-based block per node (0 = idle):
     (ledger, plan-broadcast slots, energy), the ledger and each node's
-    energy summed over the frames."""
+    energy summed over the frames (its sums weigh each table entry by its
+    nodes, idle ones at entry 0)."""
     ledger, overhead, (tx, rx) = resolve(counts, s_w, energy=True)
-    energy = EnergyLedger(len(blocks))
+    n = np.array([node_blocks.shape[1] for node_blocks in blocks])
+    nodes = np.concatenate(
+        (n[:, None, None] - counts.sum(axis=2, keepdims=True), counts),
+        axis=2)
+    sums_tx, sums_rx = ((nodes * table).sum(axis=(1, 2)) for table in (tx, rx))
+    total = float(ledger.total)
+    energy = EnergyLedger(len(n), n.tolist())
     for b, node_blocks in enumerate(blocks, 1):
-        energy.tx[b] = _node_sums(tx[b - 1], node_blocks)
-        energy.rx[b] = _node_sums(rx[b - 1], node_blocks)
-        energy.accounted[b] = np.full(node_blocks.shape[1],
-                                      float(ledger.total))
+        energy.charge(b, (sums_tx[b - 1], sums_rx[b - 1], total * n[b - 1]),
+                      partial(_node_sums, tx[b - 1], node_blocks),
+                      partial(_node_sums, rx[b - 1], node_blocks), total)
     return ledger, overhead, energy
 
 
@@ -237,9 +245,10 @@ def trial_frames(resolve, population: PopulationSpec, config: ProtocolConfig,
 
 
 def run_trial(resolve, population, config, bank, trial_index):
-    """Trial frame ``trial_index`` of the code ``resolve`` decodes."""
+    """Trial frame ``trial_index`` (of any integer type) of the code
+    ``resolve`` decodes."""
     counts, ledger, overhead, energy = trial_frames(
-        resolve, population, config, bank, [trial_index])
+        resolve, population, config, bank, [operator.index(trial_index)])
     j = dict(enumerate(first_empty(counts[:, 0]).tolist(), 1))
     return Run3SSResult(j=j, z=None, counts=counts[:, 0], ledger=ledger,
                         energy=energy, overhead=overhead)

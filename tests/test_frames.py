@@ -114,6 +114,19 @@ class TestFrameMatchesReference:
         assert res.overhead == plan
 
 
+@pytest.mark.parametrize("code", sorted(RUNNERS))
+def test_numpy_integer_trial_index(code):
+    """A trial index typed as a numpy integer names the same frame."""
+    trial, _bb = RUNNERS[code]
+    pop = PopulationSpec.fixed((5, 9, 3, 7), n_all=(64,) * 4)
+    cfg = derive_config(0.03, 0.2, pop.n_all)
+    want = trial(pop, cfg, RngBank(3), trial_index=2)
+    for index in (np.int64(2), np.uint8(2)):
+        got = trial(pop, cfg, RngBank(3), trial_index=index)
+        assert np.array_equal(got.counts, want.counts)
+        assert got.j == want.j and got.ledger == want.ledger
+
+
 def _frames_by_draw_blocks(resolve, population, config, bank, M):
     """Trial-mode frames 0..M-1 drawn one at a time by draw_blocks and
     resolved one at a time: (counts, ledger, per-node tx, per-node rx)."""

@@ -1,6 +1,7 @@
 """Experiment driver, presets, CSV emission, accuracy validation,
 trial-length calibration, and the CLI."""
 
+import dataclasses
 import hashlib
 import io
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import hetcount
 from hetcount import cli, harness
-from hetcount.core import PopulationSpec, RngBank, derive_config
+from hetcount.core import EnergyLedger, PopulationSpec, RngBank, derive_config
 from hetcount.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -234,6 +235,18 @@ class TestSharedReplicates:
                                            "q": 0.3}, replicates=2, seed=4)))
         assert run(50) == run(50.0)
 
+    def test_numpy_sweep_value_same_seed(self):
+        assert _rep_seed(0, "T", 3, 1) == _rep_seed(0, "T", np.int64(3), 1)
+        assert _rep_seed(0, "q", 0.5, 0) == _rep_seed(0, "q", np.float64(0.5),
+                                                      0)
+
+        def run(value):
+            return harness.format_csv(run_experiment(ExperimentSpec(
+                ["hsrc1"], "T", [value], {"epsilon": 0.03, "D": 100,
+                                          "q": 0.15, "n_all": 1 << 20},
+                replicates=3, seed=0)))
+        assert run(np.int64(3)) == run(3)
+
 
 class TestSchemeInvariants:
     @settings(max_examples=120, deadline=None)
@@ -257,6 +270,57 @@ class TestSchemeInvariants:
             assert report.energy.tx[b].shape == (n[b - 1],)
             assert (report.energy.idle(b) >= 0).all()
             assert (report.energy.accounted[b] <= led.total).all()
+
+
+# Schemes whose reports carry no energy ledger.
+NO_ENERGY = ("3ss-rep", "2ss-rep")
+GAMMAS = ("gamma_tau", "gamma_rho", "gamma_iota")
+
+
+class TestEnergySums:
+    """mean_energy reads each type's sums; the per-node arrays it no longer
+    needs are built from the same charges when read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(set(harness.SCHEMES) - set(NO_ENERGY))),
+           st.integers(0, 2 ** 32), st.integers(1, 64),
+           st.lists(st.integers(0, 40), min_size=2, max_size=5),
+           st.tuples(*[st.integers(0, 5)] * 3),
+           st.tuples(*[st.floats(0, 10)] * 3))
+    def test_mean_energy_equals_per_node_mean(self, scheme, seed, ell, n,
+                                              whole, real):
+        """On a random small population (a short ell sets participation
+        below 1, so bb frames have idle nodes): mean_energy equals the mean
+        of the per-node energy exactly at integer costs and to rounding at
+        real ones, and the sums are those of the per-node arrays."""
+        pop = PopulationSpec.fixed(n, n_all=(1024,) * len(n))
+        prm = {"rough": dict(enumerate(n, 1))}
+        cfg = derive_config(0.05, 0.2, pop.n_all, ell=ell)
+        energy = harness.SCHEMES[scheme](pop, cfg, RngBank(seed), prm).energy
+        costs = [(dataclasses.replace(cfg, **dict(zip(GAMMAS, gammas))),
+                  exact) for gammas, exact in ((whole, True), (real, False))]
+        # Every mean is taken before the per-node arrays are first read.
+        means = [[energy.mean_energy(b, c) for b in range(1, pop.T + 1)]
+                 for c, _exact in costs]
+        for b in range(1, pop.T + 1):
+            arrays = (energy.tx[b], energy.rx[b], energy.accounted[b])
+            assert energy.sums[b - 1].tolist() == [a.sum() for a in arrays]
+            for (c, exact), mean in zip(costs, means):
+                per_node = energy.energy(b, c)
+                want = per_node.mean() if per_node.size else 0.0
+                assert mean[b - 1] == (
+                    want if exact else pytest.approx(want, rel=1e-12))
+
+    def test_harness_never_builds_per_node_arrays(self, monkeypatch):
+        def no_arrays(ledger):
+            raise AssertionError("per-node energy arrays built")
+        monkeypatch.setattr(EnergyLedger, "_per_node", no_arrays)
+        assert figure_preset("fig11a", replicates=1)
+        rows = run_experiment(ExperimentSpec(
+            ["hsrc1", "hsrc2", "txsrcs", "p2-3ssbb", "p2-2ssbb", "p2-trepbb"],
+            "n2_value", [30], {"epsilon": 0.05, "ell": 16,
+                               "n": (20, 30, 40, 50)}, replicates=2))
+        assert all(row.energy_mean_per_type for row in rows)
 
 
 class TestPhase2Schemes:

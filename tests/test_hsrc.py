@@ -542,7 +542,9 @@ class TestRepeatedReportMatchesFormula:
     def test_report_equals_formula(self, seed, T, M, t, s_w, load, scheme):
         counts = np.random.default_rng(seed).poisson(
             load, size=(M, t, T)).astype(np.int32)
-        rep = hsrc._repeated_report(scheme, counts.transpose(2, 0, 1), s_w)
+        counts_tf = counts.transpose(2, 0, 1)
+        rep = hsrc._repeated_report(scheme, counts_tf, s_w,
+                                    hsrc._lof_estimates(counts_tf))
         final, ledger, overhead = _repeated_report_by_formula(scheme, counts,
                                                               s_w)
         assert rep.final == rep.rough == final
