@@ -303,39 +303,45 @@ class RngBank:
     """Named, independently seedable random streams.
 
     Streams are addressed by an arbitrary key tuple; the same (seed, key)
-    always yields the same stream, and distinct keys are independent.  This
-    is what lets different schemes replay identical draws for the same
-    (type, purpose) role, which the estimator-equality tests rely on.
+    always yields the same stream, and distinct keys are independent.  So
+    schemes replay identical draws for one (type, purpose) role, which the
+    estimator-equality tests rely on, and a draw can be made again instead
+    of kept: phase 1 is drawn once per replicate, as block counts for all
+    its readers, and its node blocks again only when a per-node array is
+    read.
 
     A key's stream is ``default_rng(SeedSequence(seed, spawn_key=words))``,
     the words being the first four little-endian 32-bit words of the
     SHA-256 of ``repr(key)``.  ``streams`` derives the seed words of every
-    key it has not seen before in one vectorised pass, which restates
-    SeedSequence bit for bit (the seed's share of it is worked out once per
-    bank), and replays them after that: every call still returns fresh
-    Generators at the start of their streams, sharing no state with earlier
-    ones.  The bank keeps about 0.25 KB per key.  A bank made with
-    ``share=True`` also holds results that one scheme run on it works out
-    for another (``keep``) until that one takes them.
+    key it has not seen before in one pass (from three keys on, by a
+    vectorised SeedSequence whose seed share is worked out once per bank)
+    and replays them after that: every call returns fresh Generators at
+    the start of their streams.  The bank keeps about 0.25 KB per key.
+    ``readers`` counts, per purpose, the scheme runs that read one result
+    ("p1": the phase-1 counts, "rep": the repeated trials); see ``shared``.
     """
 
-    def __init__(self, seed, share=False):
+    def __init__(self, seed, readers=None):
         if not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(
                 f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
-        self.share = share
-        self._mixed = None
+        self.readers = readers or {}
         self._words = {}
         self._kept = {}
 
-    def keep(self, key, value):
-        """Hold ``value`` for one later ``take(key)``."""
-        self._kept[key] = value
+    def shared(self, key, make):
+        """``make()``, made once for the ``readers[key[0]]`` reads of ``key``
+        and held until the last; made at every read below two readers."""
+        readers = self.readers.get(key[0], 1)
+        if readers < 2:
+            return make()
+        value, left = self._kept.pop(key, None) or (make(), readers)
+        if left > 1:
+            self._kept[key] = value, left - 1
+        return value
 
-    def take(self, key):
-        """The value kept under ``key``, released; None if there is none."""
-        return self._kept.pop(key, None)
+    _mixed = functools.cached_property(lambda self: _mixed_seed(self.seed))
 
     def streams(self, keys) -> list:
         """One Generator per key tuple in ``keys``, in order."""
@@ -354,13 +360,14 @@ class RngBank:
 
     def _derive(self, names):
         """Seed words of the keys named ``names`` (distinct, new), in one
-        pass."""
-        if self._mixed is None:
-            self._mixed = _mixed_seed(self.seed)
+        pass; numpy's own SeedSequence is the faster for one or two."""
         digests = b"".join(hashlib.sha256(name.encode()).digest()[:16]
                            for name in names)
-        words = _spawned_words(self._mixed, np.frombuffer(
-            digests, dtype="<u4").reshape(-1, 4))
+        spawn = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
+        words = (_spawned_words(self._mixed, spawn) if len(names) > 2 else
+                 np.array([np.random.SeedSequence(self.seed, spawn_key=key)
+                           .generate_state(4, np.uint64)
+                           for key in spawn.tolist()]))
         words.flags.writeable = False
         self._words.update(zip(names, words))
 
@@ -504,37 +511,30 @@ def geometric_block_choices(rng, n, t):
 _TRIAL_CHUNK = 1 << 18
 
 
-def draw_trials(rngs, nb, t, blocks=False):
+def draw_trials(rngs, nb, t, out):
     """Trial-mode draws of nb nodes over t blocks, trial m from rngs[m]:
-    (the (M, t) int64 block counts, each node's 1-based block per trial as
-    (M, nb) bytes if ``blocks``, else None).  Trial m's nodes take their
-    blocks as ``geometric_block_choices(rngs[m], nb, t)`` would; chunks of
-    trials are counted by _count_chunk."""
+    the (M, t) block counts, written into ``out`` and returned.  Trial m's
+    nodes take their blocks as ``geometric_block_choices(rngs[m], nb, t)``
+    would; chunks of trials are counted by _count_chunk."""
     M = len(rngs)
     rows = max(1, min(M, _TRIAL_CHUNK // max(nb, 1)))
     u = np.empty((rows, nb))
     idx = np.empty((rows, nb), dtype=np.int64)
-    counts = np.empty((M, t), dtype=np.int64)
-    kept = np.empty((M, nb), dtype=np.min_scalar_type(t)) if blocks else None
     for s in range(0, M, rows):
         k = min(rows, M - s)
         for row, rng in zip(u, rngs[s:s + k]):
             rng.random(out=row)
-        _count_chunk(u[:k], t, idx[:k], counts[s:s + k],
-                     None if kept is None else kept[s:s + k])
-    return counts, kept
+        _count_chunk(u[:k], t, idx[:k], out[s:s + k])
+    return out
 
 
-def _count_chunk(u, t, idx, out, keep=None):
+def _count_chunk(u, t, idx, out):
     """Counts into ``out`` (k, t) of k trials' blocks min(Geometric(1/2), t),
     from their nodes' uniforms u (k, n_b; overwritten), by one bincount over
     the blocks offset by t per row (bin 0 stays empty and is dropped; row 0
-    needs no offset).  idx (int64, u's shape) holds the blocks, and
-    ``keep`` receives them 1-based if given."""
+    needs no offset).  idx (int64, u's shape) holds the blocks."""
     k = len(u)
     blocks = _geometric_blocks(u, t, out=idx)
-    if keep is not None:
-        keep[...] = blocks
     blocks[1:] += np.arange(t, k * t, t)[:, None]
     out[...] = np.bincount(blocks.ravel(),
                            minlength=k * t + 1)[1:].reshape(k, t)

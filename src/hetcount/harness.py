@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -70,6 +71,8 @@ class ExperimentSpec:
             raise ConfigError("replicates must be >= 1")
         if not self.sweep_values:
             raise ConfigError("sweep range is empty")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ConfigError("a scheme is listed twice")
         if self.sweep_var not in SWEEP_VARS:
             raise ConfigError(f"unknown sweep variable {self.sweep_var!r}")
         for s in self.schemes:
@@ -133,6 +136,10 @@ SCHEMES = {
     "p2-trepbb": lambda pop, cfg, bank, prm: run_phase2(
         "TRepBB", None, pop, prm["rough"], cfg, bank),
 }
+# The result each scheme reads that its replicate's bank may hold for other
+# schemes too (RngBank.shared): the repeated baselines' trials, else phase 1.
+READS = {s: "rep" if s.endswith("-rep") else "p1" for s in SCHEMES
+         if s not in PHASE2_ONLY}
 
 
 def default_n_all(D, n):
@@ -177,26 +184,25 @@ def _with_rough(params):
     return params
 
 
-def _replicate(prm, seed, share=False):
+def _replicate(prm, seed, readers=None):
     """Bank, population and config of one replicate."""
-    bank = RngBank(seed, share)
+    bank = RngBank(seed, readers)
     population = _build_population(prm, bank)
     return bank, population, build_config(prm, population.n_all)
 
 
 def run_experiment(spec: ExperimentSpec):
     rows = []
-    share = {"3ss-rep", "2ss-rep"} <= set(spec.schemes)
+    readers = Counter(READS[s] for s in spec.schemes if s in READS)
     for value in spec.sweep_values:
         prm = _with_rough(apply_sweep(dict(spec.fixed), spec.sweep_var,
                                       value))
         # Every scheme runs the same replicates, so one bank per replicate
-        # derives each stream once for all of them.  Cells still run one
-        # after another, each over its replicates in order.  The repeated
-        # baselines read the same trials; when the spec runs both, the
-        # first of them to run reports for the other as well.
+        # derives each stream once, and draws a result several schemes read
+        # (READS) once, for all of them.  Cells still run one after another,
+        # each over its replicates in order.
         contexts = [_replicate(prm, _rep_seed(spec.seed, spec.sweep_var,
-                                              value, rep), share)
+                                              value, rep), readers)
                     for rep in range(spec.replicates)]
         for scheme in spec.schemes:
             rows.append(_run_cell(spec, prm, contexts, scheme, value))

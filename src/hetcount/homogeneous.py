@@ -4,9 +4,8 @@ Two protocols live here: the first-empty-slot ("lof") protocol, whose trials
 give rough order-of-magnitude estimates, and the two-phase protocol ("srcs")
 that refines a rough estimate with one balls-and-bins trial.  Running the
 two-phase protocol once per type is the naive baseline the heterogeneous
-schemes are measured against; it opens all its streams in one
-``RngBank.streams`` call, and each type's first-empty-slot trials are drawn
-by ``core.draw_trials``, the draw HSRC phase 1 reads too.
+schemes are measured against; its phase 1 reads ``trial_counts``, one
+draw per replicate that HSRC phase 1 reads too.
 """
 
 from __future__ import annotations
@@ -70,16 +69,37 @@ def srcs_phase1(n, config: ProtocolConfig, bank: RngBank, type_index=1):
     cross-scheme randomness contract: the composite estimators draw their
     phase-1 block choices from the same streams.
     """
-    rngs = bank.streams([("p1", m, type_index)
-                         for m in range(config.m_prime)])
-    return lof_rough(rngs, n, config.t_T), config.m_prime * config.t_T
+    M, t = config.m_prime, config.t_T
+    rngs = bank.streams([("p1", m, type_index) for m in range(M)])
+    counts = draw_trials(rngs, n, t, np.empty((M, t), dtype=np.int64))
+    return lof_estimate(first_empty(counts)), M * t
 
 
-def lof_rough(rngs, n, t):
-    """Rough estimate of n nodes from first-empty-slot trials over t slots,
-    trial m drawn from rngs[m] by core.draw_trials, the draw HSRC phase 1
-    reads its first-absent blocks from."""
-    return lof_estimate(first_empty(draw_trials(rngs, n, t)[0]))
+def trial_counts(population: PopulationSpec, config: ProtocolConfig,
+                 bank: RngBank, trials=None):
+    """Types-first (T, M, t_T) block counts, read-only, of the
+    first-empty-slot trials numbered ``trials`` over t_T blocks, each
+    type's drawn by core.draw_trials from streams ("p1", trial, type), all
+    opened in one ``streams`` call.  Without ``trials`` they are the m'
+    phase-1 trials, drawn once per bank for all its "p1" readers."""
+    if trials is None:
+        return bank.shared(("p1", population.n, config.t_T, config.m_prime),
+                           lambda: trial_counts(population, config, bank,
+                                                range(config.m_prime)))
+    T, M = population.T, len(trials)
+    rngs = bank.streams([("p1", m, b) for b in range(1, T + 1)
+                         for m in trials])
+    counts = np.empty((T, M, config.t_T), dtype=np.int32)
+    for b, nb in enumerate(population.n):
+        draw_trials(rngs[b * M:(b + 1) * M], nb, config.t_T, counts[b])
+    counts.flags.writeable = False
+    return counts
+
+
+def lof_estimates(counts):
+    """Each type's first-empty-slot estimate from its trials' types-first
+    (T, M, t) block counts."""
+    return {b: lof_estimate(jb) for b, jb in enumerate(first_empty(counts), 1)}
 
 
 def bb_trial(n, ell, p, rng):
@@ -141,26 +161,23 @@ def run_srcs(n, config: ProtocolConfig, bank: RngBank, type_index=1):
 
 def t_repetitions_srcs(population: PopulationSpec, config: ProtocolConfig,
                        bank: RngBank) -> EstimateReport:
-    """Baseline: run the two-phase protocol separately for every type, all
-    its streams opened in one ``streams`` call.
+    """Baseline: run the two-phase protocol separately for every type, on
+    the shared trial_counts and with phase 2's streams opened at once.
 
     The single phase-boundary broadcast slot per execution (carrying the
     rough estimate so nodes can compute p) is tracked under bp and counted
     as overhead relative to the published totals.
     """
     T, M = population.T, config.m_prime
-    rngs = bank.streams([("p1", m, b) for b in range(1, T + 1)
-                         for m in range(M)]
-                        + [("p2", b) for b in range(1, T + 1)])
-    rough, final, flags = {}, {}, {}
+    rough = lof_estimates(trial_counts(population, config, bank))
+    rngs = bank.streams([("p2", b) for b in range(1, T + 1)])
+    final, flags = {}, {}
     lb = SlotLedger(stage1=M * config.t_T, stage2=config.ell, bp=1)
     ledger = SlotLedger()
     energy = EnergyLedger.zeros(population)
-    for b in range(1, T + 1):
+    for b, rng in enumerate(rngs, 1):
         nb = population.n[b - 1]
-        rough[b] = lof_rough(rngs[(b - 1) * M:b * M], nb, config.t_T)
-        final[b], flag, part = srcs_phase2(nb, rough[b], config,
-                                           rngs[T * M + b - 1])
+        final[b], flag, part = srcs_phase2(nb, rough[b], config, rng)
         if flag:
             flags[b] = "all_slots_busy"
         ledger += lb

@@ -7,20 +7,12 @@ a phase-2 method (per-type balls-and-bins repetitions, or one multiplexed
 balls-and-bins execution of the block code), and produces final estimates
 from the per-type empty-slot counts.  The baselines are the block-coded
 schemes repeated to standalone accuracy, and the two-phase homogeneous
-protocol run once per type.  Phase 1 opens its m'·T streams in one
-``RngBank.streams`` call, draws each type's m' trial frames in one
-``core.draw_trials`` call (TxSRCS's phase 1 reads the same draw, so the
-rough estimates agree by construction) and resolves them in one
-``three_stage.run_frames`` call; each repeated baseline is one call of its
-code's resolver on the (T, m_lof, t) counts of its trials, which are
-counted by the same chunk kernel as phase 1's.
-
-The repeated baselines draw their types' trials on up to min(T, CPUs)
-threads, where CPUs are those the process may run on (``taskset`` narrows
-them).  Each type is drawn by one thread from its own stream, so the counts
-are bit-identical to a one-thread draw.  The workers share one chunk budget
-of memory, and the draw stays on the calling thread when one chunk holds
-every type's trials.
+protocol run once per type.  Phase 1 resolves, in one
+``three_stage.run_frames`` call, the replicate's one draw of the m' trials
+as block counts, shared with TxSRCS (so the rough estimates agree by
+construction); node blocks are drawn again only for a per-node read.  Each
+repeated baseline is one call of its code's resolver on the (T, m_lof, t)
+counts of its trials, drawn on up to min(T, CPUs) threads.
 """
 
 from __future__ import annotations
@@ -44,8 +36,7 @@ from .core import (
 )
 from .homogeneous import (
     bb_trial,
-    first_empty,
-    lof_estimate,
+    lof_estimates,
     participation_probability,
     srcs_estimate,
     t_repetitions_srcs,
@@ -109,8 +100,8 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
                           else (resolve_2ss, run_2ss_bb))
 
     counts, phase1_ledger, plan_overhead, energy = trial_frames(
-        resolve, population, config, bank, range(config.m_prime))
-    rough = _lof_estimates(counts)
+        resolve, population, config, bank)
+    rough = lof_estimates(counts)
 
     # Phase-boundary broadcast of the rough estimates, received by everyone.
     boundary = bitmap_bp_slots(T * config.t_T, config.s_w)
@@ -217,26 +208,17 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
         return t_repetitions_srcs(population, config, bank)
     if scheme not in _REPEATED:
         raise ValueError(f"unknown baseline {scheme!r}")
-    # Both repeated baselines read the same trials.  On a sharing bank the
-    # first to run reports for the other as well and leaves it that report,
-    # so the trials are drawn once per replicate.
-    report = bank.take((scheme, population.n, config))
-    if report is None:
+    # Both repeated baselines read the same trials: when both read the
+    # bank, the first to run reports for the other as well.
+    schemes = _REPEATED if bank.readers.get("rep", 1) > 1 else (scheme,)
+
+    def reports():
         counts = _repeated_block_counts(population, config.t_T,
                                         config.m_lof, bank)
-        final = _lof_estimates(counts)
-        report = _repeated_report(scheme, counts, config.s_w, final)
-        if bank.share:
-            other, = (s for s in _REPEATED if s != scheme)
-            bank.keep((other, population.n, config),
-                      _repeated_report(other, counts, config.s_w, final))
-    return report
-
-
-def _lof_estimates(counts):
-    """Each type's first-empty-slot estimate from its trials' types-first
-    (T, M, t) block counts."""
-    return {b: lof_estimate(jb) for b, jb in enumerate(first_empty(counts), 1)}
+        final = lof_estimates(counts)
+        return {s: _repeated_report(s, counts, config.s_w, final)
+                for s in schemes}
+    return bank.shared(("rep", population.n, config), reports).pop(scheme)
 
 
 def _repeated_report(scheme, counts, s_w, final):

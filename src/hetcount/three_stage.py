@@ -29,12 +29,11 @@ from .core import (
     SlotLedger,
     SlotOutcome,
     bitmap_bp_slots,
-    draw_trials,
     geometric_block_choices,
     slot_outcomes,
     uniform_block_choices,
 )
-from .homogeneous import first_empty, participations
+from .homogeneous import first_empty, participations, trial_counts
 
 _SA = SlotOutcome.SINGLE_ALPHA.value
 _SB = SlotOutcome.SINGLE_BETA.value
@@ -186,34 +185,31 @@ def _energy_3ss(flagged, stage3, T, bp1):
     return tx, rx
 
 
-def run_frames(resolve, counts, blocks, s_w):
+def run_frames(resolve, counts, n, frames, s_w):
     """M frames of one block code resolved by ``resolve`` (resolve_3ss or
-    two_stage.resolve_2ss) from their types-first (T, M, n_blocks) counts
-    and each type's (M, n_b) 1-based block per node (0 = idle):
-    (ledger, plan-broadcast slots, energy), the ledger and each node's
-    energy summed over the frames (its sums weigh each table entry by its
-    nodes, idle ones at entry 0)."""
+    two_stage.resolve_2ss) from their types-first (T, M, n_blocks) counts,
+    n[b - 1] nodes of type b: (ledger, plan-broadcast slots, energy), each
+    summed over the frames (energy sums weigh each table entry by its nodes,
+    idle ones at entry 0).  Per-node energy reads call ``frames(b)``: type
+    b's 1-based block per node (0 = idle), frame by frame."""
     ledger, overhead, (tx, rx) = resolve(counts, s_w, energy=True)
-    n = np.array([node_blocks.shape[1] for node_blocks in blocks])
+    n = np.array(n)
     nodes = np.concatenate(
         (n[:, None, None] - counts.sum(axis=2, keepdims=True), counts),
         axis=2)
     sums_tx, sums_rx = ((nodes * table).sum(axis=(1, 2)) for table in (tx, rx))
     total = float(ledger.total)
     energy = EnergyLedger(len(n), n.tolist())
-    for b, node_blocks in enumerate(blocks, 1):
-        energy.charge(b, (sums_tx[b - 1], sums_rx[b - 1], total * n[b - 1]),
-                      partial(_node_sums, tx[b - 1], node_blocks),
-                      partial(_node_sums, rx[b - 1], node_blocks), total)
+    for b, nb in enumerate(n.tolist(), 1):
+        energy.charge(b, (sums_tx[b - 1], sums_rx[b - 1], total * nb),
+                      partial(_node_sums, tx[b - 1], frames, b),
+                      partial(_node_sums, rx[b - 1], frames, b), total)
     return ledger, overhead, energy
 
 
-def _node_sums(rows, blocks):
-    """Per node i, the sum over frames m of rows[m, blocks[m][i]]."""
-    total = rows[0].take(blocks[0])
-    for m in range(1, len(blocks)):
-        total += rows[m].take(blocks[m])
-    return total
+def _node_sums(rows, frames, b):
+    """Per node i of type b, the sum over frames m of rows[m] at its block."""
+    return sum(row.take(blocks) for row, blocks in zip(rows, frames(b)))
 
 
 @dataclass
@@ -227,21 +223,20 @@ class Run3SSResult:
 
 
 def trial_frames(resolve, population: PopulationSpec, config: ProtocolConfig,
-                 bank: RngBank, trials):
-    """The trial-mode frames numbered ``trials`` (t_T blocks, geometric
-    block choice, streams ("p1", trial, type)), each type's drawn by
-    draw_trials and all resolved by run_frames: (counts, ledger,
-    plan-broadcast slots, energy), counts types-first (T, M, t_T)."""
-    T, M = population.T, len(trials)
-    rngs = bank.streams([("p1", m, b) for b in range(1, T + 1)
-                         for m in trials])
-    counts = np.empty((T, M, config.t_T), dtype=np.int64)
-    blocks = []
-    for b, nb in enumerate(population.n):
-        counts[b], node_blocks = draw_trials(rngs[b * M:(b + 1) * M], nb,
-                                             config.t_T, blocks=True)
-        blocks.append(node_blocks)
-    return (counts, *run_frames(resolve, counts, blocks, config.s_w))
+                 bank: RngBank, trials=None):
+    """The trial-mode frames numbered ``trials`` (default: the m' phase-1
+    frames, one draw per replicate shared by its readers), counted by
+    homogeneous.trial_counts and resolved by run_frames: (counts, ledger,
+    plan-broadcast slots, energy).  Node blocks are drawn again from the
+    frames' streams ("p1", trial, type) only when a per-node energy is read."""
+    counts = trial_counts(population, config, bank, trials)
+    trials = range(config.m_prime) if trials is None else trials
+
+    def frames(b):
+        return (geometric_block_choices(rng, population.n[b - 1], config.t_T)
+                for rng in bank.streams([("p1", m, b) for m in trials]))
+    return (counts, *run_frames(resolve, counts, population.n, frames,
+                                config.s_w))
 
 
 def run_trial(resolve, population, config, bank, trial_index):
@@ -264,7 +259,7 @@ def run_bb(resolve, population, rough, config, bank):
         participations(rough, config.ell, T),
         bank.streams([("p2", b) for b in range(1, T + 1)]))
     ledger, overhead, energy = run_frames(
-        resolve, counts[:, None], [chosen[b][None] for b in chosen],
+        resolve, counts[:, None], population.n, lambda b: [chosen[b]],
         config.s_w)
     z = config.ell - np.count_nonzero(counts, axis=1)
     return Run3SSResult(j=None, z=dict(enumerate(z.tolist(), 1)),

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetcount
+from hetcount import core
 from hetcount.core import (
     ELL_TABLE,
     EnergyLedger,
@@ -22,6 +23,7 @@ from hetcount.core import (
     SlotOutcome,
     UnknownAccuracyKey,
     _geometric_blocks,
+    _mixed_seed,
     bitmap_bp_slots,
     block_count_for,
     derive_config,
@@ -258,6 +260,20 @@ class TestRngBank:
         c = bank.stream("p2", 1)
         assert np.array_equal(c.random(10), first)
 
+    def test_derivation_pass_sizes(self, monkeypatch):
+        # One or two new keys go through numpy's SeedSequence; from three on
+        # the seed's share of the vectorised form is worked out, once.
+        mixed = []
+        monkeypatch.setattr(core, "_mixed_seed",
+                            lambda seed: mixed.append(seed)
+                            or _mixed_seed(seed))
+        bank = RngBank(7)
+        bank.streams([("p2", 1), ("p2", 2)])
+        assert mixed == []
+        bank.streams([("p2", b) for b in range(1, 6)])
+        bank.streams([("p2", b) for b in range(6, 10)])
+        assert mixed == [7]
+
     def test_derives_each_key_once(self, monkeypatch):
         digests = []
         sha256 = hashlib.sha256
@@ -289,13 +305,16 @@ class TestRngBank:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 64]),
                      st.integers(0, 2 ** 200)),
-           st.lists(_ANY_KEYS, min_size=1, max_size=100), st.data())
+           st.lists(_ANY_KEYS, min_size=6, max_size=100, unique_by=repr),
+           st.data())
     def test_property_batch_equals_seed_sequence(self, seed, keys, data):
-        # A first batch, then one with repeated keys and keys it already
-        # derived; seeds of more than four 32-bit words included.
+        # Batches deriving 1, 2 and 3 new keys (numpy's SeedSequence below
+        # three, the vectorised form from three), then all of them, then
+        # one with repeated keys and keys it already derived; seeds of more
+        # than four 32-bit words included.
         bank = RngBank(seed)
         again = data.draw(st.lists(st.sampled_from(keys), max_size=20))
-        for batch in (keys, again + data.draw(
+        for batch in (keys[:1], keys[:3], keys[:6], keys, again + data.draw(
                 st.lists(_ANY_KEYS, min_size=1, max_size=20)) + again):
             got = bank.streams(batch)
             assert len(got) == len(batch)

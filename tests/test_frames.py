@@ -179,3 +179,25 @@ class TestBatchedTrialDraw:
         # TxSRCS phase 1 reads the same draw for its first type.
         rough, _slots = srcs_phase1(nb, cfg, RngBank(9))
         assert rough == lof_estimate(first_empty(want[0]))
+
+    @pytest.mark.parametrize("resolve", [resolve_3ss, resolve_2ss])
+    def test_per_node_energy_after_the_shared_counts_are_freed(self,
+                                                              resolve):
+        # Phase 1 keeps no node blocks: after its last reader freed the
+        # shared counts, a per-node read draws them again from the streams.
+        pop = PopulationSpec.fixed((7, 0, 12, 5), n_all=(64,) * 4)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        bank = RngBank(9, {"p1": 2})
+        first = trial_frames(resolve, pop, cfg, bank)
+        assert bank._kept
+        second = trial_frames(resolve, pop, cfg, bank)
+        assert not bank._kept
+        assert second[0] is first[0] and not first[0].flags.writeable
+        want, want_ledger, tx, rx = _frames_by_draw_blocks(
+            resolve, pop, cfg, RngBank(9), cfg.m_prime)
+        for counts, ledger, _plan, energy in (first, second):
+            assert np.array_equal(counts, want)
+            assert ledger == want_ledger
+            for b in tx:
+                assert np.array_equal(energy.tx[b], tx[b])
+                assert np.array_equal(energy.rx[b], rx[b])

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetcount
-from hetcount import cli, harness
+from hetcount import cli, harness, homogeneous
 from hetcount.core import EnergyLedger, PopulationSpec, RngBank, derive_config
 from hetcount.harness import (
     CSV_COLUMNS,
@@ -51,6 +51,11 @@ class TestSpecValidation:
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
             ExperimentSpec(["nope"], "none", [0], {})
+
+    def test_scheme_listed_twice(self):
+        # A bank shares a result among as many runs as the spec lists.
+        with pytest.raises(ConfigError, match="twice"):
+            ExperimentSpec(["3ss-rep", "hsrc1", "3ss-rep"], "none", [0], {})
 
     def test_unknown_sweep_variable(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -180,6 +185,40 @@ class TestSharedReplicates:
         rep = [(seed, key) for seed, key in opened if key[0] == "rep"]
         assert len(rep) == len(set(rep)) == 3 * 3
 
+    def test_phase1_drawn_once_for_all_readers(self, monkeypatch):
+        # The seven phase-1 readers (and both repeated baselines) in one
+        # spec: each ("p1", m, b) stream is drawn once per replicate, and
+        # every row equals the one its scheme gives run alone.
+        origin, drawn = {}, []
+        streams, draw = RngBank.streams, homogeneous.draw_trials
+
+        def opened(bank, keys):
+            rngs = streams(bank, keys)
+            origin.update((id(rng), (rng, bank.seed, key))
+                          for rng, key in zip(rngs, keys))
+            return rngs
+
+        def spy(rngs, nb, t, out):
+            drawn.extend(origin[id(rng)][1:] for rng in rngs)
+            return draw(rngs, nb, t, out)
+        monkeypatch.setattr(RngBank, "streams", opened)
+        monkeypatch.setattr(homogeneous, "draw_trials", spy)
+        readers = [s for s in harness.SCHEMES if harness.READS.get(s) == "p1"]
+        schemes = ["3ss-rep", *readers, "2ss-rep"]
+        assert len(readers) == 7
+
+        def spec(schemes):
+            return ExperimentSpec(schemes, "D", [40, 80],
+                                  {"T": 4, "epsilon": 0.03, "q": 0.5,
+                                   "n_all": 1 << 10}, replicates=3, seed=6)
+        rows = run_experiment(spec(schemes))
+        cfg = derive_config(0.03, 0.2, (1 << 10,) * 4)
+        assert len(drawn) == len(set(drawn)) == 2 * 3 * 4 * cfg.m_prime
+        assert {key[0] for _seed, key in drawn} == {"p1"}
+        alone = [row for s in schemes for row in run_experiment(spec([s]))]
+        by_cell = {(r.sweep_value, r.scheme): r for r in alone}
+        assert rows == [by_cell[r.sweep_value, r.scheme] for r in rows]
+
     def test_fig11a_derives_each_key_once_in_few_passes(self, monkeypatch):
         # Every stream key is derived once per bank, and no scheme-run
         # derives its keys in more than two passes.
@@ -187,7 +226,8 @@ class TestSharedReplicates:
         derive = RngBank._derive
 
         def spy(bank, new):
-            names.setdefault(id(bank), []).extend(new)
+            # Keyed by seed: a bank's id() may be reused by a later bank.
+            names.setdefault(bank.seed, []).extend(new)
             if current:
                 run_passes[-1] += 1
             return derive(bank, new)

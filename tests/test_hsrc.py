@@ -17,10 +17,11 @@ from hetcount.analysis import select_phase2
 from hetcount.core import (LOF_FACTOR, EnergyLedger, PopulationSpec, RngBank,
                            SlotLedger, SlotOutcome, bitmap_bp_slots,
                            derive_config)
-from hetcount.harness import figure_preset
+from hetcount.harness import READS, SCHEMES, figure_preset
 from hetcount.hsrc import (_repeated_block_counts, run_baseline, run_hsrc,
                            run_phase2)
-from hetcount.homogeneous import lof_estimate, t_repetitions_srcs
+from hetcount.homogeneous import (lof_estimate, lof_estimates,
+                                  t_repetitions_srcs)
 from hetcount.three_stage import (Stage1Result3SS, outcomes_3ss, run_3ss_bb,
                                   run_3ss_followup, run_3ss_trial)
 from hetcount.two_stage import (class_codes, plan_slots, resolver_lut,
@@ -220,7 +221,7 @@ class TestSharedRepeatedTrials:
         pop = _pop(n, 1 << 20)
         cfg = derive_config(0.03, 0.2, pop.n_all)
         fresh = {s: run_baseline(s, pop, cfg, RngBank(5)) for s in REPEATED}
-        bank = RngBank(5, share=True)
+        bank = RngBank(5, {"rep": 2})
         shared = {first: run_baseline(first, pop, cfg, bank)}
 
         def stream(*key):
@@ -243,7 +244,7 @@ class TestSharedRepeatedTrials:
         cfg = derive_config(0.03, 0.2, pop.n_all)
         for s in REPEATED:      # fill the 2SS decoder table for these codes
             run_baseline(s, pop, cfg, RngBank(2))
-        bank = RngBank(2, share=share)
+        bank = RngBank(2, {"rep": 2} if share else None)
         for b in range(1, pop.T + 1):   # seed words are not the memo's
             bank.stream("rep", b)
         gc.collect()
@@ -272,6 +273,72 @@ class TestSharedRepeatedTrials:
     ])                                  # nothing
     def test_memo_freed(self, share, schemes, drop_bank):
         assert self._kept_bytes(share, schemes, drop_bank) <= 1024
+
+
+# Every scheme that reads the phase-1 trial counts, in harness order.
+PHASE1_READERS = [s for s in SCHEMES if READS.get(s) == "p1"]
+
+
+class TestSharedPhase1:
+    """Each bank draws the m' phase-1 trials once, as counts, for all the
+    scheme runs that read them, and holds them until the last has read."""
+
+    @pytest.mark.parametrize("n", [(300, 0, 800, 45), (500, 2500, 2500)])
+    def test_shared_bank_equals_fresh_banks(self, n):
+        pop = _pop(n, 4000)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        bank = RngBank(3, {"p1": len(PHASE1_READERS)})
+        for s in PHASE1_READERS:
+            shared = SCHEMES[s](pop, cfg, bank, {})
+            fresh = SCHEMES[s](pop, cfg, RngBank(3), {})
+            assert shared.rough == fresh.rough
+            assert shared.final == fresh.final
+            assert shared.ledger == fresh.ledger
+            assert shared.overhead_slots == fresh.overhead_slots
+            assert np.array_equal(shared.energy.sums, fresh.energy.sums)
+        assert not bank._kept
+
+    # The (T, m', t_T) int32 counts of _kept_bytes: 6 x 40 x 20 x 4 bytes.
+    COUNTS = 19200
+    # Allowance for what numpy's small-buffer cache and dict tables keep.
+    SLACK = 2048
+
+    @staticmethod
+    def _kept_bytes(readers, schemes):
+        """Bytes still held by a bank made with ``readers`` after running
+        ``schemes`` on it, their reports dropped."""
+        pop = _pop((300, 20, 0, 700, 90, 5), 1 << 20)
+        cfg = derive_config(0.03, 0.2, pop.n_all, m_prime=40)
+        for s in schemes:       # fill the decoder tables and caches
+            SCHEMES[s](pop, cfg, RngBank(2), {})
+        bank = RngBank(2, readers)
+        # Seed words are not the memo's.
+        bank.streams([("p1", m, b) for b in range(1, pop.T + 1)
+                      for m in range(cfg.m_prime)]
+                     + [("p2", b) for b in range(1, pop.T + 1)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for s in schemes:
+                SCHEMES[s](pop, cfg, bank, {})
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_held_until_the_last_reader(self):
+        held = self._kept_bytes({"p1": 3}, ["txsrcs", "hsrc1"])
+        assert self.COUNTS <= held <= self.COUNTS + self.SLACK
+
+    @pytest.mark.parametrize("readers, schemes", [
+        ({"p1": 7}, PHASE1_READERS),            # the last reader frees it
+        ({"p1": 2}, PHASE1_READERS[::-1][:2]),
+        ({"p1": 1}, ["hsrc2"]),                 # one reader keeps nothing
+        (None, ["txsrcs"]),
+    ])
+    def test_memo_freed(self, readers, schemes):
+        assert self._kept_bytes(readers, schemes) <= self.SLACK
 
 
 def _one_shot_block_counts(population, t, M, bank):
@@ -380,7 +447,7 @@ class TestRepeatedDrawThreads:
                                             recorded("draw", draw))
         monkeypatch.setattr(hsrc, "_draw_types",
                             recorded("worker", hsrc._draw_types))
-        bank = RngBank(5, share=True)
+        bank = RngBank(5, {"rep": 2})
         reports = {s: run_baseline(s, pop, cfg, bank) for s in REPEATED}
 
         caller = threading.get_ident()
@@ -544,7 +611,7 @@ class TestRepeatedReportMatchesFormula:
             load, size=(M, t, T)).astype(np.int32)
         counts_tf = counts.transpose(2, 0, 1)
         rep = hsrc._repeated_report(scheme, counts_tf, s_w,
-                                    hsrc._lof_estimates(counts_tf))
+                                    lof_estimates(counts_tf))
         final, ledger, overhead = _repeated_report_by_formula(scheme, counts,
                                                               s_w)
         assert rep.final == rep.rough == final
