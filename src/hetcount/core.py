@@ -233,18 +233,22 @@ class EnergyLedger:
             self._arrays = tuple({b: np.zeros(nb)
                                   for b, nb in enumerate(self.n, 1)}
                                  for _ in range(3))
-            for b, *amounts in self._charges:
-                for arrays, a in zip(self._arrays, amounts):
-                    arrays[b] = arrays[b] + (a() if callable(a) else a)
+            for b, amounts in self._charges:
+                mine = [per_type[b] for per_type in self._arrays]
+                if callable(amounts):
+                    amounts(*mine)
+                else:
+                    for array, a in zip(mine, amounts):
+                        array += a
         return self._arrays
 
     def charge(self, b, sums, tx=0.0, rx=0.0, accounted=0.0):
-        """Add per-node amounts to type b's nodes, each a number, an (n_b,)
-        array, or a function of no arguments returning one that is called
-        only if the per-node arrays are read; ``sums`` are the three
-        amounts summed over the nodes."""
+        """Add per-node slot counts to type b's nodes: numbers or (n_b,)
+        arrays or, if ``tx`` is a function, what it adds in place to the (tx,
+        rx, accounted) arrays if read (whole numbers, in any order); ``sums``
+        are the three amounts summed over the nodes."""
         self.sums[b - 1] += sums
-        self._charges.append((b, tx, rx, accounted))
+        self._charges.append((b, tx if callable(tx) else (tx, rx, accounted)))
         self._arrays = None
         return self
 
@@ -538,6 +542,34 @@ def _count_chunk(u, t, idx, out):
     blocks[1:] += np.arange(t, k * t, t)[:, None]
     out[...] = np.bincount(blocks.ravel(),
                            minlength=k * t + 1)[1:].reshape(k, t)
+
+
+def _class_chunk(u, t, idx, out):
+    """Classes min(count, 2) into ``out`` (k, t) of the counts _count_chunk
+    takes from u (k, n_b; may be overwritten).  Blocks above L are counted
+    from the nodes with U > 1 - 2^-L (exact in float64; true iff the block
+    is above L).  Blocks 1..L are class 2 where a trial's first W = n_b // 8
+    nodes hold two each (else it is counted in full); L = min(t - 1,
+    floor(log2(W/16))), so block L expects 16 of them, and below L = 2 the
+    counts are exact.  idx (int64, u's shape) holds the prefix, then a mask."""
+    k, nb = u.shape
+    w = nb // 8
+    low = min(t - 1, (w // 16).bit_length() - 1)
+    if low < 2:
+        return _count_chunk(u, t, idx, out)
+    words = idx.reshape(-1)
+    prefix = words[:k * w].view(np.float64).reshape(k, w)
+    np.copyto(prefix, u[:, :w])
+    _count_chunk(prefix, t, words[k * w:2 * k * w].reshape(k, w), out)
+    short = np.flatnonzero((out[:, :low] < 2).any(axis=1))
+    high = np.flatnonzero(np.greater(
+        u, 1 - 2.0 ** -low, out=words.view(np.bool_)[:k * nb].reshape(k, nb)))
+    blocks = _geometric_blocks(u.reshape(-1)[high], t) + (high // nb * t - 1)
+    np.minimum(np.bincount(blocks, minlength=k * t).reshape(k, t), 2, out=out)
+    out[:, :low] = 2
+    for r in short:
+        _count_chunk(u[r:r + 1], t, idx[:1], out[r:r + 1])
+        np.minimum(out[r], 2, out=out[r])
 
 
 def uniform_block_choices(rng, n, ell, p):

@@ -11,8 +11,8 @@ protocol run once per type.  Phase 1 resolves, in one
 ``three_stage.run_frames`` call, the replicate's one draw of the m' trials
 as block counts, shared with TxSRCS (so the rough estimates agree by
 construction); node blocks are drawn again only for a per-node read.  Each
-repeated baseline is one call of its code's resolver on the (T, m_lof, t)
-counts of its trials, drawn on up to min(T, CPUs) threads.
+repeated baseline resolves its trials' (T, m_lof, t) count classes (0, 1,
+2+), counted exactly only where a block can hold fewer than two nodes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .core import (
     ProtocolConfig,
     RngBank,
     SlotLedger,
-    _count_chunk,
+    _class_chunk,
     bitmap_bp_slots,
 )
 from .homogeneous import (
@@ -142,11 +142,11 @@ def _rep_pool():
                               thread_name_prefix="hetcount-rep")
 
 
-def _repeated_block_counts(population, t, M, bank):
-    """(T, M, t) per-type per-trial per-block transmitter counts for the
-    repeated baselines, drawn in row chunks from one stream per type.
-    Successive draws from one generator continue its sequence, so the
-    counts equal those of a single (M, n_b) draw.
+def _repeated_block_classes(population, t, M, bank):
+    """(T, M, t) int32 per-type per-trial per-block transmitter count
+    classes for the repeated baselines, which read no more: min(count, 2)
+    (exact counts where core._class_chunk keeps them) of a single (M, n_b)
+    draw, drawn in row chunks from one stream per type.
 
     Where some type needs more than one chunk, the types are dealt
     round-robin to min(T, _CPUS) workers that draw on pool threads, each
@@ -185,7 +185,7 @@ def _repeated_block_counts(population, t, M, bank):
 
 
 def _draw_types(jobs, t, u, idx):
-    """Each job's (M, t) counts into its ``out``, chunk after chunk of
+    """Each job's (M, t) count classes into its ``out``, chunk after chunk of
     ``rows`` trials of ``nb`` nodes from its ``rng``, through the float64
     buffer u and the int64 buffer idx."""
     for out, rng, nb, rows in jobs:
@@ -193,7 +193,7 @@ def _draw_types(jobs, t, u, idx):
         for s in range(0, M, rows):
             k = min(rows, M - s)
             drawn = rng.random(out=u[:k * nb].reshape(k, nb))
-            _count_chunk(drawn, t, idx[:k * nb].reshape(k, nb), out[s:s + k])
+            _class_chunk(drawn, t, idx[:k * nb].reshape(k, nb), out[s:s + k])
 
 
 _REPEATED = ("3SS-repeated", "2SS-repeated")
@@ -213,10 +213,10 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
     schemes = _REPEATED if bank.readers.get("rep", 1) > 1 else (scheme,)
 
     def reports():
-        counts = _repeated_block_counts(population, config.t_T,
-                                        config.m_lof, bank)
-        final = lof_estimates(counts)
-        return {s: _repeated_report(s, counts, config.s_w, final)
+        classes = _repeated_block_classes(population, config.t_T,
+                                          config.m_lof, bank)
+        final = lof_estimates(classes)
+        return {s: _repeated_report(s, classes, config.s_w, final)
                 for s in schemes}
     return bank.shared(("rep", population.n, config), reports).pop(scheme)
 

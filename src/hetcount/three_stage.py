@@ -200,16 +200,19 @@ def run_frames(resolve, counts, n, frames, s_w):
     sums_tx, sums_rx = ((nodes * table).sum(axis=(1, 2)) for table in (tx, rx))
     total = float(ledger.total)
     energy = EnergyLedger(len(n), n.tolist())
-    for b, nb in enumerate(n.tolist(), 1):
+    for b, (nb, tx_b, rx_b) in enumerate(zip(n.tolist(), tx, rx), 1):
         energy.charge(b, (sums_tx[b - 1], sums_rx[b - 1], total * nb),
-                      partial(_node_sums, tx[b - 1], frames, b),
-                      partial(_node_sums, rx[b - 1], frames, b), total)
+                      partial(_node_sums, frames, b, tx_b, rx_b, total))
     return ledger, overhead, energy
 
 
-def _node_sums(rows, frames, b):
-    """Per node i of type b, the sum over frames m of rows[m] at its block."""
-    return sum(row.take(blocks) for row, blocks in zip(rows, frames(b)))
+def _node_sums(frames, b, tx, rx, accounted, node_tx, node_rx, node_acc):
+    """Add to type b's per-node arrays, per node, tx[m] and rx[m] at its
+    block in each frame m, whose blocks are drawn once, and ``accounted``."""
+    node_acc += accounted
+    for tx_row, rx_row, blocks in zip(tx, rx, frames(b)):
+        node_tx += tx_row.take(blocks)
+        node_rx += rx_row.take(blocks)
 
 
 @dataclass

@@ -402,3 +402,66 @@ class TestGeometricBitIdentity:
         rng = np.random.default_rng(seed)
         assert np.array_equal(geometric_block_choices(rng, n, t), expected)
         assert rng.random() == next_u
+
+
+def _exact_classes(u, t):
+    exact = np.empty((len(u), t), dtype=np.int64)
+    core._count_chunk(u.copy(), t, np.empty(u.shape, dtype=np.int64), exact)
+    return np.minimum(exact, 2)
+
+
+class TestClassChunk:
+    """core._class_chunk writes min(count, 2) of _count_chunk's counts."""
+
+    @staticmethod
+    def _classes(u, t):
+        out = np.full((len(u), t), -1, dtype=np.int32)
+        core._class_chunk(u, t, np.empty(u.shape, dtype=np.int64), out)
+        return out
+
+    def test_short_prefix_counted_in_full(self, monkeypatch):
+        # n_b = 4096: W = 512 and L = 5.  Trial 1's first W nodes all sit in
+        # block 1, so blocks 2..5 lack witnesses there.  Trial 2's one node
+        # in block 2 is in its prefix, which holds blocks 3..5 twice each.
+        u = np.random.default_rng(21).random((3, 4096))
+        u[1, :512] = 0.25
+        u[2] = 0.25
+        u[2, :7] = [0.75, 0.875, 0.875, 0.9375, 0.9375, 0.96875, 0.96875]
+        expected = _exact_classes(u, 12)
+        assert expected[2, :6].tolist() == [2, 1, 2, 2, 2, 0]
+        rows = []
+        count = core._count_chunk
+
+        def counted(u, t, idx, out):
+            rows.append(len(u))
+            return count(u, t, idx, out)
+        monkeypatch.setattr(core, "_count_chunk", counted)
+        assert np.array_equal(self._classes(u, 12), expected)
+        assert rows == [3, 1, 1]   # the prefixes, then trials 1, 2 in full
+
+    def test_threshold_boundary(self):
+        # n_b = 512 at t = 5: W = 64 and L = 2, so U > 0.75 selects block 3
+        # and above.  Both trials' prefixes hold blocks 1 and 2 twice each.
+        low = 2
+        edge = 1 - 2.0 ** -low
+        above = np.nextafter(edge, 1.0)
+        assert _geometric_blocks(np.array([edge, above]), 5).tolist() == [2, 3]
+        u = np.full((2, 512), 0.1)
+        u[:, :32] = 0.6
+        u[0, 100:102] = edge
+        u[1, 100:102] = above
+        got = self._classes(u, 5)
+        assert got.tolist() == [[2, 2, 0, 0, 0], [2, 2, 2, 0, 0]]
+        assert np.array_equal(got, _exact_classes(u, 5))
+
+    @pytest.mark.parametrize("nb, t, exact", [
+        (511, 20, True), (512, 20, False), (4096, 2, True), (4096, 3, False),
+    ])
+    def test_exact_below_the_certified_blocks(self, nb, t, exact):
+        u = np.random.default_rng(nb + t).random((4, nb))
+        expected = np.empty((4, t), dtype=np.int64)
+        core._count_chunk(u.copy(), t, np.empty(u.shape, dtype=np.int64),
+                          expected)
+        got = self._classes(u, t)
+        assert np.array_equal(got, expected if exact
+                              else np.minimum(expected, 2))

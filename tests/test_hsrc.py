@@ -12,20 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetcount import core, hsrc
+from hetcount import core, hsrc, three_stage
 from hetcount.analysis import select_phase2
 from hetcount.core import (LOF_FACTOR, EnergyLedger, PopulationSpec, RngBank,
                            SlotLedger, SlotOutcome, bitmap_bp_slots,
                            derive_config)
 from hetcount.harness import READS, SCHEMES, figure_preset
-from hetcount.hsrc import (_repeated_block_counts, run_baseline, run_hsrc,
+from hetcount.hsrc import (_repeated_block_classes, run_baseline, run_hsrc,
                            run_phase2)
 from hetcount.homogeneous import (lof_estimate, lof_estimates,
                                   t_repetitions_srcs)
 from hetcount.three_stage import (Stage1Result3SS, outcomes_3ss, run_3ss_bb,
                                   run_3ss_followup, run_3ss_trial)
-from hetcount.two_stage import (class_codes, plan_slots, resolver_lut,
-                                run_2ss_bb, run_2ss_trial, sigma_slots)
+from hetcount.two_stage import (class_codes, plan_slots, resolve_2ss,
+                                resolver_lut, run_2ss_bb, run_2ss_trial,
+                                sigma_slots)
 
 
 def _pop(n, n_all_each):
@@ -361,43 +362,52 @@ class TestRepeatedBlockCounts:
     # draw exactly; this fails if a numpy release changes that algorithm.
     # ``cpus`` sets the workers to min(T, cpus) wherever some type's trials
     # span more than one chunk, so the pooled draw runs on any machine.  The
-    # first eight cases keep the ids they had without it.
-    @pytest.mark.parametrize("chunk, n, M, t, cpus", [
+    # first eight cases keep the ids they had without it.  ``classes`` marks
+    # the cases with a type of 512 or more nodes at t >= 3, which
+    # core._class_chunk keeps as classes: there only min(count, 2) is exact.
+    @pytest.mark.parametrize("chunk, n, M, t, cpus, classes", [
         # n_b far below the budget: one chunk, drawn inline.
-        pytest.param(1 << 20, (40, 7, 0), 13, 5, 2, id="1048576-n0-13-5"),
+        pytest.param(1 << 20, (40, 7, 0), 13, 5, 2, False,
+                     id="1048576-n0-13-5"),
         # 1030 trials span chunks; types 1 and 3 on two of three workers.
-        pytest.param(1 << 20, (1023, 0, 5), 1030, 6, 3,
+        pytest.param(1 << 20, (1023, 0, 5), 1030, 6, 3, True,
                      id="1048576-n1-1030-6"),
         # n_b at the budget, and above it at t = 1: one row per chunk.
-        pytest.param(1 << 20, (1 << 20, 1), 3, 20, 2, id="1048576-n2-3-20"),
-        pytest.param(1 << 20, ((1 << 20) + 1, 2), 2, 1, 2,
+        pytest.param(1 << 20, (1 << 20, 1), 3, 20, 2, True,
+                     id="1048576-n2-3-20"),
+        pytest.param(1 << 20, ((1 << 20) + 1, 2), 2, 1, 2, False,
                      id="1048576-n3-2-1"),
         # 3 rows + 2, and 1 row, on one worker.
-        pytest.param(100, (30, 250, 0), 11, 9, 1, id="100-n4-11-9"),
+        pytest.param(100, (30, 250, 0), 11, 9, 1, False, id="100-n4-11-9"),
         # Small chunks at t = 1, 2.
-        pytest.param(100, (30, 250, 7), 11, 1, 3, id="100-n5-11-1"),
-        pytest.param(100, (30, 250, 7), 11, 2, 2, id="100-n6-11-2"),
+        pytest.param(100, (30, 250, 7), 11, 1, 3, False, id="100-n5-11-1"),
+        pytest.param(100, (30, 250, 7), 11, 2, 2, False, id="100-n6-11-2"),
         # 1 row per chunk, t = 20.
-        pytest.param(64, (100, 33, 5), 17, 20, 2, id="64-n7-17-20"),
+        pytest.param(64, (100, 33, 5), 17, 20, 2, False, id="64-n7-17-20"),
         # T = 3 on 2 workers: two types on one, one on the other.
-        pytest.param(100, (40, 25, 9), 13, 4, 2, id="uneven-split"),
+        pytest.param(100, (40, 25, 9), 13, 4, 2, False, id="uneven-split"),
         # A zero-count type beside a drawn one in a worker's group.
-        pytest.param(100, (40, 25, 0, 9), 13, 5, 2, id="zero-type-in-group"),
+        pytest.param(100, (40, 25, 0, 9), 13, 5, 2, False,
+                     id="zero-type-in-group"),
         # One worker's types need 45 and 70 uniforms a chunk, the other's
         # 40 and 45, each through its worker's one pair of buffers.
-        pytest.param(100, (3, 20, 70, 45), 15, 6, 2, id="mixed-n-in-group"),
+        pytest.param(100, (3, 20, 70, 45), 15, 6, 2, False,
+                     id="mixed-n-in-group"),
         # M * max(n_b) at the budget (inline) and one trial row above it.
-        pytest.param(100, (5, 4, 5), 20, 4, 3, id="at-budget"),
-        pytest.param(100, (5, 4, 5), 21, 4, 3, id="above-budget"),
+        pytest.param(100, (5, 4, 5), 20, 4, 3, False, id="at-budget"),
+        pytest.param(100, (5, 4, 5), 21, 4, 3, False, id="above-budget"),
     ])
-    def test_equals_one_shot_draw(self, chunk, n, M, t, cpus, monkeypatch):
+    def test_equals_one_shot_draw(self, chunk, n, M, t, cpus, classes,
+                                  monkeypatch):
         monkeypatch.setattr(hsrc, "_REP_CHUNK", chunk)
         monkeypatch.setattr(hsrc, "_CPUS", cpus)
         pop = _pop(n, max(n))
-        got = _repeated_block_counts(pop, t, M, RngBank(3))
+        got = _repeated_block_classes(pop, t, M, RngBank(3))
         assert got.dtype == np.int32
-        assert np.array_equal(got, _one_shot_block_counts(pop, t, M,
-                                                          RngBank(3)))
+        one_shot = _one_shot_block_counts(pop, t, M, RngBank(3))
+        if classes:
+            got, one_shot = np.minimum(got, 2), np.minimum(one_shot, 2)
+        assert np.array_equal(got, one_shot)
 
     def test_memory_flat_in_trials_times_nodes(self):
         # m_lof x n_b = 1136 x 2e4 uniforms per type would take 182 MB at
@@ -405,11 +415,80 @@ class TestRepeatedBlockCounts:
         pop = _pop((20_000,) * 4, 1 << 20)
         tracemalloc.start()
         try:
-            _repeated_block_counts(pop, 20, 1136, RngBank(1))
+            _repeated_block_classes(pop, 20, 1136, RngBank(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestRepeatedBlockClasses:
+    """Types of 512 or more nodes are kept as count classes; the repeated
+    baselines read no more than min(count, 2)."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(512, 50_000), min_size=2, max_size=4),
+           st.integers(1, 6), st.integers(3, 20),
+           st.sampled_from([4096, 1 << 14, 1 << 16]), st.sampled_from([1, 2]))
+    def test_property_equals_clipped_one_shot(self, n, M, t, chunk, cpus):
+        pop = _pop(n, max(n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hsrc, "_REP_CHUNK", chunk)
+            mp.setattr(hsrc, "_CPUS", cpus)
+            got = _repeated_block_classes(pop, t, M, RngBank(17))
+        one_shot = _one_shot_block_counts(pop, t, M, RngBank(17))
+        assert np.array_equal(got, np.minimum(one_shot, 2))
+
+    def test_reports_equal_those_of_exact_counts(self):
+        pop = _pop((3000,) * 4, 1 << 20)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        exact = _one_shot_block_counts(pop, cfg.t_T, cfg.m_lof, RngBank(6))
+        assert exact.max() > 2
+        bank = RngBank(6, {"rep": 2})
+        for s in REPEATED:
+            got = run_baseline(s, pop, cfg, bank)
+            want = hsrc._repeated_report(s, exact, cfg.s_w,
+                                         lof_estimates(exact))
+            assert got.final == want.final
+            assert got.ledger == want.ledger
+            assert got.overhead_slots == want.overhead_slots
+
+
+class TestPerNodeEnergyDraws:
+    def test_each_trial_frame_drawn_once(self, monkeypatch):
+        pop = _pop((40, 25, 9), 1 << 10)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        assert cfg.m_prime == 10
+        report = run_hsrc("HSRC1", pop, cfg, RngBank(8))
+        draws = []
+        draw = three_stage.geometric_block_choices
+
+        def counted(*args):
+            draws.append(args)
+            return draw(*args)
+        monkeypatch.setattr(three_stage, "geometric_block_choices", counted)
+        report.energy.idle(1)
+        assert len(draws) == cfg.m_prime * pop.T
+
+    def test_per_node_sums_of_the_frame_tables(self):
+        # Reference: each node's table entries at its blocks, summed frame by
+        # frame, one table at a time.
+        pop = _pop((40, 0, 25, 9), 1 << 10)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        for resolve in (three_stage.resolve_3ss, resolve_2ss):
+            counts, _, _, energy = three_stage.trial_frames(
+                resolve, pop, cfg, RngBank(8))
+            tables = resolve(counts, cfg.s_w, energy=True)[2]
+            for b, nb in enumerate(pop.n, 1):
+                streams = RngBank(8).streams(
+                    [("p1", m, b) for m in range(cfg.m_prime)])
+                blocks = [core.geometric_block_choices(rng, nb, cfg.t_T)
+                          for rng in streams]
+                for have, table in zip((energy.tx, energy.rx), tables):
+                    want = sum(row.take(bl) for row, bl in zip(table[b - 1],
+                                                               blocks))
+                    assert have[b].dtype == np.float64
+                    assert np.array_equal(have[b], want)
 
 
 class TestRepeatedDrawThreads:
@@ -470,7 +549,7 @@ class TestRepeatedDrawThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _repeated_block_counts(pop, 8, 200, RngBank(4))
+            got = _repeated_block_classes(pop, 8, 200, RngBank(4))
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown(wait=True)
