@@ -12,6 +12,7 @@ import functools
 import hashlib
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import NormalDist
@@ -509,27 +510,78 @@ def geometric_block_choices(rng, n, t):
     return _geometric_blocks(rng.random(n), t)
 
 
-# Nodes in one chunk of a trial draw: max(1, _TRIAL_CHUNK // n_b) trials, so
-# phase 1 at n_b = 2e5 draws one frame per chunk and its memory stays flat
-# in m' x n_b.
-_TRIAL_CHUNK = 1 << 18
+# Uniforms a trial draw holds at once (16 bytes each with their blocks),
+# shared by its threads, so memory stays flat in M x n_b.  Half of it saved
+# 0.1 MB of large-pop's peak RSS and slowed its rounds by about 10%.
+_TRIAL_CHUNK = 1 << 20
+# CPUs this process may run on; a trial draw deals its types to up to
+# min(T, _CPUS) threads.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
 
 
-def draw_trials(rngs, nb, t, out):
-    """Trial-mode draws of nb nodes over t blocks, trial m from rngs[m]:
-    the (M, t) block counts, written into ``out`` and returned.  Trial m's
-    nodes take their blocks as ``geometric_block_choices(rngs[m], nb, t)``
-    would; chunks of trials are counted by _count_chunk."""
-    M = len(rngs)
-    rows = max(1, min(M, _TRIAL_CHUNK // max(nb, 1)))
-    u = np.empty((rows, nb))
-    idx = np.empty((rows, nb), dtype=np.int64)
-    for s in range(0, M, rows):
-        k = min(rows, M - s)
-        for row, rng in zip(u, rngs[s:s + k]):
-            rng.random(out=row)
-        _count_chunk(u[:k], t, idx[:k], out[s:s + k])
+@functools.cache
+def _pool():
+    """Process-wide threads for trial draws, made on first use: importing
+    hetcount starts no thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=_CPUS,
+                              thread_name_prefix="hetcount-draw")
+
+
+def draw_trials(rngs, n, t, out, kernel):
+    """Trial-mode draws of every type into ``out`` (T, M, t), returned: in
+    each of M trials the n[b] nodes of type b + 1 take blocks
+    min(Geometric(1/2), t), whose counts ``kernel`` (_count_chunk, or
+    _class_chunk for classes min(count, 2)) writes into out[b].  rngs[b] is
+    M Generators, trial m drawn as ``geometric_block_choices(rngs[b][m],
+    n[b], t)`` would, or one Generator drawn trial after trial; a type
+    without nodes needs none.
+
+    Where some type's trials hold more than _TRIAL_CHUNK nodes, the types
+    are dealt round-robin to min(T, _CPUS) pool threads sharing that budget,
+    each drawing its types one after another into their slices of out, so
+    out does not depend on the scheduling.  Streams and buffers are made on
+    the calling thread: traced functions keep one span stack, and arrays
+    freed on pool threads would linger in per-thread malloc arenas."""
+    T, M = out.shape[:2]
+    workers = min(T, _CPUS) if M * max(n, default=0) > _TRIAL_CHUNK else 1
+    budget = _TRIAL_CHUNK // workers
+    groups = []
+    for first in range(workers):
+        jobs = [(out[b], rngs[b], n[b], min(M, max(1, budget // n[b])))
+                for b in range(first, T, workers) if n[b]]
+        if jobs:
+            size = max(nb * rows for _out, _rngs, nb, rows in jobs)
+            groups.append((jobs, t, kernel, np.empty(size),
+                           np.empty(size, dtype=np.int64)))
+    out[np.equal(n, 0)] = 0
+    if len(groups) > 1:
+        for future in [_pool().submit(_draw_types, *group)
+                       for group in groups]:
+            future.result()
+    else:
+        for group in groups:
+            _draw_types(*group)
     return out
+
+
+def _draw_types(jobs, t, kernel, u, idx):
+    """Each job's (M, t) counts into its ``out``, by ``kernel``, chunk after
+    chunk of ``rows`` trials of ``nb`` nodes from its ``rngs``, through the
+    float64 buffer u and the int64 buffer idx."""
+    for out, rngs, nb, rows in jobs:
+        M = len(out)
+        for s in range(0, M, rows):
+            k = min(rows, M - s)
+            drawn = u[:k * nb].reshape(k, nb)
+            if isinstance(rngs, np.random.Generator):
+                rngs.random(out=drawn)
+            else:
+                for row, rng in zip(drawn, rngs[s:s + k]):
+                    rng.random(out=row)
+            kernel(drawn, t, idx[:k * nb].reshape(k, nb), out[s:s + k])
 
 
 def _count_chunk(u, t, idx, out):
@@ -579,6 +631,20 @@ def uniform_block_choices(rng, n, ell, p):
     u = rng.random(n)
     blocks = rng.integers(1, ell + 1, size=n)
     return u < p, blocks
+
+
+def bb_blocks(rng, n, ell, p):
+    """One balls-and-bins trial of n nodes over ell slots: its (ell,)
+    per-slot transmitter counts, and each node's 1-based slot, 0 where it
+    does not join (each joins with probability p)."""
+    mask, blocks = uniform_block_choices(rng, n, ell, p)
+    joined = blocks
+    if p < 1:
+        # Counted before idle nodes are zeroed: a bincount of mostly zeros
+        # runs several times slower.
+        joined = blocks[mask]
+        blocks *= mask
+    return np.bincount(joined, minlength=ell + 1)[1:], blocks
 
 
 def for_type(values, b):

@@ -5,7 +5,8 @@ give rough order-of-magnitude estimates, and the two-phase protocol ("srcs")
 that refines a rough estimate with one balls-and-bins trial.  Running the
 two-phase protocol once per type is the naive baseline the heterogeneous
 schemes are measured against; its phase 1 reads ``trial_counts``, one
-draw per replicate that HSRC phase 1 reads too.
+draw per replicate that HSRC phase 1 reads too, and its phase 2 is a
+core.bb_blocks trial, the balls-and-bins draw of every scheme.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .core import (
     ProtocolConfig,
     RngBank,
     SlotLedger,
+    _count_chunk,
+    bb_blocks,
     draw_trials,
     for_type,
-    uniform_block_choices,
 )
 
 
@@ -71,8 +73,9 @@ def srcs_phase1(n, config: ProtocolConfig, bank: RngBank, type_index=1):
     """
     M, t = config.m_prime, config.t_T
     rngs = bank.streams([("p1", m, type_index) for m in range(M)])
-    counts = draw_trials(rngs, n, t, np.empty((M, t), dtype=np.int64))
-    return lof_estimate(first_empty(counts)), M * t
+    counts = draw_trials([rngs], (n,), t, np.empty((1, M, t), dtype=np.int32),
+                         _count_chunk)
+    return lof_estimate(first_empty(counts[0])), M * t
 
 
 def trial_counts(population: PopulationSpec, config: ProtocolConfig,
@@ -89,9 +92,10 @@ def trial_counts(population: PopulationSpec, config: ProtocolConfig,
     T, M = population.T, len(trials)
     rngs = bank.streams([("p1", m, b) for b in range(1, T + 1)
                          for m in trials])
-    counts = np.empty((T, M, config.t_T), dtype=np.int32)
-    for b, nb in enumerate(population.n):
-        draw_trials(rngs[b * M:(b + 1) * M], nb, config.t_T, counts[b])
+    counts = draw_trials([rngs[b * M:(b + 1) * M] for b in range(T)],
+                         population.n, config.t_T,
+                         np.empty((T, M, config.t_T), dtype=np.int32),
+                         _count_chunk)
     counts.flags.writeable = False
     return counts
 
@@ -100,15 +104,6 @@ def lof_estimates(counts):
     """Each type's first-empty-slot estimate from its trials' types-first
     (T, M, t) block counts."""
     return {b: lof_estimate(jb) for b, jb in enumerate(first_empty(counts), 1)}
-
-
-def bb_trial(n, ell, p, rng):
-    """One balls-and-bins trial: each node joins with probability p and
-    picks one of ell slots uniformly.  Returns (empty-slot count, per-node
-    participation mask)."""
-    mask, slots = uniform_block_choices(rng, n, ell, p)
-    occupancy = np.bincount(slots[mask], minlength=ell + 1)[1:]
-    return int(np.count_nonzero(occupancy == 0)), mask
 
 
 def srcs_final_estimate(z, ell, p) -> float:
@@ -136,16 +131,6 @@ def srcs_estimate(z, ell, p):
     return srcs_final_estimate(z, ell, p), False
 
 
-def srcs_phase2(n, rough, config: ProtocolConfig, rng):
-    """Phase 2: one balls-and-bins trial from ``rng`` at the participation
-    the rough estimate sets.  Returns (final, flagged, participation mask),
-    flagged marking the all-slots-busy fallback."""
-    p = participation_probability(config.ell, rough)
-    z, mask = bb_trial(n, config.ell, p, rng)
-    final, flagged = srcs_estimate(z, config.ell, p)
-    return final, flagged, mask
-
-
 def run_srcs(n, config: ProtocolConfig, bank: RngBank, type_index=1):
     """Full two-phase run for one type.
 
@@ -153,10 +138,12 @@ def run_srcs(n, config: ProtocolConfig, bank: RngBank, type_index=1):
     flagged marking the all-slots-busy fallback; phase 2 reads ("p2", b).
     """
     rough, phase1_slots = srcs_phase1(n, config, bank, type_index)
-    final, flagged, mask = srcs_phase2(n, rough, config,
-                                       bank.stream("p2", type_index))
-    ledger = SlotLedger(stage1=phase1_slots, stage2=config.ell, bp=1)
-    return rough, final, ledger, flagged, mask
+    ell = config.ell
+    p = participation_probability(ell, rough)
+    counts, blocks = bb_blocks(bank.stream("p2", type_index), n, ell, p)
+    final, flagged = srcs_estimate(ell - np.count_nonzero(counts), ell, p)
+    ledger = SlotLedger(stage1=phase1_slots, stage2=ell, bp=1)
+    return rough, final, ledger, flagged, blocks > 0
 
 
 def t_repetitions_srcs(population: PopulationSpec, config: ProtocolConfig,
@@ -168,16 +155,19 @@ def t_repetitions_srcs(population: PopulationSpec, config: ProtocolConfig,
     rough estimate so nodes can compute p) is tracked under bp and counted
     as overhead relative to the published totals.
     """
-    T, M = population.T, config.m_prime
+    T, M, ell = population.T, config.m_prime, config.ell
     rough = lof_estimates(trial_counts(population, config, bank))
     rngs = bank.streams([("p2", b) for b in range(1, T + 1)])
     final, flags = {}, {}
-    lb = SlotLedger(stage1=M * config.t_T, stage2=config.ell, bp=1)
+    lb = SlotLedger(stage1=M * config.t_T, stage2=ell, bp=1)
     ledger = SlotLedger()
     energy = EnergyLedger.zeros(population)
     for b, rng in enumerate(rngs, 1):
         nb = population.n[b - 1]
-        final[b], flag, part = srcs_phase2(nb, rough[b], config, rng)
+        p = participation_probability(ell, rough[b])
+        counts, blocks = bb_blocks(rng, nb, ell, p)
+        part = blocks > 0
+        final[b], flag = srcs_estimate(ell - np.count_nonzero(counts), ell, p)
         if flag:
             flags[b] = "all_slots_busy"
         ledger += lb

@@ -13,12 +13,12 @@ as block counts, shared with TxSRCS (so the rough estimates agree by
 construction); node blocks are drawn again only for a per-node read.  Each
 repeated baseline resolves its trials' (T, m_lof, t) count classes (0, 1,
 2+), counted exactly only where a block can hold fewer than two nodes.
+Both trial draws are core.draw_trials calls, and every phase-2 trial,
+TRepBB's and the multiplexed one, is core.bb_blocks.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -32,10 +32,11 @@ from .core import (
     RngBank,
     SlotLedger,
     _class_chunk,
+    bb_blocks,
     bitmap_bp_slots,
+    draw_trials,
 )
 from .homogeneous import (
-    bb_trial,
     lof_estimates,
     participation_probability,
     srcs_estimate,
@@ -57,7 +58,8 @@ def _run_trepbb_phase2(population, rough, config, bank):
     for b, rng in enumerate(rngs, 1):
         nb = population.n[b - 1]
         p = participation_probability(ell, rough[b])
-        z[b], mask = bb_trial(nb, ell, p, rng)
+        counts, blocks = bb_blocks(rng, nb, ell, p)
+        z[b], mask = ell - np.count_nonzero(counts), blocks > 0
         # A node is awake only during its own type's trial.
         energy.charge(b, (np.count_nonzero(mask), 0, ell * nb), tx=mask,
                       accounted=ell)
@@ -122,78 +124,17 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
                    + phase2.overhead_slots)
 
 
-# Uniforms drawn at once by the repeated baselines, shared by the draw's
-# workers: each draws its trials in chunks of max(1, chunk // n_b) rows, so
-# memory stays flat in m_lof x n_b.
-_REP_CHUNK = 1 << 20
-# CPUs this process may run on; the repeated baselines draw their types on up
-# to min(T, _CPUS) threads.
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-
-
-@functools.cache
-def _rep_pool():
-    """Process-wide threads for the repeated baselines' draws, made on first
-    use: importing hetcount starts no thread."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=_CPUS,
-                              thread_name_prefix="hetcount-rep")
-
-
 def _repeated_block_classes(population, t, M, bank):
     """(T, M, t) int32 per-type per-trial per-block transmitter count
     classes for the repeated baselines, which read no more: min(count, 2)
-    (exact counts where core._class_chunk keeps them) of a single (M, n_b)
-    draw, drawn in row chunks from one stream per type.
-
-    Where some type needs more than one chunk, the types are dealt
-    round-robin to min(T, _CPUS) workers that draw on pool threads, each
-    into its own types' slices of the counts, one type after another, so
-    the counts do not depend on the scheduling.  The streams and every
-    worker's buffers are made here, on the calling thread: traced functions
-    keep one span stack, and arrays freed on pool threads would linger in
-    per-thread malloc arenas."""
-    T = population.T
-    counts = np.zeros((T, M, t), dtype=np.int32)
-    workers = (min(T, _CPUS) if M * max(population.n, default=0) > _REP_CHUNK
-               else 1)
-    chunk = _REP_CHUNK // workers
-    drawn = [b for b, nb in enumerate(population.n, 1) if nb]
-    rngs = dict(zip(drawn, bank.streams([("rep", b) for b in drawn])))
-    groups = []
-    for first in range(1, workers + 1):
-        jobs = []
-        for b in range(first, T + 1, workers):
-            nb = population.n[b - 1]
-            if nb:
-                jobs.append((counts[b - 1], rngs[b], nb,
-                             min(M, max(1, chunk // nb))))
-        if jobs:
-            size = max(nb * rows for _out, _rng, nb, rows in jobs)
-            groups.append((jobs, t, np.empty(size),
-                           np.empty(size, dtype=np.int64)))
-    if len(groups) > 1:
-        for future in [_rep_pool().submit(_draw_types, *group)
-                       for group in groups]:
-            future.result()
-    else:
-        for group in groups:
-            _draw_types(*group)
-    return counts
-
-
-def _draw_types(jobs, t, u, idx):
-    """Each job's (M, t) count classes into its ``out``, chunk after chunk of
-    ``rows`` trials of ``nb`` nodes from its ``rng``, through the float64
-    buffer u and the int64 buffer idx."""
-    for out, rng, nb, rows in jobs:
-        M = len(out)
-        for s in range(0, M, rows):
-            k = min(rows, M - s)
-            drawn = rng.random(out=u[:k * nb].reshape(k, nb))
-            _class_chunk(drawn, t, idx[:k * nb].reshape(k, nb), out[s:s + k])
+    (exact counts where core._class_chunk keeps them) of one (M, n_b) draw
+    per type from stream ("rep", b), by core.draw_trials."""
+    n = population.n
+    opened = iter(bank.streams([("rep", b) for b, nb in enumerate(n, 1)
+                                if nb]))
+    return draw_trials([next(opened) if nb else None for nb in n], n, t,
+                       np.empty((population.T, M, t), dtype=np.int32),
+                       _class_chunk)
 
 
 _REPEATED = ("3SS-repeated", "2SS-repeated")

@@ -28,10 +28,10 @@ from .core import (
     RngBank,
     SlotLedger,
     SlotOutcome,
+    bb_blocks,
     bitmap_bp_slots,
     geometric_block_choices,
     slot_outcomes,
-    uniform_block_choices,
 )
 from .homogeneous import first_empty, participations, trial_counts
 
@@ -65,25 +65,24 @@ def draw_blocks(population: PopulationSpec, n_blocks, distribution,
                 participation, rngs):
     """(counts, chosen): types-first (T, n_blocks) transmitters per block,
     and each type's 1-based block per node (0 = idle).  distribution is
-    "geometric" (trial mode, everyone participates) or "uniform" (bb mode,
-    type b with probability participation[b - 1]); rngs holds one generator
-    per type."""
+    "geometric" (trial mode, everyone participates) or "uniform" (a
+    core.bb_blocks trial, type b joining with probability
+    participation[b - 1]); rngs holds one generator per type."""
     T = population.T
     counts = np.zeros((T, n_blocks), dtype=np.int64)
     chosen = {}
     for b in range(1, T + 1):
         nb = population.n[b - 1]
         if distribution == "geometric":
-            blocks = geometric_block_choices(rngs[b - 1], nb, n_blocks)
+            chosen[b] = geometric_block_choices(rngs[b - 1], nb, n_blocks)
+            # Bin 0 stays empty and is dropped.
+            counts[b - 1] = np.bincount(chosen[b],
+                                        minlength=n_blocks + 1)[1:]
         elif distribution == "uniform":
-            mask, blocks = uniform_block_choices(
+            counts[b - 1], chosen[b] = bb_blocks(
                 rngs[b - 1], nb, n_blocks, participation[b - 1])
-            blocks = np.where(mask, blocks, 0)
         else:
             raise ValueError(f"unknown block distribution {distribution!r}")
-        chosen[b] = blocks
-        # Bin 0 counts idle nodes and is dropped.
-        counts[b - 1] = np.bincount(blocks, minlength=n_blocks + 1)[1:]
     return counts, chosen
 
 

@@ -1,10 +1,13 @@
 """Core domain types, config derivation, and the randomness contract."""
 
+import gc
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -32,6 +35,7 @@ from hetcount.core import (
     slot_outcomes,
     uniform_block_choices,
 )
+from hetcount.homogeneous import trial_counts
 
 
 def _series_erfinv(y, terms=400):
@@ -465,3 +469,96 @@ class TestClassChunk:
         got = self._classes(u, t)
         assert np.array_equal(got, expected if exact
                               else np.minimum(expected, 2))
+
+
+def _one_shot_counts(rngs, n, t, M):
+    """Reference: each type's (M, n_b) node blocks drawn by numpy's
+    geometric, from one stream at once or one stream per trial, and counted
+    trial by trial."""
+    out = np.zeros((len(n), M, t), dtype=np.int64)
+    for b, (nb, rng) in enumerate(zip(n, rngs)):
+        if not nb:
+            continue
+        if isinstance(rng, np.random.Generator):
+            blocks = rng.geometric(0.5, size=(M, nb))
+        else:
+            blocks = np.stack([r.geometric(0.5, size=nb) for r in rng])
+        for m, row in enumerate(np.minimum(blocks, t)):
+            out[b, m] = np.bincount(row, minlength=t + 1)[1:]
+    return out
+
+
+class TestDrawTrials:
+    """core.draw_trials, the one trial loop: every stream layout, kernel,
+    CPU count and chunk budget gives the counts of a one-shot draw."""
+
+    CHUNK = 600
+    # A type at the budget, one without nodes, one at the budget of each
+    # of two workers, a small one; the 600 and 550 node types are kept as
+    # classes by _class_chunk at t = 5, the others counted exactly.
+    N = (600, 0, 300, 37, 550)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("kernel", ["_count_chunk", "_class_chunk"])
+    @pytest.mark.parametrize("layout", ["per-trial", "one-stream"])
+    def test_equals_one_shot_draw(self, layout, kernel, cpus, monkeypatch):
+        monkeypatch.setattr(core, "_TRIAL_CHUNK", self.CHUNK)
+        monkeypatch.setattr(core, "_CPUS", cpus)
+        M, t, T = 7, 5, len(self.N)
+
+        def streams():
+            bank = RngBank(12)
+            if layout == "one-stream":   # a type without nodes gets none
+                return [bank.stream("rep", b) if nb else None
+                        for b, nb in enumerate(self.N, 1)]
+            return [bank.streams([("p1", m, b) for m in range(M)])
+                    for b in range(1, T + 1)]
+        out = np.full((T, M, t), -1, dtype=np.int32)
+        got = core.draw_trials(streams(), self.N, t, out,
+                               getattr(core, kernel))
+        assert got is out
+        want = _one_shot_counts(streams(), self.N, t, M)
+        if kernel == "_class_chunk":
+            assert got[0].max() == 2 < want[0].max()
+            got, want = np.minimum(got, 2), np.minimum(want, 2)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("chunk, pooled", [(3000, False), (2999, True)])
+    def test_trial_counts_across_the_pool_gate(self, chunk, pooled,
+                                               monkeypatch):
+        pop = PopulationSpec.fixed((300, 0, 120, 45), n_all=(1 << 10,) * 4)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        assert cfg.m_prime * max(pop.n) == 3000
+        monkeypatch.setattr(core, "_CPUS", 1)
+        alone = trial_counts(pop, cfg, RngBank(7))
+        monkeypatch.setattr(core, "_CPUS", 2)
+        monkeypatch.setattr(core, "_TRIAL_CHUNK", chunk)
+        threads = []
+        draw = core._draw_types
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return draw(*args)
+        monkeypatch.setattr(core, "_draw_types", recorded)
+        got = trial_counts(pop, cfg, RngBank(7))
+        assert np.array_equal(got, alone)
+        assert len(threads) == (2 if pooled else 1)
+        assert (threading.get_ident() in threads) != pooled
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_trial_counts_memory(self, cpus, monkeypatch):
+        # Phase 1 at 2e5 nodes per type: one type's (m', n_b) uniforms and
+        # blocks at once would take 32 MB; the draw holds at most
+        # _TRIAL_CHUNK (2^20) of each, 16 MiB.
+        monkeypatch.setattr(core, "_CPUS", cpus)
+        pop = PopulationSpec.fixed((200_000,) * 4, n_all=(1 << 20,) * 4)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        trial_counts(pop, cfg, RngBank(0))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trial_counts(pop, cfg, RngBank(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * 2 ** 20

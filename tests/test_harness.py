@@ -198,9 +198,10 @@ class TestSharedReplicates:
                           for rng, key in zip(rngs, keys))
             return rngs
 
-        def spy(rngs, nb, t, out):
-            drawn.extend(origin[id(rng)][1:] for rng in rngs)
-            return draw(rngs, nb, t, out)
+        def spy(rngs, n, t, out, kernel):
+            drawn.extend(origin[id(rng)][1:] for trials in rngs
+                         for rng in trials)
+            return draw(rngs, n, t, out, kernel)
         monkeypatch.setattr(RngBank, "streams", opened)
         monkeypatch.setattr(homogeneous, "draw_trials", spy)
         readers = [s for s in harness.SCHEMES if harness.READS.get(s) == "p1"]

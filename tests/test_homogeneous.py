@@ -15,11 +15,11 @@ from hetcount.core import (
     EmptyInput,
     PopulationSpec,
     RngBank,
+    bb_blocks,
     derive_config,
     geometric_block_choices,
 )
 from hetcount.homogeneous import (
-    bb_trial,
     first_empty,
     lof_estimate,
     participation_probability,
@@ -125,23 +125,31 @@ class TestSrcsPhase1:
             123, cfg, RngBank(5))
 
 
+def _bb_trial(n, ell, p, rng):
+    """(empty-slot count, per-slot counts, participation mask) of one
+    balls-and-bins trial drawn by core.bb_blocks."""
+    counts, blocks = bb_blocks(rng, n, ell, p)
+    return ell - np.count_nonzero(counts), counts, blocks > 0
+
+
 class TestBBTrial:
     def test_empty_and_nonparticipating(self):
-        z, occ = bb_trial(0, 50, 1.0, np.random.default_rng(0))
-        assert z == 50 and occ.sum() == 0
-        z, occ = bb_trial(100, 50, 0.0, np.random.default_rng(0))
-        assert z == 50 and occ.sum() == 0
+        z, _counts, mask = _bb_trial(0, 50, 1.0, np.random.default_rng(0))
+        assert z == 50 and mask.sum() == 0
+        z, counts, mask = _bb_trial(100, 50, 0.0, np.random.default_rng(0))
+        assert z == 50 and mask.sum() == 0 and counts.sum() == 0
 
     def test_occupancy_sums_to_participants(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            _z, occ = bb_trial(500, 100, 0.6, rng)
-            assert 0 <= occ.sum() <= 500
+            z, counts, mask = _bb_trial(500, 100, 0.6, rng)
+            assert counts.sum() == mask.sum() <= 500
+            assert z == np.count_nonzero(counts == 0)
 
     def test_participation_binomial_mean(self):
         rng = np.random.default_rng(4)
         n, p = 1000, 0.4
-        parts = [bb_trial(n, 100, p, rng)[1].sum() for _ in range(1000)]
+        parts = [_bb_trial(n, 100, p, rng)[2].sum() for _ in range(1000)]
         se = math.sqrt(n * p * (1 - p) / len(parts))
         assert abs(np.mean(parts) - n * p) < 3 * se
 
@@ -149,7 +157,7 @@ class TestBBTrial:
         n, ell = 1000, 1075
         p = participation_probability(ell, n)
         rng = np.random.default_rng(5)
-        zs = np.array([bb_trial(n, ell, p, rng)[0] for _ in range(1000)])
+        zs = np.array([_bb_trial(n, ell, p, rng)[0] for _ in range(1000)])
         target = (1 - p / ell) ** n
         se = zs.std(ddof=1) / math.sqrt(len(zs)) / ell
         assert abs(zs.mean() / ell - target) < 3 * se

@@ -399,8 +399,8 @@ class TestRepeatedBlockCounts:
     ])
     def test_equals_one_shot_draw(self, chunk, n, M, t, cpus, classes,
                                   monkeypatch):
-        monkeypatch.setattr(hsrc, "_REP_CHUNK", chunk)
-        monkeypatch.setattr(hsrc, "_CPUS", cpus)
+        monkeypatch.setattr(core, "_TRIAL_CHUNK", chunk)
+        monkeypatch.setattr(core, "_CPUS", cpus)
         pop = _pop(n, max(n))
         got = _repeated_block_classes(pop, t, M, RngBank(3))
         assert got.dtype == np.int32
@@ -433,8 +433,8 @@ class TestRepeatedBlockClasses:
     def test_property_equals_clipped_one_shot(self, n, M, t, chunk, cpus):
         pop = _pop(n, max(n))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hsrc, "_REP_CHUNK", chunk)
-            mp.setattr(hsrc, "_CPUS", cpus)
+            mp.setattr(core, "_TRIAL_CHUNK", chunk)
+            mp.setattr(core, "_CPUS", cpus)
             got = _repeated_block_classes(pop, t, M, RngBank(17))
         one_shot = _one_shot_block_counts(pop, t, M, RngBank(17))
         assert np.array_equal(got, np.minimum(one_shot, 2))
@@ -496,12 +496,20 @@ class TestRepeatedDrawThreads:
     thread, and small draws never make the pool."""
 
     def test_streams_and_draws_on_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(hsrc, "_REP_CHUNK", 1000)
+        # The repeated baselines' draw and run_hsrc's phase 1 (m' = 10
+        # trials of 300 nodes) both cross a 1000-node chunk budget.
+        monkeypatch.setattr(core, "_TRIAL_CHUNK", 1000)
         pop = _pop((300, 200, 250), 1 << 20)
         cfg = derive_config(0.03, 0.2, pop.n_all)
-        monkeypatch.setattr(hsrc, "_CPUS", 1)
-        inline = {s: run_baseline(s, pop, cfg, RngBank(5)) for s in REPEATED}
-        monkeypatch.setattr(hsrc, "_CPUS", 2)
+        assert cfg.m_prime * max(pop.n) > 1000
+
+        def runs(bank):
+            reports = {s: run_baseline(s, pop, cfg, bank) for s in REPEATED}
+            reports["HSRC1"] = run_hsrc("HSRC1", pop, cfg, RngBank(5))
+            return reports
+        monkeypatch.setattr(core, "_CPUS", 1)
+        inline = runs(RngBank(5))
+        monkeypatch.setattr(core, "_CPUS", 2)
 
         threads = {"stream": [], "draw": [], "worker": []}
 
@@ -517,34 +525,39 @@ class TestRepeatedDrawThreads:
             threads["stream"].extend(threading.get_ident() for _ in keys)
             return streams(bank, keys)
         monkeypatch.setattr(RngBank, "streams", opened)
-        draw = core.geometric_block_choices
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("hetcount"):
-                for key, value in list(vars(module).items()):
-                    if value is draw:
-                        monkeypatch.setattr(module, key,
-                                            recorded("draw", draw))
-        monkeypatch.setattr(hsrc, "_draw_types",
-                            recorded("worker", hsrc._draw_types))
-        bank = RngBank(5, {"rep": 2})
-        reports = {s: run_baseline(s, pop, cfg, bank) for s in REPEATED}
+        for draw in (core.geometric_block_choices, core.uniform_block_choices):
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("hetcount"):
+                    for key, value in list(vars(module).items()):
+                        if value is draw:
+                            monkeypatch.setattr(module, key,
+                                                recorded("draw", draw))
+        monkeypatch.setattr(core, "_draw_types",
+                            recorded("worker", core._draw_types))
+        reports = runs(RngBank(5, {"rep": 2}))
+        # "rep" and phase-2 keys per type, and phase 1's m' per type.
+        assert len(threads["stream"]) == pop.T * (2 + cfg.m_prime)
+        # Per-node energy draws phase 1's node blocks again, on this thread.
+        reports["HSRC1"].energy.tx
 
         caller = threading.get_ident()
-        assert len(threads["stream"]) == pop.T
+        assert threads["draw"]
         assert set(threads["stream"] + threads["draw"]) == {caller}
-        assert len(threads["worker"]) == 2
+        # Two workers for the repeated trials, two for phase 1.
+        assert len(threads["worker"]) == 4
         assert caller not in threads["worker"]
-        for s in REPEATED:
-            assert reports[s].final == inline[s].final
-            assert reports[s].ledger == inline[s].ledger
+        for s, report in reports.items():
+            assert report.final == inline[s].final
+            assert report.rough == inline[s].rough
+            assert report.ledger == inline[s].ledger
 
     def test_more_threads_than_cpus_under_fast_switching(self, monkeypatch):
         # Six workers share the counts array, each writing its own types'
         # slices; a lost or misplaced write shows against the one-shot draw.
-        monkeypatch.setattr(hsrc, "_REP_CHUNK", 600)
-        monkeypatch.setattr(hsrc, "_CPUS", 6)
+        monkeypatch.setattr(core, "_TRIAL_CHUNK", 600)
+        monkeypatch.setattr(core, "_CPUS", 6)
         pool = ThreadPoolExecutor(max_workers=6)
-        monkeypatch.setattr(hsrc, "_rep_pool", lambda: pool)
+        monkeypatch.setattr(core, "_pool", lambda: pool)
         pop = _pop((90, 45, 0, 120, 7, 60), 120)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -556,12 +569,21 @@ class TestRepeatedDrawThreads:
         assert np.array_equal(got, _one_shot_block_counts(pop, 8, 200,
                                                           RngBank(4)))
 
-    def test_fig11a_never_makes_the_pool(self, monkeypatch):
+    @staticmethod
+    def _runs_without_pool(preset, monkeypatch):
         def no_pool():
             raise AssertionError("thread pool made")
-        monkeypatch.setattr(hsrc, "_rep_pool", no_pool)
-        monkeypatch.setattr(hsrc, "_CPUS", 8)
-        assert figure_preset("fig11a", replicates=1)
+        monkeypatch.setattr(core, "_pool", no_pool)
+        monkeypatch.setattr(core, "_CPUS", 8)
+        assert figure_preset(preset, replicates=1)
+
+    def test_fig11a_never_makes_the_pool(self, monkeypatch):
+        self._runs_without_pool("fig11a", monkeypatch)
+
+    def test_fig7a_never_makes_the_pool(self, monkeypatch):
+        # The largest phase-1 draw of any preset: m' = 10 trials of up to
+        # 1000 nodes per type.
+        self._runs_without_pool("fig7a", monkeypatch)
 
 
 def _hsrc_by_frames(variant, population, config, bank, method):
@@ -606,7 +628,7 @@ class TestTrialEngineMatchesFrames:
         cfg = derive_config(0.05, 0.2, pop.n_all, s_w=s_w, m_prime=m_prime)
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
-                mp.setattr(hsrc, "_REP_CHUNK", chunk)
+                mp.setattr(core, "_TRIAL_CHUNK", chunk)
             got = run_hsrc(variant, pop, cfg, RngBank(seed),
                            phase2_override=method)
         rough, phase1, overhead, energy = _hsrc_by_frames(

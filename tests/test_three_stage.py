@@ -14,11 +14,11 @@ from hetcount.core import (
     PopulationSpec,
     RngBank,
     SlotOutcome,
+    bb_blocks,
     bitmap_bp_slots,
     derive_config,
 )
 from hetcount.homogeneous import (
-    bb_trial,
     first_empty,
     participation_probability,
     participations,
@@ -252,9 +252,9 @@ class TestBBMode:
         res = run_3ss_bb(pop, rough, cfg, bank)
         for b in (1, 2, 3):
             p = participation_probability(cfg.ell, rough[b])
-            z_solo, _ = bb_trial(pop.n[b - 1], cfg.ell, p,
-                                 bank.stream("p2", b))
-            assert res.z[b] == z_solo
+            counts, _blocks = bb_blocks(bank.stream("p2", b), pop.n[b - 1],
+                                        cfg.ell, p)
+            assert res.z[b] == cfg.ell - np.count_nonzero(counts)
 
     def test_ledger_and_soundness(self):
         pop = PopulationSpec.fixed((2000, 1000, 3000), n_all=(4000,) * 3)
