@@ -270,6 +270,9 @@ def main(argv=None):
     elif args.command == "zeta":
         if args.t_min < 2:
             parser.error(f"--t-min must be at least 2, got {args.t_min}")
+        if args.t_max < args.t_min:
+            parser.error(f"--t-max {args.t_max} is below --t-min "
+                         f"{args.t_min}")
         if args.ell < 1:
             parser.error(f"--ell must be at least 1, got {args.ell}")
         lines = ["T,zeta1,zeta2,n1_star_over_ell\n"]

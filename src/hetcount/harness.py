@@ -381,7 +381,7 @@ def _srcs_coverage(epsilon, delta, ell, n_grid, replicates, seed):
         ok = 0
         for rep in range(replicates):
             bank = RngBank(_rep_seed(seed, "cal", (ell, n), rep))
-            _rough, final, _led, _flag, _mask = run_srcs(n, config, bank)
+            _rough, final, _led, _flag = run_srcs(n, config, bank)
             ok += abs(final - n) <= epsilon * n
         worst = min(worst, ok / replicates)
     return worst

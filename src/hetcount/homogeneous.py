@@ -2,16 +2,17 @@
 
 Two protocols live here: the first-empty-slot ("lof") protocol, whose trials
 give rough order-of-magnitude estimates, and the two-phase protocol ("srcs")
-that refines a rough estimate with one balls-and-bins trial.  Running the
-two-phase protocol once per type is the naive baseline the heterogeneous
-schemes are measured against; its phase 1 reads ``trial_counts``, one
-draw per replicate that HSRC phase 1 reads too, and its phase 2 is a
-core.bb_blocks trial, the balls-and-bins draw of every scheme.
+that refines a rough estimate with one balls-and-bins trial: phase 1 is
+``trial_counts``, which HSRC phase 1 reads too, phase 2 ``bb_trials``,
+every scheme's phase-2 draw, and ``final_estimates`` its one estimate rule.
+Run once per type it is the naive baseline (TxSRCS), and its phase 2 alone
+is HSRC's per-type branch (TRepBB).  Per-node slots are drawn again when read.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -64,37 +65,21 @@ def lof_estimate(j_list) -> float:
     return LOF_FACTOR * 2.0 ** (int(js.sum() - js.size) / js.size)
 
 
-def srcs_phase1(n, config: ProtocolConfig, bank: RngBank, type_index=1):
-    """Phase 1: m_prime first-empty-slot trials on stream ("p1", m, b).
-
-    Returns (rough estimate, slot cost).  The stream naming is part of the
-    cross-scheme randomness contract: the composite estimators draw their
-    phase-1 block choices from the same streams.
-    """
-    M, t = config.m_prime, config.t_T
-    rngs = bank.streams([("p1", m, type_index) for m in range(M)])
-    counts = draw_trials([rngs], (n,), t, np.empty((1, M, t), dtype=np.int32),
-                         _count_chunk)
-    return lof_estimate(first_empty(counts[0])), M * t
-
-
-def trial_counts(population: PopulationSpec, config: ProtocolConfig,
-                 bank: RngBank, trials=None):
+def trial_counts(n, config: ProtocolConfig, bank: RngBank, trials=None):
     """Types-first (T, M, t_T) block counts, read-only, of the
-    first-empty-slot trials numbered ``trials`` over t_T blocks, each
-    type's drawn by core.draw_trials from streams ("p1", trial, type), all
-    opened in one ``streams`` call.  Without ``trials`` they are the m'
-    phase-1 trials, drawn once per bank for all its "p1" readers."""
+    first-empty-slot trials numbered ``trials`` over t_T blocks, of n[b - 1]
+    nodes of type b, drawn by core.draw_trials from streams ("p1", trial, b)
+    opened in one call.  Without ``trials`` they are the m' phase-1 trials,
+    drawn once per bank for all its "p1" readers."""
     if trials is None:
-        return bank.shared(("p1", population.n, config.t_T, config.m_prime),
-                           lambda: trial_counts(population, config, bank,
+        return bank.shared(("p1", n, config.t_T, config.m_prime),
+                           lambda: trial_counts(n, config, bank,
                                                 range(config.m_prime)))
-    T, M = population.T, len(trials)
+    T, M = len(n), len(trials)
     rngs = bank.streams([("p1", m, b) for b in range(1, T + 1)
                          for m in trials])
-    counts = draw_trials([rngs[b * M:(b + 1) * M] for b in range(T)],
-                         population.n, config.t_T,
-                         np.empty((T, M, config.t_T), dtype=np.int32),
+    counts = draw_trials([rngs[b * M:(b + 1) * M] for b in range(T)], n,
+                         config.t_T, np.empty((T, M, config.t_T), np.int32),
                          _count_chunk)
     counts.flags.writeable = False
     return counts
@@ -131,51 +116,81 @@ def srcs_estimate(z, ell, p):
     return srcs_final_estimate(z, ell, p), False
 
 
-def run_srcs(n, config: ProtocolConfig, bank: RngBank, type_index=1):
-    """Full two-phase run for one type.
-
-    Returns (rough, final, ledger, flagged, phase-2 participation mask),
-    flagged marking the all-slots-busy fallback; phase 2 reads ("p2", b).
-    """
-    rough, phase1_slots = srcs_phase1(n, config, bank, type_index)
+def bb_trials(n, rough, config: ProtocolConfig, bank: RngBank):
+    """Phase 2: a core.bb_blocks trial over ell slots of the n[b - 1] nodes
+    of each type b, at the participation of its rough estimate, on stream
+    ("p2", b): the (T, ell) per-slot counts, and ``slots(b)``, which draws
+    type b's 1-based slot per node (0 = idle) again, for a per-node read."""
     ell = config.ell
-    p = participation_probability(ell, rough)
-    counts, blocks = bb_blocks(bank.stream("p2", type_index), n, ell, p)
-    final, flagged = srcs_estimate(ell - np.count_nonzero(counts), ell, p)
-    ledger = SlotLedger(stage1=phase1_slots, stage2=ell, bp=1)
-    return rough, final, ledger, flagged, blocks > 0
+    p = participations(rough, ell, len(n))
+    keys = [("p2", b) for b in range(1, len(n) + 1)]
+    counts = np.array([bb_blocks(rng, nb, ell, pb)[0]
+                       for rng, nb, pb in zip(bank.streams(keys), n, p)])
+
+    def slots(b):
+        return bb_blocks(bank.stream(*keys[b - 1]), n[b - 1], ell,
+                         p[b - 1])[1]
+    return counts, slots
+
+
+def final_estimates(counts, rough, ell):
+    """(final, flags): each type's estimate from its bb_trials counts at
+    the participation of its rough estimate, flagged "all_slots_busy" where
+    every slot was busy."""
+    final, flags = {}, {}
+    for b, row in enumerate(counts, 1):
+        p = participation_probability(ell, for_type(rough, b))
+        final[b], busy = srcs_estimate(ell - np.count_nonzero(row), ell, p)
+        if busy:
+            flags[b] = "all_slots_busy"
+    return final, flags
+
+
+def run_srcs(n, config: ProtocolConfig, bank: RngBank):
+    """The two-phase protocol for one type of n nodes, on streams
+    ("p1", m, 1) and ("p2", 1): (rough, final, ledger, flagged), flagged
+    marking the all-slots-busy fallback."""
+    rough = lof_estimates(trial_counts((n,), config, bank))
+    counts, _slots = bb_trials((n,), rough, config, bank)
+    final, flags = final_estimates(counts, rough, config.ell)
+    ledger = SlotLedger(stage1=config.m_prime * config.t_T,
+                        stage2=config.ell, bp=1)
+    return rough[1], final[1], ledger, 1 in flags
+
+
+def t_repetitions_bb(population: PopulationSpec, rough,
+                     config: ProtocolConfig, bank: RngBank):
+    """TRepBB: the bb_trials run one type after another, a node awake only
+    in its own type's trial: (counts, energy)."""
+    counts, slots = bb_trials(population.n, rough, config, bank)
+    energy = EnergyLedger.zeros(population)
+    for b, (nb, joined) in enumerate(
+            zip(population.n, counts.sum(axis=1).tolist()), 1):
+        energy.charge(b, (joined, 0, config.ell * nb),
+                      partial(_own_trial, slots, b, config.ell))
+    return counts, energy
+
+
+def _own_trial(slots, b, ell, tx, rx, accounted):
+    """Per-node energy of type b's own trial (see t_repetitions_bb)."""
+    tx += slots(b) > 0
+    accounted += ell
 
 
 def t_repetitions_srcs(population: PopulationSpec, config: ProtocolConfig,
                        bank: RngBank) -> EstimateReport:
-    """Baseline: run the two-phase protocol separately for every type, on
-    the shared trial_counts and with phase 2's streams opened at once.
-
-    The single phase-boundary broadcast slot per execution (carrying the
-    rough estimate so nodes can compute p) is tracked under bp and counted
-    as overhead relative to the published totals.
-    """
-    T, M, ell = population.T, config.m_prime, config.ell
-    rough = lof_estimates(trial_counts(population, config, bank))
-    rngs = bank.streams([("p2", b) for b in range(1, T + 1)])
-    final, flags = {}, {}
-    lb = SlotLedger(stage1=M * config.t_T, stage2=ell, bp=1)
-    ledger = SlotLedger()
-    energy = EnergyLedger.zeros(population)
-    for b, rng in enumerate(rngs, 1):
-        nb = population.n[b - 1]
-        p = participation_probability(ell, rough[b])
-        counts, blocks = bb_blocks(rng, nb, ell, p)
-        part = blocks > 0
-        final[b], flag = srcs_estimate(ell - np.count_nonzero(counts), ell, p)
-        if flag:
-            flags[b] = "all_slots_busy"
-        ledger += lb
-        # Energy for this type's own execution: one tx per phase-1 trial,
-        # one phase-2 tx if participating, one rx for the boundary
-        # broadcast; nodes of other types sleep through it.
-        energy.charge(b, (M * nb, nb, lb.total * nb), M, 1.0, lb.total)
-        energy.charge(b, (np.count_nonzero(part), 0, 0), part)
+    """Baseline TxSRCS: the two-phase protocol once per type, phase 1 on
+    the shared trial_counts and phase 2 TRepBB's.  Each execution's one
+    phase-boundary broadcast slot (carrying the rough estimate so nodes can
+    compute p) is tracked under bp and counted as overhead."""
+    T, M, t = population.T, config.m_prime, config.t_T
+    rough = lof_estimates(trial_counts(population.n, config, bank))
+    counts, energy = t_repetitions_bb(population, rough, config, bank)
+    final, flags = final_estimates(counts, rough, config.ell)
+    # A node's own execution also holds one tx per phase-1 trial and one rx
+    # for the boundary broadcast; it sleeps through the other types'.
+    energy.charge_all(tx=M, rx=1, accounted=M * t + 1)
+    ledger = SlotLedger(stage1=T * M * t, stage2=T * config.ell, bp=T)
     return EstimateReport(rough=rough, final=final, phase2_method=None,
                           ledger=ledger, energy=energy, flags=flags,
-                          overhead_slots=population.T)
+                          overhead_slots=T)

@@ -13,8 +13,9 @@ as block counts, shared with TxSRCS (so the rough estimates agree by
 construction); node blocks are drawn again only for a per-node read.  Each
 repeated baseline resolves its trials' (T, m_lof, t) count classes (0, 1,
 2+), counted exactly only where a block can hold fewer than two nodes.
-Both trial draws are core.draw_trials calls, and every phase-2 trial,
-TRepBB's and the multiplexed one, is core.bb_blocks.
+Both trial draws are core.draw_trials calls.  Both phase-2 branches, and
+TxSRCS, draw homogeneous.bb_trials and estimate by
+homogeneous.final_estimates; no report keeps a per-node array.
 """
 
 from __future__ import annotations
@@ -25,66 +26,40 @@ import numpy as np
 
 from .analysis import select_phase2
 from .core import (
-    EnergyLedger,
     EstimateReport,
     PopulationSpec,
     ProtocolConfig,
     RngBank,
     SlotLedger,
     _class_chunk,
-    bb_blocks,
     bitmap_bp_slots,
     draw_trials,
 )
 from .homogeneous import (
+    final_estimates,
     lof_estimates,
-    participation_probability,
-    srcs_estimate,
+    t_repetitions_bb,
     t_repetitions_srcs,
 )
 from .three_stage import resolve_3ss, run_3ss_bb, trial_frames
 from .two_stage import resolve_2ss, run_2ss_bb
 
 
-def _run_trepbb_phase2(population, rough, config, bank):
-    """One balls-and-bins trial per type, on the same per-type streams the
-    multiplexed phase-2 would use, so the empty-slot counts agree exactly."""
-    T = population.T
-    ell = config.ell
-    z = {}
-    ledger = SlotLedger(stage1=T * ell)
-    energy = EnergyLedger.zeros(population)
-    rngs = bank.streams([("p2", b) for b in range(1, T + 1)])
-    for b, rng in enumerate(rngs, 1):
-        nb = population.n[b - 1]
-        p = participation_probability(ell, rough[b])
-        counts, blocks = bb_blocks(rng, nb, ell, p)
-        z[b], mask = ell - np.count_nonzero(counts), blocks > 0
-        # A node is awake only during its own type's trial.
-        energy.charge(b, (np.count_nonzero(mask), 0, ell * nb), tx=mask,
-                      accounted=ell)
-    return z, ledger, energy
-
-
 def run_phase2(method, bb_runner, population, rough, config,
                bank) -> EstimateReport:
     """Phase 2 on the rough estimates: "TRepBB" runs one balls-and-bins
-    trial per type, "SSBB" one bb_runner execution.  Its report's ledger is
-    phase 2's and its overhead the plan broadcast."""
+    trial per type, "SSBB" one bb_runner execution; both draw bb_trials.
+    Its report's ledger is phase 2's and its overhead the plan broadcast."""
     if method == "TRepBB":
-        z, ledger, energy = _run_trepbb_phase2(population, rough, config, bank)
-        plan = 0
+        counts, energy = t_repetitions_bb(population, rough, config, bank)
+        ledger, plan = SlotLedger(stage1=population.T * config.ell), 0
     elif method == "SSBB":
         res = bb_runner(population, rough, config, bank)
-        z, ledger, energy, plan = res.z, res.ledger, res.energy, res.overhead
+        counts, ledger, energy, plan = (res.counts, res.ledger, res.energy,
+                                        res.overhead)
     else:
         raise ValueError(f"unknown phase-2 method {method!r}")
-    final, flags = {}, {}
-    for b, zb in z.items():
-        p = participation_probability(config.ell, rough[b])
-        final[b], busy = srcs_estimate(zb, config.ell, p)
-        if busy:
-            flags[b] = "all_slots_busy"
+    final, flags = final_estimates(counts, rough, config.ell)
     return EstimateReport(rough=dict(rough), final=final, phase2_method=method,
                           ledger=ledger, energy=energy, flags=flags,
                           phase2_ledger=ledger, overhead_slots=plan)

@@ -9,8 +9,12 @@ collides, a (T-1)-slot stage 3 with one dedicated slot per remaining type.
 
 Two stage-1 modes exist: "trial" mode (t_T blocks, geometric block choice,
 everyone participates) which yields first-absent-block indices j_b, and
-"bb" mode (ell blocks, uniform choice, participation p_b) which yields
-empty-block counts z_b.
+"bb" mode (ell blocks, uniform choice, participation p_b) whose per-block
+counts give the empty-block counts z_b.  The schemes draw both as block
+counts, trial mode through homogeneous.trial_counts and bb mode through
+homogeneous.bb_trials, and resolve them with run_frames; node blocks are
+drawn again only for a per-node energy read.  draw_blocks, which keeps
+every node's block, is the reference draw of run_3ss_stage1.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .core import (
     geometric_block_choices,
     slot_outcomes,
 )
-from .homogeneous import first_empty, participations, trial_counts
+from .homogeneous import bb_trials, first_empty, trial_counts
 
 _SA = SlotOutcome.SINGLE_ALPHA.value
 _SB = SlotOutcome.SINGLE_BETA.value
@@ -216,8 +220,7 @@ def _node_sums(frames, b, tx, rx, accounted, node_tx, node_rx, node_acc):
 
 @dataclass
 class Run3SSResult:
-    j: dict | None
-    z: dict | None
+    j: dict | None          # trial mode's first-absent block per type
     counts: np.ndarray      # (T, n_blocks) transmitters per type and block
     ledger: SlotLedger
     energy: EnergyLedger
@@ -231,7 +234,7 @@ def trial_frames(resolve, population: PopulationSpec, config: ProtocolConfig,
     homogeneous.trial_counts and resolved by run_frames: (counts, ledger,
     plan-broadcast slots, energy).  Node blocks are drawn again from the
     frames' streams ("p1", trial, type) only when a per-node energy is read."""
-    counts = trial_counts(population, config, bank, trials)
+    counts = trial_counts(population.n, config, bank, trials)
     trials = range(config.m_prime) if trials is None else trials
 
     def frames(b):
@@ -247,25 +250,19 @@ def run_trial(resolve, population, config, bank, trial_index):
     counts, ledger, overhead, energy = trial_frames(
         resolve, population, config, bank, [operator.index(trial_index)])
     j = dict(enumerate(first_empty(counts[:, 0]).tolist(), 1))
-    return Run3SSResult(j=j, z=None, counts=counts[:, 0], ledger=ledger,
+    return Run3SSResult(j=j, counts=counts[:, 0], ledger=ledger,
                         energy=energy, overhead=overhead)
 
 
 def run_bb(resolve, population, rough, config, bank):
     """The balls-and-bins frame of the code ``resolve`` decodes: ell
-    blocks, uniform choice, participation p_b derived from the rough
-    estimates (1-based dict or sequence)."""
-    T = population.T
-    counts, chosen = draw_blocks(
-        population, config.ell, "uniform",
-        participations(rough, config.ell, T),
-        bank.streams([("p2", b) for b in range(1, T + 1)]))
+    blocks, the homogeneous.bb_trials of every type at once, resolved as
+    one frame.  Per-node energy reads draw the node slots again."""
+    counts, slots = bb_trials(population.n, rough, config, bank)
     ledger, overhead, energy = run_frames(
-        resolve, counts[:, None], population.n, lambda b: [chosen[b]],
+        resolve, counts[:, None], population.n, lambda b: [slots(b)],
         config.s_w)
-    z = config.ell - np.count_nonzero(counts, axis=1)
-    return Run3SSResult(j=None, z=dict(enumerate(z.tolist(), 1)),
-                        counts=counts, ledger=ledger, energy=energy,
+    return Run3SSResult(j=None, counts=counts, ledger=ledger, energy=energy,
                         overhead=overhead)
 
 

@@ -19,7 +19,7 @@ from hetcount.core import (
     derive_config,
 )
 from hetcount.homogeneous import t_repetitions_srcs
-from hetcount.hsrc import _run_trepbb_phase2, run_baseline, run_hsrc
+from hetcount.hsrc import run_baseline, run_hsrc, run_phase2
 from hetcount.three_stage import (
     Stage1Result3SS,
     outcomes_3ss,
@@ -68,7 +68,8 @@ def test_criterion_3_trepbb_exact_total():
             pop = PopulationSpec.fixed(n, n_all=(1000,) * T)
             cfg = derive_config(0.03, 0.2, pop.n_all, ell=ell)
             rough = {b: 400 for b in range(1, T + 1)}
-            _z, ledger, _e = _run_trepbb_phase2(pop, rough, cfg, RngBank(T))
+            ledger = run_phase2("TRepBB", None, pop, rough, cfg,
+                                RngBank(T)).ledger
             assert ledger.total == T * ell, (T, ell, ledger)
 
 
@@ -205,7 +206,8 @@ def test_criterion_9_energy():
     # Repetition-baseline phase 2 vs its closed form.
     per_rep = {b: [] for b in range(1, T + 1)}
     for seed in range(500):
-        _z, _led, energy = _run_trepbb_phase2(pop, rough, cfg, RngBank(seed))
+        energy = run_phase2("TRepBB", None, pop, rough, cfg,
+                            RngBank(seed)).energy
         for b in per_rep:
             per_rep[b].append(energy.mean_energy(b, cfg))
     for b in per_rep:

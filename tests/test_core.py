@@ -530,7 +530,7 @@ class TestDrawTrials:
         cfg = derive_config(0.03, 0.2, pop.n_all)
         assert cfg.m_prime * max(pop.n) == 3000
         monkeypatch.setattr(core, "_CPUS", 1)
-        alone = trial_counts(pop, cfg, RngBank(7))
+        alone = trial_counts(pop.n, cfg, RngBank(7))
         monkeypatch.setattr(core, "_CPUS", 2)
         monkeypatch.setattr(core, "_TRIAL_CHUNK", chunk)
         threads = []
@@ -540,7 +540,7 @@ class TestDrawTrials:
             threads.append(threading.get_ident())
             return draw(*args)
         monkeypatch.setattr(core, "_draw_types", recorded)
-        got = trial_counts(pop, cfg, RngBank(7))
+        got = trial_counts(pop.n, cfg, RngBank(7))
         assert np.array_equal(got, alone)
         assert len(threads) == (2 if pooled else 1)
         assert (threading.get_ident() in threads) != pooled
@@ -553,11 +553,11 @@ class TestDrawTrials:
         monkeypatch.setattr(core, "_CPUS", cpus)
         pop = PopulationSpec.fixed((200_000,) * 4, n_all=(1 << 20,) * 4)
         cfg = derive_config(0.03, 0.2, pop.n_all)
-        trial_counts(pop, cfg, RngBank(0))
+        trial_counts(pop.n, cfg, RngBank(0))
         gc.collect()
         tracemalloc.start()
         try:
-            trial_counts(pop, cfg, RngBank(1))
+            trial_counts(pop.n, cfg, RngBank(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -652,6 +652,9 @@ class TestCli:
         (["calibrate-ell", "--eps", "0"],
          "epsilon must be in (0, 1), got 0.0"),
         (["analyze", "--ell", "0"], "ell, m_prime, s_w, t_T must all be"),
+        # Appended last so the other cases keep their ids.
+        (["zeta", "--t-min", "5", "--t-max", "3"],
+         "--t-max 3 is below --t-min 5"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

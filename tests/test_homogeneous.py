@@ -26,7 +26,6 @@ from hetcount.homogeneous import (
     run_srcs,
     srcs_estimate,
     srcs_final_estimate,
-    srcs_phase1,
     t_repetitions_srcs,
 )
 
@@ -78,7 +77,9 @@ class TestLofTrial:
         assert cfg.t_T == t
         # Every trial reads j = t, so the rough estimate is 1.2897 * 2^(t-1).
         for seed in range(20):
-            assert srcs_phase1(10 * 2 ** t, cfg, RngBank(seed)) == (
+            rough, _final, led, _flag = run_srcs(10 * 2 ** t, cfg,
+                                                 RngBank(seed))
+            assert (rough, led.stage1) == (
                 LOF_FACTOR * 2.0 ** (t - 1), cfg.m_prime * t)
 
     @settings(max_examples=200, deadline=None)
@@ -109,19 +110,19 @@ class TestLofEstimate:
 class TestSrcsPhase1:
     def test_empty_network_floor(self):
         cfg = derive_config(0.03, 0.2, (1000,))
-        rough, slots = srcs_phase1(0, cfg, RngBank(0))
+        rough, _final, led, _flag = run_srcs(0, cfg, RngBank(0))
         assert rough == pytest.approx(1.2897)
-        assert slots == cfg.m_prime * cfg.t_T
+        assert led.stage1 == cfg.m_prime * cfg.t_T
 
     def test_rough_band(self):
         cfg = derive_config(0.03, 0.2, (2000,))
-        within = sum(500 <= srcs_phase1(1000, cfg, RngBank(seed))[0] <= 2000
+        within = sum(500 <= run_srcs(1000, cfg, RngBank(seed))[0] <= 2000
                      for seed in range(200))
         assert within >= 150  # rough estimate, factor-2 band most of the time
 
     def test_deterministic_replay(self):
         cfg = derive_config(0.03, 0.2, (1000,))
-        assert srcs_phase1(123, cfg, RngBank(5)) == srcs_phase1(
+        assert run_srcs(123, cfg, RngBank(5)) == run_srcs(
             123, cfg, RngBank(5))
 
 
@@ -205,13 +206,13 @@ class TestRunSrcs:
         hits = 0
         reps = 300
         for seed in range(reps):
-            _rough, final, _led, _flag, _mask = run_srcs(n, cfg, RngBank(seed))
+            _rough, final, _led, _flag = run_srcs(n, cfg, RngBank(seed))
             hits += abs(final - n) <= cfg.epsilon * n
         assert hits / reps >= 0.75
 
     def test_ledger(self):
         cfg = derive_config(0.03, 0.2, (1000,))
-        _r, _f, led, _flag, _m = run_srcs(100, cfg, RngBank(0))
+        _r, _f, led, _flag = run_srcs(100, cfg, RngBank(0))
         assert led.stage1 == cfg.m_prime * cfg.t_T
         assert led.stage2 == cfg.ell
         assert led.bp == 1

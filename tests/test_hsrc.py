@@ -1,10 +1,12 @@
 """Composite estimators and baselines: equality under shared randomness,
 override consistency, determinism, and ledgers."""
 
+import functools
 import gc
 import sys
 import threading
 import tracemalloc
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,6 +23,7 @@ from hetcount.harness import READS, SCHEMES, figure_preset
 from hetcount.hsrc import (_repeated_block_classes, run_baseline, run_hsrc,
                            run_phase2)
 from hetcount.homogeneous import (lof_estimate, lof_estimates,
+                                  participation_probability, run_srcs,
                                   t_repetitions_srcs)
 from hetcount.three_stage import (Stage1Result3SS, outcomes_3ss, run_3ss_bb,
                                   run_3ss_followup, run_3ss_trial)
@@ -718,3 +721,121 @@ class TestRepeatedReportMatchesFormula:
         assert rep.final == rep.rough == final
         assert rep.ledger == ledger
         assert rep.overhead_slots == overhead
+
+
+def _held_arrays(obj, seen=None):
+    """Every ndarray reachable from ``obj`` through containers, partials and
+    function closures: what an EnergyLedger charge keeps alive."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, (tuple, list)):
+        children = obj
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, functools.partial):
+        children = [obj.func, obj.args, obj.keywords]
+    elif isinstance(obj, types.FunctionType):
+        children = [cell.cell_contents for cell in obj.__closure__ or ()]
+    else:
+        children = []
+    return [a for child in children for a in _held_arrays(child, seen)]
+
+
+class TestPhase2KeepsNoNodeArrays:
+    """Phase-2 reports keep count-level charges only; a per-node read draws
+    each node's slot again from its ("p2", b) stream."""
+
+    # Every type has more nodes than any count-level table has entries.
+    N = (5000, 6000, 7000)
+
+    def _setup(self):
+        pop = _pop(self.N, 1 << 13)
+        cfg = derive_config(0.05, 0.2, pop.n_all)
+        assert cfg.ell + 1 < min(self.N)
+        return pop, cfg
+
+    @staticmethod
+    def _reference_slots(pop, cfg, rough, seed):
+        """Each type's 1-based slot per node (0 = idle) by core.bb_blocks on
+        a fresh bank's ("p2", b) streams."""
+        bank = RngBank(seed)
+        return {b: core.bb_blocks(bank.stream("p2", b), nb, cfg.ell,
+                                  participation_probability(cfg.ell,
+                                                            rough[b]))[1]
+                for b, nb in enumerate(pop.n, 1)}
+
+    def _assert_count_level(self, energy):
+        held = [a for _b, amounts in energy._charges
+                for a in _held_arrays(amounts)]
+        assert all(a.size < min(self.N) for a in held), sorted(
+            a.size for a in held)
+
+    @pytest.mark.parametrize("code", ["3SS", "2SS"])
+    def test_ssbb(self, code):
+        pop, cfg = self._setup()
+        rough = {1: 4000, 2: 6500, 3: 9000}
+        runner, resolve = ((run_3ss_bb, three_stage.resolve_3ss)
+                           if code == "3SS" else (run_2ss_bb, resolve_2ss))
+        res = runner(pop, rough, cfg, RngBank(4))
+        self._assert_count_level(res.energy)
+        slots = self._reference_slots(pop, cfg, rough, 4)
+        ledger, _plan, (tx, rx) = resolve(res.counts[:, None], cfg.s_w,
+                                          energy=True)
+        assert ledger == res.ledger
+        for b, nb in enumerate(pop.n, 1):
+            assert np.array_equal(res.energy.tx[b], tx[b - 1, 0][slots[b]])
+            assert np.array_equal(res.energy.rx[b], rx[b - 1, 0][slots[b]])
+            assert np.array_equal(res.energy.accounted[b],
+                                  np.full(nb, float(ledger.total)))
+
+    def test_trepbb(self):
+        pop, cfg = self._setup()
+        rough = {1: 4000, 2: 6500, 3: 9000}
+        report = run_phase2("TRepBB", None, pop, rough, cfg, RngBank(6))
+        self._assert_count_level(report.energy)
+        slots = self._reference_slots(pop, cfg, rough, 6)
+        for b, nb in enumerate(pop.n, 1):
+            assert np.array_equal(report.energy.tx[b], slots[b] > 0)
+            assert not report.energy.rx[b].any()
+            assert np.array_equal(report.energy.accounted[b],
+                                  np.full(nb, float(cfg.ell)))
+
+    def test_txsrcs(self):
+        pop, cfg = self._setup()
+        report = t_repetitions_srcs(pop, cfg, RngBank(8))
+        self._assert_count_level(report.energy)
+        slots = self._reference_slots(pop, cfg, report.rough, 8)
+        M, t = cfg.m_prime, cfg.t_T
+        for b, nb in enumerate(pop.n, 1):
+            assert np.array_equal(report.energy.tx[b], M + (slots[b] > 0))
+            assert np.array_equal(report.energy.rx[b], np.ones(nb))
+            assert np.array_equal(report.energy.accounted[b],
+                                  np.full(nb, float(M * t + 1 + cfg.ell)))
+
+
+class TestOneTwoPhaseProtocol:
+    """run_srcs is TxSRCS for one type, and TxSRCS's phase 2 is TRepBB's,
+    flags included.  At ell = 1 most trials fill their one slot, so both
+    outcomes of the all-slots-busy rule are compared."""
+
+    @pytest.mark.parametrize("ell", [1, 3, 1075])
+    def test_run_srcs_is_txsrcs_type_one(self, ell):
+        flagged = []
+        for seed in range(12):
+            pop = _pop((3 + 37 * seed, 40, 0), 1 << 10)
+            cfg = derive_config(0.05, 0.2, pop.n_all, ell=ell)
+            bank = RngBank(seed)
+            rt = t_repetitions_srcs(pop, cfg, bank)
+            rough, final, _ledger, flag = run_srcs(pop.n[0], cfg, bank)
+            assert (rough, final, flag) == (rt.rough[1], rt.final[1],
+                                            1 in rt.flags)
+            trep = run_phase2("TRepBB", None, pop, rt.rough, cfg, bank)
+            assert trep.final == rt.final and trep.flags == rt.flags
+            assert set(rt.flags.values()) <= {"all_slots_busy"}
+            flagged.append(flag)
+        if ell == 1:
+            assert any(flagged) and not all(flagged)
