@@ -323,7 +323,8 @@ class RngBank:
     and replays them after that: every call returns fresh Generators at
     the start of their streams.  The bank keeps about 0.25 KB per key.
     ``readers`` counts, per purpose, the scheme runs that read one result
-    ("p1": the phase-1 counts, "rep": the repeated trials); see ``shared``.
+    ("p1": the phase-1 counts, "p2": the phase-2-only schemes' phase-2
+    counts, "rep": the repeated trials); see ``shared``.
     """
 
     def __init__(self, seed, readers=None):
@@ -634,17 +635,14 @@ def uniform_block_choices(rng, n, ell, p):
 
 
 def bb_blocks(rng, n, ell, p):
-    """One balls-and-bins trial of n nodes over ell slots: its (ell,)
-    per-slot transmitter counts, and each node's 1-based slot, 0 where it
-    does not join (each joins with probability p)."""
+    """One balls-and-bins trial of n nodes over ell slots, each node joining
+    with probability p: its (ell,) per-slot transmitter counts, and the
+    nodes' participation mask and uniform 1-based slots.  A node's slot in
+    the trial is ``slots * mask`` (0 = idle), worked out only by readers of
+    per-node slots."""
     mask, blocks = uniform_block_choices(rng, n, ell, p)
-    joined = blocks
-    if p < 1:
-        # Counted before idle nodes are zeroed: a bincount of mostly zeros
-        # runs several times slower.
-        joined = blocks[mask]
-        blocks *= mask
-    return np.bincount(joined, minlength=ell + 1)[1:], blocks
+    return (np.bincount(blocks[mask] if p < 1 else blocks,
+                        minlength=ell + 1)[1:], mask, blocks)
 
 
 def for_type(values, b):

@@ -137,9 +137,10 @@ SCHEMES = {
         "TRepBB", None, pop, prm["rough"], cfg, bank),
 }
 # The result each scheme reads that its replicate's bank may hold for other
-# schemes too (RngBank.shared): the repeated baselines' trials, else phase 1.
-READS = {s: "rep" if s.endswith("-rep") else "p1" for s in SCHEMES
-         if s not in PHASE2_ONLY}
+# schemes too (RngBank.shared): the repeated baselines' trials, the
+# phase-2-only schemes' phase-2 trial, else phase 1.
+READS = {s: "rep" if s.endswith("-rep") else "p2" if s in PHASE2_ONLY
+         else "p1" for s in SCHEMES}
 
 
 def default_n_all(D, n):
@@ -193,7 +194,12 @@ def _replicate(prm, seed, readers=None):
 
 def run_experiment(spec: ExperimentSpec):
     rows = []
-    readers = Counter(READS[s] for s in spec.schemes if s in READS)
+    readers = Counter(READS[s] for s in spec.schemes)
+    if readers["p1"]:
+        # Phase-1 readers draw phase 2 at their own rough estimates, under
+        # keys no other scheme reads: a phase-2 result held for them would
+        # never be taken.
+        del readers["p2"]
     for value in spec.sweep_values:
         prm = _with_rough(apply_sweep(dict(spec.fixed), spec.sweep_var,
                                       value))
@@ -251,8 +257,9 @@ def _run_cell(spec, prm, contexts, scheme, value) -> ResultRow:
     totals = np.asarray(totals, dtype=float)
     reps = spec.replicates
     se = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    energy = ([float(x / reps) for x in energy_sums] if np.any(energy_sums)
-              else [])
+    # Only the repeated baselines report no energy.
+    energy = ([float(x / reps) for x in energy_sums]
+              if report.energy is not None else [])
     # The stage columns follow the ledger's stage order.
     return ResultRow(spec.sweep_var, value, scheme, reps,
                      float(totals.mean()), se, *map(float, stages / reps),

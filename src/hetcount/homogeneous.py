@@ -120,17 +120,28 @@ def bb_trials(n, rough, config: ProtocolConfig, bank: RngBank):
     """Phase 2: a core.bb_blocks trial over ell slots of the n[b - 1] nodes
     of each type b, at the participation of its rough estimate, on stream
     ("p2", b): the (T, ell) per-slot counts, and ``slots(b)``, which draws
-    type b's 1-based slot per node (0 = idle) again, for a per-node read."""
+    type b's 1-based slot per node (0 = idle) again, for a per-node read.
+
+    The counts are drawn once per bank for all its "p2" readers (the
+    phase-2-only schemes of one replicate, which share n, the rough
+    estimates and ell) and held read-only in the smallest unsigned dtype
+    that fits them, so readers upcast before any arithmetic."""
     ell = config.ell
-    p = participations(rough, ell, len(n))
+    p = tuple(participations(rough, ell, len(n)))
     keys = [("p2", b) for b in range(1, len(n) + 1)]
-    counts = np.array([bb_blocks(rng, nb, ell, pb)[0]
-                       for rng, nb, pb in zip(bank.streams(keys), n, p)])
+
+    def draw():
+        counts = np.array([bb_blocks(rng, nb, ell, pb)[0]
+                           for rng, nb, pb in zip(bank.streams(keys), n, p)])
+        counts = counts.astype(np.min_scalar_type(counts.max()))
+        counts.flags.writeable = False
+        return counts
 
     def slots(b):
-        return bb_blocks(bank.stream(*keys[b - 1]), n[b - 1], ell,
-                         p[b - 1])[1]
-    return counts, slots
+        _counts, mask, blocks = bb_blocks(bank.stream(*keys[b - 1]),
+                                          n[b - 1], ell, p[b - 1])
+        return blocks * mask
+    return bank.shared(("p2", tuple(n), p, ell), draw), slots
 
 
 def final_estimates(counts, rough, ell):

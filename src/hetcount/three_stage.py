@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -83,8 +83,9 @@ def draw_blocks(population: PopulationSpec, n_blocks, distribution,
             counts[b - 1] = np.bincount(chosen[b],
                                         minlength=n_blocks + 1)[1:]
         elif distribution == "uniform":
-            counts[b - 1], chosen[b] = bb_blocks(
+            counts[b - 1], mask, slots = bb_blocks(
                 rngs[b - 1], nb, n_blocks, participation[b - 1])
+            chosen[b] = slots * mask
         else:
             raise ValueError(f"unknown block distribution {distribution!r}")
     return counts, chosen
@@ -152,16 +153,21 @@ def run_3ss_followup(stage1: Stage1Result3SS, s_w) -> Frame3SS:
                     ledger=ledger, stage1=stage1)
 
 
-def resolve_3ss(counts, s_w, energy=False):
+def resolve_3ss(counts, s_w, n=None):
     """M frames of the three-stage code from their types-first
     (T, M, n_blocks) block counts: (summed ledger, plan-broadcast slots,
-    which this code has none of, and if ``energy`` the _energy_3ss tables).
+    which this code has none of, and for n[b - 1] nodes of type b their
+    energy: per-type tx and rx sums and a function that builds the
+    _energy_3ss tables for a per-node read).
 
     The follow-up recovers every type's presence exactly (run_3ss_followup
     is the reference), so presence is counts > 0 and only the follow-up's
     cost is worked out: a block is flagged when every slot collides, i.e.
     c_1 + c_b >= 2 for every b >= 2, and goes to stage 3 when c_1 >= 2."""
     T, M, n_blocks = counts.shape
+    # Phase-2 counts come as narrow unsigned ints, where c_1 + c_b wraps.
+    counts = counts.astype(np.promote_types(counts.dtype, np.int32),
+                           copy=False)
     c1 = counts[0]
     flagged = c1 + counts[1:].min(axis=0) >= 2
     stage3 = flagged & (c1 >= 2)
@@ -170,7 +176,17 @@ def resolve_3ss(counts, s_w, energy=False):
     ledger = SlotLedger(stage1=(T - 1) * n_blocks * M, stage2=int(K.sum()),
                         stage3=(T - 1) * int(stage3.sum()),
                         bp=M * bp1 + int((-(-K // s_w)).sum()))
-    return ledger, 0, _energy_3ss(flagged, stage3, T, bp1) if energy else None
+    if n is None:
+        return ledger, 0, None
+    # The sums of the _energy_3ss tables over every node's block.
+    flat = counts.reshape(T, -1)
+    joined = flat.sum(axis=1)
+    on_flagged, on_stage3 = (flat @ mask.ravel() for mask in (flagged, stage3))
+    tx = joined + on_stage3
+    tx[0] = (T - 1) * joined[0] + on_flagged[0]
+    rx = M * bp1 * np.asarray(n) + on_flagged
+    rx[0] -= on_flagged[0]
+    return ledger, 0, (tx, rx, partial(_energy_3ss, flagged, stage3, T, bp1))
 
 
 def _energy_3ss(flagged, stage3, T, bp1):
@@ -192,27 +208,26 @@ def run_frames(resolve, counts, n, frames, s_w):
     """M frames of one block code resolved by ``resolve`` (resolve_3ss or
     two_stage.resolve_2ss) from their types-first (T, M, n_blocks) counts,
     n[b - 1] nodes of type b: (ledger, plan-broadcast slots, energy), each
-    summed over the frames (energy sums weigh each table entry by its nodes,
-    idle ones at entry 0).  Per-node energy reads call ``frames(b)``: type
-    b's 1-based block per node (0 = idle), frame by frame."""
-    ledger, overhead, (tx, rx) = resolve(counts, s_w, energy=True)
-    n = np.array(n)
-    nodes = np.concatenate(
-        (n[:, None, None] - counts.sum(axis=2, keepdims=True), counts),
-        axis=2)
-    sums_tx, sums_rx = ((nodes * table).sum(axis=(1, 2)) for table in (tx, rx))
+    summed over the frames; the energy sums are the resolver's.  Per-node
+    energy reads build the code's (T, M, n_blocks + 1) tables once and call
+    ``frames(b)``: type b's 1-based block per node (0 = idle), frame by
+    frame."""
+    ledger, overhead, (sums_tx, sums_rx, tables) = resolve(counts, s_w, n)
+    tables = cache(tables)
     total = float(ledger.total)
-    energy = EnergyLedger(len(n), n.tolist())
-    for b, (nb, tx_b, rx_b) in enumerate(zip(n.tolist(), tx, rx), 1):
+    energy = EnergyLedger(len(n), n)
+    for b, nb in enumerate(n, 1):
         energy.charge(b, (sums_tx[b - 1], sums_rx[b - 1], total * nb),
-                      partial(_node_sums, frames, b, tx_b, rx_b, total))
+                      partial(_node_sums, frames, b, tables, total))
     return ledger, overhead, energy
 
 
-def _node_sums(frames, b, tx, rx, accounted, node_tx, node_rx, node_acc):
-    """Add to type b's per-node arrays, per node, tx[m] and rx[m] at its
-    block in each frame m, whose blocks are drawn once, and ``accounted``."""
+def _node_sums(frames, b, tables, accounted, node_tx, node_rx, node_acc):
+    """Add to type b's per-node arrays, per node, the ``tables()`` entries
+    of type b at its block in each frame, whose blocks are drawn once, and
+    ``accounted``."""
     node_acc += accounted
+    tx, rx = (table[b - 1] for table in tables())
     for tx_row, rx_row, blocks in zip(tx, rx, frames(b)):
         node_tx += tx_row.take(blocks)
         node_rx += rx_row.take(blocks)

@@ -25,7 +25,7 @@ tables are tested against; tables are tested, and built, for T <= 10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -461,16 +461,17 @@ def plan_slots(T, n_blocks, s_w) -> int:
     return 0 if T <= 3 else bitmap_bp_slots(2 * n_blocks, s_w)
 
 
-def resolve_2ss(counts, s_w, energy=False):
+def resolve_2ss(counts, s_w, n=None):
     """M frames of the two-stage code from their types-first
     (T, M, n_blocks) block counts, as three_stage.resolve_3ss: (summed
-    ledger, plan-broadcast slots, and if ``energy`` the _energy_2ss
-    tables).  For T <= 3 the code is the three-stage one.  The tables
-    recover every type's presence exactly (they are checked against it code
-    by code when built), so only the follow-up cost is looked up."""
+    ledger, plan-broadcast slots, and for n[b - 1] nodes of type b their
+    energy: per-type tx and rx sums and a function that builds the
+    _energy_2ss tables).  For T <= 3 the code is the three-stage one.  The
+    tables recover every type's presence exactly (they are checked against
+    it code by code when built), so only the follow-up cost is looked up."""
     T, M, n_blocks = counts.shape
     if T <= 3:
-        return resolve_3ss(counts, s_w, energy)
+        return resolve_3ss(counts, s_w, n)
     codes = class_codes(counts, axis=0)
     lut = resolver_lut(T)
     lut.ensure(codes.ravel())
@@ -478,7 +479,13 @@ def resolve_2ss(counts, s_w, energy=False):
     bp = bitmap_bp_slots(n_blocks, s_w) + plan
     ledger = SlotLedger(stage1=sigma_slots(T) * n_blocks * M,
                         stage2=int(lut.extra[codes].sum()), bp=M * bp)
-    return ledger, M * plan, _energy_2ss(codes, T, bp) if energy else None
+    if n is None:
+        return ledger, M * plan, None
+    # Each joined node sends its type's _node_tx entry at its block's code;
+    # every node hears the bp broadcast slots of each frame.
+    tx = (_node_tx(T).take(codes, axis=1) * counts).sum(axis=(1, 2))
+    return ledger, M * plan, (tx, M * bp * np.asarray(n),
+                              partial(_energy_2ss, codes, T, bp))
 
 
 @lru_cache(maxsize=None)

@@ -111,6 +111,42 @@ class TestFrameMatchesReference:
         assert res.overhead == plan
 
 
+class TestEnergySumsByContraction:
+    """Each resolver's per-type energy sums, contracted from the counts,
+    equal the sums of per-node arrays built from its (T, M, n_blocks + 1)
+    reference tables, exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([resolve_3ss, resolve_2ss]), st.integers(2, 8),
+           st.integers(1, 3), st.integers(1, 10), st.integers(1, 8),
+           st.sampled_from([np.int32, np.uint8]), st.data())
+    def test_sums_equal_per_node_tables(self, resolve, T, M, n_blocks, s_w,
+                                        dtype, data):
+        # Counts near 128 make c_1 + c_b wrap in uint8 unless upcast.
+        cells = data.draw(st.lists(st.integers(0, 3) | st.integers(126, 130),
+                                   min_size=T * M * n_blocks,
+                                   max_size=T * M * n_blocks))
+        counts = np.array(cells, dtype=dtype).reshape(T, M, n_blocks)
+        joined = counts.sum(axis=2, dtype=np.int64)
+        idle = data.draw(st.lists(st.integers(0, 6), min_size=T, max_size=T))
+        n = tuple(int(j) + i for j, i in zip(joined.max(axis=1), idle))
+        ledger, plan, (tx, rx, tables) = resolve(counts, s_w, n)
+        table_tx, table_rx = tables()
+        for b, nb in enumerate(n):
+            # Frame m's nodes of type b + 1: the idle ones at entry 0, then
+            # counts[b, m, k] at block k + 1.
+            frames = [np.repeat(np.arange(n_blocks + 1), np.concatenate(
+                ([nb - joined[b, m]], counts[b, m]))) for m in range(M)]
+            node_tx = sum(table_tx[b, m].take(f) for m, f in enumerate(frames))
+            node_rx = sum(table_rx[b, m].take(f) for m, f in enumerate(frames))
+            assert node_tx.size == node_rx.size == nb
+            assert tx[b] == node_tx.sum() and rx[b] == node_rx.sum()
+        wide_ledger, wide_plan, (wide_tx, wide_rx, _tables) = resolve(
+            counts.astype(np.int64), s_w, n)
+        assert (wide_ledger, wide_plan) == (ledger, plan)
+        assert np.array_equal(wide_tx, tx) and np.array_equal(wide_rx, rx)
+
+
 @pytest.mark.parametrize("code", sorted(RUNNERS))
 def test_numpy_integer_trial_index(code):
     """A trial index typed as a numpy integer names the same frame."""
@@ -137,8 +173,9 @@ def _frames_by_draw_blocks(resolve, population, config, bank, M):
             population, config.t_T, "geometric", None,
             [bank.stream("p1", m, b) for b in range(1, T + 1)])
         counts[:, m] = frame
-        frame_ledger, _plan, (frame_tx, frame_rx) = resolve(
-            frame[:, None], config.s_w, energy=True)
+        frame_ledger, _plan, (_tx, _rx, tables) = resolve(
+            frame[:, None], config.s_w, population.n)
+        frame_tx, frame_rx = tables()
         ledger = ledger + frame_ledger
         for b in tx:
             tx[b] += frame_tx[b - 1, 0, chosen[b]]

@@ -220,6 +220,47 @@ class TestSharedReplicates:
         by_cell = {(r.sweep_value, r.scheme): r for r in alone}
         assert rows == [by_cell[r.sweep_value, r.scheme] for r in rows]
 
+    def test_phase2_drawn_once_for_the_phase2_only_schemes(self,
+                                                           monkeypatch):
+        # fig8b's three schemes in one spec: each ("p2", b) stream is
+        # opened once per replicate, and every row equals the one its
+        # scheme gives run alone.
+        opened = []
+        streams = RngBank.streams
+
+        def counted(bank, keys):
+            opened.extend((bank.seed, key) for key in keys if key[0] == "p2")
+            return streams(bank, keys)
+        monkeypatch.setattr(RngBank, "streams", counted)
+        schemes, sweep_var, _values, fixed, _reps = harness.PRESETS["fig8b"]
+
+        def spec(schemes):
+            return ExperimentSpec(list(schemes), sweep_var, [500, 1500],
+                                  fixed, replicates=3, seed=4)
+        rows = run_experiment(spec(schemes))
+        assert len(opened) == len(set(opened)) == 2 * 3 * fixed["T"]
+        alone = [row for s in schemes for row in run_experiment(spec([s]))]
+        by_cell = {(r.sweep_value, r.scheme): r for r in alone}
+        assert rows == [by_cell[r.sweep_value, r.scheme] for r in rows]
+
+    def test_mixed_spec_keeps_no_phase2_result(self, monkeypatch):
+        # hsrc1 draws phase 2 at its own rough estimates, so beside it the
+        # phase-2-only schemes draw alone and no bank keeps a result.
+        banks = []
+        replicate = harness._replicate
+
+        def recorded(prm, seed, readers=None):
+            context = replicate(prm, seed, readers)
+            banks.append(context[0])
+            return context
+        monkeypatch.setattr(harness, "_replicate", recorded)
+        run_experiment(ExperimentSpec(
+            ["p2-3ssbb", "hsrc1", "p2-2ssbb", "p2-trepbb"], "n2_value", [60],
+            {"T": 4, "epsilon": 0.03, "n": (40,) * 4, "n_all": 1 << 10},
+            replicates=3, seed=3))
+        assert len(banks) == 3
+        assert not any(bank._kept for bank in banks)
+
     def test_fig11a_derives_each_key_once_in_few_passes(self, monkeypatch):
         # Every stream key is derived once per bank, and no scheme-run
         # derives its keys in more than two passes.
@@ -488,6 +529,17 @@ class TestCli:
         lines = out.strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2
+
+    def test_energy_column_with_no_nodes(self):
+        # A scheme that reports energy prints it even when every type is
+        # empty; only the repeated baselines, which report none, leave it
+        # empty.
+        out = self._capture([
+            "simulate", "--schemes", "hsrc1,3ss-rep", "--n", "0,0",
+            "--replicates", "2", "--seed", "1"])
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [(r[2], r[-1]) for r in rows] == [("hsrc1", "0;0"),
+                                                 ("3ss-rep", "")]
 
     def test_n_parsing_forms(self):
         assert cli._parse_n("1=500,2=1000") == (500, 1000)

@@ -129,8 +129,8 @@ class TestSrcsPhase1:
 def _bb_trial(n, ell, p, rng):
     """(empty-slot count, per-slot counts, participation mask) of one
     balls-and-bins trial drawn by core.bb_blocks."""
-    counts, blocks = bb_blocks(rng, n, ell, p)
-    return ell - np.count_nonzero(counts), counts, blocks > 0
+    counts, mask, _slots = bb_blocks(rng, n, ell, p)
+    return ell - np.count_nonzero(counts), counts, mask
 
 
 class TestBBTrial:

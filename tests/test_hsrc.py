@@ -19,10 +19,10 @@ from hetcount.analysis import select_phase2
 from hetcount.core import (LOF_FACTOR, EnergyLedger, PopulationSpec, RngBank,
                            SlotLedger, SlotOutcome, bitmap_bp_slots,
                            derive_config)
-from hetcount.harness import READS, SCHEMES, figure_preset
+from hetcount.harness import PHASE2_ONLY, READS, SCHEMES, figure_preset
 from hetcount.hsrc import (_repeated_block_classes, run_baseline, run_hsrc,
                            run_phase2)
-from hetcount.homogeneous import (lof_estimate, lof_estimates,
+from hetcount.homogeneous import (bb_trials, lof_estimate, lof_estimates,
                                   participation_probability, run_srcs,
                                   t_repetitions_srcs)
 from hetcount.three_stage import (Stage1Result3SS, outcomes_3ss, run_3ss_bb,
@@ -345,6 +345,84 @@ class TestSharedPhase1:
         assert self._kept_bytes(readers, schemes) <= self.SLACK
 
 
+class TestSharedPhase2:
+    """Each bank draws the balls-and-bins trial of the phase-2-only schemes
+    once, as counts, for all of them, and holds it until the last has
+    read."""
+
+    @pytest.mark.parametrize("n, rough, ell", [
+        ((300, 900, 0, 40), (280, 1000, 5, 40), None),
+        # Participation 1 puts about 1667 nodes in each of 3 slots, past
+        # what the uint8 counts of the other case hold.
+        ((5000, 5000, 5000), (4, 4, 4), 3),
+    ])
+    def test_shared_bank_equals_fresh_banks(self, n, rough, ell):
+        pop = _pop(n, 1 << 13)
+        cfg = derive_config(0.03, 0.2, pop.n_all, ell=ell)
+        prm = {"rough": dict(enumerate(rough, 1))}
+        bank = RngBank(5, {"p2": len(PHASE2_ONLY)})
+        counts = []
+        for s in PHASE2_ONLY:
+            shared = SCHEMES[s](pop, cfg, bank, prm)
+            fresh = SCHEMES[s](pop, cfg, RngBank(5), prm)
+            assert shared.final == fresh.final
+            assert shared.flags == fresh.flags
+            assert shared.ledger == fresh.ledger
+            assert shared.overhead_slots == fresh.overhead_slots
+            assert np.array_equal(shared.energy.sums, fresh.energy.sums)
+            for b in range(1, pop.T + 1):
+                assert np.array_equal(shared.energy.tx[b],
+                                      fresh.energy.tx[b])
+                assert np.array_equal(shared.energy.rx[b],
+                                      fresh.energy.rx[b])
+        assert not bank._kept
+        held = bb_trials(pop.n, prm["rough"], cfg, RngBank(5))[0]
+        assert not held.flags.writeable
+        assert held.dtype == np.min_scalar_type(held.max())
+        assert (held.max() > 255) == (ell == 3)
+
+    # The (T, ell) uint8 counts of _kept_bytes: 6 x 3009 bytes.
+    COUNTS = 18054
+    # Allowance for what numpy's small-buffer cache and dict tables keep.
+    SLACK = 2048
+
+    @staticmethod
+    def _kept_bytes(readers, schemes):
+        """Bytes still held by a bank made with ``readers`` after running
+        ``schemes`` on it, their reports dropped."""
+        pop = _pop((300, 20, 0, 700, 90, 5), 1 << 20)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        prm = {"rough": dict(enumerate(pop.n, 1))}
+        for s in schemes:       # fill the decoder tables and caches
+            SCHEMES[s](pop, cfg, RngBank(2), prm)
+        bank = RngBank(2, readers)
+        # Seed words are not the memo's.
+        bank.streams([("p2", b) for b in range(1, pop.T + 1)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for s in schemes:
+                SCHEMES[s](pop, cfg, bank, prm)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_held_until_the_last_reader(self):
+        held = self._kept_bytes({"p2": 3}, PHASE2_ONLY[:2])
+        assert self.COUNTS <= held <= self.COUNTS + self.SLACK
+
+    @pytest.mark.parametrize("readers, schemes", [
+        ({"p2": 3}, PHASE2_ONLY),               # the last reader frees it
+        ({"p2": 2}, PHASE2_ONLY[::-1][:2]),
+        ({"p2": 1}, ["p2-2ssbb"]),              # one reader keeps nothing
+        (None, ["p2-trepbb"]),
+    ])
+    def test_memo_freed(self, readers, schemes):
+        assert self._kept_bytes(readers, schemes) <= self.SLACK
+
+
 def _one_shot_block_counts(population, t, M, bank):
     """Reference: the whole (M, n_b) geometric draw at once, per type."""
     T = population.T
@@ -481,7 +559,7 @@ class TestPerNodeEnergyDraws:
         for resolve in (three_stage.resolve_3ss, resolve_2ss):
             counts, _, _, energy = three_stage.trial_frames(
                 resolve, pop, cfg, RngBank(8))
-            tables = resolve(counts, cfg.s_w, energy=True)[2]
+            tables = resolve(counts, cfg.s_w, pop.n)[2][2]()
             for b, nb in enumerate(pop.n, 1):
                 streams = RngBank(8).streams(
                     [("p1", m, b) for m in range(cfg.m_prime)])
@@ -763,10 +841,13 @@ class TestPhase2KeepsNoNodeArrays:
         """Each type's 1-based slot per node (0 = idle) by core.bb_blocks on
         a fresh bank's ("p2", b) streams."""
         bank = RngBank(seed)
-        return {b: core.bb_blocks(bank.stream("p2", b), nb, cfg.ell,
-                                  participation_probability(cfg.ell,
-                                                            rough[b]))[1]
-                for b, nb in enumerate(pop.n, 1)}
+        slots = {}
+        for b, nb in enumerate(pop.n, 1):
+            _counts, mask, uniform = core.bb_blocks(
+                bank.stream("p2", b), nb, cfg.ell,
+                participation_probability(cfg.ell, rough[b]))
+            slots[b] = uniform * mask
+        return slots
 
     def _assert_count_level(self, energy):
         held = [a for _b, amounts in energy._charges
@@ -783,8 +864,9 @@ class TestPhase2KeepsNoNodeArrays:
         res = runner(pop, rough, cfg, RngBank(4))
         self._assert_count_level(res.energy)
         slots = self._reference_slots(pop, cfg, rough, 4)
-        ledger, _plan, (tx, rx) = resolve(res.counts[:, None], cfg.s_w,
-                                          energy=True)
+        ledger, _plan, (_tx, _rx, tables) = resolve(res.counts[:, None],
+                                                    cfg.s_w, pop.n)
+        tx, rx = tables()
         assert ledger == res.ledger
         for b, nb in enumerate(pop.n, 1):
             assert np.array_equal(res.energy.tx[b], tx[b - 1, 0][slots[b]])

@@ -252,8 +252,8 @@ class TestBBMode:
         res = run_3ss_bb(pop, rough, cfg, bank)
         for b in (1, 2, 3):
             p = participation_probability(cfg.ell, rough[b])
-            counts, _blocks = bb_blocks(bank.stream("p2", b), pop.n[b - 1],
-                                        cfg.ell, p)
+            counts = bb_blocks(bank.stream("p2", b), pop.n[b - 1],
+                               cfg.ell, p)[0]
             assert np.array_equal(res.counts[b - 1], counts)
 
     def test_ledger_and_soundness(self):
