@@ -52,12 +52,7 @@ def block_probability(h, t) -> float:
 
 def occupancy_geometric(n, h, t):
     """(u', v') for the trial-mode geometric block choice."""
-    ph = block_probability(h, t)
-    if n == 0:
-        return 1.0, 0.0
-    u = (1.0 - ph) ** n
-    v = n * ph * (1.0 - ph) ** (n - 1)
-    return u, v
+    return occupancy(n, block_probability(h, t), 1)
 
 
 def q_probs(n, rough, ell, T):

@@ -307,11 +307,17 @@ def main(argv=None):
     elif args.command == "calibrate-ell":
         if min(args.n_grid) < 0:
             parser.error("node counts (--n-grid) must be >= 0")
+        # Zero nodes are estimated exactly at every ell.
+        if max(args.n_grid) < 1:
+            parser.error("--n-grid needs a node count >= 1")
         # ell is what is calibrated, so epsilon need not be tabulated.
         _check_config(parser, {"epsilon": args.eps, "delta": args.delta,
                                "ell": 1})
-        ell = calibrate_ell(args.eps, args.delta, args.n_grid,
-                            replicates=args.replicates, seed=args.seed)
+        try:
+            ell = calibrate_ell(args.eps, args.delta, args.n_grid,
+                                replicates=args.replicates, seed=args.seed)
+        except ConfigError as exc:
+            parser.error(str(exc))
         table = ELL_TABLE.get(round(args.eps, 6))
         ref = f" (table: {table})" if table else ""
         sys.stdout.write(f"calibrated ell={ell}{ref}\n")

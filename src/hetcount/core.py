@@ -318,10 +318,11 @@ class RngBank:
     A key's stream is ``default_rng(SeedSequence(seed, spawn_key=words))``,
     the words being the first four little-endian 32-bit words of the
     SHA-256 of ``repr(key)``.  ``streams`` derives the seed words of every
-    key it has not seen before in one pass (from three keys on, by a
-    vectorised SeedSequence whose seed share is worked out once per bank)
-    and replays them after that: every call returns fresh Generators at
-    the start of their streams.  The bank keeps about 0.25 KB per key.
+    key it has not seen before in one vectorised pass, one key or many
+    (the seed's share, numpy's pool for the seed, is worked out once per
+    bank), and replays them after that: every call returns fresh
+    Generators at the start of their streams.  The bank keeps about
+    0.25 KB per key.
     ``readers`` counts, per purpose, the scheme runs that read one result
     ("p1": the phase-1 counts, "p2": the phase-2-only schemes' phase-2
     counts, "rep": the repeated trials); see ``shared``.
@@ -366,39 +367,26 @@ class RngBank:
 
     def _derive(self, names):
         """Seed words of the keys named ``names`` (distinct, new), in one
-        pass; numpy's own SeedSequence is the faster for one or two."""
+        vectorised pass."""
         digests = b"".join(hashlib.sha256(name.encode()).digest()[:16]
                            for name in names)
         spawn = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
-        words = (_spawned_words(self._mixed, spawn) if len(names) > 2 else
-                 np.array([np.random.SeedSequence(self.seed, spawn_key=key)
-                           .generate_state(4, np.uint64)
-                           for key in spawn.tolist()]))
+        words = _spawned_words(self._mixed, spawn)
         words.flags.writeable = False
         self._words.update(zip(names, words))
 
 
-# numpy's SeedSequence (pool size 4) in its own terms: hashmix, mix and the
-# constants of their 32-bit hashes.
+# The part of numpy's SeedSequence (pool size 4) that it cannot batch, in
+# its own terms: hashmix, mix and the constants of their 32-bit hashes.
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-@functools.cache
-def _hash_constants(first, mult, n):
-    """The first n + 1 constants of a SeedSequence hash: its call k xors
-    with constant k and multiplies by constant k + 1."""
-    consts = [first]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & _M32)
-    return tuple(consts)
-
-
 def _hashmix(value, xor, mult):
-    """SeedSequence's hashmix of 32-bit words, as Python ints or uint32
-    arrays, with its hash constants given."""
+    """SeedSequence's hashmix of uint32 arrays, with its hash constants
+    given."""
     value = (value ^ xor) * mult & _M32
     return value ^ value >> 16
 
@@ -410,33 +398,24 @@ def _mix(x, y):
 
 def _mixed_seed(seed):
     """What a SeedSequence with entropy ``seed`` and a four-word spawn key
-    has worked out before it reads the spawn key: (its uint32 pool, and the
-    (4, 4) xor and multiply constants of the spawn key's hashmix calls, by
-    spawn word and pool word).  The seed's words are padded with zeros to
-    the pool size; every hashmix call before the spawn key's, four per word,
-    takes the next hash constant."""
-    words = [seed >> 32 * i & _M32
-             for i in range(max(4, -(-seed.bit_length() // 32)))]
-    consts = _hash_constants(_INIT_A, _MULT_A, 4 * len(words))
-    pairs = zip(consts, consts[1:])
-    pool = [_hashmix(w, *next(pairs)) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(pairs)))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(w, *next(pairs)))
-    return (np.array(pool, dtype=np.uint32),
-            *_hash_pairs(_INIT_A, _MULT_A, 4 * len(words), (4, 4)))
+    has worked out before it reads the spawn key: (the uint32 pool of
+    ``SeedSequence(seed)``, and the (4, 4) xor and multiply constants of
+    the spawn key's hashmix calls, by spawn word and pool word).  The seed
+    takes four hashmix calls per 32-bit word, at least four words."""
+    words = max(4, -(-seed.bit_length() // 32))
+    return (np.random.SeedSequence(seed).pool,
+            *_hash_pairs(_INIT_A, _MULT_A, 4 * words, (4, 4)))
 
 
 @functools.cache
 def _hash_pairs(first, mult, start, shape):
     """Read-only uint32 (xor, multiply) constants of the hashmix calls
-    start, start + 1, ... of a SeedSequence hash, laid out in ``shape``."""
+    start, start + 1, ... of a SeedSequence hash, laid out in ``shape``;
+    call k xors with constant k and multiplies by constant k + 1, and
+    constant k is first * mult^k mod 2^32."""
     size = math.prod(shape)
-    consts = np.array(_hash_constants(first, mult, start + size)[start:],
+    consts = np.array([first * pow(mult, k, 1 << 32) & _M32
+                       for k in range(start, start + size + 1)],
                       dtype=np.uint32)
     consts.flags.writeable = False
     return consts[:-1].reshape(shape), consts[1:].reshape(shape)

@@ -400,7 +400,8 @@ def calibrate_ell(epsilon, delta, n_grid, replicates=300, seed=0,
     grid reaches 1 - delta, by binary search."""
     target = 1.0 - delta
     if _srcs_coverage(epsilon, delta, hi, n_grid, replicates, seed) < target:
-        raise ConfigError("upper bound of the search range is insufficient")
+        raise ConfigError(f"upper bound of the search range (ell = {hi}) "
+                          "is insufficient")
     while lo < hi:
         mid = (lo + hi) // 2
         if _srcs_coverage(epsilon, delta, mid, n_grid, replicates, seed) >= target:

@@ -265,18 +265,36 @@ class TestRngBank:
         assert np.array_equal(c.random(10), first)
 
     def test_derivation_pass_sizes(self, monkeypatch):
-        # One or two new keys go through numpy's SeedSequence; from three on
-        # the seed's share of the vectorised form is worked out, once.
+        # The seed's share of the derivation is worked out once per bank, on
+        # its first derivation of any size, and not before.
         mixed = []
         monkeypatch.setattr(core, "_mixed_seed",
                             lambda seed: mixed.append(seed)
                             or _mixed_seed(seed))
-        bank = RngBank(7)
-        bank.streams([("p2", 1), ("p2", 2)])
-        assert mixed == []
-        bank.streams([("p2", b) for b in range(1, 6)])
-        bank.streams([("p2", b) for b in range(6, 10)])
-        assert mixed == [7]
+        seeds = []
+        for seed, first in [(7, 1), (8, 2), (9, 5)]:
+            bank = RngBank(seed)
+            assert mixed == seeds
+            bank.streams([("p2", b) for b in range(first)])
+            seeds.append(seed)
+            assert mixed == seeds
+            bank.streams([("p2", b) for b in range(1, 6)])
+            bank.stream("p2", 9)
+            bank.streams([("p2", b) for b in range(6, 12)])
+            assert mixed == seeds
+
+    @pytest.mark.parametrize("seed", [
+        0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1, 2 ** 128,
+        2 ** 160 + 1])
+    @pytest.mark.parametrize("new", [1, 2, 3])
+    def test_word_boundary_seeds(self, seed, new):
+        # Seeds where the number of 32-bit seed words, and so the hash
+        # constants the spawn key takes, changes; one, two and three new keys.
+        keys = [("p1", 0, b) for b in range(1, new + 1)]
+        bank = RngBank(seed)
+        for rng, key in zip(bank.streams(keys), keys):
+            assert (rng.bit_generator.state
+                    == _derived_stream(seed, key).bit_generator.state)
 
     def test_derives_each_key_once(self, monkeypatch):
         digests = []
@@ -312,10 +330,9 @@ class TestRngBank:
            st.lists(_ANY_KEYS, min_size=6, max_size=100, unique_by=repr),
            st.data())
     def test_property_batch_equals_seed_sequence(self, seed, keys, data):
-        # Batches deriving 1, 2 and 3 new keys (numpy's SeedSequence below
-        # three, the vectorised form from three), then all of them, then
-        # one with repeated keys and keys it already derived; seeds of more
-        # than four 32-bit words included.
+        # Batches deriving 1, 2 and 3 new keys, then all of them, then one
+        # with repeated keys and keys it already derived; seeds of more than
+        # four 32-bit words included.
         bank = RngBank(seed)
         again = data.draw(st.lists(st.sampled_from(keys), max_size=20))
         for batch in (keys[:1], keys[:3], keys[:6], keys, again + data.draw(

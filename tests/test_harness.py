@@ -707,6 +707,11 @@ class TestCli:
         # Appended last so the other cases keep their ids.
         (["zeta", "--t-min", "5", "--t-max", "3"],
          "--t-max 3 is below --t-min 5"),
+        (["calibrate-ell", "--eps", "0.001", "--replicates", "3",
+          "--n-grid", "50000"],
+         "upper bound of the search range (ell = 16384) is insufficient"),
+        (["calibrate-ell", "--n-grid", "0,0"],
+         "--n-grid needs a node count >= 1"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
