@@ -8,6 +8,7 @@ evaluates them online.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .core import LOAD_FACTOR, ProtocolConfig, for_type
@@ -105,10 +106,12 @@ def f1(x, T) -> float:
     return C_03679 ** x * (G1(T) + x * G2(T) / C_099)
 
 
+@functools.lru_cache(maxsize=256)
 def zeta(T, which, tol=1e-6) -> float:
     """zeta_1(T): where f crosses 6T - 3.88; zeta_2(T): where f1 crosses
     6T - 4.  Both functions are strictly decreasing in x, so a bisection
-    on (0, 10] suffices."""
+    on (0, 10] suffices.  Memoised: select_phase2 asks for the same few
+    thresholds on every replicate."""
     if which == 1:
         fn, level = f, 6 * T - LEVEL1_OFFSET
     elif which == 2:

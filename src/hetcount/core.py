@@ -124,8 +124,11 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.ell < 1 or self.m_prime < 1 or self.s_w < 1 or self.t_T < 1:
             raise ValueError("ell, m_prime, s_w, t_T must all be >= 1")
-        if min(self.gamma_tau, self.gamma_rho, self.gamma_iota) < 0:
+        if min(self.gammas) < 0:
             raise ValueError("energy costs must be >= 0")
+        # NaN passes the check above: every comparison with it is False.
+        if not all(map(math.isfinite, self.gammas)):
+            raise ValueError("energy costs must be finite and >= 0")
 
     @property
     def gammas(self):
@@ -317,12 +320,12 @@ class RngBank:
 
     A key's stream is ``default_rng(SeedSequence(seed, spawn_key=words))``,
     the words being the first four little-endian 32-bit words of the
-    SHA-256 of ``repr(key)``.  ``streams`` derives the seed words of every
-    key it has not seen before in one vectorised pass, one key or many
-    (the seed's share, numpy's pool for the seed, is worked out once per
-    bank), and replays them after that: every call returns fresh
-    Generators at the start of their streams.  The bank keeps about
-    0.25 KB per key.
+    SHA-256 of ``repr(key)`` (worked out once per process, _key_digest).
+    ``streams`` derives the seed words of every key it has not seen before
+    in one vectorised pass, one key or many (the seed's share, numpy's pool
+    for the seed, is worked out once per bank), and replays them after
+    that: every call returns fresh Generators at the start of their
+    streams.  The bank keeps about 0.25 KB per key.
     ``readers`` counts, per purpose, the scheme runs that read one result
     ("p1": the phase-1 counts, "p2": the phase-2-only schemes' phase-2
     counts, "rep": the repeated trials); see ``shared``.
@@ -368,12 +371,19 @@ class RngBank:
     def _derive(self, names):
         """Seed words of the keys named ``names`` (distinct, new), in one
         vectorised pass."""
-        digests = b"".join(hashlib.sha256(name.encode()).digest()[:16]
-                           for name in names)
+        digests = b"".join(map(_key_digest, names))
         spawn = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
         words = _spawned_words(self._mixed, spawn)
         words.flags.writeable = False
         self._words.update(zip(names, words))
+
+
+@functools.lru_cache(maxsize=1024)
+def _key_digest(name):
+    """The spawn key of the key named ``name``, as 16 bytes: the first four
+    32-bit words of its SHA-256.  It does not depend on the seed, so it is
+    worked out once per process, not once per bank."""
+    return hashlib.sha256(name.encode()).digest()[:16]
 
 
 # The part of numpy's SeedSequence (pool size 4) that it cannot batch, in

@@ -448,10 +448,15 @@ def resolver_lut(T) -> _ResolverLUT:
 
 def class_codes(counts, axis=-1) -> np.ndarray:
     """Base-3 encoding of per-block count-class vectors; the types run along
-    ``axis``."""
-    codes = np.int64(0)
-    for c in np.minimum(np.moveaxis(counts, axis, 0), 2)[::-1]:
-        codes = codes * 3 + c
+    ``axis``.  Built in place in the one int64 output, a type at a time from
+    the last: no capped copy of ``counts`` and no fresh int64 array per
+    type, whose churn through the allocator cost page faults on every call
+    (only one type's capped counts, in their own dtype, are held at once)."""
+    counts = np.moveaxis(counts, axis, 0)
+    codes = np.minimum(counts[-1], 2, dtype=np.int64)
+    for c in counts[-2::-1]:
+        codes *= 3
+        codes += np.minimum(c, 2)
     return codes
 
 

@@ -137,6 +137,15 @@ class TestThresholds:
         for T in range(2, 9):
             assert zeta(T, 1) < zeta(T, 2)
 
+    def test_memoised_values_equal_the_bisection(self):
+        # zeta is memoised; its values are those of the plain bisection.
+        for T in range(2, 11):
+            for which in (1, 2):
+                assert zeta(T, which) == zeta.__wrapped__(T, which)
+                hits = zeta.cache_info().hits
+                zeta(T, which)
+                assert zeta.cache_info().hits == hits + 1
+
     def test_invalid_which(self):
         with pytest.raises(ValueError):
             zeta(3, 5)

@@ -1,5 +1,6 @@
 """Core domain types, config derivation, and the randomness contract."""
 
+import dataclasses
 import gc
 import hashlib
 import math
@@ -143,6 +144,27 @@ class TestDeriveConfig:
 
     def test_tables_frozen(self):
         assert ELL_TABLE == {0.02: 6638, 0.03: 3009, 0.04: 1674, 0.05: 1075}
+
+
+class TestProtocolConfig:
+    @pytest.mark.parametrize("cost", ["gamma_tau", "gamma_rho", "gamma_iota"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_energy_cost_rejected(self, cost, value):
+        cfg = derive_config(0.03, 0.2, (1000,))
+        with pytest.raises(ValueError,
+                           match="energy costs must be finite and >= 0"):
+            dataclasses.replace(cfg, **{cost: value})
+
+    def test_negative_energy_cost_rejected(self):
+        cfg = derive_config(0.03, 0.2, (1000,))
+        for value in (-1.0, -math.inf):
+            with pytest.raises(ValueError, match="energy costs must be"):
+                dataclasses.replace(cfg, gamma_rho=value)
+
+    def test_zero_energy_cost_accepted(self):
+        cfg = derive_config(0.03, 0.2, (1000,))
+        assert dataclasses.replace(cfg, gamma_iota=0.0).gammas == (1.0, 1.0,
+                                                                   0.0)
 
 
 class TestPopulationSpec:
@@ -297,6 +319,8 @@ class TestRngBank:
                     == _derived_stream(seed, key).bit_generator.state)
 
     def test_derives_each_key_once(self, monkeypatch):
+        # The key digests are memoised per process: start from none.
+        core._key_digest.cache_clear()
         digests = []
         sha256 = hashlib.sha256
         monkeypatch.setattr(hashlib, "sha256",
@@ -305,6 +329,23 @@ class TestRngBank:
         for key in [("p1", 0, 1), ("p2", 1), ("p1", 0, 1), ("p2", 1)]:
             bank.stream(*key)
         assert digests == [b"('p1', 0, 1)", b"('p2', 1)"]
+
+    def test_second_bank_hashes_no_key(self, monkeypatch):
+        # A key's digest does not depend on the seed: a later bank, of the
+        # same seed or another, reuses it and still derives its own streams.
+        keys = [("p1", 0, 1), ("p2", 1), ("rep", 2)]
+        first = RngBank(7).streams(keys)
+        digests = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256",
+                            lambda data: digests.append(data) or sha256(data))
+        again = RngBank(7).streams(keys)
+        other = RngBank(8).streams(keys)
+        assert digests == []
+        for rng, same, key, rng8 in zip(first, again, keys, other):
+            assert rng.bit_generator.state == same.bit_generator.state
+            assert (rng8.bit_generator.state
+                    == _derived_stream(8, key).bit_generator.state)
 
     def test_key_spelling_matters(self):
         # Keys are named by their repr, as the derivation hashes it.

@@ -712,6 +712,12 @@ class TestCli:
          "upper bound of the search range (ell = 16384) is insufficient"),
         (["calibrate-ell", "--n-grid", "0,0"],
          "--n-grid needs a node count >= 1"),
+        (["simulate", "--schemes", "hsrc1", "--n", "5,5", "--sweep-var",
+          "gamma_rho", "--sweep-values", "nan"],
+         "energy costs must be finite and >= 0"),
+        (["simulate", "--schemes", "hsrc1", "--n", "5,5", "--sweep-var",
+          "gamma_iota", "--sweep-values", "inf"],
+         "energy costs must be finite and >= 0"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

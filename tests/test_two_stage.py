@@ -225,6 +225,53 @@ def _code_classes(T):
     return (tuple(reversed(c)) for c in product((0, 1, 2), repeat=T))
 
 
+@st.composite
+def _counts_and_axis(draw):
+    """Per-type counts of T = 1..10 types, of a count dtype, with the types
+    on axis 0, on axis -1, or alone (1-D), and counts up to 300 (up to 255
+    for uint8)."""
+    T = draw(st.integers(1, 10))
+    dtype = draw(st.sampled_from([np.uint8, np.int32, np.int64]))
+    layout = draw(st.sampled_from(["first", "last", "1-D"]))
+    rest = () if layout == "1-D" else draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple))
+    shape = (T, *rest) if layout == "first" else (*rest, T)
+    top = min(300, np.iinfo(dtype).max)
+    counts = draw(arrays(dtype, shape, elements=st.integers(0, top)))
+    return counts, 0 if layout == "first" else -1
+
+
+class TestClassCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(_counts_and_axis())
+    def test_equals_sum_of_capped_classes(self, counts_axis):
+        counts, axis = counts_axis
+        by_type = np.moveaxis(counts, axis, 0).astype(np.int64)
+        expected = sum(3 ** b * np.minimum(c, 2)
+                       for b, c in enumerate(by_type))
+        codes = class_codes(counts, axis=axis)
+        assert np.asarray(codes).dtype == np.int64
+        assert np.shape(codes) == np.shape(expected)
+        assert np.array_equal(codes, expected)
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((8, 1136, 20), np.int32),   # the repeated 2SS trials at T = 8
+        ((8, 1, 3009), np.uint8),    # an SSBB frame at T = 8
+    ])
+    def test_transient_memory_bounded_by_its_output(self, shape, dtype):
+        # Codes are built in place in the output, one type at a time: no
+        # capped copy of the counts and no fresh array per type.
+        counts = np.random.default_rng(3).integers(0, 4, shape).astype(dtype)
+        codes = class_codes(counts, axis=0)
+        tracemalloc.start()
+        try:
+            codes = class_codes(counts, axis=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * codes.nbytes
+
+
 class TestRunners:
     def test_delegates_to_three_stage_for_small_t(self):
         pop = PopulationSpec.fixed((40, 30, 20), n_all=(64,) * 3)
