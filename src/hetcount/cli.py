@@ -235,6 +235,9 @@ def main(argv=None):
             fixed["q"] = args.q
         values = _sweep_values(parser, args.sweep_var, args.sweep_values)
         if args.n is not None:
+            if "q" in fixed or args.sweep_var == "q":
+                parser.error("--q samples the active nodes from --D; it "
+                             "has no effect with --n")
             fixed["n"] = args.n
             if args.sweep_var not in ("D", "n_all"):
                 swept = values if args.sweep_var == "n2_value" else ()

@@ -13,6 +13,7 @@ import hashlib
 import math
 import numbers
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import NormalDist
@@ -202,6 +203,24 @@ class SlotLedger:
                           self.stage3 + other.stage3, self.bp + other.bp)
 
 
+class _PerNode(Mapping):
+    """One of an EnergyLedger's per-node records (0 = tx, 1 = rx,
+    2 = accounted), read-only, keyed by the types 1..T.  The ledger does
+    not hold it, so it forms no reference cycle with the ledger."""
+
+    def __init__(self, ledger, record):
+        self._ledger, self._record = ledger, record
+
+    def __getitem__(self, b):
+        return self._ledger._per_node(b)[self._record]
+
+    def __iter__(self):
+        return iter(range(1, len(self) + 1))
+
+    def __len__(self):
+        return len(self._ledger.n)
+
+
 class EnergyLedger:
     """Per-node radio-state accounting, one record set per node type.
 
@@ -214,46 +233,66 @@ class EnergyLedger:
     trial's length.
 
     ``sums`` holds each type's exact (tx, rx, accounted) slot sums over its
-    nodes, all that mean_energy reads.  The per-node arrays ``tx``, ``rx``
-    and ``accounted`` are built from the charges when read after a charge.
+    nodes, all that mean_energy reads.  The per-node records ``tx``, ``rx``
+    and ``accounted`` are read-only mappings over the types 1..T.  Reading
+    type b replays type b's charges alone, drawing only its frames again,
+    into read-only float64 arrays that the ledger keeps until another type
+    is read or a charge is added: it holds one type's three arrays at a
+    time, idle(b) and energy(b, config) build type b once, and a re-read of
+    b after another type builds and draws it again.
     """
 
     def __init__(self, T, n=None):
         self.n = (0,) * T if n is None else tuple(n)
         self.sums = np.zeros((T, 3))
         self._charges = []
-        self._arrays = None
+        self._built = None      # (b, (tx, rx, accounted)) of the last read
 
     @staticmethod
     def zeros(population: PopulationSpec) -> "EnergyLedger":
         return EnergyLedger(population.T, population.n)
 
-    tx = property(lambda self: self._per_node()[0])
-    rx = property(lambda self: self._per_node()[1])
-    accounted = property(lambda self: self._per_node()[2])
+    tx = property(lambda self: _PerNode(self, 0))
+    rx = property(lambda self: _PerNode(self, 1))
+    accounted = property(lambda self: _PerNode(self, 2))
 
-    def _per_node(self):
-        if self._arrays is None:
-            self._arrays = tuple({b: np.zeros(nb)
-                                  for b, nb in enumerate(self.n, 1)}
-                                 for _ in range(3))
-            for b, amounts in self._charges:
-                mine = [per_type[b] for per_type in self._arrays]
+    def _per_node(self, b):
+        """Type b's (tx, rx, accounted) arrays, built from its charges."""
+        if self._built is None or self._built[0] != b:
+            if b not in range(1, len(self.n) + 1):
+                raise KeyError(b)
+            self._built = None      # the last type's arrays go first
+            arrays = tuple(np.zeros(self.n[b - 1]) for _ in range(3))
+            for charged, amounts in self._charges:
+                if charged != b:
+                    continue
                 if callable(amounts):
-                    amounts(*mine)
+                    amounts(*arrays)
                 else:
-                    for array, a in zip(mine, amounts):
+                    for array, a in zip(arrays, amounts):
                         array += a
-        return self._arrays
+            for array in arrays:
+                array.flags.writeable = False
+            self._built = b, arrays
+        return self._built[1]
 
-    def charge(self, b, sums, tx=0.0, rx=0.0, accounted=0.0):
+    def charge(self, b, sums, tx=0.0, rx=None, accounted=None):
         """Add per-node slot counts to type b's nodes: numbers or (n_b,)
-        arrays or, if ``tx`` is a function, what it adds in place to the (tx,
-        rx, accounted) arrays if read (whole numbers, in any order); ``sums``
-        are the three amounts summed over the nodes."""
+        arrays (rx and accounted default to 0) or, if ``tx`` is a function,
+        what it adds in place to the (tx, rx, accounted) arrays if read (whole
+        numbers, in any order), with no ``rx`` or ``accounted`` beside it;
+        ``sums`` are the three amounts summed over the nodes."""
+        if not callable(tx):
+            amounts = (tx, 0.0 if rx is None else rx,
+                       0.0 if accounted is None else accounted)
+        elif rx is None and accounted is None:
+            amounts = tx
+        else:
+            raise TypeError("a callable tx charge adds rx and accounted "
+                            "itself; pass neither beside it")
         self.sums[b - 1] += sums
-        self._charges.append((b, tx if callable(tx) else (tx, rx, accounted)))
-        self._arrays = None
+        self._charges.append((b, amounts))
+        self._built = None
         return self
 
     def idle(self, b):
@@ -274,7 +313,7 @@ class EnergyLedger:
     def add(self, other: "EnergyLedger"):
         self.sums += other.sums
         self._charges += other._charges
-        self._arrays = None
+        self._built = None
         return self
 
     def charge_all(self, tx=0.0, rx=0.0, accounted=0.0):

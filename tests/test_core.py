@@ -216,6 +216,23 @@ class TestLedgers:
         a.add(b)
         assert np.allclose(a.idle(1), 5.0)
 
+    def test_callable_charge_takes_no_rx_or_accounted(self):
+        # A callable tx adds all three records itself; an rx or accounted
+        # beside it would be dropped, so the combination is refused.
+        def adds(tx, rx, accounted):
+            tx += 1
+            accounted += 3
+
+        led = EnergyLedger.zeros(PopulationSpec.fixed((2, 3)))
+        for extra in ({"rx": 1.0}, {"accounted": 2.0},
+                      {"rx": np.ones(3)}, {"accounted": np.arange(3.0)}):
+            with pytest.raises(TypeError, match="callable tx"):
+                led.charge(2, (0, 0, 0), adds, **extra)
+        assert not led._charges and not led.sums.any()
+        led.charge(2, (3, 0, 9), adds)
+        assert led.idle(2).tolist() == [2.0] * 3
+        assert led.sums[1].tolist() == [3, 0, 9]
+
 
 def _derived_stream(seed, key):
     """RngBank's derivation, written out: SHA-256 of the key's repr, four

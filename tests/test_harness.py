@@ -2,11 +2,14 @@
 trial-length calibration, and the CLI."""
 
 import dataclasses
+import gc
 import hashlib
 import io
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -394,7 +397,7 @@ class TestEnergySums:
                     want if exact else pytest.approx(want, rel=1e-12))
 
     def test_harness_never_builds_per_node_arrays(self, monkeypatch):
-        def no_arrays(ledger):
+        def no_arrays(ledger, b):
             raise AssertionError("per-node energy arrays built")
         monkeypatch.setattr(EnergyLedger, "_per_node", no_arrays)
         assert figure_preset("fig11a", replicates=1)
@@ -403,6 +406,122 @@ class TestEnergySums:
             "n2_value", [30], {"epsilon": 0.05, "ell": 16,
                                "n": (20, 30, 40, 50)}, replicates=2))
         assert all(row.energy_mean_per_type for row in rows)
+
+
+ENERGY_SCHEMES = sorted(set(harness.SCHEMES) - set(NO_ENERGY))
+RECORDS = ("tx", "rx", "accounted")
+
+
+def _all_types(energy):
+    """Reference: every type's per-node (tx, rx, accounted) arrays built at
+    once from the ledger's charges, in charge order, by record name."""
+    arrays = tuple({b: np.zeros(nb) for b, nb in enumerate(energy.n, 1)}
+                   for _ in RECORDS)
+    for b, amounts in energy._charges:
+        mine = [per_type[b] for per_type in arrays]
+        if callable(amounts):
+            amounts(*mine)
+        else:
+            for array, a in zip(mine, amounts):
+                array += a
+    return dict(zip(RECORDS, arrays))
+
+
+class TestPerNodeOneTypeAtATime:
+    """A per-node read builds the one type it asks for, and the ledger
+    holds one type's arrays at a time."""
+
+    @staticmethod
+    def _report(scheme, n, seed, **config):
+        pop = PopulationSpec.fixed(n, n_all=(max(1024, *n),) * len(n))
+        cfg = derive_config(0.05, 0.2, pop.n_all, **config)
+        return harness.SCHEMES[scheme](pop, cfg, RngBank(seed),
+                                       {"rough": dict(enumerate(n, 1))})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(ENERGY_SCHEMES), st.integers(0, 2 ** 32),
+           st.integers(1, 64),
+           st.lists(st.integers(0, 40), min_size=2, max_size=5), st.data())
+    def test_reads_in_any_order_equal_all_types_at_once(self, scheme, seed,
+                                                        ell, n, data):
+        """Reads of any type and record, in any order and repeated (idle
+        among them), equal in value and dtype the arrays built for all types
+        at once from a second report of the same seed."""
+        want = _all_types(self._report(scheme, n, seed, ell=ell).energy)
+        energy = self._report(scheme, n, seed, ell=ell).energy
+        reads = data.draw(st.lists(
+            st.tuples(st.integers(1, len(n)),
+                      st.sampled_from(RECORDS + ("idle",))),
+            min_size=1, max_size=12))
+        for b, record in reads:
+            if record == "idle":
+                have = energy.idle(b)
+                ref = want["accounted"][b] - want["tx"][b] - want["rx"][b]
+            else:
+                have, ref = getattr(energy, record)[b], want[record][b]
+            assert have.dtype == ref.dtype == np.float64
+            assert np.array_equal(have, ref)
+
+    @pytest.mark.parametrize("scheme", ENERGY_SCHEMES)
+    def test_idle_loop_peak_memory(self, scheme):
+        """Bound fixed from array sizes, with A = 8n bytes (one float64 per
+        node) at n = 5e4 nodes of each of T = 4 types.  Held while type b is
+        read: its three records (3A) and the previous type's idle result
+        (A).  On top, the larger of idle's two temporaries (2A) and one
+        frame's re-draw (uniforms or slots, blocks and one table lookup,
+        3A).  That is 7A; the bound is 8A plus the frames' count-level
+        (tx, rx) energy tables of every type, 2 x 8 T (ell + 1 + m' (t_T +
+        1)) bytes.  Building every type's records at once holds 12A."""
+        n = 50_000
+        report = self._report(scheme, (n,) * 4, 3)
+        cfg = derive_config(0.05, 0.2, (max(1024, n),) * 4)
+        tables = 2 * 8 * 4 * (cfg.ell + 1 + cfg.m_prime * (cfg.t_T + 1))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for b in range(1, 5):
+                idle = report.energy.idle(b)
+                assert idle.shape == (n,)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * n + tables, peak
+
+    @pytest.mark.parametrize("scheme", ENERGY_SCHEMES)
+    def test_arrays_freed_with_the_report(self, scheme):
+        """With the cycle collector off, a report's per-node arrays die with
+        its last reference: the ledger and its read-only records form no
+        reference cycle."""
+        gc.disable()
+        try:
+            report = self._report(scheme, (30, 0, 12), 5)
+            records = report.energy.tx
+            arrays = [weakref.ref(records[b]) for b in records]
+            arrays.append(weakref.ref(report.energy.idle(3)))
+            arrays.append(weakref.ref(report.energy.rx[3]))
+            ledger = weakref.ref(report.energy)
+            del report
+            assert ledger() is not None     # the records hold the ledger
+            del records
+            assert ledger() is None
+            assert all(array() is None for array in arrays)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("scheme", ENERGY_SCHEMES)
+    def test_types_outside_one_to_t_raise_key_error(self, scheme):
+        energy = self._report(scheme, (4, 7, 2), 1).energy
+        cfg = derive_config(0.05, 0.2, (1024,) * 3)
+        for record in RECORDS:
+            assert list(getattr(energy, record)) == [1, 2, 3]
+            assert len(getattr(energy, record)) == 3
+        for b in (0, 4):
+            for read in [lambda b: energy.idle(b),
+                         lambda b: energy.energy(b, cfg)] + [
+                    lambda b, r=r: getattr(energy, r)[b] for r in RECORDS]:
+                with pytest.raises(KeyError):
+                    read(b)
+        assert energy.tx[3].shape == (2,)
 
 
 class TestPhase2Schemes:
@@ -718,6 +837,10 @@ class TestCli:
         (["simulate", "--schemes", "hsrc1", "--n", "5,5", "--sweep-var",
           "gamma_iota", "--sweep-values", "inf"],
          "energy costs must be finite and >= 0"),
+        (["simulate", "--schemes", "hsrc1", "--n", "5,5", "--sweep-var", "q",
+          "--sweep-values", "0.1,0.9"], "--q samples the active nodes"),
+        (["simulate", "--schemes", "hsrc1", "--n", "5,5", "--q", "0.9"],
+         "--q samples the active nodes"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -548,7 +548,13 @@ class TestPerNodeEnergyDraws:
             draws.append(args)
             return draw(*args)
         monkeypatch.setattr(three_stage, "geometric_block_choices", counted)
+        # A read of one type draws that type's m' frames, once: idle reads
+        # all three of its records.
         report.energy.idle(1)
+        assert len(draws) == cfg.m_prime
+        assert {args[1] for args in draws} == {pop.n[0]}
+        for b in range(2, pop.T + 1):
+            report.energy.idle(b)
         assert len(draws) == cfg.m_prime * pop.T
 
     def test_per_node_sums_of_the_frame_tables(self):

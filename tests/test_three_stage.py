@@ -309,12 +309,14 @@ def _energy_loop(frame, population, config, frame_total):
         blocks = frame.stage1.chosen[b]
         part = (blocks > 0).astype(float)
         if b == 1:
-            energy.tx[b] = part * (T - 1) + part * flagged_mask[blocks]
-            energy.rx[b] = np.full(blocks.shape, float(bp1))
+            tx = part * (T - 1) + part * flagged_mask[blocks]
+            rx = np.full(blocks.shape, float(bp1))
         else:
-            energy.tx[b] = part + part * rflag_mask[blocks]
-            energy.rx[b] = bp1 + part * flagged_mask[blocks]
-        energy.accounted[b] = np.full(blocks.shape, float(frame_total))
+            tx = part + part * rflag_mask[blocks]
+            rx = bp1 + part * flagged_mask[blocks]
+        accounted = np.full(blocks.shape, float(frame_total))
+        energy.charge(b, (tx.sum(), rx.sum(), accounted.sum()), tx, rx,
+                      accounted)
     return energy
 
 

@@ -325,7 +325,7 @@ def _energy_2ss_loop(chosen, codes, bp, population, frame_total):
     T = population.T
     row_symbols = _row_symbols(T)
     lut = resolver_lut(T)
-    energy = EnergyLedger(T)
+    energy = EnergyLedger.zeros(population)
     for b in range(1, T + 1):
         blocks = chosen[b]
         part = (blocks > 0).astype(float)
@@ -333,9 +333,11 @@ def _energy_2ss_loop(chosen, codes, bp, population, frame_total):
         active = blocks > 0
         if active.any():
             extra_tx[active] = lut.tx[codes[blocks[active] - 1], b - 1]
-        energy.tx[b] = part * int(row_symbols[b - 1]) + part * extra_tx
-        energy.rx[b] = np.full(blocks.shape, float(bp))
-        energy.accounted[b] = np.full(blocks.shape, float(frame_total))
+        tx = part * int(row_symbols[b - 1]) + part * extra_tx
+        rx = np.full(blocks.shape, float(bp))
+        accounted = np.full(blocks.shape, float(frame_total))
+        energy.charge(b, (tx.sum(), rx.sum(), accounted.sum()), tx, rx,
+                      accounted)
     return energy
 
 
