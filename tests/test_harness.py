@@ -496,7 +496,10 @@ class TestPerNodeOneTypeAtATime:
         try:
             report = self._report(scheme, (30, 0, 12), 5)
             records = report.energy.tx
-            arrays = [weakref.ref(records[b]) for b in records]
+            first = weakref.ref(records[1])
+            records[2]
+            assert first() is None          # one type's arrays at a time
+            arrays = [weakref.ref(records[3])]
             arrays.append(weakref.ref(report.energy.idle(3)))
             arrays.append(weakref.ref(report.energy.rx[3]))
             ledger = weakref.ref(report.energy)

@@ -624,8 +624,14 @@ class TestRepeatedDrawThreads:
         reports = runs(RngBank(5, {"rep": 2}))
         # "rep" and phase-2 keys per type, and phase 1's m' per type.
         assert len(threads["stream"]) == pop.T * (2 + cfg.m_prime)
-        # Per-node energy draws phase 1's node blocks again, on this thread.
-        reports["HSRC1"].energy.tx
+        # Per-node energy draws phase 1's node blocks again, on this thread,
+        # one type per read.
+        drawn = len(threads["draw"])
+        for b in range(1, pop.T + 1):
+            opened = len(threads["stream"])
+            reports["HSRC1"].energy.idle(b)
+            assert len(threads["stream"]) > opened
+        assert len(threads["draw"]) > drawn
 
         caller = threading.get_ident()
         assert threads["draw"]
