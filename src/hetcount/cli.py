@@ -13,7 +13,7 @@ import functools
 import sys
 
 from . import analysis, harness
-from .core import ELL_TABLE, UnknownAccuracyKey
+from .core import ELL_TABLE, MAX_NODES, UnknownAccuracyKey
 from .harness import (
     ConfigError,
     ExperimentSpec,
@@ -178,14 +178,18 @@ def _check_config(parser, params, n_all=(2,)):
         parser.error(str(exc))
 
 
-def _check_population(parser, params):
+def _check_population(parser, params, drawn=True):
     """Fail on a q outside [0, 1], a negative node count or rough estimate,
-    or more active nodes per type than n_all (else D) allows."""
+    more active nodes per type than n_all (else D) allows or, where nodes
+    are ``drawn``, than MAX_NODES."""
     q = params.get("q")
     if q is not None and not 0 <= q <= 1:
         parser.error(f"q must be in [0, 1], got {q}")
-    if min(params.get("n") or (0,)) < 0 or params.get("D", 0) < 0:
+    counts = (*(params.get("n") or ()), params.get("D", 0))
+    if min(counts) < 0:
         parser.error("node counts (--n, D) must be >= 0")
+    if drawn and max(counts) > MAX_NODES:
+        parser.error(f"node counts (--n, D) must be at most {MAX_NODES}")
     if min(params.get("rough") or (0,)) < 0:
         parser.error("rough estimates (--rough) must be >= 0")
     total = params.get("n_all", params.get("D"))
@@ -208,6 +212,14 @@ def main(argv=None):
     parser = build_parser()
     argv = _load_config(parser, argv)
     args = parser.parse_args(argv[1:])
+    try:
+        return _run(parser, args)
+    except MemoryError as exc:
+        parser.error(f"out of memory: {exc}".rstrip(": "))
+
+
+def _run(parser, args):
+    """Check ``args`` and run its subcommand: 0, or a one-line error."""
     if getattr(args, "replicates", None) is not None and args.replicates < 1:
         parser.error(f"--replicates must be at least 1, got {args.replicates}")
     if args.command in ("simulate", "analyze", "validate"):
@@ -216,7 +228,8 @@ def main(argv=None):
         _check_types(parser, T, args.n)
         if args.rough is not None and len(args.rough) != T:
             parser.error(f"--rough gives {len(args.rough)} types but T is {T}")
-        _check_population(parser, {"n": args.n, "rough": args.rough})
+        _check_population(parser, {"n": args.n, "rough": args.rough},
+                          drawn=False)
     if args.command == "validate":
         _check_types(parser, T, args.n)
         n = args.n or (1000,) * T

@@ -8,6 +8,7 @@ energy ledgers that make every simulated frame auditable.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import math
@@ -31,6 +32,9 @@ M_PRIME_TABLE = {0.2: 10}
 LOF_FACTOR = 1.2897
 LOF_TRIAL_COEF = 1.1213
 LOAD_FACTOR = 1.6
+
+# Most active nodes per type: block counts are int32.
+MAX_NODES = 2 ** 31 - 1
 
 
 class UnknownAccuracyKey(KeyError):
@@ -89,6 +93,8 @@ class PopulationSpec:
         for nb, na in zip(self.n, self.n_all):
             if not (0 <= nb <= na):
                 raise ValueError("need 0 <= n_b <= n_all_b")
+            if nb > MAX_NODES:
+                raise ValueError(f"need n_b <= {MAX_NODES}, got {nb}")
 
     @property
     def T(self) -> int:
@@ -296,7 +302,9 @@ class EnergyLedger:
         return self
 
     def idle(self, b):
-        return self.accounted[b] - self.tx[b] - self.rx[b]
+        idle = self.accounted[b] - self.tx[b]
+        idle -= self.rx[b]
+        return idle
 
     def energy(self, b, config: ProtocolConfig):
         return (self.tx[b] * config.gamma_tau + self.rx[b] * config.gamma_rho
@@ -539,10 +547,53 @@ def geometric_block_choices(rng, n, t):
     return _geometric_blocks(rng.random(n), t)
 
 
+# Nodes a per-node replay draws at a time, into one reused buffer.
+_NODE_PIECE = 1 << 16
+
+
+def uniform_pieces(rngs, n):
+    """``rng.random(n)`` of each Generator in rngs in turn, in pieces of at
+    most _NODE_PIECE nodes, leaving each rng in the same state: (index of
+    the rng, slice of the nodes, their uniforms) triples, every piece drawn
+    into one buffer, so valid until the next is drawn."""
+    buffer = np.empty(min(n, _NODE_PIECE))
+    for m, rng in enumerate(rngs):
+        for lo in range(0, n, _NODE_PIECE):
+            hi = min(lo + _NODE_PIECE, n)
+            yield m, slice(lo, hi), rng.random(out=buffer[:hi - lo])
+
+
+def geometric_block_pieces(rngs, n, t):
+    """``geometric_block_choices(rng, n, t)`` of each rng in rngs, piece by
+    piece as uniform_pieces, the int64 blocks in the uniforms' buffer."""
+    for m, piece, u in uniform_pieces(rngs, n):
+        yield m, piece, _geometric_blocks(u, t, out=u.view(np.int64))
+
+
+def bb_node_pieces(rng, n, ell, p, joined=False):
+    """The per-node slots of ``bb_blocks(rng, n, ell, p)`` (1-based, 0 =
+    idle), or with ``joined`` only its participation mask, piece by piece as
+    uniform_pieces (the index is 0): the participation uniforms from rng,
+    the slots from a copy of it advanced past them (a PCG64 uniform takes
+    one step)."""
+    if joined:
+        for m, piece, u in uniform_pieces([rng], n):
+            yield m, piece, u < p
+        return
+    slots = copy.deepcopy(rng)
+    slots.bit_generator.advance(n)
+    for m, piece, u in uniform_pieces([rng], n):
+        drawn = slots.integers(1, ell + 1, size=len(u))
+        drawn *= u < p
+        yield m, piece, drawn
+
+
 # Uniforms a trial draw holds at once (16 bytes each with their blocks),
-# shared by its threads, so memory stays flat in M x n_b.  Half of it saved
-# 0.1 MB of large-pop's peak RSS and slowed its rounds by about 10%.
-_TRIAL_CHUNK = 1 << 20
+# shared by its threads; a trial above one thread's share is drawn in pieces
+# of that share.  2^18 slowed large-pop's rounds in 3 of 4 alternating pairs,
+# by up to 32%, and left its peak RSS level: probably because _class_chunk's
+# fixed numpy calls per chunk hold the GIL the pool threads share.
+_TRIAL_CHUNK = 1 << 19
 # CPUs this process may run on; a trial draw deals its types to up to
 # min(T, _CPUS) threads.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -569,20 +620,22 @@ def draw_trials(rngs, n, t, out, kernel):
     without nodes needs none.
 
     Where some type's trials hold more than _TRIAL_CHUNK nodes, the types
-    are dealt round-robin to min(T, _CPUS) pool threads sharing that budget,
-    each drawing its types one after another into their slices of out, so
-    out does not depend on the scheduling.  Streams and buffers are made on
-    the calling thread: traced functions keep one span stack, and arrays
-    freed on pool threads would linger in per-thread malloc arenas."""
+    are dealt round-robin to min(T, _CPUS) pool threads, each with an equal
+    share of that budget and drawing its types one after another into their
+    slices of out, so out does not depend on the scheduling.  So the draw
+    holds at most _TRIAL_CHUNK uniforms and their blocks, whatever M and n.
+    Streams and buffers are made on the calling thread: traced functions
+    keep one span stack, and arrays freed on pool threads would linger in
+    per-thread malloc arenas."""
     T, M = out.shape[:2]
     workers = min(T, _CPUS) if M * max(n, default=0) > _TRIAL_CHUNK else 1
-    budget = _TRIAL_CHUNK // workers
+    share = _TRIAL_CHUNK // workers
     groups = []
     for first in range(workers):
-        jobs = [(out[b], rngs[b], n[b], min(M, max(1, budget // n[b])))
+        jobs = [(out[b], rngs[b], n[b], min(M, max(1, share // n[b])))
                 for b in range(first, T, workers) if n[b]]
         if jobs:
-            size = max(nb * rows for _out, _rngs, nb, rows in jobs)
+            size = max(min(nb * rows, share) for _out, _rngs, nb, rows in jobs)
             groups.append((jobs, t, kernel, np.empty(size),
                            np.empty(size, dtype=np.int64)))
     out[np.equal(n, 0)] = 0
@@ -599,18 +652,29 @@ def draw_trials(rngs, n, t, out, kernel):
 def _draw_types(jobs, t, kernel, u, idx):
     """Each job's (M, t) counts into its ``out``, by ``kernel``, chunk after
     chunk of ``rows`` trials of ``nb`` nodes from its ``rngs``, through the
-    float64 buffer u and the int64 buffer idx."""
+    float64 buffer u and the int64 buffer idx.  A trial of more nodes than
+    u holds is drawn in pieces of len(u) nodes from its own stream, and the
+    pieces' counts are added, then capped at 2 where _class_chunk keeps the
+    whole trial as classes: so out does not depend on the budget."""
     for out, rngs, nb, rows in jobs:
-        M = len(out)
-        for s in range(0, M, rows):
-            k = min(rows, M - s)
-            drawn = u[:k * nb].reshape(k, nb)
-            if isinstance(rngs, np.random.Generator):
-                rngs.random(out=drawn)
-            else:
-                for row, rng in zip(drawn, rngs[s:s + k]):
-                    rng.random(out=row)
-            kernel(drawn, t, idx[:k * nb].reshape(k, nb), out[s:s + k])
+        width = min(nb, len(u))
+        part = np.empty_like(out[:1]) if width < nb else None
+        for s in range(0, len(out), rows):
+            k = min(rows, len(out) - s)
+            for lo in range(0, nb, width):
+                drawn = u[:k * min(width, nb - lo)].reshape(k, -1)
+                if isinstance(rngs, np.random.Generator):
+                    rngs.random(out=drawn)
+                else:
+                    for row, rng in zip(drawn, rngs[s:s + k]):
+                        rng.random(out=row)
+                kernel(drawn, t, idx[:drawn.size].reshape(drawn.shape),
+                       part if lo else out[s:s + k])
+                if lo:
+                    out[s] += part[0]
+            if (part is not None and kernel is _class_chunk
+                    and _class_depth(nb, t) >= 2):
+                np.minimum(out[s], 2, out=out[s])
 
 
 def _count_chunk(u, t, idx, out):
@@ -635,7 +699,7 @@ def _class_chunk(u, t, idx, out):
     counts are exact.  idx (int64, u's shape) holds the prefix, then a mask."""
     k, nb = u.shape
     w = nb // 8
-    low = min(t - 1, (w // 16).bit_length() - 1)
+    low = _class_depth(nb, t)
     if low < 2:
         return _count_chunk(u, t, idx, out)
     words = idx.reshape(-1)
@@ -651,6 +715,11 @@ def _class_chunk(u, t, idx, out):
     for r in short:
         _count_chunk(u[r:r + 1], t, idx[:1], out[r:r + 1])
         np.minimum(out[r], 2, out=out[r])
+
+
+def _class_depth(nb, t):
+    """_class_chunk's L for trials of nb nodes over t blocks."""
+    return min(t - 1, (nb // 8 // 16).bit_length() - 1)
 
 
 def uniform_block_choices(rng, n, ell, p):

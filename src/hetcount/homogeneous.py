@@ -6,7 +6,8 @@ that refines a rough estimate with one balls-and-bins trial: phase 1 is
 ``trial_counts``, which HSRC phase 1 reads too, phase 2 ``bb_trials``,
 every scheme's phase-2 draw, and ``final_estimates`` its one estimate rule.
 Run once per type it is the naive baseline (TxSRCS), and its phase 2 alone
-is HSRC's per-type branch (TRepBB).  Per-node slots are drawn again when read.
+is HSRC's per-type branch (TRepBB).  Per-node slots are drawn again when
+read, in pieces of a bounded number of nodes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .core import (
     SlotLedger,
     _count_chunk,
     bb_blocks,
+    bb_node_pieces,
     draw_trials,
     for_type,
 )
@@ -119,8 +121,10 @@ def srcs_estimate(z, ell, p):
 def bb_trials(n, rough, config: ProtocolConfig, bank: RngBank):
     """Phase 2: a core.bb_blocks trial over ell slots of the n[b - 1] nodes
     of each type b, at the participation of its rough estimate, on stream
-    ("p2", b): the (T, ell) per-slot counts, and ``slots(b)``, which draws
-    type b's 1-based slot per node (0 = idle) again, for a per-node read.
+    ("p2", b): the (T, ell) per-slot counts, and ``slots(b, joined=False)``,
+    which draws type b's 1-based slot per node (0 = idle), or with
+    ``joined`` only its participation mask, again for a per-node read, in
+    core.bb_node_pieces.
 
     The counts are drawn once per bank for all its "p2" readers (the
     phase-2-only schemes of one replicate, which share n, the rough
@@ -137,10 +141,9 @@ def bb_trials(n, rough, config: ProtocolConfig, bank: RngBank):
         counts.flags.writeable = False
         return counts
 
-    def slots(b):
-        _counts, mask, blocks = bb_blocks(bank.stream(*keys[b - 1]),
-                                          n[b - 1], ell, p[b - 1])
-        return blocks * mask
+    def slots(b, joined=False):
+        return bb_node_pieces(bank.stream(*keys[b - 1]), n[b - 1], ell,
+                              p[b - 1], joined)
     return bank.shared(("p2", tuple(n), p, ell), draw), slots
 
 
@@ -183,8 +186,10 @@ def t_repetitions_bb(population: PopulationSpec, rough,
 
 
 def _own_trial(slots, b, ell, tx, rx, accounted):
-    """Per-node energy of type b's own trial (see t_repetitions_bb)."""
-    tx += slots(b) > 0
+    """Per-node energy of type b's own trial (see t_repetitions_bb): a node
+    sends once if it joined, which its participation uniform alone says."""
+    for _frame, piece, joined in slots(b, joined=True):
+        tx[piece] += joined
     accounted += ell
 
 

@@ -13,15 +13,16 @@ everyone participates) which yields first-absent-block indices j_b, and
 counts give the empty-block counts z_b.  The schemes draw both as block
 counts, trial mode through homogeneous.trial_counts and bb mode through
 homogeneous.bb_trials, and resolve them with run_frames; node blocks are
-drawn again only for a per-node energy read.  draw_blocks, which keeps
-every node's block, is the reference draw of run_3ss_stage1.
+drawn again only for a per-node energy read, a bounded piece of nodes at a
+time.  draw_blocks, which keeps every node's block, is the reference draw of
+run_3ss_stage1.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .core import (
     bb_blocks,
     bitmap_bp_slots,
     geometric_block_choices,
+    geometric_block_pieces,
     slot_outcomes,
 )
 from .homogeneous import bb_trials, first_empty, trial_counts
@@ -157,8 +159,8 @@ def resolve_3ss(counts, s_w, n=None):
     """M frames of the three-stage code from their types-first
     (T, M, n_blocks) block counts: (summed ledger, plan-broadcast slots,
     which this code has none of, and for n[b - 1] nodes of type b their
-    energy: per-type tx and rx sums and a function that builds the
-    _energy_3ss tables for a per-node read).
+    energy: per-type tx and rx sums and a function of b that builds type
+    b's _energy_3ss tables for a per-node read).
 
     The follow-up recovers every type's presence exactly (run_3ss_followup
     is the reference), so presence is counts > 0 and only the follow-up's
@@ -189,18 +191,20 @@ def resolve_3ss(counts, s_w, n=None):
     return ledger, 0, (tx, rx, partial(_energy_3ss, flagged, stage3, T, bp1))
 
 
-def _energy_3ss(flagged, stage3, T, bp1):
-    """(tx, rx) of a node by type, frame and block, (T, M, n_blocks + 1),
+def _energy_3ss(flagged, stage3, T, bp1, b):
+    """(tx, rx) of a node of type b by frame and block, (M, n_blocks + 1),
     from (M, n_blocks) flagged and stage-3 masks.  Type 1 sends in every
     stage-1 slot and in stage 2, type b >= 2 in its own slot and in stage 3
     and listens to stage 2; all hear the bp1-slot stage-1 bitmap.  Entry 0
     is an idle node, which only hears the bitmap."""
     M, n_blocks = flagged.shape
-    tx = np.zeros((T, M, n_blocks + 1))
+    tx = np.zeros((M, n_blocks + 1))
     rx = np.full(tx.shape, float(bp1))
-    tx[0, :, 1:] = (T - 1) + flagged
-    tx[1:, :, 1:] = 1.0 + stage3
-    rx[1:, :, 1:] += flagged
+    if b == 1:
+        tx[:, 1:] = (T - 1) + flagged
+    else:
+        tx[:, 1:] = 1.0 + stage3
+        rx[:, 1:] += flagged
     return tx, rx
 
 
@@ -208,12 +212,12 @@ def run_frames(resolve, counts, n, frames, s_w):
     """M frames of one block code resolved by ``resolve`` (resolve_3ss or
     two_stage.resolve_2ss) from their types-first (T, M, n_blocks) counts,
     n[b - 1] nodes of type b: (ledger, plan-broadcast slots, energy), each
-    summed over the frames; the energy sums are the resolver's.  Per-node
-    energy reads build the code's (T, M, n_blocks + 1) tables once and call
-    ``frames(b)``: type b's 1-based block per node (0 = idle), frame by
-    frame."""
+    summed over the frames; the energy sums are the resolver's.  A per-node
+    read of type b builds its (M, n_blocks + 1) tables, keeps them for that
+    read only, and calls ``frames(b)``: type b's 1-based block per node
+    (0 = idle), frame after frame, as (frame, slice of the nodes, blocks)
+    pieces (core.uniform_pieces)."""
     ledger, overhead, (sums_tx, sums_rx, tables) = resolve(counts, s_w, n)
-    tables = cache(tables)
     total = float(ledger.total)
     energy = EnergyLedger(len(n), n)
     for b, nb in enumerate(n, 1):
@@ -223,14 +227,14 @@ def run_frames(resolve, counts, n, frames, s_w):
 
 
 def _node_sums(frames, b, tables, accounted, node_tx, node_rx, node_acc):
-    """Add to type b's per-node arrays, per node, the ``tables()`` entries
-    of type b at its block in each frame, whose blocks are drawn once, and
-    ``accounted``."""
+    """Add to type b's per-node arrays, per node, the ``tables(b)`` entries
+    at its block in each frame, whose blocks are drawn once, piece by piece,
+    and ``accounted``."""
     node_acc += accounted
-    tx, rx = (table[b - 1] for table in tables())
-    for tx_row, rx_row, blocks in zip(tx, rx, frames(b)):
-        node_tx += tx_row.take(blocks)
-        node_rx += rx_row.take(blocks)
+    tx, rx = tables(b)
+    for m, piece, blocks in frames(b):
+        node_tx[piece] += tx[m].take(blocks)
+        node_rx[piece] += rx[m].take(blocks)
 
 
 @dataclass
@@ -248,13 +252,15 @@ def trial_frames(resolve, population: PopulationSpec, config: ProtocolConfig,
     frames, one draw per replicate shared by its readers), counted by
     homogeneous.trial_counts and resolved by run_frames: (counts, ledger,
     plan-broadcast slots, energy).  Node blocks are drawn again from the
-    frames' streams ("p1", trial, type) only when a per-node energy is read."""
+    frames' streams ("p1", trial, type) only when a per-node energy is read,
+    a piece of nodes at a time."""
     counts = trial_counts(population.n, config, bank, trials)
     trials = range(config.m_prime) if trials is None else trials
 
     def frames(b):
-        return (geometric_block_choices(rng, population.n[b - 1], config.t_T)
-                for rng in bank.streams([("p1", m, b) for m in trials]))
+        return geometric_block_pieces(
+            bank.streams([("p1", m, b) for m in trials]), population.n[b - 1],
+            config.t_T)
     return (counts, *run_frames(resolve, counts, population.n, frames,
                                 config.s_w))
 
@@ -275,8 +281,7 @@ def run_bb(resolve, population, rough, config, bank):
     one frame.  Per-node energy reads draw the node slots again."""
     counts, slots = bb_trials(population.n, rough, config, bank)
     ledger, overhead, energy = run_frames(
-        resolve, counts[:, None], population.n, lambda b: [slots(b)],
-        config.s_w)
+        resolve, counts[:, None], population.n, slots, config.s_w)
     return Run3SSResult(j=None, counts=counts, ledger=ledger, energy=energy,
                         overhead=overhead)
 

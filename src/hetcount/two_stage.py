@@ -470,8 +470,8 @@ def resolve_2ss(counts, s_w, n=None):
     """M frames of the two-stage code from their types-first
     (T, M, n_blocks) block counts, as three_stage.resolve_3ss: (summed
     ledger, plan-broadcast slots, and for n[b - 1] nodes of type b their
-    energy: per-type tx and rx sums and a function that builds the
-    _energy_2ss tables).  For T <= 3 the code is the three-stage one.  The
+    energy: per-type tx and rx sums and a function of b that builds type
+    b's _energy_2ss tables).  For T <= 3 the code is the three-stage one.  The
     tables recover every type's presence exactly (they are checked against
     it code by code when built), so only the follow-up cost is looked up."""
     T, M, n_blocks = counts.shape
@@ -503,13 +503,13 @@ def _node_tx(T):
     return table
 
 
-def _energy_2ss(codes, T, bp):
-    """(tx, rx) of a node by type, frame and block, (T, M, n_blocks + 1),
+def _energy_2ss(codes, T, bp, b):
+    """(tx, rx) of a node of type b by frame and block, (M, n_blocks + 1),
     from (M, n_blocks) block codes: a node sends its matrix row's symbols
     and its block's follow-up transmissions, and every node hears the bp
     broadcast slots.  Entry 0 is an idle node, which sends nothing."""
     idle = np.full((len(codes), 1), 3 ** T)
-    tx = _node_tx(T).take(np.hstack((idle, codes)), axis=1)
+    tx = _node_tx(T)[b - 1].take(np.hstack((idle, codes)))
     return tx, np.full(tx.shape, float(bp))
 
 

@@ -181,6 +181,17 @@ class TestPopulationSpec:
         with pytest.raises(ValueError):
             PopulationSpec(n=(3, 5), n_all=(3,))
 
+    def test_node_counts_fit_int32(self):
+        # Block counts are int32, and numpy wraps an int64 past 2^31 - 1
+        # silently when it is stored in them.
+        big = 2 ** 31 - 1
+        assert core.MAX_NODES == big
+        assert PopulationSpec.fixed((big, 0)).n == (big, 0)
+        with pytest.raises(ValueError, match="n_b <= 2147483647"):
+            PopulationSpec.fixed((big + 1, 0))
+        with pytest.raises(ValueError, match="n_b <= 2147483647"):
+            PopulationSpec(n=(3, 10 ** 30), n_all=(3, 10 ** 30))
+
     def test_sample_activity_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -546,6 +557,51 @@ class TestClassChunk:
                               else np.minimum(expected, 2))
 
 
+class TestNodePieces:
+    """Per-node replays drawn a piece of nodes at a time equal one whole
+    draw of the same stream."""
+
+    @staticmethod
+    def _joined(pieces, n):
+        """Each index's pieces put together, checking they tile 0..n."""
+        whole = {}
+        for m, piece, values in pieces:
+            assert piece.start == len(whole.setdefault(m, []))
+            whole[m].extend(values.tolist())
+            assert len(whole[m]) == piece.stop <= n
+        return {m: np.array(v) for m, v in whole.items()}
+
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 3500])
+    def test_geometric_blocks(self, n, monkeypatch):
+        monkeypatch.setattr(core, "_NODE_PIECE", 1000)
+        rngs = [np.random.default_rng(n + k) for k in range(3)]
+        got = self._joined(core.geometric_block_pieces(rngs, n, 7), n)
+        for m, rng in enumerate(rngs):
+            ref = np.random.default_rng(n + m)
+            assert np.array_equal(got[m], geometric_block_choices(ref, n, 7))
+            # The stream is left where one whole draw leaves it.
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 3500])
+    @pytest.mark.parametrize("ell, p", [(1, 1.0), (37, 0.3), (3009, 0.9)])
+    def test_bb_slots_and_mask(self, n, ell, p, monkeypatch):
+        monkeypatch.setattr(core, "_NODE_PIECE", 1000)
+        _counts, mask, slots = core.bb_blocks(np.random.default_rng(n), n,
+                                              ell, p)
+        got = self._joined(core.bb_node_pieces(np.random.default_rng(n), n,
+                                               ell, p), n)
+        assert list(got) == [0] and np.array_equal(got[0], slots * mask)
+        got = self._joined(core.bb_node_pieces(np.random.default_rng(n), n,
+                                               ell, p, joined=True), n)
+        assert got[0].dtype == bool and np.array_equal(got[0], mask)
+
+    def test_no_nodes_draw_nothing(self):
+        rng = np.random.default_rng(3)
+        assert not list(core.geometric_block_pieces([rng], 0, 5))
+        assert not list(core.bb_node_pieces(rng, 0, 5, 0.5))
+        assert rng.random() == np.random.default_rng(3).random()
+
+
 def _one_shot_counts(rngs, n, t, M):
     """Reference: each type's (M, n_b) node blocks drawn by numpy's
     geometric, from one stream at once or one stream per trial, and counted
@@ -598,6 +654,55 @@ class TestDrawTrials:
             got, want = np.minimum(got, 2), np.minimum(want, 2)
         assert np.array_equal(got, want)
 
+    @staticmethod
+    def _streams(layout, n, M):
+        bank = RngBank(12)
+        if layout == "one-stream":
+            return [bank.stream("rep", b) if nb else None
+                    for b, nb in enumerate(n, 1)]
+        return [bank.streams([("p1", m, b) for m in range(M)])
+                for b in range(1, len(n) + 1)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("kernel", ["_count_chunk", "_class_chunk"])
+    @pytest.mark.parametrize("layout", ["per-trial", "one-stream"])
+    def test_trials_above_a_workers_share(self, layout, kernel, cpus,
+                                          monkeypatch):
+        """A trial of more nodes than a worker's share c is drawn in pieces
+        of c nodes from its own stream.  The counts equal a one-shot draw's
+        at n = c - 1, c, c + 1 and 2c + 1 (classes for _class_chunk where it
+        keeps the whole trial as classes: 512 nodes or more at t = 6), and
+        the traced peak is the same at n = 2c + 1 and 8c + 1."""
+        chunk, M, t = 2048, 3, 6
+        monkeypatch.setattr(core, "_TRIAL_CHUNK", chunk)
+        monkeypatch.setattr(core, "_CPUS", cpus)
+        c = chunk // cpus          # four types, so min(4, cpus) workers
+
+        def draw(x):
+            n = (x, 0, 37, x)
+            out = np.full((len(n), M, t), -1, dtype=np.int32)
+            rngs = self._streams(layout, n, M)
+            return n, rngs, out
+        for x in (c - 1, c, c + 1, 2 * c + 1):
+            n, rngs, out = draw(x)
+            got = core.draw_trials(rngs, n, t, out, getattr(core, kernel))
+            want = _one_shot_counts(self._streams(layout, n, M), n, t, M)
+            if kernel == "_class_chunk":
+                want[[0, 3]] = np.minimum(want[[0, 3]], 2)
+            assert np.array_equal(got, want), x
+        peaks = []
+        for x in (2 * c + 1, 8 * c + 1):
+            n, rngs, out = draw(x)
+            tracemalloc.start()
+            try:
+                core.draw_trials(rngs, n, t, out, getattr(core, kernel))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Two buffers of 8 bytes a node within the budget, and the kernels'
+        # temporaries of one piece.
+        assert peaks[1] <= peaks[0] + 8192 and peaks[0] <= 32 * chunk, peaks
+
     @pytest.mark.parametrize("chunk, pooled", [(3000, False), (2999, True)])
     def test_trial_counts_across_the_pool_gate(self, chunk, pooled,
                                                monkeypatch):
@@ -624,7 +729,7 @@ class TestDrawTrials:
     def test_trial_counts_memory(self, cpus, monkeypatch):
         # Phase 1 at 2e5 nodes per type: one type's (m', n_b) uniforms and
         # blocks at once would take 32 MB; the draw holds at most
-        # _TRIAL_CHUNK (2^20) of each, 16 MiB.
+        # _TRIAL_CHUNK (2^19) of each, 8 MiB.
         monkeypatch.setattr(core, "_CPUS", cpus)
         pop = PopulationSpec.fixed((200_000,) * 4, n_all=(1 << 20,) * 4)
         cfg = derive_config(0.03, 0.2, pop.n_all)
@@ -636,4 +741,4 @@ class TestDrawTrials:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 18 * 2 ** 20
+        assert peak < 10 * 2 ** 20

@@ -113,8 +113,8 @@ class TestFrameMatchesReference:
 
 class TestEnergySumsByContraction:
     """Each resolver's per-type energy sums, contracted from the counts,
-    equal the sums of per-node arrays built from its (T, M, n_blocks + 1)
-    reference tables, exactly."""
+    equal the sums of per-node arrays built from each type's
+    (M, n_blocks + 1) reference tables, exactly."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([resolve_3ss, resolve_2ss]), st.integers(2, 8),
@@ -131,14 +131,14 @@ class TestEnergySumsByContraction:
         idle = data.draw(st.lists(st.integers(0, 6), min_size=T, max_size=T))
         n = tuple(int(j) + i for j, i in zip(joined.max(axis=1), idle))
         ledger, plan, (tx, rx, tables) = resolve(counts, s_w, n)
-        table_tx, table_rx = tables()
         for b, nb in enumerate(n):
+            table_tx, table_rx = tables(b + 1)
             # Frame m's nodes of type b + 1: the idle ones at entry 0, then
             # counts[b, m, k] at block k + 1.
             frames = [np.repeat(np.arange(n_blocks + 1), np.concatenate(
                 ([nb - joined[b, m]], counts[b, m]))) for m in range(M)]
-            node_tx = sum(table_tx[b, m].take(f) for m, f in enumerate(frames))
-            node_rx = sum(table_rx[b, m].take(f) for m, f in enumerate(frames))
+            node_tx = sum(table_tx[m].take(f) for m, f in enumerate(frames))
+            node_rx = sum(table_rx[m].take(f) for m, f in enumerate(frames))
             assert node_tx.size == node_rx.size == nb
             assert tx[b] == node_tx.sum() and rx[b] == node_rx.sum()
         wide_ledger, wide_plan, (wide_tx, wide_rx, _tables) = resolve(
@@ -175,11 +175,11 @@ def _frames_by_draw_blocks(resolve, population, config, bank, M):
         counts[:, m] = frame
         frame_ledger, _plan, (_tx, _rx, tables) = resolve(
             frame[:, None], config.s_w, population.n)
-        frame_tx, frame_rx = tables()
         ledger = ledger + frame_ledger
         for b in tx:
-            tx[b] += frame_tx[b - 1, 0, chosen[b]]
-            rx[b] += frame_rx[b - 1, 0, chosen[b]]
+            frame_tx, frame_rx = tables(b)
+            tx[b] += frame_tx[0, chosen[b]]
+            rx[b] += frame_rx[0, chosen[b]]
     return counts, ledger, tx, rx
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetcount
-from hetcount import cli, harness, homogeneous
+from hetcount import cli, core, harness, homogeneous
 from hetcount.core import EnergyLedger, PopulationSpec, RngBank, derive_config
 from hetcount.harness import (
     CSV_COLUMNS,
@@ -488,6 +488,35 @@ class TestPerNodeOneTypeAtATime:
         assert peak <= 8 * 8 * n + tables, peak
 
     @pytest.mark.parametrize("scheme", ENERGY_SCHEMES)
+    def test_idle_loop_peak_memory_at_large_n(self, scheme):
+        """The bench checker's loop at T = 4 and n = 2e5 nodes per type,
+        with A = 8n bytes (1.6 MB) and P = core._NODE_PIECE nodes.  Held
+        while type b is read: its three records (3A) and the previous type's
+        idle result (A).  While the records are built, a replay's scratch
+        comes on top: a piece's uniforms, blocks in place, one table lookup,
+        and for slots a piece of integers and a mask, under 4 x 8P.  Then
+        idle(b) adds one array (A), subtracting in place.  So the peak is at
+        most max(4A + 32P, 5A), plus type b's count-level (tx, rx) tables,
+        2 x 8 (ell + 1 + m' (t_T + 1)) bytes, and 64 KB for streams and
+        small objects.  Redrawing whole frames holds 2A to 3A more."""
+        n = 200_000
+        report = self._report(scheme, (n,) * 4, 4)
+        cfg = derive_config(0.05, 0.2, (n,) * 4)
+        tables = 2 * 8 * (cfg.ell + 1 + cfg.m_prime * (cfg.t_T + 1))
+        bound = (max(4 * 8 * n + 4 * 8 * core._NODE_PIECE, 5 * 8 * n)
+                 + tables + (64 << 10))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for b in range(1, 5):
+                idle = report.energy.idle(b)
+                assert idle.shape == (n,) and not (idle < 0).any()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
+
+    @pytest.mark.parametrize("scheme", ENERGY_SCHEMES)
     def test_arrays_freed_with_the_report(self, scheme):
         """With the cycle collector off, a report's per-node arrays die with
         its last reference: the ledger and its read-only records form no
@@ -844,6 +873,20 @@ class TestCli:
           "--sweep-values", "0.1,0.9"], "--q samples the active nodes"),
         (["simulate", "--schemes", "hsrc1", "--n", "5,5", "--q", "0.9"],
          "--q samples the active nodes"),
+        # Block counts are int32: more nodes per type than 2^31 - 1 would
+        # wrap them.
+        (["simulate", "--schemes", "hsrc1", "--n", "5,5", "--sweep-var",
+          "n2_value", "--sweep-values", "1e30"],
+         "node counts (--n, D) must be at most 2147483647"),
+        (["simulate", "--schemes", "hsrc1", "--n", "5,2147483648"],
+         "node counts (--n, D) must be at most 2147483647"),
+        (["simulate", "--schemes", "hsrc1", "--D", "2147483648", "--q",
+          "0.1"], "node counts (--n, D) must be at most 2147483647"),
+        (["simulate", "--schemes", "hsrc1", "--q", "0.1", "--sweep-var", "D",
+          "--sweep-values", "5,3e9"],
+         "node counts (--n, D) must be at most 2147483647"),
+        (["validate", "--n", "5,2147483648"],
+         "node counts (--n, D) must be at most 2147483647"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -852,6 +895,27 @@ class TestCli:
         err = capsys.readouterr().err.strip().split("\n")
         assert err[-1].startswith("hetcount: error: ")
         assert message in err[-1]
+
+    @pytest.mark.parametrize("detail", [
+        "Unable to allocate 745. GiB for an array with shape "
+        "(100000000000,) and data type int64", ""])
+    def test_out_of_memory_one_line_error(self, capsys, monkeypatch, detail):
+        # A stand-in raises the error: a real allocation that large may
+        # succeed under overcommit and be killed when touched.
+        def run_experiment(spec):
+            raise MemoryError(detail)
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--schemes", "hsrc1", "--n", "5,5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[-1] == ("hetcount: error: out of memory"
+                           + (f": {detail}" if detail else ""))
+
+    def test_analyze_takes_counts_above_the_drawn_bound(self, capsys):
+        # analyze draws no nodes, so its closed forms take any count.
+        assert cli.main(["analyze", "--n", "3000000000,5"]) == 0
+        assert "phase2=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--n", ","], "--n: need at least one count"),

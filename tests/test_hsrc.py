@@ -542,40 +542,43 @@ class TestPerNodeEnergyDraws:
         assert cfg.m_prime == 10
         report = run_hsrc("HSRC1", pop, cfg, RngBank(8))
         draws = []
-        draw = three_stage.geometric_block_choices
+        streams = RngBank.streams
 
-        def counted(*args):
-            draws.append(args)
-            return draw(*args)
-        monkeypatch.setattr(three_stage, "geometric_block_choices", counted)
-        # A read of one type draws that type's m' frames, once: idle reads
-        # all three of its records.
+        def counted(bank, keys):
+            draws.extend(key for key in keys if key[0] == "p1")
+            return streams(bank, keys)
+        monkeypatch.setattr(RngBank, "streams", counted)
+        # A read of one type opens that type's m' frame streams, once: idle
+        # reads all three of its records.
         report.energy.idle(1)
         assert len(draws) == cfg.m_prime
-        assert {args[1] for args in draws} == {pop.n[0]}
+        assert {pop.n[key[2] - 1] for key in draws} == {pop.n[0]}
         for b in range(2, pop.T + 1):
             report.energy.idle(b)
         assert len(draws) == cfg.m_prime * pop.T
 
     def test_per_node_sums_of_the_frame_tables(self):
-        # Reference: each node's table entries at its blocks, summed frame by
-        # frame, one table at a time.
-        pop = _pop((40, 0, 25, 9), 1 << 10)
-        cfg = derive_config(0.03, 0.2, pop.n_all)
-        for resolve in (three_stage.resolve_3ss, resolve_2ss):
-            counts, _, _, energy = three_stage.trial_frames(
-                resolve, pop, cfg, RngBank(8))
-            tables = resolve(counts, cfg.s_w, pop.n)[2][2]()
-            for b, nb in enumerate(pop.n, 1):
-                streams = RngBank(8).streams(
-                    [("p1", m, b) for m in range(cfg.m_prime)])
-                blocks = [core.geometric_block_choices(rng, nb, cfg.t_T)
-                          for rng in streams]
-                for have, table in zip((energy.tx, energy.rx), tables):
-                    want = sum(row.take(bl) for row, bl in zip(table[b - 1],
-                                                               blocks))
-                    assert have[b].dtype == np.float64
-                    assert np.array_equal(have[b], want)
+        _assert_frame_table_sums(_pop((40, 0, 25, 9), 1 << 10))
+
+
+def _assert_frame_table_sums(pop):
+    """Reference: each node's table entries at its blocks, drawn whole by
+    core.geometric_block_choices, summed frame by frame, one table at a
+    time."""
+    cfg = derive_config(0.03, 0.2, pop.n_all)
+    for resolve in (three_stage.resolve_3ss, resolve_2ss):
+        counts, _, _, energy = three_stage.trial_frames(
+            resolve, pop, cfg, RngBank(8))
+        tables = resolve(counts, cfg.s_w, pop.n)[2][2]
+        for b, nb in enumerate(pop.n, 1):
+            streams = RngBank(8).streams(
+                [("p1", m, b) for m in range(cfg.m_prime)])
+            blocks = [core.geometric_block_choices(rng, nb, cfg.t_T)
+                      for rng in streams]
+            for have, table in zip((energy.tx, energy.rx), tables(b)):
+                want = sum(row.take(bl) for row, bl in zip(table, blocks))
+                assert have[b].dtype == np.float64
+                assert np.array_equal(have[b], want)
 
 
 class TestRepeatedDrawThreads:
@@ -612,7 +615,8 @@ class TestRepeatedDrawThreads:
             threads["stream"].extend(threading.get_ident() for _ in keys)
             return streams(bank, keys)
         monkeypatch.setattr(RngBank, "streams", opened)
-        for draw in (core.geometric_block_choices, core.uniform_block_choices):
+        for draw in (core.geometric_block_choices, core.uniform_block_choices,
+                     core.geometric_block_pieces, core.bb_node_pieces):
             for module in list(sys.modules.values()):
                 if getattr(module, "__name__", "").startswith("hetcount"):
                     for key, value in list(vars(module).items()):
@@ -878,11 +882,11 @@ class TestPhase2KeepsNoNodeArrays:
         slots = self._reference_slots(pop, cfg, rough, 4)
         ledger, _plan, (_tx, _rx, tables) = resolve(res.counts[:, None],
                                                     cfg.s_w, pop.n)
-        tx, rx = tables()
         assert ledger == res.ledger
         for b, nb in enumerate(pop.n, 1):
-            assert np.array_equal(res.energy.tx[b], tx[b - 1, 0][slots[b]])
-            assert np.array_equal(res.energy.rx[b], rx[b - 1, 0][slots[b]])
+            tx, rx = tables(b)
+            assert np.array_equal(res.energy.tx[b], tx[0][slots[b]])
+            assert np.array_equal(res.energy.rx[b], rx[0][slots[b]])
             assert np.array_equal(res.energy.accounted[b],
                                   np.full(nb, float(ledger.total)))
 
@@ -909,6 +913,20 @@ class TestPhase2KeepsNoNodeArrays:
             assert np.array_equal(report.energy.rx[b], np.ones(nb))
             assert np.array_equal(report.energy.accounted[b],
                                   np.full(nb, float(M * t + 1 + cfg.ell)))
+
+
+class TestPhase2InNodePieces(TestPhase2KeepsNoNodeArrays):
+    """The phase-2 reads above, and phase 1's, with each replay drawn in
+    pieces of 1000 nodes, at node counts spanning two to four pieces."""
+
+    N = (2500, 3001, 2000)
+
+    @pytest.fixture(autouse=True)
+    def _pieces(self, monkeypatch):
+        monkeypatch.setattr(core, "_NODE_PIECE", 1000)
+
+    def test_phase1_frames(self):
+        _assert_frame_table_sums(_pop((2500, 0, 3001, 999), 1 << 13))
 
 
 class TestOneTwoPhaseProtocol:
