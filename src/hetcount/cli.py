@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import analysis, harness
@@ -88,7 +89,8 @@ def build_parser():
     sim.add_argument("--schemes", default="hsrc1,hsrc2,txsrcs")
     sim.add_argument("--sweep-var", default="none",
                      choices=SIMULATE_SWEEP_VARS)
-    sim.add_argument("--sweep-values", default="0")
+    sim.add_argument("--sweep-values",
+                     help="values of --sweep-var (default: 0)")
     sim.set_defaults(replicates=100)
 
     fig = add_parser("figure", help="published-figure preset")
@@ -199,6 +201,16 @@ def _check_population(parser, params, drawn=True):
                      f"(else D) is {total}")
 
 
+def _check_out(parser, path):
+    """Fail on an --out path whose directory is missing, or that is a
+    directory, before anything runs."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        parser.error(f"--out {path}: no such directory {folder}")
+    if os.path.isdir(path):
+        parser.error(f"--out {path}: is a directory")
+
+
 def _check_tables(parser, T, schemes):
     """Fail on a scheme that decodes through a 2SS table past its bound."""
     using = [s for s in schemes if s in TABLE_SCHEMES]
@@ -222,6 +234,8 @@ def _run(parser, args):
     """Check ``args`` and run its subcommand: 0, or a one-line error."""
     if getattr(args, "replicates", None) is not None and args.replicates < 1:
         parser.error(f"--replicates must be at least 1, got {args.replicates}")
+    if getattr(args, "out", None) is not None:
+        _check_out(parser, args.out)
     if args.command in ("simulate", "analyze", "validate"):
         T = args.T if args.T is not None else len(args.n) if args.n else 3
     if args.command == "analyze":
@@ -246,7 +260,12 @@ def _run(parser, args):
             fixed["D"] = args.D
         if args.q is not None:
             fixed["q"] = args.q
-        values = _sweep_values(parser, args.sweep_var, args.sweep_values)
+        if args.sweep_var == "none" and args.sweep_values is not None:
+            parser.error("--sweep-values gives values of --sweep-var; it "
+                         "has no effect without it")
+        values = _sweep_values(parser, args.sweep_var,
+                               "0" if args.sweep_values is None
+                               else args.sweep_values)
         if args.n is not None:
             if "q" in fixed or args.sweep_var == "q":
                 parser.error("--q samples the active nodes from --D; it "

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import copy
 import functools
-import hashlib
 import math
 import numbers
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from statistics import NormalDist
 
 import numpy as np
 
@@ -152,7 +150,10 @@ def lof_trial_count(epsilon, delta):
 
 
 def _erfinv(y):
-    # erfinv(y) = Phi^{-1}((y+1)/2) / sqrt(2)
+    # erfinv(y) = Phi^{-1}((y+1)/2) / sqrt(2).  statistics is imported here:
+    # it loads fractions and decimal, which importing hetcount does not need.
+    from statistics import NormalDist
+
     return NormalDist().inv_cdf((y + 1.0) / 2.0) / math.sqrt(2.0)
 
 
@@ -369,23 +370,34 @@ class RngBank:
     the words being the first four little-endian 32-bit words of the
     SHA-256 of ``repr(key)`` (worked out once per process, _key_digest).
     ``streams`` derives the seed words of every key it has not seen before
-    in one vectorised pass, one key or many (the seed's share, numpy's pool
-    for the seed, is worked out once per bank), and replays them after
-    that: every call returns fresh Generators at the start of their
-    streams.  The bank keeps about 0.25 KB per key.
+    in one vectorised pass, one key or many, and replays them after that:
+    every call returns fresh Generators at the start of their streams.
+    Banks opened together by ``RngBank.cell`` (the replicates of one
+    experiment cell) share that pass: a bank that meets new keys derives
+    them for every bank of its cell (_Cell.derive), so the others replay
+    them.  ``cell`` is the _Cell a bank joins; a bank made alone is a cell
+    of one.  The bank keeps about 0.25 KB per key.
     ``readers`` counts, per purpose, the scheme runs that read one result
     ("p1": the phase-1 counts, "p2": the phase-2-only schemes' phase-2
     counts, "rep": the repeated trials); see ``shared``.
     """
 
-    def __init__(self, seed, readers=None):
+    def __init__(self, seed, readers=None, cell=None):
         if not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(
                 f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self.readers = readers or {}
-        self._words = {}
+        self._cell = _Cell() if cell is None else cell
+        self._words = self._cell.join(self.seed)
         self._kept = {}
+
+    @classmethod
+    def cell(cls, seeds, readers=None) -> list:
+        """One bank per seed, opened together: they derive their keys
+        together, and none refers to another."""
+        cell = _Cell()
+        return [cls(seed, readers, cell) for seed in seeds]
 
     def shared(self, key, make):
         """``make()``, made once for the ``readers[key[0]]`` reads of ``key``
@@ -397,8 +409,6 @@ class RngBank:
         if left > 1:
             self._kept[key] = value, left - 1
         return value
-
-    _mixed = functools.cached_property(lambda self: _mixed_seed(self.seed))
 
     def streams(self, keys) -> list:
         """One Generator per key tuple in ``keys``, in order."""
@@ -416,25 +426,60 @@ class RngBank:
         return self.streams([key])[0]
 
     def _derive(self, names):
-        """Seed words of the keys named ``names`` (distinct, new), in one
-        vectorised pass."""
-        digests = b"".join(map(_key_digest, names))
-        spawn = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
-        words = _spawned_words(self._mixed, spawn)
-        words.flags.writeable = False
-        self._words.update(zip(names, words))
+        """Seed words of the keys named ``names`` (distinct, new to this
+        bank), for it and every bank of its cell."""
+        self._cell.derive(names)
+
+
+class _Cell:
+    """The seeds of banks opened together and each one's seed words by key
+    name, which its bank reads.  It holds no bank, so the banks of a cell
+    form no reference cycle and are freed without the cycle collector."""
+
+    def __init__(self):
+        self.seeds, self.words, self._mixed = [], [], []
+
+    def join(self, seed):
+        """The seed-word dict of a new bank of seed ``seed``."""
+        self.seeds.append(seed)
+        self.words.append({})
+        return self.words[-1]
+
+    def derive(self, names):
+        """Seed words of the keys named ``names`` (distinct) for every bank
+        of the cell (again, alike, for one that held some), in one pass per
+        seed width (_mixed_seed), whatever the cell's size.  A seed's share
+        is worked out on its first derivation."""
+        self._mixed += map(_mixed_seed, self.seeds[len(self._mixed):])
+        widths = {}
+        for words, (pool, width) in zip(self.words, self._mixed):
+            pools, dicts = widths.setdefault(width, ([], []))
+            pools.append(pool)
+            dicts.append(words)
+        spawn = np.frombuffer(b"".join(map(_key_digest, names)),
+                              dtype="<u4").reshape(-1, 4)
+        for width, (pools, dicts) in widths.items():
+            derived = _spawned_words(np.array(pools), width, spawn)
+            derived.flags.writeable = False
+            for words, rows in zip(dicts, derived):
+                words.update(zip(names, rows))
 
 
 @functools.lru_cache(maxsize=1024)
 def _key_digest(name):
     """The spawn key of the key named ``name``, as 16 bytes: the first four
     32-bit words of its SHA-256.  It does not depend on the seed, so it is
-    worked out once per process, not once per bank."""
+    worked out once per process, not once per bank.  hashlib is imported
+    here, on first use: importing hetcount does not need it."""
+    import hashlib
+
     return hashlib.sha256(name.encode()).digest()[:16]
 
 
 # The part of numpy's SeedSequence (pool size 4) that it cannot batch, in
 # its own terms: hashmix, mix and the constants of their 32-bit hashes.
+# Their arithmetic is on uint32 arrays, which wrap modulo 2^32 as the
+# hashes do.
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -444,24 +489,23 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 def _hashmix(value, xor, mult):
     """SeedSequence's hashmix of uint32 arrays, with its hash constants
     given."""
-    value = (value ^ xor) * mult & _M32
+    value = (value ^ xor) * mult
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    result = (_MIX_L * x - _MIX_R * y) & _M32
+    result = _MIX_L * x - _MIX_R * y
     return result ^ result >> 16
 
 
 def _mixed_seed(seed):
-    """What a SeedSequence with entropy ``seed`` and a four-word spawn key
-    has worked out before it reads the spawn key: (the uint32 pool of
-    ``SeedSequence(seed)``, and the (4, 4) xor and multiply constants of
-    the spawn key's hashmix calls, by spawn word and pool word).  The seed
-    takes four hashmix calls per 32-bit word, at least four words."""
+    """What a SeedSequence with entropy ``seed`` has worked out before it
+    reads a spawn key: (the uint32 pool of ``SeedSequence(seed)``, and the
+    number of hashmix calls the seed took, four per 32-bit word and at
+    least four words), the second setting the hash constants of the spawn
+    key's hashmix calls."""
     words = max(4, -(-seed.bit_length() // 32))
-    return (np.random.SeedSequence(seed).pool,
-            *_hash_pairs(_INIT_A, _MULT_A, 4 * words, (4, 4)))
+    return np.random.SeedSequence(seed).pool, 4 * words
 
 
 @functools.cache
@@ -478,17 +522,19 @@ def _hash_pairs(first, mult, start, shape):
     return consts[:-1].reshape(shape), consts[1:].reshape(shape)
 
 
-def _spawned_words(mixed, spawn):
-    """``generate_state(4, uint64)`` of the SeedSequences of one seed
-    (``mixed``, by _mixed_seed) and the (K, 4) uint32 spawn keys ``spawn``,
-    as (K, 4) uint64: each spawn word is mixed into every pool word, then
-    the pool is hashed out twice over as the eight state words."""
-    pool, xor, mult = mixed
+def _spawned_words(pools, width, spawn):
+    """``generate_state(4, uint64)`` of the SeedSequences of R seeds with
+    (R, 4) uint32 pools ``pools`` that took ``width`` hashmix calls each
+    (_mixed_seed), and the (K, 4) uint32 spawn keys ``spawn``, as (R, K, 4)
+    uint64: each spawn word is mixed into every pool word, then the pool is
+    hashed out twice over as the eight state words."""
+    xor, mult = _hash_pairs(_INIT_A, _MULT_A, width, (4, 4))
     hashed = _hashmix(spawn[:, :, None], xor, mult)
+    pool = pools[:, None]
     for word in range(4):
         pool = _mix(pool, hashed[:, word])
     xor, mult = _hash_pairs(_INIT_B, _MULT_B, 0, (8,))
-    state = _hashmix(np.concatenate((pool, pool), axis=1), xor, mult)
+    state = _hashmix(np.concatenate((pool, pool), axis=-1), xor, mult)
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64,
                                                               copy=False)
 
@@ -722,22 +768,30 @@ def _class_depth(nb, t):
     return min(t - 1, (nb // 8 // 16).bit_length() - 1)
 
 
-def uniform_block_choices(rng, n, ell, p):
+def uniform_block_choices(rng, n, ell, p, fresh=False):
     """Participation mask and uniform block index per node.  Both arrays are
     always drawn (the slot draw happens even for non-participants) so that
-    the draw sequence is identical across participation probabilities."""
-    u = rng.random(n)
-    blocks = rng.integers(1, ell + 1, size=n)
-    return u < p, blocks
+    the draw sequence is identical across participation probabilities.
+
+    At p >= 1 a ``fresh`` rng (a PCG64 Generator at the start of its
+    stream, as RngBank opens them) skips the uniforms with ``advance(n)``:
+    a PCG64 uniform takes one step, and advance leaves no 32-bit half
+    buffered, as at a stream's start, so the slots and state are the same."""
+    if p >= 1 and fresh:
+        rng.bit_generator.advance(n)
+        mask = np.ones(n, dtype=bool)
+    else:
+        mask = rng.random(n) < p
+    return mask, rng.integers(1, ell + 1, size=n)
 
 
-def bb_blocks(rng, n, ell, p):
+def bb_blocks(rng, n, ell, p, fresh=False):
     """One balls-and-bins trial of n nodes over ell slots, each node joining
     with probability p: its (ell,) per-slot transmitter counts, and the
     nodes' participation mask and uniform 1-based slots.  A node's slot in
     the trial is ``slots * mask`` (0 = idle), worked out only by readers of
-    per-node slots."""
-    mask, blocks = uniform_block_choices(rng, n, ell, p)
+    per-node slots.  ``fresh`` is uniform_block_choices'."""
+    mask, blocks = uniform_block_choices(rng, n, ell, p, fresh)
     return (np.bincount(blocks[mask] if p < 1 else blocks,
                         minlength=ell + 1)[1:], mask, blocks)
 

@@ -9,7 +9,6 @@ include_overhead=True to count everything.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 from collections import Counter
@@ -106,6 +105,9 @@ CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def _rep_seed(seed, sweep_var, value, rep) -> int:
+    # Imported on first use: importing hetcount does not need it.
+    import hashlib
+
     # 3, 3.0 and np.int64(3) name one cell, so they get one seed.
     if isinstance(value, numbers.Real):
         value = int(value) if float(value).is_integer() else float(value)
@@ -185,11 +187,17 @@ def _with_rough(params):
     return params
 
 
-def _replicate(prm, seed, readers=None):
-    """Bank, population and config of one replicate."""
-    bank = RngBank(seed, readers)
-    population = _build_population(prm, bank)
-    return bank, population, build_config(prm, population.n_all)
+def _replicates(prm, seeds, readers=None):
+    """Bank, population and config of each replicate of one cell, one per
+    seed: the banks are opened together (RngBank.cell), and the config,
+    which reads only the cell's n_all, is derived once."""
+    contexts, config = [], None
+    for bank in RngBank.cell(seeds, readers):
+        population = _build_population(prm, bank)
+        if config is None:
+            config = build_config(prm, population.n_all)
+        contexts.append((bank, population, config))
+    return contexts
 
 
 def run_experiment(spec: ExperimentSpec):
@@ -207,9 +215,9 @@ def run_experiment(spec: ExperimentSpec):
         # derives each stream once, and draws a result several schemes read
         # (READS) once, for all of them.  Cells still run one after another,
         # each over its replicates in order.
-        contexts = [_replicate(prm, _rep_seed(spec.seed, spec.sweep_var,
-                                              value, rep), readers)
-                    for rep in range(spec.replicates)]
+        contexts = _replicates(prm, [
+            _rep_seed(spec.seed, spec.sweep_var, value, rep)
+            for rep in range(spec.replicates)], readers)
         for scheme in spec.schemes:
             rows.append(_run_cell(spec, prm, contexts, scheme, value))
     if spec.out:
@@ -237,17 +245,19 @@ def apply_sweep(params, sweep_var, value):
 def _run_cell(spec, prm, contexts, scheme, value) -> ResultRow:
     run = SCHEMES[scheme]
     totals = []
-    stages = np.zeros(4)
+    stages = [0] * 4
     T = contexts[0][1].T
-    acc_ok = np.zeros(T)
-    energy_sums = np.zeros(T)
+    acc_ok = [0] * T
+    energy_sums = [0.0] * T
     for bank, population, config in contexts:
         report = run(population, config, bank, prm)
         total = report.ledger.total if spec.include_overhead \
             else report.comparable_total
         totals.append(total)
         led = report.ledger
-        stages += (led.stage1, led.stage2, led.stage3, led.bp)
+        for i, slots in enumerate((led.stage1, led.stage2, led.stage3,
+                                   led.bp)):
+            stages[i] += slots
         for b in range(1, T + 1):
             nb = population.n[b - 1]
             if abs(report.final[b] - nb) <= config.epsilon * nb:
@@ -258,12 +268,13 @@ def _run_cell(spec, prm, contexts, scheme, value) -> ResultRow:
     reps = spec.replicates
     se = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     # Only the repeated baselines report no energy.
-    energy = ([float(x / reps) for x in energy_sums]
+    energy = ([x / reps for x in energy_sums]
               if report.energy is not None else [])
-    # The stage columns follow the ledger's stage order.
+    # The stage columns follow the ledger's stage order.  Slot counts and
+    # hits are whole numbers, summed exactly, so each mean is one division.
     return ResultRow(spec.sweep_var, value, scheme, reps,
-                     float(totals.mean()), se, *map(float, stages / reps),
-                     float(acc_ok.min() / reps), energy)
+                     float(totals.mean()), se, *(x / reps for x in stages),
+                     min(acc_ok) / reps, energy)
 
 
 def _fmt(x) -> str:
@@ -355,9 +366,9 @@ def validate_accuracy(scheme, populations, params, replicates, seed=0):
     hits, tries = {}, {}
     for pop_n in populations:
         prm = _with_rough(dict(params, n=tuple(pop_n)))
-        for rep in range(replicates):
-            bank, population, config = _replicate(
-                prm, _rep_seed(seed, "validate", tuple(pop_n), rep))
+        for bank, population, config in _replicates(prm, [
+                _rep_seed(seed, "validate", tuple(pop_n), rep)
+                for rep in range(replicates)]):
             report = SCHEMES[scheme](population, config, bank, prm)
             for b in range(1, population.T + 1):
                 nb = population.n[b - 1]

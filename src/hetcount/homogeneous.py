@@ -4,7 +4,7 @@ Two protocols live here: the first-empty-slot ("lof") protocol, whose trials
 give rough order-of-magnitude estimates, and the two-phase protocol ("srcs")
 that refines a rough estimate with one balls-and-bins trial: phase 1 is
 ``trial_counts``, which HSRC phase 1 reads too, phase 2 ``bb_trials``,
-every scheme's phase-2 draw, and ``final_estimates`` its one estimate rule.
+every scheme's phase-2 draw, which estimates by ``final_estimates``.
 Run once per type it is the naive baseline (TxSRCS), and its phase 2 alone
 is HSRC's per-type branch (TRepBB).  Per-node slots are drawn again when
 read, in pieces of a bounded number of nodes.
@@ -121,40 +121,42 @@ def srcs_estimate(z, ell, p):
 def bb_trials(n, rough, config: ProtocolConfig, bank: RngBank):
     """Phase 2: a core.bb_blocks trial over ell slots of the n[b - 1] nodes
     of each type b, at the participation of its rough estimate, on stream
-    ("p2", b): the (T, ell) per-slot counts, and ``slots(b, joined=False)``,
-    which draws type b's 1-based slot per node (0 = idle), or with
-    ``joined`` only its participation mask, again for a per-node read, in
+    ("p2", b): the (T, ell) per-slot counts, the final estimates and flags
+    final_estimates takes from them, and ``slots(b, joined=False)``, which
+    draws type b's 1-based slot per node (0 = idle), or with ``joined``
+    only its participation mask, again for a per-node read, in
     core.bb_node_pieces.
 
-    The counts are drawn once per bank for all its "p2" readers (the
-    phase-2-only schemes of one replicate, which share n, the rough
-    estimates and ell) and held read-only in the smallest unsigned dtype
-    that fits them, so readers upcast before any arithmetic."""
+    The counts and estimates are worked out once per bank for all its "p2"
+    readers (the phase-2-only schemes of one replicate, which share n, the
+    rough estimates and ell); each read gets its own final and flags dicts.
+    The counts are held read-only in the smallest unsigned dtype that fits
+    them, so readers upcast before any arithmetic."""
     ell = config.ell
     p = tuple(participations(rough, ell, len(n)))
     keys = [("p2", b) for b in range(1, len(n) + 1)]
 
     def draw():
-        counts = np.array([bb_blocks(rng, nb, ell, pb)[0]
+        counts = np.array([bb_blocks(rng, nb, ell, pb, fresh=True)[0]
                            for rng, nb, pb in zip(bank.streams(keys), n, p)])
         counts = counts.astype(np.min_scalar_type(counts.max()))
         counts.flags.writeable = False
-        return counts
+        return (counts, *final_estimates(counts, p, ell))
 
     def slots(b, joined=False):
         return bb_node_pieces(bank.stream(*keys[b - 1]), n[b - 1], ell,
                               p[b - 1], joined)
-    return bank.shared(("p2", tuple(n), p, ell), draw), slots
+    counts, final, flags = bank.shared(("p2", tuple(n), p, ell), draw)
+    return counts, dict(final), dict(flags), slots
 
 
-def final_estimates(counts, rough, ell):
+def final_estimates(counts, p, ell):
     """(final, flags): each type's estimate from its bb_trials counts at
-    the participation of its rough estimate, flagged "all_slots_busy" where
-    every slot was busy."""
+    its participation p[b - 1], flagged "all_slots_busy" where every slot
+    was busy."""
     final, flags = {}, {}
-    for b, row in enumerate(counts, 1):
-        p = participation_probability(ell, for_type(rough, b))
-        final[b], busy = srcs_estimate(ell - np.count_nonzero(row), ell, p)
+    for b, (row, pb) in enumerate(zip(counts, p), 1):
+        final[b], busy = srcs_estimate(ell - np.count_nonzero(row), ell, pb)
         if busy:
             flags[b] = "all_slots_busy"
     return final, flags
@@ -165,8 +167,7 @@ def run_srcs(n, config: ProtocolConfig, bank: RngBank):
     ("p1", m, 1) and ("p2", 1): (rough, final, ledger, flagged), flagged
     marking the all-slots-busy fallback."""
     rough = lof_estimates(trial_counts((n,), config, bank))
-    counts, _slots = bb_trials((n,), rough, config, bank)
-    final, flags = final_estimates(counts, rough, config.ell)
+    _counts, final, flags, _slots = bb_trials((n,), rough, config, bank)
     ledger = SlotLedger(stage1=config.m_prime * config.t_T,
                         stage2=config.ell, bp=1)
     return rough[1], final[1], ledger, 1 in flags
@@ -175,14 +176,15 @@ def run_srcs(n, config: ProtocolConfig, bank: RngBank):
 def t_repetitions_bb(population: PopulationSpec, rough,
                      config: ProtocolConfig, bank: RngBank):
     """TRepBB: the bb_trials run one type after another, a node awake only
-    in its own type's trial: (counts, energy)."""
-    counts, slots = bb_trials(population.n, rough, config, bank)
+    in its own type's trial: (final, flags, energy)."""
+    counts, final, flags, slots = bb_trials(population.n, rough, config,
+                                            bank)
     energy = EnergyLedger.zeros(population)
     for b, (nb, joined) in enumerate(
             zip(population.n, counts.sum(axis=1).tolist()), 1):
         energy.charge(b, (joined, 0, config.ell * nb),
                       partial(_own_trial, slots, b, config.ell))
-    return counts, energy
+    return final, flags, energy
 
 
 def _own_trial(slots, b, ell, tx, rx, accounted):
@@ -201,8 +203,7 @@ def t_repetitions_srcs(population: PopulationSpec, config: ProtocolConfig,
     compute p) is tracked under bp and counted as overhead."""
     T, M, t = population.T, config.m_prime, config.t_T
     rough = lof_estimates(trial_counts(population.n, config, bank))
-    counts, energy = t_repetitions_bb(population, rough, config, bank)
-    final, flags = final_estimates(counts, rough, config.ell)
+    final, flags, energy = t_repetitions_bb(population, rough, config, bank)
     # A node's own execution also holds one tx per phase-1 trial and one rx
     # for the boundary broadcast; it sleeps through the other types'.
     energy.charge_all(tx=M, rx=1, accounted=M * t + 1)

@@ -14,8 +14,8 @@ construction); node blocks are drawn again only for a per-node read.  Each
 repeated baseline resolves its trials' (T, m_lof, t) count classes (0, 1,
 2+), counted exactly only where a block can hold fewer than two nodes.
 Both trial draws are core.draw_trials calls.  Both phase-2 branches, and
-TxSRCS, draw homogeneous.bb_trials and estimate by
-homogeneous.final_estimates; no report keeps a per-node array.
+TxSRCS, draw homogeneous.bb_trials and read the final estimates it returns
+beside the counts; no report keeps a per-node array.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ from .core import (
     bitmap_bp_slots,
     draw_trials,
 )
-from .homogeneous import (
-    final_estimates,
-    lof_estimates,
-    t_repetitions_bb,
-    t_repetitions_srcs,
-)
+from .homogeneous import lof_estimates, t_repetitions_bb, t_repetitions_srcs
 from .three_stage import resolve_3ss, run_3ss_bb, trial_frames
 from .two_stage import resolve_2ss, run_2ss_bb
 
@@ -51,15 +46,16 @@ def run_phase2(method, bb_runner, population, rough, config,
     trial per type, "SSBB" one bb_runner execution; both draw bb_trials.
     Its report's ledger is phase 2's and its overhead the plan broadcast."""
     if method == "TRepBB":
-        counts, energy = t_repetitions_bb(population, rough, config, bank)
+        final, flags, energy = t_repetitions_bb(population, rough, config,
+                                                bank)
         ledger, plan = SlotLedger(stage1=population.T * config.ell), 0
     elif method == "SSBB":
         res = bb_runner(population, rough, config, bank)
-        counts, ledger, energy, plan = (res.counts, res.ledger, res.energy,
-                                        res.overhead)
+        final, flags, ledger, energy, plan = (res.final, res.flags,
+                                              res.ledger, res.energy,
+                                              res.overhead)
     else:
         raise ValueError(f"unknown phase-2 method {method!r}")
-    final, flags = final_estimates(counts, rough, config.ell)
     return EstimateReport(rough=dict(rough), final=final, phase2_method=method,
                           ledger=ledger, energy=energy, flags=flags,
                           phase2_ledger=ledger, overhead_slots=plan)

@@ -244,6 +244,8 @@ class Run3SSResult:
     ledger: SlotLedger
     energy: EnergyLedger
     overhead: int = 0       # plan-broadcast slots (two_stage.plan_slots)
+    final: dict | None = None   # bb mode's final estimates per type
+    flags: dict | None = None   # and their flags (homogeneous.bb_trials)
 
 
 def trial_frames(resolve, population: PopulationSpec, config: ProtocolConfig,
@@ -278,12 +280,14 @@ def run_trial(resolve, population, config, bank, trial_index):
 def run_bb(resolve, population, rough, config, bank):
     """The balls-and-bins frame of the code ``resolve`` decodes: ell
     blocks, the homogeneous.bb_trials of every type at once, resolved as
-    one frame.  Per-node energy reads draw the node slots again."""
-    counts, slots = bb_trials(population.n, rough, config, bank)
+    one frame, with the trials' final estimates.  Per-node energy reads
+    draw the node slots again."""
+    counts, final, flags, slots = bb_trials(population.n, rough, config,
+                                            bank)
     ledger, overhead, energy = run_frames(
         resolve, counts[:, None], population.n, slots, config.s_w)
     return Run3SSResult(j=None, counts=counts, ledger=ledger, energy=energy,
-                        overhead=overhead)
+                        overhead=overhead, final=final, flags=flags)
 
 
 def run_3ss_trial(population: PopulationSpec, config: ProtocolConfig,

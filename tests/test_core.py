@@ -1,5 +1,6 @@
 """Core domain types, config derivation, and the randomness contract."""
 
+import copy
 import dataclasses
 import gc
 import hashlib
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -412,21 +414,91 @@ class TestRngBank:
                 assert (rng.bit_generator.state
                         == _derived_stream(seed, key).bit_generator.state)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0, 2 ** 32, 2 ** 64,
+                                               2 ** 160 + 1]),
+                              st.integers(0, 2 ** 200)),
+                    min_size=1, max_size=6),
+           st.lists(_ANY_KEYS, min_size=1, max_size=30, unique_by=repr),
+           st.data())
+    def test_property_cell_equals_seed_sequence(self, seeds, keys, data):
+        # Banks of one cell, their seeds of mixed widths, derive batches of
+        # one key or many, some already held: by the asking bank, by all of
+        # them, or (a bank joined later) by all but one.
+        banks = RngBank.cell(seeds)
+        for _ in range(3):
+            asking = data.draw(st.sampled_from(banks))
+            batch = data.draw(st.lists(st.sampled_from(keys), min_size=1,
+                                       max_size=8))
+            for rng, key in zip(asking.streams(batch), batch):
+                assert (rng.bit_generator.state == _derived_stream(
+                    asking.seed, key).bit_generator.state)
+            if data.draw(st.booleans()):
+                banks.append(RngBank(data.draw(st.integers(0, 2 ** 200)),
+                                     cell=banks[0]._cell))
+        for bank in banks:
+            for rng, key in zip(bank.streams(keys), keys):
+                assert (rng.bit_generator.state
+                        == _derived_stream(bank.seed, key).bit_generator.state)
+
+    def test_one_pass_per_cell_and_key_set(self, monkeypatch):
+        # A key set new to a bank is derived for every bank of its cell, in
+        # one pass per seed width; the other banks then derive nothing.
+        passes = []
+        spawned = core._spawned_words
+
+        def counted(pools, width, spawn):
+            passes.append((len(pools), len(spawn)))
+            return spawned(pools, width, spawn)
+        monkeypatch.setattr(core, "_spawned_words", counted)
+        banks = RngBank.cell([7, 2 ** 160 + 1, 8, 9])
+        phase1 = [("p1", m, b) for b in range(1, 4) for m in range(10)]
+        for keys, first in [([("pop",)], 1), (phase1, 3), (phase1[:4], 0),
+                            ([("p2", 1), ("pop",)], 2)]:
+            for bank in banks[first:] + banks[:first]:
+                bank.streams(keys)
+        assert passes == [(3, 1), (1, 1), (3, 30), (1, 30), (3, 1), (1, 1)]
+        # A lone bank is a cell of one.
+        RngBank(7).streams(phase1)
+        assert passes[-1] == (1, 30)
+
+    def test_cell_freed_without_the_cycle_collector(self):
+        # No bank refers to another, so a cell's banks, and their seed
+        # words, go when the last reference does, with gc disabled.
+        gc.collect()
+        gc.disable()
+        try:
+            banks = RngBank.cell([1, 2, 2 ** 160 + 1], {"p2": 2})
+            for bank in banks:
+                bank.streams([("p2", b) for b in range(1, 4)])
+                bank.shared(("p2",), lambda: np.zeros(3))
+            refs = [weakref.ref(x) for x in (*banks, banks[0]._cell)]
+            words = weakref.ref(next(iter(banks[0]._words.values())).base)
+            del banks, bank
+            assert [ref() for ref in refs] == [None] * 4
+            assert words() is None
+        finally:
+            gc.enable()
+
     def test_import_leaves_numpy_random_unloaded(self):
         src = os.path.dirname(os.path.dirname(hetcount.__file__))
         path = filter(None, [src, os.environ.get("PYTHONPATH")])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         # Nor the repeated baselines' thread pool: no concurrent.futures and
-        # no thread but the main one.
+        # no thread but the main one.  Nor statistics (with fractions and
+        # decimal) or hashlib, which numpy does not load either: they are
+        # imported where the config and the stream seeds are derived.
         code = ("import sys, threading, hetcount, hetcount.harness, "
                 "hetcount.cli; print('numpy.random' in sys.modules, "
                 "'concurrent.futures' in sys.modules, "
-                "threading.active_count())")
+                "threading.active_count(), 'statistics' in sys.modules, "
+                "'hashlib' in sys.modules)")
         done = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=env,
                               timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False", "False", "1"]
+        assert done.stdout.split() == ["False", "False", "1", "False",
+                                       "False"]
 
 
 class TestDrawHelpers:
@@ -444,6 +516,26 @@ class TestDrawHelpers:
         _, slots_a = uniform_block_choices(np.random.default_rng(3), 100, 7, 0.2)
         _, slots_b = uniform_block_choices(np.random.default_rng(3), 100, 7, 0.9)
         assert np.array_equal(slots_a, slots_b)
+
+    @pytest.mark.parametrize("n", [0, 1, 15, 3000])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_fresh_full_participation_skips_the_uniforms(self, n, p):
+        # The draw a fresh stream skips at p >= 1, written out: uniforms
+        # drawn and compared with p, then the slots.
+        for fresh in (np.random.default_rng(n), RngBank(n).stream("p2", 1)):
+            ref = copy.deepcopy(fresh)
+            mask = ref.random(n) < p
+            slots = ref.integers(1, 38, size=n)
+            counts, got_mask, got_slots = core.bb_blocks(fresh, n, 37, p,
+                                                         fresh=True)
+            assert np.array_equal(counts,
+                                  np.bincount(slots, minlength=38)[1:])
+            assert got_mask.dtype == bool and np.array_equal(got_mask, mask)
+            assert np.array_equal(got_slots, slots)
+            # The state includes the buffered 32-bit half the slots leave.
+            assert fresh.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(fresh.integers(1, 38, size=3),
+                                  ref.integers(1, 38, size=3))
 
     def test_bitmap_bp_slots(self):
         assert bitmap_bp_slots(0, 6) == 0

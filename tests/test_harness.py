@@ -246,17 +246,51 @@ class TestSharedReplicates:
         by_cell = {(r.sweep_value, r.scheme): r for r in alone}
         assert rows == [by_cell[r.sweep_value, r.scheme] for r in rows]
 
+    def test_cell_derives_and_configures_once(self, monkeypatch):
+        # A cell's banks are opened together: each key set is derived in one
+        # pass for all its replicates, and its config is derived once.
+        passes, configs = [], []
+        spawned, build = core._spawned_words, harness.build_config
+
+        def counted(pools, width, spawn):
+            passes.append((len(pools), len(spawn)))
+            return spawned(pools, width, spawn)
+
+        def configured(prm, n_all):
+            configs.append(n_all)
+            return build(prm, n_all)
+        monkeypatch.setattr(core, "_spawned_words", counted)
+        monkeypatch.setattr(harness, "build_config", configured)
+        schemes, sweep_var, _values, fixed, _reps = harness.PRESETS["fig8b"]
+        run_experiment(ExperimentSpec(list(schemes), sweep_var, [500, 1500],
+                                      fixed, replicates=3, seed=4))
+        # The five ("p2", b) keys, once per cell.
+        assert passes == [(3, 5)] * 2
+        assert configs == [(harness.PRESET_N_ALL,) * 5] * 2
+        # fig11a draws its populations, from ("pop",) first: its cells of
+        # three replicates take the passes of cells of one.
+        schemes, sweep_var, _values, fixed, _reps = harness.PRESETS["fig11a"]
+        sizes = []
+        for replicates in (1, 3):
+            passes.clear()
+            run_experiment(ExperimentSpec(list(schemes), sweep_var, [3, 4],
+                                          fixed, replicates, seed=4))
+            assert passes[0] == (replicates, 1)
+            assert {r for r, _k in passes} == {replicates}
+            sizes.append([k for _r, k in passes])
+        assert sizes[0] == sizes[1]
+
     def test_mixed_spec_keeps_no_phase2_result(self, monkeypatch):
         # hsrc1 draws phase 2 at its own rough estimates, so beside it the
         # phase-2-only schemes draw alone and no bank keeps a result.
         banks = []
-        replicate = harness._replicate
+        replicates = harness._replicates
 
-        def recorded(prm, seed, readers=None):
-            context = replicate(prm, seed, readers)
-            banks.append(context[0])
-            return context
-        monkeypatch.setattr(harness, "_replicate", recorded)
+        def recorded(prm, seeds, readers=None):
+            contexts = replicates(prm, seeds, readers)
+            banks.extend(bank for bank, _pop, _cfg in contexts)
+            return contexts
+        monkeypatch.setattr(harness, "_replicates", recorded)
         run_experiment(ExperimentSpec(
             ["p2-3ssbb", "hsrc1", "p2-2ssbb", "p2-trepbb"], "n2_value", [60],
             {"T": 4, "epsilon": 0.03, "n": (40,) * 4, "n_all": 1 << 10},
@@ -887,6 +921,21 @@ class TestCli:
          "node counts (--n, D) must be at most 2147483647"),
         (["validate", "--n", "5,2147483648"],
          "node counts (--n, D) must be at most 2147483647"),
+        # An --out whose directory is missing fails before the run, not
+        # after it.
+        (["figure", "fig11a", "--replicates", "1", "--out",
+          "/nonexistent/dir/x.csv"],
+         "--out /nonexistent/dir/x.csv: no such directory"),
+        (["simulate", "--n", "5,5", "--out", "/nonexistent/dir/x.csv"],
+         "--out /nonexistent/dir/x.csv: no such directory"),
+        (["figure", "fig9a", "--out", "/"], "--out /: is a directory"),
+        # --sweep-values without a sweep variable would only reseed.
+        (["simulate", "--n", "5,5", "--sweep-values", "1,2"],
+         "--sweep-values gives values of --sweep-var"),
+        (["simulate", "--n", "5,5", "--sweep-values", "nan"],
+         "--sweep-values gives values of --sweep-var"),
+        (["simulate", "--n", "5,5", "--sweep-var", "none", "--sweep-values",
+          "0"], "--sweep-values gives values of --sweep-var"),
     ])
     def test_bad_input_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -381,6 +381,24 @@ class TestSharedPhase2:
         assert held.dtype == np.min_scalar_type(held.max())
         assert (held.max() > 255) == (ell == 3)
 
+    def test_each_reader_owns_its_estimates(self):
+        # The estimates are worked out once per draw, and each reader gets
+        # its own final and flags dicts: editing a report leaves the later
+        # readers' as a fresh bank gives them.  At p = 1, 5000 nodes fill
+        # all 3 slots, so every type is flagged.
+        pop = _pop((5000, 5000, 5000), 1 << 13)
+        cfg = derive_config(0.03, 0.2, pop.n_all, ell=3)
+        prm = {"rough": {1: 4, 2: 4, 3: 4}}
+        bank = RngBank(5, {"p2": len(PHASE2_ONLY)})
+        for s in PHASE2_ONLY:
+            want = SCHEMES[s](pop, cfg, RngBank(5), prm)
+            report = SCHEMES[s](pop, cfg, bank, prm)
+            assert len(want.flags) == 3
+            assert report.final == want.final and report.flags == want.flags
+            report.final[1] = -1.0
+            report.flags.clear()
+        assert not bank._kept
+
     # The (T, ell) uint8 counts of _kept_bytes: 6 x 3009 bytes.
     COUNTS = 18054
     # Allowance for what numpy's small-buffer cache and dict tables keep.
