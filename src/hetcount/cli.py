@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import analysis, harness
@@ -21,6 +20,7 @@ from .harness import (
     TABLE_SCHEMES,
     apply_sweep,
     calibrate_ell,
+    check_out,
     default_n_all as _n_all,
     figure_preset,
     format_csv,
@@ -201,16 +201,6 @@ def _check_population(parser, params, drawn=True):
                      f"(else D) is {total}")
 
 
-def _check_out(parser, path):
-    """Fail on an --out path whose directory is missing, or that is a
-    directory, before anything runs."""
-    folder = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(folder):
-        parser.error(f"--out {path}: no such directory {folder}")
-    if os.path.isdir(path):
-        parser.error(f"--out {path}: is a directory")
-
-
 def _check_tables(parser, T, schemes):
     """Fail on a scheme that decodes through a 2SS table past its bound."""
     using = [s for s in schemes if s in TABLE_SCHEMES]
@@ -235,7 +225,10 @@ def _run(parser, args):
     if getattr(args, "replicates", None) is not None and args.replicates < 1:
         parser.error(f"--replicates must be at least 1, got {args.replicates}")
     if getattr(args, "out", None) is not None:
-        _check_out(parser, args.out)
+        try:
+            check_out(args.out)
+        except ConfigError as exc:
+            parser.error(f"--out {exc}")
     if args.command in ("simulate", "analyze", "validate"):
         T = args.T if args.T is not None else len(args.n) if args.n else 3
     if args.command == "analyze":

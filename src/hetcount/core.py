@@ -362,9 +362,9 @@ class RngBank:
     always yields the same stream, and distinct keys are independent.  So
     schemes replay identical draws for one (type, purpose) role, which the
     estimator-equality tests rely on, and a draw can be made again instead
-    of kept: phase 1 is drawn once per replicate, as block counts for all
-    its readers, and its node blocks again only when a per-node array is
-    read.
+    of kept: a result several schemes read is made once per bank
+    (``shared``), and node blocks are drawn again only when a per-node
+    array is read.
 
     A key's stream is ``default_rng(SeedSequence(seed, spawn_key=words))``,
     the words being the first four little-endian 32-bit words of the
@@ -372,43 +372,42 @@ class RngBank:
     ``streams`` derives the seed words of every key it has not seen before
     in one vectorised pass, one key or many, and replays them after that:
     every call returns fresh Generators at the start of their streams.
-    Banks opened together by ``RngBank.cell`` (the replicates of one
+    Banks opened together by ``RngBank.cell`` (a block of replicates of one
     experiment cell) share that pass: a bank that meets new keys derives
     them for every bank of its cell (_Cell.derive), so the others replay
     them.  ``cell`` is the _Cell a bank joins; a bank made alone is a cell
     of one.  The bank keeps about 0.25 KB per key.
-    ``readers`` counts, per purpose, the scheme runs that read one result
-    ("p1": the phase-1 counts, "p2": the phase-2-only schemes' phase-2
-    counts, "rep": the repeated trials); see ``shared``.
     """
 
-    def __init__(self, seed, readers=None, cell=None):
+    def __init__(self, seed, cell=None):
         if not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(
                 f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
-        self.readers = readers or {}
         self._cell = _Cell() if cell is None else cell
         self._words = self._cell.join(self.seed)
         self._kept = {}
 
     @classmethod
-    def cell(cls, seeds, readers=None) -> list:
+    def cell(cls, seeds, keys=()) -> list:
         """One bank per seed, opened together: they derive their keys
-        together, and none refers to another."""
+        together, ``keys`` (key tuples) up front, in one pass, and none
+        refers to another."""
         cell = _Cell()
-        return [cls(seed, readers, cell) for seed in seeds]
+        banks = [cls(seed, cell) for seed in seeds]
+        names = list(dict.fromkeys(map(repr, keys)))
+        if names:
+            cell.derive(names)
+        return banks
 
     def shared(self, key, make):
-        """``make()``, made once for the ``readers[key[0]]`` reads of ``key``
-        and held until the last; made at every read below two readers."""
-        readers = self.readers.get(key[0], 1)
-        if readers < 2:
-            return make()
-        value, left = self._kept.pop(key, None) or (make(), readers)
-        if left > 1:
-            self._kept[key] = value, left - 1
-        return value
+        """``make()``, made at the first read of ``key`` and held for every
+        later read until the bank is dropped.  ``key`` must hold every
+        input of ``make``; then all the scheme runs of a replicate that read
+        one result read one draw of it."""
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
 
     def streams(self, keys) -> list:
         """One Generator per key tuple in ``keys``, in order."""
@@ -416,7 +415,7 @@ class RngBank:
         new = [name for name in dict.fromkeys(names)
                if name not in self._words]
         if new:
-            self._derive(new)
+            self._cell.derive(new)
         replay = _replay_type()
         generator, pcg64 = np.random.Generator, np.random.PCG64
         return [generator(pcg64(replay(self._words[name])))
@@ -424,11 +423,6 @@ class RngBank:
 
     def stream(self, *key) -> np.random.Generator:
         return self.streams([key])[0]
-
-    def _derive(self, names):
-        """Seed words of the keys named ``names`` (distinct, new to this
-        bank), for it and every bank of its cell."""
-        self._cell.derive(names)
 
 
 class _Cell:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -138,11 +138,6 @@ SCHEMES = {
     "p2-trepbb": lambda pop, cfg, bank, prm: run_phase2(
         "TRepBB", None, pop, prm["rough"], cfg, bank),
 }
-# The result each scheme reads that its replicate's bank may hold for other
-# schemes too (RngBank.shared): the repeated baselines' trials, the
-# phase-2-only schemes' phase-2 trial, else phase 1.
-READS = {s: "rep" if s.endswith("-rep") else "p2" if s in PHASE2_ONLY
-         else "p1" for s in SCHEMES}
 
 
 def default_n_all(D, n):
@@ -152,19 +147,28 @@ def default_n_all(D, n):
     return D if D is not None else max(PRESET_N_ALL, *n)
 
 
-def _build_population(params, bank):
-    if params.get("n") is not None:
-        n = tuple(int(x) for x in params["n"])
-        n_all = params.get("n_all")
+def _cell_n_all(params):
+    """Manufactured nodes per type, the same for every replicate of a cell:
+    the n_all parameter, else default_n_all for given n, else D."""
+    n, n_all = params.get("n"), params.get("n_all")
+    if n is not None:
+        n = [int(x) for x in n]
         if n_all is None:
             n_all = default_n_all(params.get("D"), n)
-        return PopulationSpec(n=n, n_all=(int(n_all),) * len(n))
-    T = params["T"]
-    pop = PopulationSpec.sample_activity(T, params["D"], params["q"],
-                                         bank.stream("pop"))
-    if params.get("n_all") is not None:
-        pop = PopulationSpec(n=pop.n, n_all=(int(params["n_all"]),) * T,
-                             D=pop.D, q=pop.q)
+    elif n_all is None:
+        n_all = params["D"]
+    return (int(n_all),) * (params["T"] if n is None else len(n))
+
+
+def _build_population(params, bank):
+    n_all = _cell_n_all(params)
+    if params.get("n") is not None:
+        return PopulationSpec(n=tuple(int(x) for x in params["n"]),
+                              n_all=n_all)
+    pop = PopulationSpec.sample_activity(params["T"], params["D"],
+                                         params["q"], bank.stream("pop"))
+    if pop.n_all != n_all:
+        pop = PopulationSpec(n=pop.n, n_all=n_all, D=pop.D, q=pop.q)
     return pop
 
 
@@ -187,39 +191,86 @@ def _with_rough(params):
     return params
 
 
-def _replicates(prm, seeds, readers=None):
+def check_out(path):
+    """Raise ConfigError for an output path whose directory is missing, or
+    that is a directory: checked before anything runs."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"{path}: no such directory {folder}")
+    if os.path.isdir(path):
+        raise ConfigError(f"{path}: is a directory")
+
+
+# Replicates per block.  A cell's replicates run a block at a time, every
+# scheme over the block's replicates in turn, and what a block's banks hold
+# for their scheme runs (RngBank.shared) dies with the block.  A cell of at
+# most BLOCK replicates runs scheme after scheme, each over all of them, as
+# bench/worker.py's checker takes the runs of a cell to be consecutive; no
+# benchmark pass runs more than 40 replicates per cell.
+BLOCK = 64
+
+
+def _stream_keys(schemes, T, m_prime, sampled):
+    """Every stream key that ``schemes`` open in one replicate of T types:
+    ("pop",) for a drawn population, phase 1's ("p1", m, b), phase 2's
+    ("p2", b) and the repeated trials' ("rep", b)."""
+    types = range(1, T + 1)
+    keys = [("pop",)] if sampled else []
+    if any(s not in PHASE2_ONLY and not s.endswith("-rep") for s in schemes):
+        keys += [("p1", m, b) for b in types for m in range(m_prime)]
+    if any(not s.endswith("-rep") for s in schemes):
+        keys += [("p2", b) for b in types]
+    if any(s.endswith("-rep") for s in schemes):
+        keys += [("rep", b) for b in types]
+    return keys
+
+
+def _blocks(seeds, keys):
+    """The banks of ``seeds``, BLOCK at a time, each block opened together
+    with ``keys`` derived for all of it in one pass."""
+    for start in range(0, len(seeds), BLOCK):
+        yield RngBank.cell(seeds[start:start + BLOCK], keys)
+
+
+def _replicates(prm, seeds, schemes):
     """Bank, population and config of each replicate of one cell, one per
-    seed: the banks are opened together (RngBank.cell), and the config,
-    which reads only the cell's n_all, is derived once."""
-    contexts, config = [], None
-    for bank in RngBank.cell(seeds, readers):
-        population = _build_population(prm, bank)
-        if config is None:
-            config = build_config(prm, population.n_all)
-        contexts.append((bank, population, config))
-    return contexts
+    seed, a block at a time (_blocks), with every key ``schemes`` open
+    derived in the block's one pass; the config, which reads only the
+    cell's n_all, is derived once."""
+    n_all = _cell_n_all(prm)
+    config = build_config(prm, n_all)
+    drawn = prm.get("n") is None
+    keys = _stream_keys(schemes, len(n_all), config.m_prime, drawn)
+    # A given n is one population, shared by every replicate.
+    population = None if drawn else _build_population(prm, None)
+    for banks in _blocks(seeds, keys):
+        yield [(bank, _build_population(prm, bank) if drawn else population,
+                config) for bank in banks]
 
 
 def run_experiment(spec: ExperimentSpec):
+    if spec.out:
+        check_out(spec.out)
     rows = []
-    readers = Counter(READS[s] for s in spec.schemes)
-    if readers["p1"]:
-        # Phase-1 readers draw phase 2 at their own rough estimates, under
-        # keys no other scheme reads: a phase-2 result held for them would
-        # never be taken.
-        del readers["p2"]
     for value in spec.sweep_values:
         prm = _with_rough(apply_sweep(dict(spec.fixed), spec.sweep_var,
                                       value))
         # Every scheme runs the same replicates, so one bank per replicate
-        # derives each stream once, and draws a result several schemes read
-        # (READS) once, for all of them.  Cells still run one after another,
-        # each over its replicates in order.
-        contexts = _replicates(prm, [
-            _rep_seed(spec.seed, spec.sweep_var, value, rep)
-            for rep in range(spec.replicates)], readers)
-        for scheme in spec.schemes:
-            rows.append(_run_cell(spec, prm, contexts, scheme, value))
+        # derives each stream once, and makes a result several schemes read
+        # once, for all of them.  Cells run one after another, each a block
+        # of replicates at a time, and each scheme's sums are kept in
+        # replicate order.
+        tallies = {scheme: _Tally() for scheme in spec.schemes}
+        for contexts in _replicates(prm, [
+                _rep_seed(spec.seed, spec.sweep_var, value, rep)
+                for rep in range(spec.replicates)], spec.schemes):
+            for scheme, tally in tallies.items():
+                run = SCHEMES[scheme]
+                for bank, population, config in contexts:
+                    tally.add(run(population, config, bank, prm), population,
+                              config, spec.include_overhead)
+        rows += [tally.row(spec.sweep_var, value, scheme)
+                 for scheme, tally in tallies.items()]
     if spec.out:
         write_csv(spec.out, rows)
     return rows
@@ -242,39 +293,46 @@ def apply_sweep(params, sweep_var, value):
     return params
 
 
-def _run_cell(spec, prm, contexts, scheme, value) -> ResultRow:
-    run = SCHEMES[scheme]
-    totals = []
-    stages = [0] * 4
-    T = contexts[0][1].T
-    acc_ok = [0] * T
-    energy_sums = [0.0] * T
-    for bank, population, config in contexts:
-        report = run(population, config, bank, prm)
-        total = report.ledger.total if spec.include_overhead \
-            else report.comparable_total
-        totals.append(total)
+class _Tally:
+    """One scheme's sums over the replicates of a cell, added in replicate
+    order."""
+
+    def __init__(self):
+        self.totals, self.stages = [], [0] * 4
+        # Per type, made at the first report.
+        self.acc_ok = self.energy = None
+
+    def add(self, report, population, config, include_overhead):
+        if not self.totals:
+            self.acc_ok = [0] * population.T
+            # Only the repeated baselines report no energy.
+            self.energy = (None if report.energy is None
+                           else [0.0] * population.T)
         led = report.ledger
+        self.totals.append(led.total if include_overhead
+                           else report.comparable_total)
         for i, slots in enumerate((led.stage1, led.stage2, led.stage3,
                                    led.bp)):
-            stages[i] += slots
-        for b in range(1, T + 1):
+            self.stages[i] += slots
+        for b in range(1, population.T + 1):
             nb = population.n[b - 1]
             if abs(report.final[b] - nb) <= config.epsilon * nb:
-                acc_ok[b - 1] += 1
-            if report.energy is not None:
-                energy_sums[b - 1] += report.energy.mean_energy(b, config)
-    totals = np.asarray(totals, dtype=float)
-    reps = spec.replicates
-    se = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    # Only the repeated baselines report no energy.
-    energy = ([x / reps for x in energy_sums]
-              if report.energy is not None else [])
-    # The stage columns follow the ledger's stage order.  Slot counts and
-    # hits are whole numbers, summed exactly, so each mean is one division.
-    return ResultRow(spec.sweep_var, value, scheme, reps,
-                     float(totals.mean()), se, *(x / reps for x in stages),
-                     min(acc_ok) / reps, energy)
+                self.acc_ok[b - 1] += 1
+            if self.energy is not None:
+                self.energy[b - 1] += report.energy.mean_energy(b, config)
+
+    def row(self, sweep_var, value, scheme) -> ResultRow:
+        totals = np.asarray(self.totals, dtype=float)
+        reps = len(totals)
+        se = (float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1
+              else 0.0)
+        # The stage columns follow the ledger's stage order.  Slot counts
+        # and hits are whole numbers, summed exactly, so each mean is one
+        # division.
+        return ResultRow(sweep_var, value, scheme, reps, float(totals.mean()),
+                         se, *(x / reps for x in self.stages),
+                         min(self.acc_ok) / reps,
+                         [x / reps for x in self.energy or ()])
 
 
 def _fmt(x) -> str:
@@ -350,6 +408,8 @@ def figure_preset(name, replicates=None, seed=0, out=None,
     if name not in PRESETS:
         raise ConfigError(f"unknown figure preset {name!r}")
     if callable(PRESETS[name]):
+        if out:
+            check_out(out)
         rows = PRESETS[name]()
         if out:
             write_csv(out, rows)
@@ -366,15 +426,16 @@ def validate_accuracy(scheme, populations, params, replicates, seed=0):
     hits, tries = {}, {}
     for pop_n in populations:
         prm = _with_rough(dict(params, n=tuple(pop_n)))
-        for bank, population, config in _replicates(prm, [
+        for contexts in _replicates(prm, [
                 _rep_seed(seed, "validate", tuple(pop_n), rep)
-                for rep in range(replicates)]):
-            report = SCHEMES[scheme](population, config, bank, prm)
-            for b in range(1, population.T + 1):
-                nb = population.n[b - 1]
-                ok = abs(report.final[b] - nb) <= config.epsilon * nb
-                hits[b] = hits.get(b, 0) + int(ok)
-                tries[b] = tries.get(b, 0) + 1
+                for rep in range(replicates)], [scheme]):
+            for bank, population, config in contexts:
+                report = SCHEMES[scheme](population, config, bank, prm)
+                for b in range(1, population.T + 1):
+                    nb = population.n[b - 1]
+                    ok = abs(report.final[b] - nb) <= config.epsilon * nb
+                    hits[b] = hits.get(b, 0) + int(ok)
+                    tries[b] = tries.get(b, 0) + 1
     return {b: (hits[b] / tries[b], _wilson(hits[b], tries[b]))
             for b in hits}
 
@@ -396,11 +457,14 @@ def _srcs_coverage(epsilon, delta, ell, n_grid, replicates, seed):
     worst = 1.0
     for n in n_grid:
         config = derive_config(epsilon, delta, (max(n, 2),), ell=ell)
+        # run_srcs opens TxSRCS's streams, for its one type.
+        keys = _stream_keys(["txsrcs"], 1, config.m_prime, False)
         ok = 0
-        for rep in range(replicates):
-            bank = RngBank(_rep_seed(seed, "cal", (ell, n), rep))
-            _rough, final, _led, _flag = run_srcs(n, config, bank)
-            ok += abs(final - n) <= epsilon * n
+        for banks in _blocks([_rep_seed(seed, "cal", (ell, n), rep)
+                              for rep in range(replicates)], keys):
+            for bank in banks:
+                _rough, final, _led, _flag = run_srcs(n, config, bank)
+                ok += abs(final - n) <= epsilon * n
         worst = min(worst, ok / replicates)
     return worst
 

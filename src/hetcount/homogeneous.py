@@ -3,8 +3,9 @@
 Two protocols live here: the first-empty-slot ("lof") protocol, whose trials
 give rough order-of-magnitude estimates, and the two-phase protocol ("srcs")
 that refines a rough estimate with one balls-and-bins trial: phase 1 is
-``trial_counts``, which HSRC phase 1 reads too, phase 2 ``bb_trials``,
-every scheme's phase-2 draw, which estimates by ``final_estimates``.
+``trial_counts`` and their ``rough_estimates``, which HSRC phase 1 reads
+too, phase 2 ``bb_trials``, every scheme's phase-2 draw, which estimates
+by ``final_estimates``.
 Run once per type it is the naive baseline (TxSRCS), and its phase 2 alone
 is HSRC's per-type branch (TRepBB).  Per-node slots are drawn again when
 read, in pieces of a bounded number of nodes.
@@ -72,7 +73,8 @@ def trial_counts(n, config: ProtocolConfig, bank: RngBank, trials=None):
     first-empty-slot trials numbered ``trials`` over t_T blocks, of n[b - 1]
     nodes of type b, drawn by core.draw_trials from streams ("p1", trial, b)
     opened in one call.  Without ``trials`` they are the m' phase-1 trials,
-    drawn once per bank for all its "p1" readers."""
+    drawn once per bank (RngBank.shared) for every scheme run that reads
+    them."""
     if trials is None:
         return bank.shared(("p1", n, config.t_T, config.m_prime),
                            lambda: trial_counts(n, config, bank,
@@ -85,6 +87,15 @@ def trial_counts(n, config: ProtocolConfig, bank: RngBank, trials=None):
                          _count_chunk)
     counts.flags.writeable = False
     return counts
+
+
+def rough_estimates(n, config: ProtocolConfig, bank: RngBank):
+    """Each type's rough estimate, lof_estimates of the m' phase-1
+    trial_counts, worked out once per bank and held beside them; each read
+    gets its own dict."""
+    return dict(bank.shared(("rough", n, config.t_T, config.m_prime),
+                            lambda: lof_estimates(trial_counts(n, config,
+                                                               bank))))
 
 
 def lof_estimates(counts):
@@ -127,11 +138,14 @@ def bb_trials(n, rough, config: ProtocolConfig, bank: RngBank):
     only its participation mask, again for a per-node read, in
     core.bb_node_pieces.
 
-    The counts and estimates are worked out once per bank for all its "p2"
-    readers (the phase-2-only schemes of one replicate, which share n, the
-    rough estimates and ell); each read gets its own final and flags dicts.
-    The counts are held read-only in the smallest unsigned dtype that fits
-    them, so readers upcast before any arithmetic."""
+    The counts and estimates are worked out once per bank (RngBank.shared)
+    for every scheme run that reads them: they depend only on n, p and
+    ell, all in the memo's key, so HSRC-1, HSRC-2 and TxSRCS, whose p come
+    from one set of rough estimates, read one draw, as do the
+    phase-2-only schemes of one replicate.  Each read gets its own final
+    and flags dicts.  The counts are held read-only in the smallest
+    unsigned dtype that fits them, so readers upcast before any
+    arithmetic."""
     ell = config.ell
     p = tuple(participations(rough, ell, len(n)))
     keys = [("p2", b) for b in range(1, len(n) + 1)]
@@ -166,7 +180,7 @@ def run_srcs(n, config: ProtocolConfig, bank: RngBank):
     """The two-phase protocol for one type of n nodes, on streams
     ("p1", m, 1) and ("p2", 1): (rough, final, ledger, flagged), flagged
     marking the all-slots-busy fallback."""
-    rough = lof_estimates(trial_counts((n,), config, bank))
+    rough = rough_estimates((n,), config, bank)
     _counts, final, flags, _slots = bb_trials((n,), rough, config, bank)
     ledger = SlotLedger(stage1=config.m_prime * config.t_T,
                         stage2=config.ell, bp=1)
@@ -198,11 +212,11 @@ def _own_trial(slots, b, ell, tx, rx, accounted):
 def t_repetitions_srcs(population: PopulationSpec, config: ProtocolConfig,
                        bank: RngBank) -> EstimateReport:
     """Baseline TxSRCS: the two-phase protocol once per type, phase 1 on
-    the shared trial_counts and phase 2 TRepBB's.  Each execution's one
+    the shared rough_estimates and phase 2 TRepBB's.  Each execution's one
     phase-boundary broadcast slot (carrying the rough estimate so nodes can
     compute p) is tracked under bp and counted as overhead."""
     T, M, t = population.T, config.m_prime, config.t_T
-    rough = lof_estimates(trial_counts(population.n, config, bank))
+    rough = rough_estimates(population.n, config, bank)
     final, flags, energy = t_repetitions_bb(population, rough, config, bank)
     # A node's own execution also holds one tx per phase-1 trial and one rx
     # for the boundary broadcast; it sleeps through the other types'.

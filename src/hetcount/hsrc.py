@@ -9,13 +9,16 @@ from the per-type empty-slot counts.  The baselines are the block-coded
 schemes repeated to standalone accuracy, and the two-phase homogeneous
 protocol run once per type.  Phase 1 resolves, in one
 ``three_stage.run_frames`` call, the replicate's one draw of the m' trials
-as block counts, shared with TxSRCS (so the rough estimates agree by
-construction); node blocks are drawn again only for a per-node read.  Each
+as block counts, shared with TxSRCS, and reads the rough estimates worked
+out once beside them (homogeneous.rough_estimates), so the rough estimates
+agree by construction; node blocks are drawn again only for a per-node
+read.  Each
 repeated baseline resolves its trials' (T, m_lof, t) count classes (0, 1,
 2+), counted exactly only where a block can hold fewer than two nodes.
 Both trial draws are core.draw_trials calls.  Both phase-2 branches, and
-TxSRCS, draw homogeneous.bb_trials and read the final estimates it returns
-beside the counts; no report keeps a per-node array.
+TxSRCS, read homogeneous.bb_trials, one draw per replicate at the shared
+rough estimates, and the final estimates it returns beside the counts; no
+report keeps a per-node array.
 """
 
 from __future__ import annotations
@@ -35,9 +38,14 @@ from .core import (
     bitmap_bp_slots,
     draw_trials,
 )
-from .homogeneous import lof_estimates, t_repetitions_bb, t_repetitions_srcs
+from .homogeneous import (
+    lof_estimates,
+    rough_estimates,
+    t_repetitions_bb,
+    t_repetitions_srcs,
+)
 from .three_stage import resolve_3ss, run_3ss_bb, trial_frames
-from .two_stage import resolve_2ss, run_2ss_bb
+from .two_stage import MAX_TABLE_T, resolve_2ss, run_2ss_bb
 
 
 def run_phase2(method, bb_runner, population, rough, config,
@@ -72,9 +80,9 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
     resolve, bb_runner = ((resolve_3ss, run_3ss_bb) if variant == "HSRC1"
                           else (resolve_2ss, run_2ss_bb))
 
-    counts, phase1_ledger, plan_overhead, energy = trial_frames(
+    _counts, phase1_ledger, plan_overhead, energy = trial_frames(
         resolve, population, config, bank)
-    rough = lof_estimates(counts)
+    rough = rough_estimates(population.n, config, bank)
 
     # Phase-boundary broadcast of the rough estimates, received by everyone.
     boundary = bitmap_bp_slots(T * config.t_T, config.s_w)
@@ -120,9 +128,10 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
         return t_repetitions_srcs(population, config, bank)
     if scheme not in _REPEATED:
         raise ValueError(f"unknown baseline {scheme!r}")
-    # Both repeated baselines read the same trials: when both read the
-    # bank, the first to run reports for the other as well.
-    schemes = _REPEATED if bank.readers.get("rep", 1) > 1 else (scheme,)
+    # Both repeated baselines read the same trials: the first to run on a
+    # bank reports for the other as well, where 2SS has a decoder table for
+    # T types.
+    schemes = _REPEATED if population.T <= MAX_TABLE_T else (scheme,)
 
     def reports():
         classes = _repeated_block_classes(population, config.t_T,
@@ -130,7 +139,8 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
         final = lof_estimates(classes)
         return {s: _repeated_report(s, classes, config.s_w, final)
                 for s in schemes}
-    return bank.shared(("rep", population.n, config), reports).pop(scheme)
+    return bank.shared(("rep", population.n, config, schemes),
+                       reports)[scheme]
 
 
 def _repeated_report(scheme, counts, s_w, final):

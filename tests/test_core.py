@@ -462,13 +462,52 @@ class TestRngBank:
         RngBank(7).streams(phase1)
         assert passes[-1] == (1, 30)
 
+    def test_cell_derives_its_keys_up_front(self, monkeypatch):
+        # The keys a cell is opened with are derived for all its banks in
+        # one pass per seed width; streams of those keys derive nothing,
+        # and a key not given is derived on first use, as before.
+        passes = []
+        spawned = core._spawned_words
+
+        def counted(pools, width, spawn):
+            passes.append((len(pools), len(spawn)))
+            return spawned(pools, width, spawn)
+        monkeypatch.setattr(core, "_spawned_words", counted)
+        keys = [("pop",), ("p2", 1), ("p2", 2), ("pop",)]
+        banks = RngBank.cell([7, 8, 2 ** 160 + 1], keys)
+        assert passes == [(2, 3), (1, 3)]
+        for bank in banks:
+            for rng, key in zip(bank.streams(keys), keys):
+                assert (rng.bit_generator.state
+                        == _derived_stream(bank.seed, key).bit_generator.state)
+        assert len(passes) == 2
+        banks[1].stream("rep", 1)
+        assert passes[2:] == [(2, 1), (1, 1)]
+        assert RngBank.cell([], keys) == [] and len(passes) == 4
+
+    def test_shared_makes_once_and_holds_until_dropped(self):
+        bank = RngBank(3)
+        made = []
+
+        def make(x):
+            made.append(x)
+            return np.full(1, x)
+        first = bank.shared(("a", 1), lambda: make(1))
+        assert bank.shared(("a", 1), lambda: make(2)) is first
+        assert bank.shared(("a", 2), lambda: make(3)) == [3]
+        assert made == [1, 3]
+        held = weakref.ref(first)
+        del bank, first
+        assert held() is None
+
     def test_cell_freed_without_the_cycle_collector(self):
         # No bank refers to another, so a cell's banks, and their seed
         # words, go when the last reference does, with gc disabled.
         gc.collect()
         gc.disable()
         try:
-            banks = RngBank.cell([1, 2, 2 ** 160 + 1], {"p2": 2})
+            banks = RngBank.cell([1, 2, 2 ** 160 + 1],
+                                 [("p2", b) for b in range(1, 4)])
             for bank in banks:
                 bank.streams([("p2", b) for b in range(1, 4)])
                 bank.shared(("p2",), lambda: np.zeros(3))

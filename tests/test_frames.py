@@ -217,15 +217,16 @@ class TestBatchedTrialDraw:
     @pytest.mark.parametrize("resolve", [resolve_3ss, resolve_2ss])
     def test_per_node_energy_after_the_shared_counts_are_freed(self,
                                                               resolve):
-        # Phase 1 keeps no node blocks: after its last reader freed the
-        # shared counts, a per-node read draws them again from the streams.
+        # Phase 1 keeps no node blocks: the bank holds the counts, and
+        # once they are freed, a per-node read draws the node blocks again
+        # from the streams.
         pop = PopulationSpec.fixed((7, 0, 12, 5), n_all=(64,) * 4)
         cfg = derive_config(0.03, 0.2, pop.n_all)
-        bank = RngBank(9, {"p1": 2})
+        bank = RngBank(9)
         first = trial_frames(resolve, pop, cfg, bank)
-        assert bank._kept
         second = trial_frames(resolve, pop, cfg, bank)
-        assert not bank._kept
+        assert list(bank._kept.values()) == [first[0]]
+        bank._kept.clear()
         assert second[0] is first[0] and not first[0].flags.writeable
         want, want_ledger, tx, rx = _frames_by_draw_blocks(
             resolve, pop, cfg, RngBank(9), cfg.m_prime)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetcount
-from hetcount import cli, core, harness, homogeneous
+from hetcount import cli, core, harness, homogeneous, hsrc
 from hetcount.core import EnergyLedger, PopulationSpec, RngBank, derive_config
 from hetcount.harness import (
     CSV_COLUMNS,
@@ -92,6 +92,26 @@ class TestSpecValidation:
             pop = harness._build_population({"n": (0, 0), key: 0}, bank)
             assert pop.n_all == (0, 0)
 
+    def test_out_path_checked_before_any_run(self, tmp_path, monkeypatch):
+        # The rule the CLI's --out check uses, applied before the first
+        # cell: a missing directory or a directory fails at once.
+        calls = []
+        for scheme, fn in list(harness.SCHEMES.items()):
+            monkeypatch.setitem(harness.SCHEMES, scheme,
+                                lambda *args, fn=fn: calls.append(1)
+                                or fn(*args))
+        missing = str(tmp_path / "missing" / "x.csv")
+        for out, match in ((missing, "no such directory"),
+                           (str(tmp_path), "is a directory")):
+            with pytest.raises(ConfigError, match=match):
+                run_experiment(_small_spec(out=out))
+            with pytest.raises(ConfigError, match=match):
+                figure_preset("fig10", replicates=1, out=out)
+            with pytest.raises(ConfigError, match=match):
+                figure_preset("fig9a", out=out)
+        assert calls == []
+        assert not os.path.exists(os.path.dirname(missing))
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             figure_preset("fig99")
@@ -162,13 +182,30 @@ class TestSharedReplicates:
                 return fn(pop, cfg, bank, prm)
             monkeypatch.setitem(harness.SCHEMES, scheme, recorded)
         schemes = ["hsrc1", "txsrcs", "3ss-rep"]
-        spec = ExperimentSpec(schemes, "D", [40, 60],
-                              {"T": 3, "epsilon": 0.03, "q": 0.2,
-                               "n_all": 1 << 10}, replicates=3, seed=5)
-        run_experiment(spec)
-        assert calls == [(D, scheme, _rep_seed(5, "D", D, rep))
-                         for D in (40, 60) for scheme in schemes
-                         for rep in range(3)]
+        # Cells in turn; in a cell, blocks of replicates in turn, and in a
+        # block, every scheme over its replicates.  Three replicates make
+        # one block; 65 and 129 cross one and two block boundaries.
+        for reps in (3, 65, 129):
+            calls.clear()
+            spec = ExperimentSpec(schemes, "D", [40, 60],
+                                  {"T": 3, "epsilon": 0.03, "q": 0.2,
+                                   "n_all": 1 << 10}, replicates=reps, seed=5)
+            run_experiment(spec)
+            assert calls == [
+                (D, scheme, _rep_seed(5, "D", D, rep))
+                for D in (40, 60)
+                for start in range(0, reps, harness.BLOCK)
+                for scheme in schemes
+                for rep in range(start, min(start + harness.BLOCK, reps))]
+        assert harness.BLOCK >= 40
+
+    def test_block_spanning_preset_digest(self):
+        # 130 replicates span three blocks; written before the replicates
+        # ran in blocks.
+        rows = figure_preset("fig11a", replicates=130, seed=0)
+        digest = hashlib.sha256(harness.format_csv(rows).encode()).hexdigest()
+        assert digest == ("8f409f751b43019b4fa0e0ca7ba7c0c7"
+                          "27cee23cb67f3369bd7c27518c5a8339")
 
     @pytest.mark.parametrize("schemes", [
         ["3ss-rep", "2ss-rep"], ["2ss-rep", "hsrc1", "3ss-rep"], ["3ss-rep"]])
@@ -207,7 +244,8 @@ class TestSharedReplicates:
             return draw(rngs, n, t, out, kernel)
         monkeypatch.setattr(RngBank, "streams", opened)
         monkeypatch.setattr(homogeneous, "draw_trials", spy)
-        readers = [s for s in harness.SCHEMES if harness.READS.get(s) == "p1"]
+        readers = [s for s in harness.SCHEMES if s not in harness.PHASE2_ONLY
+                   and not s.endswith("-rep")]
         schemes = ["3ss-rep", *readers, "2ss-rep"]
         assert len(readers) == 7
 
@@ -247,8 +285,9 @@ class TestSharedReplicates:
         assert rows == [by_cell[r.sweep_value, r.scheme] for r in rows]
 
     def test_cell_derives_and_configures_once(self, monkeypatch):
-        # A cell's banks are opened together: each key set is derived in one
-        # pass for all its replicates, and its config is derived once.
+        # A cell's banks are opened together: every key its schemes open is
+        # derived in one pass for all its replicates, and its config is
+        # derived once.
         passes, configs = [], []
         spawned, build = core._spawned_words, harness.build_config
 
@@ -267,50 +306,135 @@ class TestSharedReplicates:
         # The five ("p2", b) keys, once per cell.
         assert passes == [(3, 5)] * 2
         assert configs == [(harness.PRESET_N_ALL,) * 5] * 2
-        # fig11a draws its populations, from ("pop",) first: its cells of
-        # three replicates take the passes of cells of one.
+        # fig11a draws its populations: ("pop",), then phase 1's m' x T
+        # keys, and T keys each for phase 2 and the repeated trials, in
+        # one pass per cell, whatever its replicates.
         schemes, sweep_var, _values, fixed, _reps = harness.PRESETS["fig11a"]
-        sizes = []
         for replicates in (1, 3):
             passes.clear()
             run_experiment(ExperimentSpec(list(schemes), sweep_var, [3, 4],
                                           fixed, replicates, seed=4))
-            assert passes[0] == (replicates, 1)
-            assert {r for r, _k in passes} == {replicates}
-            sizes.append([k for _r, k in passes])
-        assert sizes[0] == sizes[1]
+            assert passes == [(replicates, 1 + 12 * T) for T in (3, 4)]
 
-    def test_mixed_spec_keeps_no_phase2_result(self, monkeypatch):
-        # hsrc1 draws phase 2 at its own rough estimates, so beside it the
-        # phase-2-only schemes draw alone and no bank keeps a result.
+    @pytest.mark.parametrize("preset", ["fig11a", "fig8b", "large-pop"])
+    def test_one_derivation_pass_per_block(self, preset, monkeypatch):
+        # Cells of 65 replicates take two blocks, so two passes each; no
+        # scheme run derives a key.  large-pop is the benchmark's
+        # fixed-population pair of specs, here at a small n.
+        passes = []
+        derive = core._Cell.derive
+
+        def counted(cell, names):
+            passes.append((len(cell.seeds), len(names)))
+            return derive(cell, names)
+        monkeypatch.setattr(core._Cell, "derive", counted)
+        if preset == "large-pop":
+            fixed = {"epsilon": 0.03, "delta": 0.2, "n_all": 1 << 20,
+                     "n": (300,) * 4}
+            specs = [ExperimentSpec(schemes, "none", [300], fixed, 65, 3)
+                     for schemes in (["hsrc1", "hsrc2", "txsrcs"],
+                                     ["3ss-rep", "2ss-rep"])]
+            keys = [11 * 4, 4]
+        else:
+            schemes, sweep_var, values, fixed, _reps = harness.PRESETS[preset]
+            specs = [ExperimentSpec(list(schemes), sweep_var, values[-1:],
+                                    fixed, 65, 3)]
+            keys = [1 + 12 * 8] if preset == "fig11a" else [5]
+        for spec in specs:
+            run_experiment(spec)
+        assert passes == [(r, k) for k in keys for r in (64, 1)]
+
+    def test_block_results_die_with_their_block(self, monkeypatch):
+        # What a block's banks hold (RngBank.shared) goes with them, before
+        # the next block's schemes run.
+        refs, alive = {}, []
+        for scheme, fn in list(harness.SCHEMES.items()):
+            def recorded(pop, cfg, bank, prm, fn=fn):
+                if bank.seed not in refs:
+                    if len(refs) % harness.BLOCK == 0:  # a block's first run
+                        alive.append(sum(ref() is not None
+                                         for ref in refs.values()))
+                    refs[bank.seed] = weakref.ref(bank)
+                return fn(pop, cfg, bank, prm)
+            monkeypatch.setitem(harness.SCHEMES, scheme, recorded)
+        run_experiment(ExperimentSpec(
+            ["hsrc1", "txsrcs", "3ss-rep"], "none", [0],
+            {"T": 3, "epsilon": 0.03, "n": (20, 30, 10), "n_all": 1 << 10},
+            replicates=2 * harness.BLOCK + 1, seed=2))
+        assert len(refs) == 2 * harness.BLOCK + 1
+        assert alive == [0, 0, 0]
+
+    def test_each_shared_result_made_once_per_replicate(self, monkeypatch):
+        # fig11a's five schemes and the forced composites: per replicate,
+        # one phase-1 draw and one set of rough estimates, one phase-2 draw
+        # at them for all seven phase-1 readers, and one draw of the
+        # repeated trials, resolved once into both reports.
+        made = []
+        shared = RngBank.shared
+
+        def recorded(bank, key, make):
+            def counted():
+                made.append((bank.seed, key[0]))
+                return make()
+            return shared(bank, key, counted)
+        monkeypatch.setattr(RngBank, "shared", recorded)
+        counts = {"rough": [], "reports": [], "p2": []}
+        lof, report = homogeneous.lof_estimates, hsrc._repeated_report
+        bb = homogeneous.bb_blocks
+        monkeypatch.setattr(homogeneous, "lof_estimates", lambda c: (
+            counts["rough"].append(1), lof(c))[1])
+        monkeypatch.setattr(hsrc, "_repeated_report", lambda *a: (
+            counts["reports"].append(a[0]), report(*a))[1])
+        monkeypatch.setattr(homogeneous, "bb_blocks", lambda *a, **k: (
+            counts["p2"].append(1), bb(*a, **k))[1])
+        schemes = [s for s in harness.SCHEMES if s not in harness.PHASE2_ONLY]
+        reps = harness.BLOCK + 1
+        run_experiment(ExperimentSpec(
+            schemes, "none", [0], {"T": 4, "epsilon": 0.03,
+                                   "n": (20, 0, 30, 10), "n_all": 1 << 10},
+            replicates=reps, seed=2))
+        assert len(made) == len(set(made)) == 4 * reps
+        assert ({purpose for _seed, purpose in made}
+                == {"p1", "rough", "p2", "rep"})
+        assert len(counts["rough"]) == reps
+        assert len(counts["p2"]) == 4 * reps
+        assert sorted(counts["reports"]) == sorted(
+            ["3SS-repeated", "2SS-repeated"] * reps)
+
+    def test_mixed_spec_draws_phase2_once_per_rough_estimates(self,
+                                                             monkeypatch):
+        # hsrc1 draws phase 2 at its own rough estimates, the phase-2-only
+        # schemes at the given ones: each replicate holds one phase-2 draw
+        # for each, beside its phase-1 draw, until its block ends.  At
+        # ell = 20 no participation is 1, so the two differ.
         banks = []
-        replicates = harness._replicates
-
-        def recorded(prm, seeds, readers=None):
-            contexts = replicates(prm, seeds, readers)
-            banks.extend(bank for bank, _pop, _cfg in contexts)
-            return contexts
-        monkeypatch.setattr(harness, "_replicates", recorded)
+        for scheme, fn in list(harness.SCHEMES.items()):
+            def recorded(pop, cfg, bank, prm, fn=fn):
+                banks.append(bank)
+                return fn(pop, cfg, bank, prm)
+            monkeypatch.setitem(harness.SCHEMES, scheme, recorded)
         run_experiment(ExperimentSpec(
             ["p2-3ssbb", "hsrc1", "p2-2ssbb", "p2-trepbb"], "n2_value", [60],
-            {"T": 4, "epsilon": 0.03, "n": (40,) * 4, "n_all": 1 << 10},
-            replicates=3, seed=3))
-        assert len(banks) == 3
-        assert not any(bank._kept for bank in banks)
+            {"T": 4, "epsilon": 0.03, "n": (40,) * 4, "n_all": 1 << 10,
+             "ell": 20}, replicates=3, seed=3))
+        assert len(banks) == 4 * 3 and len(set(map(id, banks))) == 3
+        for bank in banks:
+            assert (sorted(key[0] for key in bank._kept)
+                    == ["p1", "p2", "p2", "rough"])
 
     def test_fig11a_derives_each_key_once_in_few_passes(self, monkeypatch):
-        # Every stream key is derived once per bank, and no scheme-run
-        # derives its keys in more than two passes.
+        # Every stream key is derived once per bank, in the cell's one
+        # pass: no scheme run derives a key.
         names, run_passes, current = {}, [], []
-        derive = RngBank._derive
+        derive = core._Cell.derive
 
-        def spy(bank, new):
-            # Keyed by seed: a bank's id() may be reused by a later bank.
-            names.setdefault(bank.seed, []).extend(new)
+        def spy(cell, new):
+            for seed in cell.seeds:
+                names.setdefault(seed, []).extend(new)
             if current:
                 run_passes[-1] += 1
-            return derive(bank, new)
-        monkeypatch.setattr(RngBank, "_derive", spy)
+            return derive(cell, new)
+        monkeypatch.setattr(core._Cell, "derive", spy)
         for scheme, fn in list(harness.SCHEMES.items()):
             def recorded(pop, cfg, bank, prm, fn=fn):
                 current.append(bank)
@@ -321,7 +445,7 @@ class TestSharedReplicates:
                     current.pop()
             monkeypatch.setitem(harness.SCHEMES, scheme, recorded)
         figure_preset("fig11a", replicates=1)
-        assert len(run_passes) == 30 and max(run_passes) <= 2
+        assert len(run_passes) == 30 and max(run_passes) == 0
         assert len(names) == 6
         for derived in names.values():
             assert len(derived) == len(set(derived))
@@ -686,6 +810,22 @@ class TestCalibrateEll:
     def test_insufficient_range(self):
         with pytest.raises(ConfigError):
             calibrate_ell(0.01, 0.2, (50000,), replicates=30, hi=60)
+
+    def test_one_pass_per_probe_and_block(self, monkeypatch):
+        # Each (n, ell) probe opens its 70 replicates as two blocks, each
+        # deriving its m' phase-1 keys and one phase-2 key in one pass.
+        # The value was computed before the probes ran in blocks.
+        passes = []
+        derive = core._Cell.derive
+
+        def counted(cell, names):
+            passes.append((len(cell.seeds), len(names)))
+            return derive(cell, names)
+        monkeypatch.setattr(core._Cell, "derive", counted)
+        assert calibrate_ell(0.1, 0.2, (50, 2000), replicates=70,
+                             seed=4) == 280
+        probes = len(passes) // 4
+        assert probes > 1 and passes == [(64, 11), (6, 11)] * 2 * probes
 
 
 class TestCli:

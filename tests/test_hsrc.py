@@ -19,7 +19,7 @@ from hetcount.analysis import select_phase2
 from hetcount.core import (LOF_FACTOR, EnergyLedger, PopulationSpec, RngBank,
                            SlotLedger, SlotOutcome, bitmap_bp_slots,
                            derive_config)
-from hetcount.harness import PHASE2_ONLY, READS, SCHEMES, figure_preset
+from hetcount.harness import PHASE2_ONLY, SCHEMES, figure_preset
 from hetcount.hsrc import (_repeated_block_classes, run_baseline, run_hsrc,
                            run_phase2)
 from hetcount.homogeneous import (bb_trials, lof_estimate, lof_estimates,
@@ -214,10 +214,56 @@ class TestEqualityProperty:
 
 
 REPEATED = ("3SS-repeated", "2SS-repeated")
+# Allowance for what numpy's small-buffer cache and dict tables keep after
+# a run: about 1.1-1.2 KB, so a bound of 1024 bytes failed in whole-file
+# runs.
+SLACK = 2048
+
+
+def _kept_bytes(open_bank, run, schemes, drop_bank):
+    """Bytes still held after ``run(scheme, bank)`` of each of ``schemes``
+    on the bank ``open_bank()`` makes, their reports dropped, and after the
+    bank is dropped too, if ``drop_bank``: what the bank's memo holds, or
+    what it leaves behind."""
+    bank = open_bank()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for s in schemes:
+            run(s, bank)
+        if drop_bank:
+            del bank
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _reads(run, schemes, purposes):
+    """(scheme runs that read a result of one of ``purposes``, the purpose
+    of each result made, sorted) when ``run(scheme, bank)`` runs each of
+    ``schemes`` on one bank."""
+    readers, made, current = set(), [], []
+    shared = RngBank.shared
+
+    def spy(bank, key, make):
+        if key[0] not in purposes:
+            return shared(bank, key, make)
+        readers.add(len(current))
+        return shared(bank, key, lambda: made.append(key[0]) or make())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RngBank, "shared", spy)
+        bank = RngBank(2)
+        for s in schemes:
+            current.append(s)
+            run(s, bank)
+    return len(readers), sorted(made)
 
 
 class TestSharedRepeatedTrials:
-    """Both repeated baselines read one draw of the trials per bank."""
+    """Both repeated baselines read one draw of the trials per bank, and
+    the bank holds both reports until it is dropped."""
 
     @pytest.mark.parametrize("n", [(30, 0, 45), (20, 35, 0, 50, 12)])
     @pytest.mark.parametrize("first", REPEATED)
@@ -225,7 +271,7 @@ class TestSharedRepeatedTrials:
         pop = _pop(n, 1 << 20)
         cfg = derive_config(0.03, 0.2, pop.n_all)
         fresh = {s: run_baseline(s, pop, cfg, RngBank(5)) for s in REPEATED}
-        bank = RngBank(5, {"rep": 2})
+        bank = RngBank(5)
         shared = {first: run_baseline(first, pop, cfg, bank)}
 
         def stream(*key):
@@ -240,58 +286,61 @@ class TestSharedRepeatedTrials:
             assert shared[s].ledger == fresh[s].ledger
             assert shared[s].overhead_slots == fresh[s].overhead_slots
 
+    def test_past_the_2ss_tables_only_3ss_reports(self):
+        # 2SS has no decoder table above MAX_TABLE_T types, so there a
+        # 3SS-repeated run resolves its own report alone.
+        pop = _pop((5,) * 11, 1 << 10)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        bank = RngBank(5)
+        run_baseline(REPEATED[0], pop, cfg, bank)
+        (reports,) = bank._kept.values()
+        assert list(reports) == [REPEATED[0]]
+        with pytest.raises(ValueError, match="T <= 10"):
+            run_baseline(REPEATED[1], pop, cfg, bank)
+
     @staticmethod
-    def _kept_bytes(share, schemes, drop_bank):
-        """Bytes still held after running ``schemes`` on a fresh bank (and
-        after dropping the bank, if ``drop_bank``)."""
+    def _kept_bytes(schemes, drop_bank):
         pop = _pop((300,) * 8, 1 << 20)
         cfg = derive_config(0.03, 0.2, pop.n_all)
         for s in REPEATED:      # fill the 2SS decoder table for these codes
             run_baseline(s, pop, cfg, RngBank(2))
-        bank = RngBank(2, {"rep": 2} if share else None)
-        for b in range(1, pop.T + 1):   # seed words are not the memo's
-            bank.stream("rep", b)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for s in schemes:
-                run_baseline(s, pop, cfg, bank)
-            if drop_bank:
-                del bank
-            gc.collect()
-            return tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
 
-    def test_memo_is_one_report(self):
-        # One report of T = 8 estimates, not the (T, M, t) trials (181 760
-        # counts).
-        assert 0 < self._kept_bytes(True, REPEATED[:1], False) <= 4096
+        def open_bank():
+            bank = RngBank(2)
+            for b in range(1, pop.T + 1):   # seed words are not the memo's
+                bank.stream("rep", b)
+            return bank
+        return _kept_bytes(open_bank,
+                           lambda s, bank: run_baseline(s, pop, cfg, bank),
+                           schemes, drop_bank)
 
-    @pytest.mark.parametrize("share, schemes, drop_bank", [
-        (True, REPEATED, False),        # the second reader takes it
-        (True, REPEATED[::-1], False),
-        (True, REPEATED[:1], True),     # freed with the bank
-        (False, REPEATED[:1], False),   # a bank that does not share keeps
-    ])                                  # nothing
-    def test_memo_freed(self, share, schemes, drop_bank):
-        assert self._kept_bytes(share, schemes, drop_bank) <= 1024
+    def test_memo_is_the_reports(self):
+        # Two reports of T = 8 estimates, held until the bank is dropped,
+        # not the (T, M, t) trials (181 760 counts).
+        assert SLACK < self._kept_bytes(REPEATED[:1], False) <= 4 * SLACK
+
+    @pytest.mark.parametrize("schemes", [REPEATED, REPEATED[::-1],
+                                         REPEATED[:1]])
+    def test_memo_freed_with_the_bank(self, schemes):
+        assert self._kept_bytes(schemes, True) <= SLACK
 
 
 # Every scheme that reads the phase-1 trial counts, in harness order.
-PHASE1_READERS = [s for s in SCHEMES if READS.get(s) == "p1"]
+PHASE1_READERS = [s for s in SCHEMES
+                  if s not in PHASE2_ONLY and not s.endswith("-rep")]
 
 
 class TestSharedPhase1:
-    """Each bank draws the m' phase-1 trials once, as counts, for all the
-    scheme runs that read them, and holds them until the last has read."""
+    """Each bank draws the m' phase-1 trials once, as counts, and works out
+    their rough estimates once, for all the scheme runs that read them, and
+    holds both until it is dropped.  The phase-1 readers then draw phase 2
+    at one set of rough estimates, so they read one phase-2 draw too."""
 
     @pytest.mark.parametrize("n", [(300, 0, 800, 45), (500, 2500, 2500)])
     def test_shared_bank_equals_fresh_banks(self, n):
         pop = _pop(n, 4000)
         cfg = derive_config(0.03, 0.2, pop.n_all)
-        bank = RngBank(3, {"p1": len(PHASE1_READERS)})
+        bank = RngBank(3)
         for s in PHASE1_READERS:
             shared = SCHEMES[s](pop, cfg, bank, {})
             fresh = SCHEMES[s](pop, cfg, RngBank(3), {})
@@ -300,55 +349,61 @@ class TestSharedPhase1:
             assert shared.ledger == fresh.ledger
             assert shared.overhead_slots == fresh.overhead_slots
             assert np.array_equal(shared.energy.sums, fresh.energy.sums)
-        assert not bank._kept
+        assert sorted(key[0] for key in bank._kept) == ["p1", "p2", "rough"]
 
-    # The (T, m', t_T) int32 counts of _kept_bytes: 6 x 40 x 20 x 4 bytes.
-    COUNTS = 19200
-    # Allowance for what numpy's small-buffer cache and dict tables keep.
-    SLACK = 2048
+    # The memo of _kept_bytes: the (T, m', t_T) int32 counts, 6 x 40 x 20 x
+    # 4 bytes, and the (T, ell) uint8 phase-2 counts, 6 x 3009 bytes.
+    COUNTS = 19200 + 18054
 
     @staticmethod
-    def _kept_bytes(readers, schemes):
-        """Bytes still held by a bank made with ``readers`` after running
-        ``schemes`` on it, their reports dropped."""
+    def _setup(schemes):
+        """(population, config, run) of _kept_bytes, its caches filled."""
         pop = _pop((300, 20, 0, 700, 90, 5), 1 << 20)
         cfg = derive_config(0.03, 0.2, pop.n_all, m_prime=40)
+
+        def run(s, bank):
+            SCHEMES[s](pop, cfg, bank, {})
         for s in schemes:       # fill the decoder tables and caches
-            SCHEMES[s](pop, cfg, RngBank(2), {})
-        bank = RngBank(2, readers)
-        # Seed words are not the memo's.
-        bank.streams([("p1", m, b) for b in range(1, pop.T + 1)
-                      for m in range(cfg.m_prime)]
-                     + [("p2", b) for b in range(1, pop.T + 1)])
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for s in schemes:
-                SCHEMES[s](pop, cfg, bank, {})
-            gc.collect()
-            return tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+            run(s, RngBank(2))
+        return pop, cfg, run
+
+    def _kept_bytes(self, schemes, drop_bank):
+        pop, cfg, run = self._setup(schemes)
+
+        def open_bank():
+            bank = RngBank(2)
+            # Seed words are not the memo's.
+            bank.streams([("p1", m, b) for b in range(1, pop.T + 1)
+                          for m in range(cfg.m_prime)]
+                         + [("p2", b) for b in range(1, pop.T + 1)])
+            return bank
+        return _kept_bytes(open_bank, run, schemes, drop_bank)
 
     def test_held_until_the_last_reader(self):
-        held = self._kept_bytes({"p1": 3}, ["txsrcs", "hsrc1"])
-        assert self.COUNTS <= held <= self.COUNTS + self.SLACK
+        # Held past it, until the bank is dropped: the phase-1 counts, their
+        # rough estimates and the phase-2 draw at them, with its estimate
+        # dicts: one allowance for each dict-holding result.
+        held = self._kept_bytes(["txsrcs", "hsrc1"], False)
+        assert self.COUNTS <= held <= self.COUNTS + 2 * SLACK
 
     @pytest.mark.parametrize("readers, schemes", [
-        ({"p1": 7}, PHASE1_READERS),            # the last reader frees it
+        ({"p1": 7}, PHASE1_READERS),            # made once for all seven
         ({"p1": 2}, PHASE1_READERS[::-1][:2]),
-        ({"p1": 1}, ["hsrc2"]),                 # one reader keeps nothing
-        (None, ["txsrcs"]),
+        ({"p1": 1}, ["hsrc2"]),
+        (None, ["3ss-rep"]),                    # no phase-1 reader
     ])
     def test_memo_freed(self, readers, schemes):
-        assert self._kept_bytes(readers, schemes) <= self.SLACK
+        # Made once for the scheme runs that read it, and freed with the
+        # bank.
+        run = self._setup(schemes)[2]
+        want = (readers["p1"], ["p1", "rough"]) if readers else (0, [])
+        assert _reads(run, schemes, ("p1", "rough")) == want
+        assert self._kept_bytes(schemes, True) <= SLACK
 
 
 class TestSharedPhase2:
     """Each bank draws the balls-and-bins trial of the phase-2-only schemes
-    once, as counts, for all of them, and holds it until the last has
-    read."""
+    once, as counts, for all of them, and holds it until it is dropped."""
 
     @pytest.mark.parametrize("n, rough, ell", [
         ((300, 900, 0, 40), (280, 1000, 5, 40), None),
@@ -360,8 +415,7 @@ class TestSharedPhase2:
         pop = _pop(n, 1 << 13)
         cfg = derive_config(0.03, 0.2, pop.n_all, ell=ell)
         prm = {"rough": dict(enumerate(rough, 1))}
-        bank = RngBank(5, {"p2": len(PHASE2_ONLY)})
-        counts = []
+        bank = RngBank(5)
         for s in PHASE2_ONLY:
             shared = SCHEMES[s](pop, cfg, bank, prm)
             fresh = SCHEMES[s](pop, cfg, RngBank(5), prm)
@@ -375,7 +429,7 @@ class TestSharedPhase2:
                                       fresh.energy.tx[b])
                 assert np.array_equal(shared.energy.rx[b],
                                       fresh.energy.rx[b])
-        assert not bank._kept
+        assert len(bank._kept) == 1
         held = bb_trials(pop.n, prm["rough"], cfg, RngBank(5))[0]
         assert not held.flags.writeable
         assert held.dtype == np.min_scalar_type(held.max())
@@ -389,7 +443,7 @@ class TestSharedPhase2:
         pop = _pop((5000, 5000, 5000), 1 << 13)
         cfg = derive_config(0.03, 0.2, pop.n_all, ell=3)
         prm = {"rough": {1: 4, 2: 4, 3: 4}}
-        bank = RngBank(5, {"p2": len(PHASE2_ONLY)})
+        bank = RngBank(5)
         for s in PHASE2_ONLY:
             want = SCHEMES[s](pop, cfg, RngBank(5), prm)
             report = SCHEMES[s](pop, cfg, bank, prm)
@@ -397,48 +451,52 @@ class TestSharedPhase2:
             assert report.final == want.final and report.flags == want.flags
             report.final[1] = -1.0
             report.flags.clear()
-        assert not bank._kept
+        assert len(bank._kept) == 1
 
     # The (T, ell) uint8 counts of _kept_bytes: 6 x 3009 bytes.
     COUNTS = 18054
-    # Allowance for what numpy's small-buffer cache and dict tables keep.
-    SLACK = 2048
 
     @staticmethod
-    def _kept_bytes(readers, schemes):
-        """Bytes still held by a bank made with ``readers`` after running
-        ``schemes`` on it, their reports dropped."""
+    def _setup(schemes):
+        """(population, run) of _kept_bytes, its caches filled."""
         pop = _pop((300, 20, 0, 700, 90, 5), 1 << 20)
         cfg = derive_config(0.03, 0.2, pop.n_all)
         prm = {"rough": dict(enumerate(pop.n, 1))}
+
+        def run(s, bank):
+            SCHEMES[s](pop, cfg, bank, prm)
         for s in schemes:       # fill the decoder tables and caches
-            SCHEMES[s](pop, cfg, RngBank(2), prm)
-        bank = RngBank(2, readers)
-        # Seed words are not the memo's.
-        bank.streams([("p2", b) for b in range(1, pop.T + 1)])
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for s in schemes:
-                SCHEMES[s](pop, cfg, bank, prm)
-            gc.collect()
-            return tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+            run(s, RngBank(2))
+        return pop, run
+
+    def _kept_bytes(self, schemes, drop_bank):
+        pop, run = self._setup(schemes)
+
+        def open_bank():
+            bank = RngBank(2)
+            # Seed words are not the memo's.
+            bank.streams([("p2", b) for b in range(1, pop.T + 1)])
+            return bank
+        return _kept_bytes(open_bank, run, schemes, drop_bank)
 
     def test_held_until_the_last_reader(self):
-        held = self._kept_bytes({"p2": 3}, PHASE2_ONLY[:2])
-        assert self.COUNTS <= held <= self.COUNTS + self.SLACK
+        # Held past it, until the bank is dropped.
+        held = self._kept_bytes(PHASE2_ONLY[:2], False)
+        assert self.COUNTS <= held <= self.COUNTS + SLACK
 
     @pytest.mark.parametrize("readers, schemes", [
-        ({"p2": 3}, PHASE2_ONLY),               # the last reader frees it
+        ({"p2": 3}, PHASE2_ONLY),               # made once for all three
         ({"p2": 2}, PHASE2_ONLY[::-1][:2]),
-        ({"p2": 1}, ["p2-2ssbb"]),              # one reader keeps nothing
-        (None, ["p2-trepbb"]),
+        ({"p2": 1}, ["p2-2ssbb"]),
+        (None, ["3ss-rep"]),                    # no phase-2 reader
     ])
     def test_memo_freed(self, readers, schemes):
-        assert self._kept_bytes(readers, schemes) <= self.SLACK
+        # Made once for the scheme runs that read it, and freed with the
+        # bank.
+        run = self._setup(schemes)[1]
+        want = (readers["p2"], ["p2"]) if readers else (0, [])
+        assert _reads(run, schemes, ("p2",)) == want
+        assert self._kept_bytes(schemes, True) <= SLACK
 
 
 def _one_shot_block_counts(population, t, M, bank):
@@ -543,7 +601,7 @@ class TestRepeatedBlockClasses:
         cfg = derive_config(0.03, 0.2, pop.n_all)
         exact = _one_shot_block_counts(pop, cfg.t_T, cfg.m_lof, RngBank(6))
         assert exact.max() > 2
-        bank = RngBank(6, {"rep": 2})
+        bank = RngBank(6)
         for s in REPEATED:
             got = run_baseline(s, pop, cfg, bank)
             want = hsrc._repeated_report(s, exact, cfg.s_w,
@@ -643,7 +701,7 @@ class TestRepeatedDrawThreads:
                                                 recorded("draw", draw))
         monkeypatch.setattr(core, "_draw_types",
                             recorded("worker", core._draw_types))
-        reports = runs(RngBank(5, {"rep": 2}))
+        reports = runs(RngBank(5))
         # "rep" and phase-2 keys per type, and phase 1's m' per type.
         assert len(threads["stream"]) == pop.T * (2 + cfg.m_prime)
         # Per-node energy draws phase 1's node blocks again, on this thread,
