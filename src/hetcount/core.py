@@ -770,22 +770,23 @@ def uniform_block_choices(rng, n, ell, p, fresh=False):
     At p >= 1 a ``fresh`` rng (a PCG64 Generator at the start of its
     stream, as RngBank opens them) skips the uniforms with ``advance(n)``:
     a PCG64 uniform takes one step, and advance leaves no 32-bit half
-    buffered, as at a stream's start, so the slots and state are the same."""
+    buffered, as at a stream's start, so the slots and state are the same.
+    Its mask, all True, is then not made: it is None."""
     if p >= 1 and fresh:
         rng.bit_generator.advance(n)
-        mask = np.ones(n, dtype=bool)
+        mask = None
     else:
         mask = rng.random(n) < p
     return mask, rng.integers(1, ell + 1, size=n)
 
 
-def bb_blocks(rng, n, ell, p, fresh=False):
+def bb_blocks(rng, n, ell, p):
     """One balls-and-bins trial of n nodes over ell slots, each node joining
     with probability p: its (ell,) per-slot transmitter counts, and the
     nodes' participation mask and uniform 1-based slots.  A node's slot in
     the trial is ``slots * mask`` (0 = idle), worked out only by readers of
-    per-node slots.  ``fresh`` is uniform_block_choices'."""
-    mask, blocks = uniform_block_choices(rng, n, ell, p, fresh)
+    per-node slots."""
+    mask, blocks = uniform_block_choices(rng, n, ell, p)
     return (np.bincount(blocks[mask] if p < 1 else blocks,
                         minlength=ell + 1)[1:], mask, blocks)
 

@@ -23,7 +23,7 @@ from .core import (
     derive_config,
 )
 from .homogeneous import run_srcs
-from .hsrc import run_baseline, run_hsrc, run_phase2
+from .hsrc import resolve_block, run_baseline, run_hsrc, run_phase2
 from .three_stage import run_3ss_bb
 from .two_stage import run_2ss_bb
 
@@ -138,6 +138,35 @@ SCHEMES = {
     "p2-trepbb": lambda pop, cfg, bank, prm: run_phase2(
         "TRepBB", None, pop, prm["rough"], cfg, bank),
 }
+
+
+# The frames the block pass (hsrc.resolve_block) resolves for each scheme's
+# runs, as (code, phase) pairs: the phase-1 trials ("p1"), and the SSBB
+# phase-2 frame at the replicate's own rough estimates ("p2") or at the
+# given ones ("given").  hsrc1 and hsrc2 read theirs only where
+# select_phase2 takes SSBB, yet it is resolved ahead for every replicate,
+# so the selection stays in the scheme run, once per run.
+FRAMES = {
+    "hsrc1": (("3SS", "p1"), ("3SS", "p2")),
+    "hsrc2": (("2SS", "p1"), ("2SS", "p2")),
+    "hsrc1-trepbb": (("3SS", "p1"),),
+    "hsrc1-ssbb": (("3SS", "p1"), ("3SS", "p2")),
+    "hsrc2-trepbb": (("2SS", "p1"),),
+    "hsrc2-ssbb": (("2SS", "p1"), ("2SS", "p2")),
+    "p2-3ssbb": (("3SS", "given"),),
+    "p2-2ssbb": (("2SS", "given"),),
+}
+# The repeated baselines' names in hsrc.run_baseline.
+REPEATED = {"3ss-rep": "3SS-repeated", "2ss-rep": "2SS-repeated"}
+
+
+def _resolve_block(contexts, schemes, prm):
+    """The block pass of ``schemes`` over one block's contexts, before its
+    scheme runs: every frame FRAMES lists for them, and the reports of the
+    repeated baselines among them."""
+    frames = dict.fromkeys(f for s in schemes for f in FRAMES.get(s, ()))
+    resolve_block(contexts, frames, prm.get("rough"),
+                  tuple(REPEATED[s] for s in schemes if s in REPEATED))
 
 
 def default_n_all(D, n):
@@ -264,6 +293,7 @@ def run_experiment(spec: ExperimentSpec):
         for contexts in _replicates(prm, [
                 _rep_seed(spec.seed, spec.sweep_var, value, rep)
                 for rep in range(spec.replicates)], spec.schemes):
+            _resolve_block(contexts, spec.schemes, prm)
             for scheme, tally in tallies.items():
                 run = SCHEMES[scheme]
                 for bank, population, config in contexts:
@@ -429,6 +459,7 @@ def validate_accuracy(scheme, populations, params, replicates, seed=0):
         for contexts in _replicates(prm, [
                 _rep_seed(seed, "validate", tuple(pop_n), rep)
                 for rep in range(replicates)], [scheme]):
+            _resolve_block(contexts, [scheme], prm)
             for bank, population, config in contexts:
                 report = SCHEMES[scheme](population, config, bank, prm)
                 for b in range(1, population.T + 1):

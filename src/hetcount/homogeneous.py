@@ -30,10 +30,9 @@ from .core import (
     RngBank,
     SlotLedger,
     _count_chunk,
-    bb_blocks,
     bb_node_pieces,
     draw_trials,
-    for_type,
+    uniform_block_choices,
 )
 
 
@@ -47,8 +46,9 @@ def participation_probability(ell, n_rough) -> float:
 def participations(rough, ell, T):
     """p_b of every type (0-based list) from the rough estimates (a 1-based
     dict or a sequence)."""
-    return [participation_probability(ell, for_type(rough, b))
-            for b in range(1, T + 1)]
+    values = ([rough[b] for b in range(1, T + 1)] if isinstance(rough, dict)
+              else rough[:T])
+    return [participation_probability(ell, r) for r in values]
 
 
 def first_empty(counts):
@@ -76,7 +76,7 @@ def trial_counts(n, config: ProtocolConfig, bank: RngBank, trials=None):
     drawn once per bank (RngBank.shared) for every scheme run that reads
     them."""
     if trials is None:
-        return bank.shared(("p1", n, config.t_T, config.m_prime),
+        return bank.shared(trial_key(n, config),
                            lambda: trial_counts(n, config, bank,
                                                 range(config.m_prime)))
     T, M = len(n), len(trials)
@@ -87,6 +87,12 @@ def trial_counts(n, config: ProtocolConfig, bank: RngBank, trials=None):
                          _count_chunk)
     counts.flags.writeable = False
     return counts
+
+
+def trial_key(n, config: ProtocolConfig):
+    """The memo key (RngBank.shared) of the m' phase-1 trial_counts of
+    n[b - 1] nodes of type b."""
+    return ("p1", tuple(n), config.t_T, config.m_prime)
 
 
 def rough_estimates(n, config: ProtocolConfig, bank: RngBank):
@@ -129,39 +135,59 @@ def srcs_estimate(z, ell, p):
     return srcs_final_estimate(z, ell, p), False
 
 
-def bb_trials(n, rough, config: ProtocolConfig, bank: RngBank):
-    """Phase 2: a core.bb_blocks trial over ell slots of the n[b - 1] nodes
-    of each type b, at the participation of its rough estimate, on stream
-    ("p2", b): the (T, ell) per-slot counts, the final estimates and flags
-    final_estimates takes from them, and ``slots(b, joined=False)``, which
-    draws type b's 1-based slot per node (0 = idle), or with ``joined``
-    only its participation mask, again for a per-node read, in
+def bb_key(n, rough, config: ProtocolConfig):
+    """The memo key (RngBank.shared) of the bb_trials draw of n[b - 1]
+    nodes of type b at the participations of the rough estimates: it holds
+    every input of the draw, n, p and ell."""
+    ell = config.ell
+    return ("p2", tuple(n), tuple(participations(rough, ell, len(n))), ell)
+
+
+def bb_trials(key, bank: RngBank):
+    """Phase 2, the draw of bb_key ``key``: a balls-and-bins trial over ell
+    slots of the n[b - 1] nodes of each type b, at the participation
+    p[b - 1] of its rough estimate, on stream ("p2", b), as core.bb_blocks
+    draws it: the (T, ell) per-slot counts, each type's joined nodes (a
+    list), the final estimates and flags final_estimates takes from the
+    counts, and ``slots(b, joined=False)``, which draws type b's 1-based
+    slot per node (0 = idle), or with ``joined`` only its participation
+    mask, again for a per-node read, in
     core.bb_node_pieces.
 
-    The counts and estimates are worked out once per bank (RngBank.shared)
-    for every scheme run that reads them: they depend only on n, p and
-    ell, all in the memo's key, so HSRC-1, HSRC-2 and TxSRCS, whose p come
-    from one set of rough estimates, read one draw, as do the
-    phase-2-only schemes of one replicate.  Each read gets its own final
-    and flags dicts.  The counts are held read-only in the smallest
-    unsigned dtype that fits them, so readers upcast before any
-    arithmetic."""
-    ell = config.ell
-    p = tuple(participations(rough, ell, len(n)))
-    keys = [("p2", b) for b in range(1, len(n) + 1)]
+    The counts, joined nodes and estimates are worked out once per bank
+    (RngBank.shared, under ``key``) for every scheme run that reads them: so
+    HSRC-1, HSRC-2 and TxSRCS, whose p come from one set of rough
+    estimates, read one draw, as do the phase-2-only schemes of one
+    replicate.  Each read gets its own final and flags dicts.  The types'
+    slots, offset by ell per type, are counted in one bincount, and the
+    counts are held read-only in the smallest unsigned dtype that fits
+    them, so readers upcast before any arithmetic."""
+    _, n, p, ell = key
+    streams = [("p2", b) for b in range(1, len(n) + 1)]
 
     def draw():
-        counts = np.array([bb_blocks(rng, nb, ell, pb, fresh=True)[0]
-                           for rng, nb, pb in zip(bank.streams(keys), n, p)])
-        counts = counts.astype(np.min_scalar_type(counts.max()))
+        slots = []
+        for offset, (rng, nb, pb) in enumerate(zip(bank.streams(streams),
+                                                   n, p)):
+            mask, blocks = uniform_block_choices(rng, nb, ell, pb,
+                                                 fresh=True)
+            if mask is not None:
+                blocks = blocks[mask]
+            blocks += offset * ell
+            slots.append(blocks)
+        counts = np.bincount(np.concatenate(slots),
+                             minlength=len(n) * ell + 1)[1:]
+        counts = counts.astype(np.min_scalar_type(counts.max())).reshape(
+            len(n), ell)
         counts.flags.writeable = False
-        return (counts, *final_estimates(counts, p, ell))
+        return (counts, [len(s) for s in slots],
+                *final_estimates(counts, p, ell))
 
     def slots(b, joined=False):
-        return bb_node_pieces(bank.stream(*keys[b - 1]), n[b - 1], ell,
+        return bb_node_pieces(bank.stream(*streams[b - 1]), n[b - 1], ell,
                               p[b - 1], joined)
-    counts, final, flags = bank.shared(("p2", tuple(n), p, ell), draw)
-    return counts, dict(final), dict(flags), slots
+    counts, joined, final, flags = bank.shared(key, draw)
+    return counts, joined, dict(final), dict(flags), slots
 
 
 def final_estimates(counts, p, ell):
@@ -181,7 +207,8 @@ def run_srcs(n, config: ProtocolConfig, bank: RngBank):
     ("p1", m, 1) and ("p2", 1): (rough, final, ledger, flagged), flagged
     marking the all-slots-busy fallback."""
     rough = rough_estimates((n,), config, bank)
-    _counts, final, flags, _slots = bb_trials((n,), rough, config, bank)
+    _counts, _joined, final, flags, _slots = bb_trials(
+        bb_key((n,), rough, config), bank)
     ledger = SlotLedger(stage1=config.m_prime * config.t_T,
                         stage2=config.ell, bp=1)
     return rough[1], final[1], ledger, 1 in flags
@@ -190,13 +217,13 @@ def run_srcs(n, config: ProtocolConfig, bank: RngBank):
 def t_repetitions_bb(population: PopulationSpec, rough,
                      config: ProtocolConfig, bank: RngBank):
     """TRepBB: the bb_trials run one type after another, a node awake only
-    in its own type's trial: (final, flags, energy)."""
-    counts, final, flags, slots = bb_trials(population.n, rough, config,
-                                            bank)
+    in its own type's trial: (final, flags, energy), each type's tx sum
+    its joined nodes, which the draw holds beside its counts."""
+    _counts, joined, final, flags, slots = bb_trials(
+        bb_key(population.n, rough, config), bank)
     energy = EnergyLedger.zeros(population)
-    for b, (nb, joined) in enumerate(
-            zip(population.n, counts.sum(axis=1).tolist()), 1):
-        energy.charge(b, (joined, 0, config.ell * nb),
+    for b, (nb, nj) in enumerate(zip(population.n, joined), 1):
+        energy.charge(b, (nj, 0, config.ell * nb),
                       partial(_own_trial, slots, b, config.ell))
     return final, flags, energy
 

@@ -7,18 +7,21 @@ a phase-2 method (per-type balls-and-bins repetitions, or one multiplexed
 balls-and-bins execution of the block code), and produces final estimates
 from the per-type empty-slot counts.  The baselines are the block-coded
 schemes repeated to standalone accuracy, and the two-phase homogeneous
-protocol run once per type.  Phase 1 resolves, in one
-``three_stage.run_frames`` call, the replicate's one draw of the m' trials
-as block counts, shared with TxSRCS, and reads the rough estimates worked
-out once beside them (homogeneous.rough_estimates), so the rough estimates
-agree by construction; node blocks are drawn again only for a per-node
-read.  Each
-repeated baseline resolves its trials' (T, m_lof, t) count classes (0, 1,
-2+), counted exactly only where a block can hold fewer than two nodes.
-Both trial draws are core.draw_trials calls.  Both phase-2 branches, and
-TxSRCS, read homogeneous.bb_trials, one draw per replicate at the shared
-rough estimates, and the final estimates it returns beside the counts; no
-report keeps a per-node array.
+protocol run once per type.  Phase 1 reads the replicate's one draw of
+the m' trials as block counts, shared with TxSRCS, resolved once per
+replicate: the block pass (resolve_block) resolves the phase-1 frames of
+every replicate of a block in one resolver call per code, and the SSBB
+phase-2 frames likewise, before any scheme runs on the block, and a bank
+used alone resolves its own (three_stage.held_frames).  It reads the rough
+estimates worked out once beside the counts (homogeneous.rough_estimates),
+so the rough estimates agree by construction; node blocks are drawn again
+only for a per-node read.  Each repeated baseline resolves its trials'
+(T, m_lof, t) count classes (0, 1, 2+), counted exactly only where a
+block can hold fewer than two nodes, one replicate at a time.  Both trial
+draws are core.draw_trials calls.  Both phase-2 branches, and TxSRCS, read
+homogeneous.bb_trials, one draw per replicate at the shared rough
+estimates, and the joined nodes and final estimates it holds beside the
+counts; no report keeps a per-node array.
 """
 
 from __future__ import annotations
@@ -39,13 +42,17 @@ from .core import (
     draw_trials,
 )
 from .homogeneous import (
+    bb_key,
+    bb_trials,
     lof_estimates,
     rough_estimates,
     t_repetitions_bb,
     t_repetitions_srcs,
+    trial_counts,
+    trial_key,
 )
-from .three_stage import resolve_3ss, run_3ss_bb, trial_frames
-from .two_stage import MAX_TABLE_T, resolve_2ss, run_2ss_bb
+from .three_stage import hold_frames, resolve_3ss, run_3ss_bb, trial_frames
+from .two_stage import resolve_2ss, run_2ss_bb
 
 
 def run_phase2(method, bb_runner, population, rough, config,
@@ -128,25 +135,68 @@ def run_baseline(scheme, population: PopulationSpec, config: ProtocolConfig,
         return t_repetitions_srcs(population, config, bank)
     if scheme not in _REPEATED:
         raise ValueError(f"unknown baseline {scheme!r}")
-    # Both repeated baselines read the same trials: the first to run on a
-    # bank reports for the other as well, where 2SS has a decoder table for
-    # T types.
-    schemes = _REPEATED if population.T <= MAX_TABLE_T else (scheme,)
+    return repeated_reports(population, config, bank, (scheme,))[scheme]
 
-    def reports():
+
+def repeated_reports(population, config, bank, schemes):
+    """The reports of the repeated baselines ``schemes``, held in the bank's
+    memo (RngBank.shared) with any it holds already: those it lacks are
+    resolved from one draw of the trials.  The block pass (resolve_block)
+    makes the reports of every repeated baseline its spec lists, from one
+    draw; a bank used alone makes its scheme's report alone."""
+    held = bank.shared(("rep", population.n, config), dict)
+    missing = [s for s in schemes if s not in held]
+    if missing:
         classes = _repeated_block_classes(population, config.t_T,
                                           config.m_lof, bank)
         final = lof_estimates(classes)
-        return {s: _repeated_report(s, classes, config.s_w, final)
-                for s in schemes}
-    return bank.shared(("rep", population.n, config, schemes),
-                       reports)[scheme]
+        held.update((s, _repeated_report(s, classes, config.s_w, final))
+                    for s in missing)
+    return held
+
+
+_CODES = {"3SS": resolve_3ss, "2SS": resolve_2ss}
+
+
+def resolve_block(contexts, frames, rough=None, repeated=()):
+    """The block pass: before any scheme runs on a block's replicates,
+    ``contexts`` (bank, population, config), resolve the frames they will
+    read, in one resolver call for each (code, phase) of ``frames``, code
+    "3SS" or "2SS" and phase "p1" (the m' phase-1 trials), "p2" (the SSBB
+    phase-2 frame at the replicate's own rough estimates) or "given" (at
+    the rough estimates ``rough``), each replicate's share held in its
+    bank's memo (three_stage.hold_frames) for its scheme runs; and the
+    reports of the repeated baselines ``repeated``, replicate by replicate.
+    The draws are each replicate's own, as its scheme runs would make
+    them.  A bank used alone, without this pass, is a block of one.  The
+    repeated trials come first, each replicate's drawn and freed before
+    the frames' draws are held, as a harness run of the repeated baselines
+    first would."""
+    if repeated:
+        for bank, population, config in contexts:
+            repeated_reports(population, config, bank, repeated)
+    for code, phase in frames:
+        entries = []
+        for bank, population, config in contexts:
+            n = population.n
+            if phase == "p1":
+                key, counts = (trial_key(n, config),
+                               trial_counts(n, config, bank))
+            else:
+                at = rough if phase == "given" else rough_estimates(
+                    n, config, bank)
+                key = bb_key(n, at, config)
+                counts = bb_trials(key, bank)[0][:, None]
+            entries.append((bank, key, counts, n))
+        hold_frames(_CODES[code], entries, contexts[0][2].s_w)
 
 
 def _repeated_report(scheme, counts, s_w, final):
     """Report of a repeated baseline on its trials' (T, M, t) counts."""
     resolve = resolve_2ss if scheme == _REPEATED[1] else resolve_3ss
-    ledger, overhead, _ = resolve(counts, s_w)
+    res = resolve([counts], s_w)
+    ledger = SlotLedger(*res.slots.sum(axis=0).tolist())
+    overhead = counts.shape[1] * res.plan
     return EstimateReport(rough=dict(final), final=dict(final),
                           phase2_method=None, ledger=ledger, energy=None,
                           overhead_slots=overhead)

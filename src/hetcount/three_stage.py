@@ -12,9 +12,11 @@ everyone participates) which yields first-absent-block indices j_b, and
 "bb" mode (ell blocks, uniform choice, participation p_b) whose per-block
 counts give the empty-block counts z_b.  The schemes draw both as block
 counts, trial mode through homogeneous.trial_counts and bb mode through
-homogeneous.bb_trials, and resolve them with run_frames; node blocks are
-drawn again only for a per-node energy read, a bounded piece of nodes at a
-time.  draw_blocks, which keeps every node's block, is the reference draw of
+homogeneous.bb_trials, and resolve them with resolve_replicates, the
+frames of a block of replicates in one resolver call (held_frames,
+hold_frames); node blocks are drawn again only for a per-node energy read,
+a bounded piece of nodes at a time.  draw_blocks, which keeps every node's
+block, is the reference draw of
 run_3ss_stage1.
 """
 
@@ -39,7 +41,13 @@ from .core import (
     geometric_block_pieces,
     slot_outcomes,
 )
-from .homogeneous import bb_trials, first_empty, trial_counts
+from .homogeneous import (
+    bb_key,
+    bb_trials,
+    first_empty,
+    trial_counts,
+    trial_key,
+)
 
 _SA = SlotOutcome.SINGLE_ALPHA.value
 _SB = SlotOutcome.SINGLE_BETA.value
@@ -155,75 +163,214 @@ def run_3ss_followup(stage1: Stage1Result3SS, s_w) -> Frame3SS:
                     ledger=ledger, stage1=stage1)
 
 
-def resolve_3ss(counts, s_w, n=None):
-    """M frames of the three-stage code from their types-first
-    (T, M, n_blocks) block counts: (summed ledger, plan-broadcast slots,
-    which this code has none of, and for n[b - 1] nodes of type b their
-    energy: per-type tx and rx sums and a function of b that builds type
-    b's _energy_3ss tables for a per-node read).
+# Block-type cells a resolver works on at once: it takes its frames a chunk
+# of at most this many cells (one frame at least) at a time, so what it
+# allocates stays bounded whatever the number of frames it is given.
+_RESOLVE_CELLS = 1 << 17
+
+
+def frame_chunks(counts):
+    """The frames of ``counts``, a list of types-first (T, M_r, n_blocks)
+    block counts, in order, as (T, F, n_blocks) chunks of at most
+    _RESOLVE_CELLS cells (one frame at least), each joined from the arrays
+    it spans, and a view where it spans one."""
+    def joined(pieces):
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, 1)
+
+    T, _, n_blocks = counts[0].shape
+    step = max(1, _RESOLVE_CELLS // (T * n_blocks))
+    pending, size = [], 0
+    for array in counts:
+        lo = 0
+        while lo < array.shape[1]:
+            take = min(step - size, array.shape[1] - lo)
+            pending.append(array[:, lo:lo + take])
+            size, lo = size + take, lo + take
+            if size == step:
+                yield joined(pending)
+                pending, size = [], 0
+    if pending:
+        yield joined(pending)
+
+
+@dataclass
+class Resolved:
+    """What a resolver works out for F frames, frame by frame in order."""
+    slots: np.ndarray       # (F, 4) int64 stage-1, stage-2, stage-3, bp slots
+    plan: int               # plan-broadcast slots of every frame
+    heard: int = 0          # slots every node of every type hears per frame
+    tx: np.ndarray | None = None    # (F, T) transmissions by type
+    rx: np.ndarray | None = None    # (F, T) receptions beyond ``heard``
+    tables: object = None   # (counts, b): one replicate's per-node tables
+
+
+def _followup(counts):
+    """(flagged, stage3) (F, n_blocks) masks of the frames of (T, F,
+    n_blocks) counts: a block is flagged when every slot collides, i.e.
+    c_1 + c_b >= 2 for every b >= 2, and goes to stage 3 when c_1 >= 2.
+    For narrow unsigned counts, as phase 2 draws them, the sum is never
+    formed, so it cannot wrap: c_1 + c with c = min(c_b) is at least 2
+    where both are at least 1 or either is at least 2."""
+    c1, c = counts[0], counts[1:].min(axis=0)
+    if counts.itemsize >= 4:    # wide counts: the sum is one step
+        flagged = c1 + c >= 2
+    else:
+        flagged = np.minimum(c1, c) > 0
+        flagged |= np.maximum(c1, c) > 1
+    return flagged, flagged & (c1 > 1)
+
+
+def resolve_3ss(counts, s_w, energy=False):
+    """The frames of the three-stage code from their block counts:
+    ``counts`` lists types-first (T, M_r, n_blocks) arrays, the frames of
+    one replicate each, say, and they are resolved a chunk at a time
+    (frame_chunks).  A Resolved of every frame in order: its slots, no
+    plan-broadcast slots (this code has none), and with ``energy`` each
+    type's tx and rx sums over its joined nodes, the bp1 bitmap slots every
+    node hears, and _energy_3ss, which builds type b's per-node tables from
+    one replicate's counts.
 
     The follow-up recovers every type's presence exactly (run_3ss_followup
     is the reference), so presence is counts > 0 and only the follow-up's
-    cost is worked out: a block is flagged when every slot collides, i.e.
-    c_1 + c_b >= 2 for every b >= 2, and goes to stage 3 when c_1 >= 2."""
-    T, M, n_blocks = counts.shape
-    # Phase-2 counts come as narrow unsigned ints, where c_1 + c_b wraps.
-    counts = counts.astype(np.promote_types(counts.dtype, np.int32),
-                           copy=False)
-    c1 = counts[0]
-    flagged = c1 + counts[1:].min(axis=0) >= 2
-    stage3 = flagged & (c1 >= 2)
-    K = flagged.sum(axis=1)
+    cost is worked out (_followup).  The sums are contractions of the
+    _energy_3ss tables with the counts, whole numbers summed exactly in
+    any order."""
+    n_blocks = counts[0].shape[2]
     bp1 = bitmap_bp_slots(n_blocks, s_w)
-    ledger = SlotLedger(stage1=(T - 1) * n_blocks * M, stage2=int(K.sum()),
-                        stage3=(T - 1) * int(stage3.sum()),
-                        bp=M * bp1 + int((-(-K // s_w)).sum()))
-    if n is None:
-        return ledger, 0, None
-    # The sums of the _energy_3ss tables over every node's block.
-    flat = counts.reshape(T, -1)
-    joined = flat.sum(axis=1)
-    on_flagged, on_stage3 = (flat @ mask.ravel() for mask in (flagged, stage3))
+    slots, *sums = by_chunks(partial(_chunk_3ss, s_w, bp1, energy), counts)
+    if not energy:
+        return Resolved(slots, 0)
+    return Resolved(slots, 0, bp1, *sums, partial(_energy_3ss, s_w))
+
+
+def _chunk_3ss(s_w, bp1, energy, counts):
+    """resolve_3ss of one chunk's (T, F, n_blocks) counts: its (F, 4)
+    slots, and with ``energy`` its (F, T) tx and rx sums."""
+    T, F, n_blocks = counts.shape
+    flagged, stage3 = _followup(counts)
+    K = flagged.sum(axis=1)
+    slots = np.empty((F, 4), dtype=np.int64)
+    slots[:, 0] = (T - 1) * n_blocks
+    slots[:, 1] = K
+    slots[:, 2] = (T - 1) * stage3.sum(axis=1)
+    slots[:, 3] = bp1 - (-K // s_w)
+    if not energy:
+        return (slots,)
+    joined, on_flagged, on_stage3 = (
+        _frame_sums(counts if mask is None else counts * mask)
+        for mask in (None, flagged, stage3))
     tx = joined + on_stage3
-    tx[0] = (T - 1) * joined[0] + on_flagged[0]
-    rx = M * bp1 * np.asarray(n) + on_flagged
-    rx[0] -= on_flagged[0]
-    return ledger, 0, (tx, rx, partial(_energy_3ss, flagged, stage3, T, bp1))
+    tx[:, 0] = (T - 1) * joined[:, 0] + on_flagged[:, 0]
+    on_flagged[:, 0] = 0
+    return slots, tx, on_flagged
 
 
-def _energy_3ss(flagged, stage3, T, bp1, b):
+def by_chunks(resolve_chunk, counts):
+    """``resolve_chunk`` of each frame_chunks chunk of ``counts``, its
+    per-frame arrays joined in frame order.  A chunk and what its call
+    made are dropped before the next chunk is joined."""
+    if len(counts) == 1 and counts[0].size <= _RESOLVE_CELLS:
+        return resolve_chunk(counts[0])     # one array, one chunk
+    chunks = list(map(resolve_chunk, frame_chunks(counts)))
+    return [np.concatenate(parts) for parts in zip(*chunks)]
+
+
+def _frame_sums(counts):
+    """(F, T) int64 sums over the blocks of (T, F, n_blocks) counts.  A
+    type's sum in a frame is at most its nodes, below 2^31, so narrow
+    counts are summed in uint32, which is several times faster than
+    summing them into int64."""
+    wide = np.uint32 if counts.itemsize < 4 else np.int64
+    return counts.sum(axis=2, dtype=wide).T.astype(np.int64, copy=False)
+
+
+def _energy_3ss(s_w, counts, b):
     """(tx, rx) of a node of type b by frame and block, (M, n_blocks + 1),
-    from (M, n_blocks) flagged and stage-3 masks.  Type 1 sends in every
-    stage-1 slot and in stage 2, type b >= 2 in its own slot and in stage 3
-    and listens to stage 2; all hear the bp1-slot stage-1 bitmap.  Entry 0
-    is an idle node, which only hears the bitmap."""
+    in the M frames of one replicate's (T, M, n_blocks) counts, from their
+    flagged and stage-3 masks (_followup).  Type 1 sends in every stage-1
+    slot and in stage 2, type b >= 2 in its own slot and in stage 3 and
+    listens to stage 2; all hear the bp1-slot stage-1 bitmap.  Entry 0 is
+    an idle node, which only hears the bitmap."""
+    flagged, stage3 = _followup(counts)
     M, n_blocks = flagged.shape
     tx = np.zeros((M, n_blocks + 1))
-    rx = np.full(tx.shape, float(bp1))
+    rx = np.full(tx.shape, float(bitmap_bp_slots(n_blocks, s_w)))
     if b == 1:
-        tx[:, 1:] = (T - 1) + flagged
+        tx[:, 1:] = (len(counts) - 1) + flagged
     else:
         tx[:, 1:] = 1.0 + stage3
         rx[:, 1:] += flagged
     return tx, rx
 
 
-def run_frames(resolve, counts, n, frames, s_w):
-    """M frames of one block code resolved by ``resolve`` (resolve_3ss or
-    two_stage.resolve_2ss) from their types-first (T, M, n_blocks) counts,
-    n[b - 1] nodes of type b: (ledger, plan-broadcast slots, energy), each
-    summed over the frames; the energy sums are the resolver's.  A per-node
-    read of type b builds its (M, n_blocks + 1) tables, keeps them for that
-    read only, and calls ``frames(b)``: type b's 1-based block per node
-    (0 = idle), frame after frame, as (frame, slice of the nodes, blocks)
-    pieces (core.uniform_pieces)."""
-    ledger, overhead, (sums_tx, sums_rx, tables) = resolve(counts, s_w, n)
-    total = float(ledger.total)
+def resolve_replicates(resolve, counts, n, s_w):
+    """The frames of R replicates through one ``resolve`` call (resolve_3ss
+    or two_stage.resolve_2ss): ``counts`` lists their types-first (T, M_r,
+    n_blocks) block counts and ``n`` their nodes per type.  Per replicate,
+    its frames' (ledger, plan-broadcast slots, per-type tx and rx sums,
+    per-node tables), each summed over its frames, all whole numbers; the
+    ledger as its stage1, stage2, stage3 and bp slots, so each read makes
+    its own SlotLedger."""
+    res = resolve(counts, s_w, energy=True)
+    if len(counts) == 1:        # a block of one sums all its frames
+        M = counts[0].shape[1]
+        slots, tx, rx = ((a[0] if M == 1 else a.sum(axis=0))
+                         for a in (res.slots, res.tx, res.rx))
+        return [(slots.tolist(), M * res.plan, tx,
+                 rx + M * res.heard * np.asarray(n[0]), res.tables)]
+    frames = [array.shape[1] for array in counts]
+    starts = np.cumsum([0] + frames[:-1])
+    slots, tx, rx = (np.add.reduceat(a, starts)
+                     for a in (res.slots, res.tx, res.rx))
+    rx += res.heard * np.asarray(frames)[:, None] * np.asarray(n)
+    return [(stages, M * res.plan, tx_r, rx_r, res.tables)
+            for stages, M, tx_r, rx_r in zip(slots.tolist(), frames, tx, rx)]
+
+
+def held_frames(resolve, key, counts, n, s_w, bank):
+    """One replicate's resolve_replicates share of its frames, the counts
+    ``counts`` the bank holds under ``key``: from the bank's memo
+    (RngBank.shared), where hold_frames put it for the block's pass, else
+    resolved as a block of one."""
+    return bank.shared(
+        _frames_key(resolve, key, s_w),
+        lambda: resolve_replicates(resolve, [counts], [n], s_w)[0])
+
+
+def _frames_key(resolve, key, s_w):
+    """The memo key of the frames of the counts held under ``key``,
+    resolved by ``resolve`` at bitmap width s_w."""
+    return ("frames", resolve.__name__, key, s_w)
+
+
+def hold_frames(resolve, entries, s_w):
+    """The block pass of one code and phase: the frames of every replicate
+    in ``entries`` (bank, key, counts, n), as held_frames reads them, in one
+    resolve_replicates call, each replicate's share held in its own bank's
+    memo (an entry listed twice is resolved once)."""
+    entries = list({(id(e[0]), e[1]): e for e in entries}.values())
+    shares = resolve_replicates(resolve, [e[2] for e in entries],
+                                [e[3] for e in entries], s_w)
+    for (bank, key, _counts, _n), share in zip(entries, shares):
+        bank.shared(_frames_key(resolve, key, s_w), lambda share=share: share)
+
+
+def run_frames(resolved, counts, n, frames):
+    """The energy of one replicate's frames, resolved (held_frames) from
+    its types-first (T, M, n_blocks) counts, n[b - 1] nodes of type b: the
+    resolver's sums, and per node the frame tables.  A per-node read of
+    type b builds its (M, n_blocks + 1) tables from ``counts``, keeps them
+    for that read only, and calls ``frames(b)``: type b's 1-based block per
+    node (0 = idle), frame after frame, as (frame, slice of the nodes,
+    blocks) pieces (core.uniform_pieces)."""
+    stages, _plan, sums_tx, sums_rx, tables = resolved
+    total = float(sum(stages))
     energy = EnergyLedger(len(n), n)
+    node_tables = partial(tables, counts)
     for b, nb in enumerate(n, 1):
         energy.charge(b, (sums_tx[b - 1], sums_rx[b - 1], total * nb),
-                      partial(_node_sums, frames, b, tables, total))
-    return ledger, overhead, energy
+                      partial(_node_sums, frames, b, node_tables, total))
+    return energy
 
 
 def _node_sums(frames, b, tables, accounted, node_tx, node_rx, node_acc):
@@ -251,20 +398,27 @@ class Run3SSResult:
 def trial_frames(resolve, population: PopulationSpec, config: ProtocolConfig,
                  bank: RngBank, trials=None):
     """The trial-mode frames numbered ``trials`` (default: the m' phase-1
-    frames, one draw per replicate shared by its readers), counted by
-    homogeneous.trial_counts and resolved by run_frames: (counts, ledger,
-    plan-broadcast slots, energy).  Node blocks are drawn again from the
-    frames' streams ("p1", trial, type) only when a per-node energy is read,
-    a piece of nodes at a time."""
-    counts = trial_counts(population.n, config, bank, trials)
-    trials = range(config.m_prime) if trials is None else trials
+    frames, one draw per replicate shared by its readers, and resolved once
+    per replicate, held_frames), counted by homogeneous.trial_counts and
+    resolved by ``resolve``: (counts, ledger, plan-broadcast slots, and
+    run_frames' energy).  Node blocks are drawn again from the frames'
+    streams ("p1", trial, type) only when a per-node energy is read, a
+    piece of nodes at a time."""
+    n = population.n
+    counts = trial_counts(n, config, bank, trials)
+    if trials is None:
+        trials = range(config.m_prime)
+        resolved = held_frames(resolve, trial_key(n, config), counts, n,
+                               config.s_w, bank)
+    else:
+        (resolved,) = resolve_replicates(resolve, [counts], [n], config.s_w)
 
     def frames(b):
         return geometric_block_pieces(
-            bank.streams([("p1", m, b) for m in trials]), population.n[b - 1],
+            bank.streams([("p1", m, b) for m in trials]), n[b - 1],
             config.t_T)
-    return (counts, *run_frames(resolve, counts, population.n, frames,
-                                config.s_w))
+    return (counts, SlotLedger(*resolved[0]), resolved[1],
+            run_frames(resolved, counts, n, frames))
 
 
 def run_trial(resolve, population, config, bank, trial_index):
@@ -280,14 +434,17 @@ def run_trial(resolve, population, config, bank, trial_index):
 def run_bb(resolve, population, rough, config, bank):
     """The balls-and-bins frame of the code ``resolve`` decodes: ell
     blocks, the homogeneous.bb_trials of every type at once, resolved as
-    one frame, with the trials' final estimates.  Per-node energy reads
-    draw the node slots again."""
-    counts, final, flags, slots = bb_trials(population.n, rough, config,
-                                            bank)
-    ledger, overhead, energy = run_frames(
-        resolve, counts[:, None], population.n, slots, config.s_w)
-    return Run3SSResult(j=None, counts=counts, ledger=ledger, energy=energy,
-                        overhead=overhead, final=final, flags=flags)
+    one frame (once per replicate, held_frames), with the trials' final
+    estimates.  Per-node energy reads draw the node slots again."""
+    n = population.n
+    key = bb_key(n, rough, config)
+    counts, _joined, final, flags, slots = bb_trials(key, bank)
+    frame = counts[:, None]
+    resolved = held_frames(resolve, key, frame, n, config.s_w, bank)
+    return Run3SSResult(j=None, counts=counts,
+                        ledger=SlotLedger(*resolved[0]),
+                        energy=run_frames(resolved, frame, n, slots),
+                        overhead=resolved[1], final=final, flags=flags)
 
 
 def run_3ss_trial(population: PopulationSpec, config: ProtocolConfig,

@@ -41,7 +41,9 @@ from .core import (
     slot_outcomes,
 )
 from .three_stage import (
+    Resolved,
     Run3SSResult,
+    by_chunks,
     resolve_3ss,
     resolve_flagged,
     run_bb,
@@ -447,17 +449,25 @@ def resolver_lut(T) -> _ResolverLUT:
 
 
 def class_codes(counts, axis=-1) -> np.ndarray:
-    """Base-3 encoding of per-block count-class vectors; the types run along
-    ``axis``.  Built in place in the one int64 output, a type at a time from
-    the last: no capped copy of ``counts`` and no fresh int64 array per
-    type, whose churn through the allocator cost page faults on every call
-    (only one type's capped counts, in their own dtype, are held at once)."""
+    """Base-3 encoding of per-block count-class vectors, as int64; the types
+    run along ``axis``.  Built in place in one array of the narrowest dtype
+    that holds every code and the counts' own, a type at a time from the
+    last, and widened once: no capped copy of ``counts`` and no fresh
+    int64 array per type, whose churn through the allocator cost page
+    faults on every call (only one type's capped counts, in their own
+    dtype, are held at once).  The counts are capped against an array of
+    twos: numpy's minimum against a scalar 2 took about eight times as
+    long on uint8 counts."""
     counts = np.moveaxis(counts, axis, 0)
-    codes = np.minimum(counts[-1], 2, dtype=np.int64)
+    # Twos along the last axis of one type's counts, which has none for a
+    # single block.
+    two = np.full(counts.shape[1:][-1:], 2, dtype=counts.dtype)
+    codes = np.minimum(counts[-1], two).astype(np.promote_types(
+        np.min_scalar_type(3 ** len(counts) - 1), counts.dtype))
     for c in counts[-2::-1]:
         codes *= 3
-        codes += np.minimum(c, 2)
-    return codes
+        codes += np.minimum(c, two)
+    return codes.astype(np.int64, copy=False)
 
 
 def plan_slots(T, n_blocks, s_w) -> int:
@@ -466,31 +476,56 @@ def plan_slots(T, n_blocks, s_w) -> int:
     return 0 if T <= 3 else bitmap_bp_slots(2 * n_blocks, s_w)
 
 
-def resolve_2ss(counts, s_w, n=None):
-    """M frames of the two-stage code from their types-first
-    (T, M, n_blocks) block counts, as three_stage.resolve_3ss: (summed
-    ledger, plan-broadcast slots, and for n[b - 1] nodes of type b their
-    energy: per-type tx and rx sums and a function of b that builds type
-    b's _energy_2ss tables).  For T <= 3 the code is the three-stage one.  The
-    tables recover every type's presence exactly (they are checked against
-    it code by code when built), so only the follow-up cost is looked up."""
-    T, M, n_blocks = counts.shape
+def resolve_2ss(counts, s_w, energy=False):
+    """The frames of the two-stage code from their block counts, as
+    three_stage.resolve_3ss: ``counts`` lists types-first (T, M_r,
+    n_blocks) arrays, resolved a chunk at a time (frame_chunks), into a
+    Resolved of every frame in order: its slots, the plan-broadcast slots
+    of a frame, and with ``energy`` each type's tx sums (no rx beyond the
+    bp broadcast slots every node hears) and _energy_2ss.  For T <= 3 the
+    code is the three-stage one.  The tables recover every type's presence
+    exactly (they are checked against it code by code when built), so only
+    the follow-up cost is looked up, and each type's tx, _node_tx(T) at the
+    block codes times the counts, is summed a type at a time: whole
+    numbers, exact in any order."""
+    T, _, n_blocks = counts[0].shape
     if T <= 3:
-        return resolve_3ss(counts, s_w, n)
+        return resolve_3ss(counts, s_w, energy)
+    plan = plan_slots(T, n_blocks, s_w)
+    bp = bitmap_bp_slots(n_blocks, s_w) + plan
+    slots, *tx = by_chunks(partial(_chunk_2ss, bp, energy), counts)
+    if not energy:
+        return Resolved(slots, plan)
+    return Resolved(slots, plan, bp, *tx, np.zeros_like(*tx),
+                    partial(_energy_2ss, s_w))
+
+
+def _chunk_2ss(bp, energy, counts):
+    """resolve_2ss of one chunk's (T, F, n_blocks) counts: its (F, 4)
+    slots, and with ``energy`` its (F, T) tx sums, gathered one type at a
+    time, or for one frame all at once, in one (T, 1, n_blocks) float64
+    gather."""
+    T, F, n_blocks = counts.shape
     codes = class_codes(counts, axis=0)
     lut = resolver_lut(T)
     lut.ensure(codes.ravel())
-    plan = plan_slots(T, n_blocks, s_w)
-    bp = bitmap_bp_slots(n_blocks, s_w) + plan
-    ledger = SlotLedger(stage1=sigma_slots(T) * n_blocks * M,
-                        stage2=int(lut.extra[codes].sum()), bp=M * bp)
-    if n is None:
-        return ledger, M * plan, None
-    # Each joined node sends its type's _node_tx entry at its block's code;
-    # every node hears the bp broadcast slots of each frame.
-    tx = (_node_tx(T).take(codes, axis=1) * counts).sum(axis=(1, 2))
-    return ledger, M * plan, (tx, M * bp * np.asarray(n),
-                              partial(_energy_2ss, codes, T, bp))
+    slots = np.zeros((F, 4), dtype=np.int64)
+    slots[:, 0] = sigma_slots(T) * n_blocks
+    slots[:, 1] = lut.extra.take(codes).sum(axis=1)
+    slots[:, 3] = bp
+    if not energy:
+        return (slots,)
+    if F == 1:      # one frame: every type's gather at once, (T, 1, n)
+        sent = _node_tx(T).take(codes, axis=1)
+        sent *= counts
+        return slots, sent.sum(axis=2).T
+    tx = np.empty((F, T))
+    for b, row in enumerate(_node_tx(T)):
+        sent = row.take(codes)
+        sent *= counts[b]
+        tx[:, b] = sent.sum(axis=1)
+        del sent            # before the next type's gather
+    return slots, tx
 
 
 @lru_cache(maxsize=None)
@@ -503,13 +538,18 @@ def _node_tx(T):
     return table
 
 
-def _energy_2ss(codes, T, bp, b):
+def _energy_2ss(s_w, counts, b):
     """(tx, rx) of a node of type b by frame and block, (M, n_blocks + 1),
-    from (M, n_blocks) block codes: a node sends its matrix row's symbols
-    and its block's follow-up transmissions, and every node hears the bp
-    broadcast slots.  Entry 0 is an idle node, which sends nothing."""
-    idle = np.full((len(codes), 1), 3 ** T)
+    in the M frames of one replicate's (T, M, n_blocks) counts, from their
+    block codes: a node sends its matrix row's symbols and its block's
+    follow-up transmissions, and every node hears the bp broadcast slots
+    (the bitmap and the plan).  Entry 0 is an idle node, which sends
+    nothing."""
+    T, M, n_blocks = counts.shape
+    codes = class_codes(counts, axis=0)
+    idle = np.full((M, 1), 3 ** T)
     tx = _node_tx(T)[b - 1].take(np.hstack((idle, codes)))
+    bp = bitmap_bp_slots(n_blocks, s_w) + plan_slots(T, n_blocks, s_w)
     return tx, np.full(tx.shape, float(bp))
 
 

@@ -561,15 +561,14 @@ class TestDrawHelpers:
     def test_fresh_full_participation_skips_the_uniforms(self, n, p):
         # The draw a fresh stream skips at p >= 1, written out: uniforms
         # drawn and compared with p, then the slots.
+        # The mask, all True, is not made.
         for fresh in (np.random.default_rng(n), RngBank(n).stream("p2", 1)):
             ref = copy.deepcopy(fresh)
-            mask = ref.random(n) < p
+            assert (ref.random(n) < p).all()
             slots = ref.integers(1, 38, size=n)
-            counts, got_mask, got_slots = core.bb_blocks(fresh, n, 37, p,
-                                                         fresh=True)
-            assert np.array_equal(counts,
-                                  np.bincount(slots, minlength=38)[1:])
-            assert got_mask.dtype == bool and np.array_equal(got_mask, mask)
+            got_mask, got_slots = uniform_block_choices(fresh, n, 37, p,
+                                                        fresh=True)
+            assert got_mask is None
             assert np.array_equal(got_slots, slots)
             # The state includes the buffered 32-bit half the slots leave.
             assert fresh.bit_generator.state == ref.bit_generator.state

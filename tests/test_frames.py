@@ -1,5 +1,5 @@
 """One block-coded frame through the count engine (the runners, over
-three_stage.run_frames and each code's resolver) against the reference
+three_stage.resolve_replicates and each code's resolver) against the reference
 decoders run on the same generators: the 3SS stage-1 and follow-up
 decoders, and the 2SS decoder tables. The per-node energy of each code is
 checked against its own reference loop in test_three_stage and
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetcount import core
+from hetcount import core, three_stage
 from hetcount.core import (
     PopulationSpec,
     RngBank,
@@ -30,6 +30,7 @@ from hetcount.homogeneous import (
 from hetcount.three_stage import (
     draw_blocks,
     resolve_3ss,
+    resolve_replicates,
     run_3ss_bb,
     run_3ss_followup,
     run_3ss_stage1,
@@ -112,9 +113,9 @@ class TestFrameMatchesReference:
 
 
 class TestEnergySumsByContraction:
-    """Each resolver's per-type energy sums, contracted from the counts,
-    equal the sums of per-node arrays built from each type's
-    (M, n_blocks + 1) reference tables, exactly."""
+    """Each resolver's per-frame, per-type energy sums, contracted from the
+    counts, equal the sums of per-node arrays built from each type's
+    (M, n_blocks + 1) reference tables, exactly, frame by frame."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([resolve_3ss, resolve_2ss]), st.integers(2, 8),
@@ -122,7 +123,7 @@ class TestEnergySumsByContraction:
            st.sampled_from([np.int32, np.uint8]), st.data())
     def test_sums_equal_per_node_tables(self, resolve, T, M, n_blocks, s_w,
                                         dtype, data):
-        # Counts near 128 make c_1 + c_b wrap in uint8 unless upcast.
+        # Counts near 128 make c_1 + c_b wrap in uint8 unless capped.
         cells = data.draw(st.lists(st.integers(0, 3) | st.integers(126, 130),
                                    min_size=T * M * n_blocks,
                                    max_size=T * M * n_blocks))
@@ -130,21 +131,62 @@ class TestEnergySumsByContraction:
         joined = counts.sum(axis=2, dtype=np.int64)
         idle = data.draw(st.lists(st.integers(0, 6), min_size=T, max_size=T))
         n = tuple(int(j) + i for j, i in zip(joined.max(axis=1), idle))
-        ledger, plan, (tx, rx, tables) = resolve(counts, s_w, n)
+        res = resolve([counts], s_w, energy=True)
+        assert res.slots.shape == (M, 4) and res.tx.shape == (M, T)
         for b, nb in enumerate(n):
-            table_tx, table_rx = tables(b + 1)
-            # Frame m's nodes of type b + 1: the idle ones at entry 0, then
-            # counts[b, m, k] at block k + 1.
-            frames = [np.repeat(np.arange(n_blocks + 1), np.concatenate(
-                ([nb - joined[b, m]], counts[b, m]))) for m in range(M)]
-            node_tx = sum(table_tx[m].take(f) for m, f in enumerate(frames))
-            node_rx = sum(table_rx[m].take(f) for m, f in enumerate(frames))
-            assert node_tx.size == node_rx.size == nb
-            assert tx[b] == node_tx.sum() and rx[b] == node_rx.sum()
-        wide_ledger, wide_plan, (wide_tx, wide_rx, _tables) = resolve(
-            counts.astype(np.int64), s_w, n)
-        assert (wide_ledger, wide_plan) == (ledger, plan)
-        assert np.array_equal(wide_tx, tx) and np.array_equal(wide_rx, rx)
+            table_tx, table_rx = res.tables(counts, b + 1)
+            for m in range(M):
+                # Frame m's nodes of type b + 1: the idle ones at entry 0,
+                # then counts[b, m, k] at block k + 1.
+                frame = np.repeat(np.arange(n_blocks + 1), np.concatenate(
+                    ([nb - joined[b, m]], counts[b, m])))
+                assert frame.size == nb
+                assert res.tx[m, b] == table_tx[m].take(frame).sum()
+                assert (res.heard * nb + res.rx[m, b]
+                        == table_rx[m].take(frame).sum())
+        wide = resolve([counts.astype(np.int64)], s_w, energy=True)
+        assert wide.plan == res.plan and wide.heard == res.heard
+        for field in ("slots", "tx", "rx"):
+            assert np.array_equal(getattr(wide, field), getattr(res, field))
+
+
+class TestFramesInChunks:
+    """A resolver call gives every frame the same result whether its
+    frames come as one array or as several, and whatever its chunk budget;
+    resolve_replicates sums each replicate's share from them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([resolve_3ss, resolve_2ss]), st.integers(2, 6),
+           st.lists(st.integers(1, 4), min_size=1, max_size=5),
+           st.integers(1, 12), st.integers(1, 8), st.integers(1, 200),
+           st.integers(0, 2 ** 32 - 1))
+    def test_same_frames_whatever_the_split(self, resolve, T, frames,
+                                            n_blocks, s_w, cells, seed):
+        rng = np.random.default_rng(seed)
+        parts = [rng.poisson(1.0, size=(T, M, n_blocks)).astype(np.uint8)
+                 for M in frames]
+        whole = resolve([np.concatenate(parts, axis=1)], s_w, energy=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(three_stage, "_RESOLVE_CELLS", cells)
+            split = resolve(parts, s_w, energy=True)
+        for field in ("slots", "tx", "rx"):
+            assert np.array_equal(getattr(split, field),
+                                  getattr(whole, field))
+        n = [tuple(int(x) + 1 for x in p.sum(axis=2).max(axis=1))
+             for p in parts]
+        shares = resolve_replicates(resolve, parts, n, s_w)
+        lo = 0
+        for part, nr, (stages, plan, tx, rx, _tables) in zip(parts, n,
+                                                             shares):
+            M = part.shape[1]
+            alone = resolve([part], s_w, energy=True)
+            assert stages == whole.slots[lo:lo + M].sum(axis=0).tolist()
+            assert stages == alone.slots.sum(axis=0).tolist()
+            assert plan == M * alone.plan
+            assert np.array_equal(tx, alone.tx.sum(axis=0))
+            assert np.array_equal(
+                rx, alone.rx.sum(axis=0) + M * alone.heard * np.array(nr))
+            lo += M
 
 
 @pytest.mark.parametrize("code", sorted(RUNNERS))
@@ -173,11 +215,10 @@ def _frames_by_draw_blocks(resolve, population, config, bank, M):
             population, config.t_T, "geometric", None,
             [bank.stream("p1", m, b) for b in range(1, T + 1)])
         counts[:, m] = frame
-        frame_ledger, _plan, (_tx, _rx, tables) = resolve(
-            frame[:, None], config.s_w, population.n)
-        ledger = ledger + frame_ledger
+        res = resolve([frame[:, None]], config.s_w, energy=True)
+        ledger = ledger + SlotLedger(*res.slots[0].tolist())
         for b in tx:
-            frame_tx, frame_rx = tables(b)
+            frame_tx, frame_rx = res.tables(frame[:, None], b)
             tx[b] += frame_tx[0, chosen[b]]
             rx[b] += frame_rx[0, chosen[b]]
     return counts, ledger, tx, rx
@@ -225,7 +266,9 @@ class TestBatchedTrialDraw:
         bank = RngBank(9)
         first = trial_frames(resolve, pop, cfg, bank)
         second = trial_frames(resolve, pop, cfg, bank)
-        assert list(bank._kept.values()) == [first[0]]
+        # The bank holds the counts and their resolved frames.
+        assert [key[0] for key in bank._kept] == ["p1", "frames"]
+        assert next(iter(bank._kept.values())) is first[0]
         bank._kept.clear()
         assert second[0] is first[0] and not first[0].flags.writeable
         want, want_ledger, tx, rx = _frames_by_draw_blocks(

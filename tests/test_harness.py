@@ -2,6 +2,7 @@
 trial-length calibration, and the CLI."""
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import io
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetcount
-from hetcount import cli, core, harness, homogeneous, hsrc
+from hetcount import (cli, core, harness, homogeneous, hsrc, three_stage,
+                      two_stage)
 from hetcount.core import EnergyLedger, PopulationSpec, RngBank, derive_config
 from hetcount.harness import (
     CSV_COLUMNS,
@@ -367,35 +369,42 @@ class TestSharedReplicates:
     def test_each_shared_result_made_once_per_replicate(self, monkeypatch):
         # fig11a's five schemes and the forced composites: per replicate,
         # one phase-1 draw and one set of rough estimates, one phase-2 draw
-        # at them for all seven phase-1 readers, and one draw of the
-        # repeated trials, resolved once into both reports.
+        # at them for all seven phase-1 readers, each draw's frames
+        # resolved once by each code, and one draw of the repeated trials,
+        # resolved once into both reports.
         made = []
         shared = RngBank.shared
 
         def recorded(bank, key, make):
             def counted():
-                made.append((bank.seed, key[0]))
+                purpose = key[0]
+                if purpose == "frames":     # by code and the counts' purpose
+                    purpose = (purpose, key[1], key[2][0])
+                made.append((bank.seed, purpose))
                 return make()
             return shared(bank, key, counted)
         monkeypatch.setattr(RngBank, "shared", recorded)
         counts = {"rough": [], "reports": [], "p2": []}
         lof, report = homogeneous.lof_estimates, hsrc._repeated_report
-        bb = homogeneous.bb_blocks
+        bb = homogeneous.uniform_block_choices
         monkeypatch.setattr(homogeneous, "lof_estimates", lambda c: (
             counts["rough"].append(1), lof(c))[1])
         monkeypatch.setattr(hsrc, "_repeated_report", lambda *a: (
             counts["reports"].append(a[0]), report(*a))[1])
-        monkeypatch.setattr(homogeneous, "bb_blocks", lambda *a, **k: (
-            counts["p2"].append(1), bb(*a, **k))[1])
+        monkeypatch.setattr(homogeneous, "uniform_block_choices",
+                            lambda *a, **k: (counts["p2"].append(1),
+                                             bb(*a, **k))[1])
         schemes = [s for s in harness.SCHEMES if s not in harness.PHASE2_ONLY]
         reps = harness.BLOCK + 1
         run_experiment(ExperimentSpec(
             schemes, "none", [0], {"T": 4, "epsilon": 0.03,
                                    "n": (20, 0, 30, 10), "n_all": 1 << 10},
             replicates=reps, seed=2))
-        assert len(made) == len(set(made)) == 4 * reps
+        frames = {("frames", f"resolve_{code}", phase)
+                  for code in ("3ss", "2ss") for phase in ("p1", "p2")}
+        assert len(made) == len(set(made)) == 8 * reps
         assert ({purpose for _seed, purpose in made}
-                == {"p1", "rough", "p2", "rep"})
+                == {"p1", "rough", "p2", "rep"} | frames)
         assert len(counts["rough"]) == reps
         assert len(counts["p2"]) == 4 * reps
         assert sorted(counts["reports"]) == sorted(
@@ -405,7 +414,8 @@ class TestSharedReplicates:
                                                              monkeypatch):
         # hsrc1 draws phase 2 at its own rough estimates, the phase-2-only
         # schemes at the given ones: each replicate holds one phase-2 draw
-        # for each, beside its phase-1 draw, until its block ends.  At
+        # for each, beside its phase-1 draw, and the frames resolved from
+        # them, until its block ends.  At
         # ell = 20 no participation is 1, so the two differ.
         banks = []
         for scheme, fn in list(harness.SCHEMES.items()):
@@ -419,8 +429,14 @@ class TestSharedReplicates:
              "ell": 20}, replicates=3, seed=3))
         assert len(banks) == 4 * 3 and len(set(map(id, banks))) == 3
         for bank in banks:
-            assert (sorted(key[0] for key in bank._kept)
+            frames = [key for key in bank._kept if key[0] == "frames"]
+            assert (sorted(key[0] for key in bank._kept if key not in frames)
                     == ["p1", "p2", "p2", "rough"])
+            # hsrc1's phase-1 and phase-2 frames, and the given-rough
+            # frame by each code.
+            assert sorted((key[1], key[2][0]) for key in frames) == [
+                ("resolve_2ss", "p2"), ("resolve_3ss", "p1"),
+                ("resolve_3ss", "p2"), ("resolve_3ss", "p2")]
 
     def test_fig11a_derives_each_key_once_in_few_passes(self, monkeypatch):
         # Every stream key is derived once per bank, in the cell's one
@@ -1232,3 +1248,141 @@ class TestCli:
         assert preset.split("\n")[1].split(",")[6] == str(20 * 1136)
         assert self._capture(argv + ["--D", "40"]).split(
             "\n")[1].split(",")[6] == str(6 * 1136)
+
+
+def _recorded_reports(monkeypatch):
+    """Every scheme run's (scheme, seed) -> (report, population, config,
+    prm, the unrecorded scheme), as the harness dispatches them."""
+    reports = {}
+    for scheme, fn in list(harness.SCHEMES.items()):
+        def recorded(pop, cfg, bank, prm, scheme=scheme, fn=fn):
+            report = fn(pop, cfg, bank, prm)
+            reports[scheme, bank.seed] = (report, pop, cfg, prm, fn)
+            return report
+        monkeypatch.setitem(harness.SCHEMES, scheme, recorded)
+    return reports
+
+
+class TestBlockPass:
+    """The block pass (hsrc.resolve_block) resolves a block's frames in one
+    resolver call per code and phase before its scheme runs: what a run
+    reads does not depend on the block it ran in."""
+
+    # Replicate counts that leave partial blocks of 3; fig7a draws its
+    # populations and runs both forced HSRC branches.
+    @pytest.mark.parametrize("preset, reps", [
+        ("fig8b", 7), ("fig10", 5), ("fig7a", 4), ("fig11a", 5)])
+    def test_csv_independent_of_the_block_size(self, preset, reps,
+                                               monkeypatch):
+        csvs = set()
+        for block in (1, 3, 64):
+            monkeypatch.setattr(harness, "BLOCK", block)
+            csvs.add(harness.format_csv(figure_preset(preset, reps, seed=1)))
+        assert len(csvs) == 1
+
+    def test_per_node_reads_inside_a_block_equal_alone(self, monkeypatch):
+        # A replicate's per-node idle(b) and tx[b], read inside a block of
+        # five, equal those of the same replicate run alone.
+        reports = _recorded_reports(monkeypatch)
+        schemes = ["hsrc1", "hsrc2-ssbb", "txsrcs", "p2-3ssbb", "p2-2ssbb",
+                   "p2-trepbb"]
+        run_experiment(ExperimentSpec(
+            schemes, "none", [0], {"T": 4, "epsilon": 0.03,
+                                   "n": (30, 0, 45, 12), "n_all": 1 << 10,
+                                   "rough": (25, 3, 60, 12)},
+            replicates=5, seed=4))
+        seed = _rep_seed(4, "none", 0, 3)
+        for scheme in schemes:
+            report, pop, cfg, prm, fn = reports[scheme, seed]
+            alone = fn(pop, cfg, RngBank(seed), prm)
+            for b in range(1, pop.T + 1):
+                assert np.array_equal(report.energy.idle(b),
+                                      alone.energy.idle(b))
+                assert np.array_equal(report.energy.tx[b], alone.energy.tx[b])
+
+    def test_one_resolver_call_per_block_code_and_phase(self, monkeypatch):
+        # fig8b at 40 replicates: one block per cell, one 3SS call for
+        # p2-3ssbb and one 2SS call for p2-2ssbb, each over all 40 frames;
+        # no scheme run resolves a frame.
+        calls = []
+        for module, name in ((three_stage, "resolve_3ss"),
+                             (two_stage, "resolve_2ss")):
+            original = getattr(module, name)
+
+            @functools.wraps(original)
+            def spy(counts, s_w, energy=False, original=original):
+                calls.append((original.__name__,
+                              sum(c.shape[1] for c in counts)))
+                return original(counts, s_w, energy)
+            monkeypatch.setattr(module, name, spy)
+            monkeypatch.setitem(hsrc._CODES, name[-3:].upper(), spy)
+        figure_preset("fig8b", replicates=40, seed=2)
+        cells = len(harness.PRESETS["fig8b"][2])
+        assert calls == [("resolve_3ss", 40), ("resolve_2ss", 40)] * cells
+
+    def test_estimator_equality_inside_blocks(self, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK", 3)
+        reports = _recorded_reports(monkeypatch)
+        run_experiment(ExperimentSpec(
+            ["hsrc1", "hsrc2", "txsrcs"], "T", [3, 5],
+            {"D": 100, "q": 0.15, "epsilon": 0.03, "n_all": 1 << 20},
+            replicates=5, seed=2))
+        seeds = {seed for _scheme, seed in reports}
+        assert len(seeds) == 10
+        for seed in seeds:
+            finals = [reports[s, seed][0].final
+                      for s in ("hsrc1", "hsrc2", "txsrcs")]
+            assert finals[0] == finals[1] == finals[2]
+
+    def test_lone_repeated_baseline_makes_its_report_alone(self,
+                                                          monkeypatch):
+        # A spec listing only 3ss-rep builds no 2SS table at T = 10, and its
+        # CSV is the one computed before the block pass.
+        built = []
+        lut = two_stage.resolver_lut
+        monkeypatch.setattr(two_stage, "resolver_lut",
+                            lambda T: (built.append(T), lut(T))[1])
+        rows = run_experiment(ExperimentSpec(
+            ["3ss-rep"], "none", [0], {"T": 10, "D": 100, "q": 0.15,
+                                       "epsilon": 0.03, "n_all": 1 << 20},
+            replicates=3, seed=5))
+        assert built == []
+        assert hashlib.sha256(harness.format_csv(rows).encode()).hexdigest() \
+            == "3b65c0c4459b03fc8f26ed70d1045d57b9eaa887c86c3a905f8c773abf5ac007"
+
+    def test_fig8b_cell_memory(self, monkeypatch):
+        """tracemalloc peak of one fig8b cell at 40 replicates, its bound
+        from array sizes: the block's held (T, ell) counts, the resolver's
+        temporaries for one chunk of F frames (the joined narrow counts,
+        int64 codes and one float64 gather, and one more int64 lookup
+        alive beside them, T + 24 bytes per block), and 2 SLACK per
+        replicate for its bank, keys, estimate dicts and resolved shares.
+        Gathering the block's (T, R, ell) frames in float64 at once holds
+        8 T R ell bytes, about four times the bound."""
+        R, SLACK = 40, 2048
+        schemes, sweep_var, values, fixed, _reps = harness.PRESETS["fig8b"]
+        T, ell = fixed["T"], derive_config(0.03, 0.2, (1,)).ell
+        spec = ExperimentSpec(list(schemes), sweep_var, values[-1:], fixed,
+                              R, 0)
+        run_experiment(spec)    # fill the decoder tables and caches
+        held = []
+        shared = RngBank.shared
+
+        def recorded(bank, key, make):
+            result = shared(bank, key, make)
+            if key[0] == "p2":
+                held.append(result[0].nbytes)
+            return result
+        monkeypatch.setattr(RngBank, "shared", recorded)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_experiment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counts = max(held) * R
+        frames = three_stage._RESOLVE_CELLS // (T * ell)
+        bound = counts + (T + 24) * frames * ell + 2 * SLACK * R
+        assert peak <= bound, (peak, bound)
+        assert 8 * T * R * ell > 3 * bound

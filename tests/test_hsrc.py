@@ -20,9 +20,10 @@ from hetcount.core import (LOF_FACTOR, EnergyLedger, PopulationSpec, RngBank,
                            SlotLedger, SlotOutcome, bitmap_bp_slots,
                            derive_config)
 from hetcount.harness import PHASE2_ONLY, SCHEMES, figure_preset
-from hetcount.hsrc import (_repeated_block_classes, run_baseline, run_hsrc,
-                           run_phase2)
-from hetcount.homogeneous import (bb_trials, lof_estimate, lof_estimates,
+from hetcount.hsrc import (_repeated_block_classes, resolve_block,
+                           run_baseline, run_hsrc, run_phase2)
+from hetcount.homogeneous import (bb_key, bb_trials, lof_estimate,
+                                  lof_estimates,
                                   participation_probability, run_srcs,
                                   t_repetitions_srcs)
 from hetcount.three_stage import (Stage1Result3SS, outcomes_3ss, run_3ss_bb,
@@ -262,8 +263,10 @@ def _reads(run, schemes, purposes):
 
 
 class TestSharedRepeatedTrials:
-    """Both repeated baselines read one draw of the trials per bank, and
-    the bank holds both reports until it is dropped."""
+    """The block pass makes the reports of the repeated baselines it is
+    given from one draw of the trials per bank, and the bank holds them
+    until it is dropped; a bank used alone makes its scheme's report
+    alone."""
 
     @pytest.mark.parametrize("n", [(30, 0, 45), (20, 35, 0, 50, 12)])
     @pytest.mark.parametrize("first", REPEATED)
@@ -272,14 +275,13 @@ class TestSharedRepeatedTrials:
         cfg = derive_config(0.03, 0.2, pop.n_all)
         fresh = {s: run_baseline(s, pop, cfg, RngBank(5)) for s in REPEATED}
         bank = RngBank(5)
-        shared = {first: run_baseline(first, pop, cfg, bank)}
+        resolve_block([(bank, pop, cfg)], (), repeated=REPEATED)
 
-        def stream(*key):
-            raise AssertionError(f"stream {key} drawn again")
-        monkeypatch.setattr(bank, "stream", stream)
-        for s in REPEATED:
-            if s != first:
-                shared[s] = run_baseline(s, pop, cfg, bank)
+        def streams(keys):
+            raise AssertionError(f"streams {keys} drawn again")
+        monkeypatch.setattr(bank, "streams", streams)
+        shared = {s: run_baseline(s, pop, cfg, bank)
+                  for s in sorted(REPEATED, key=lambda s: s != first)}
         for s in REPEATED:
             assert shared[s].rough == fresh[s].rough
             assert shared[s].final == fresh[s].final
@@ -287,8 +289,8 @@ class TestSharedRepeatedTrials:
             assert shared[s].overhead_slots == fresh[s].overhead_slots
 
     def test_past_the_2ss_tables_only_3ss_reports(self):
-        # 2SS has no decoder table above MAX_TABLE_T types, so there a
-        # 3SS-repeated run resolves its own report alone.
+        # A 3SS-repeated run on a bank used alone resolves its own report
+        # alone; above MAX_TABLE_T types 2SS has no decoder table.
         pop = _pop((5,) * 11, 1 << 10)
         cfg = derive_config(0.03, 0.2, pop.n_all)
         bank = RngBank(5)
@@ -310,14 +312,21 @@ class TestSharedRepeatedTrials:
             for b in range(1, pop.T + 1):   # seed words are not the memo's
                 bank.stream("rep", b)
             return bank
-        return _kept_bytes(open_bank,
-                           lambda s, bank: run_baseline(s, pop, cfg, bank),
-                           schemes, drop_bank)
+        def run(s, bank):
+            # The block pass of the listed schemes, then their runs.
+            resolve_block([(bank, pop, cfg)], (), repeated=tuple(schemes))
+            run_baseline(s, pop, cfg, bank)
+        return _kept_bytes(open_bank, run, schemes, drop_bank)
 
     def test_memo_is_the_reports(self):
         # Two reports of T = 8 estimates, held until the bank is dropped,
         # not the (T, M, t) trials (181 760 counts).
-        assert SLACK < self._kept_bytes(REPEATED[:1], False) <= 4 * SLACK
+        assert SLACK < self._kept_bytes(REPEATED, False) <= 4 * SLACK
+
+    def test_memo_is_the_listed_report(self):
+        # A block pass that lists one repeated baseline makes its report
+        # alone.
+        assert 0 < self._kept_bytes(REPEATED[:1], False) <= 2 * SLACK
 
     @pytest.mark.parametrize("schemes", [REPEATED, REPEATED[::-1],
                                          REPEATED[:1]])
@@ -349,7 +358,12 @@ class TestSharedPhase1:
             assert shared.ledger == fresh.ledger
             assert shared.overhead_slots == fresh.overhead_slots
             assert np.array_equal(shared.energy.sums, fresh.energy.sums)
-        assert sorted(key[0] for key in bank._kept) == ["p1", "p2", "rough"]
+        # Besides the draws, the frames the runs resolved, of counts the
+        # bank holds.
+        frames = [key for key in bank._kept if key[0] == "frames"]
+        assert sorted(key[0] for key in bank._kept if key not in frames) == [
+            "p1", "p2", "rough"]
+        assert frames and all(key[2] in bank._kept for key in frames)
 
     # The memo of _kept_bytes: the (T, m', t_T) int32 counts, 6 x 40 x 20 x
     # 4 bytes, and the (T, ell) uint8 phase-2 counts, 6 x 3009 bytes.
@@ -382,9 +396,10 @@ class TestSharedPhase1:
     def test_held_until_the_last_reader(self):
         # Held past it, until the bank is dropped: the phase-1 counts, their
         # rough estimates and the phase-2 draw at them, with its estimate
-        # dicts: one allowance for each dict-holding result.
+        # dicts, and hsrc1's resolved phase-1 and phase-2 frames: one
+        # allowance for each result beside the counts.
         held = self._kept_bytes(["txsrcs", "hsrc1"], False)
-        assert self.COUNTS <= held <= self.COUNTS + 2 * SLACK
+        assert self.COUNTS <= held <= self.COUNTS + 4 * SLACK
 
     @pytest.mark.parametrize("readers, schemes", [
         ({"p1": 7}, PHASE1_READERS),            # made once for all seven
@@ -429,8 +444,9 @@ class TestSharedPhase2:
                                       fresh.energy.tx[b])
                 assert np.array_equal(shared.energy.rx[b],
                                       fresh.energy.rx[b])
-        assert len(bank._kept) == 1
-        held = bb_trials(pop.n, prm["rough"], cfg, RngBank(5))[0]
+        # The draw, and its frame resolved by each code.
+        assert [key[0] for key in bank._kept] == ["p2", "frames", "frames"]
+        held = bb_trials(bb_key(pop.n, prm["rough"], cfg), RngBank(5))[0]
         assert not held.flags.writeable
         assert held.dtype == np.min_scalar_type(held.max())
         assert (held.max() > 255) == (ell == 3)
@@ -451,7 +467,7 @@ class TestSharedPhase2:
             assert report.final == want.final and report.flags == want.flags
             report.final[1] = -1.0
             report.flags.clear()
-        assert len(bank._kept) == 1
+        assert [key[0] for key in bank._kept] == ["p2", "frames", "frames"]
 
     # The (T, ell) uint8 counts of _kept_bytes: 6 x 3009 bytes.
     COUNTS = 18054
@@ -480,9 +496,10 @@ class TestSharedPhase2:
         return _kept_bytes(open_bank, run, schemes, drop_bank)
 
     def test_held_until_the_last_reader(self):
-        # Held past it, until the bank is dropped.
+        # Held past it, until the bank is dropped: the draw with its
+        # estimate dicts, and its frame resolved by each code.
         held = self._kept_bytes(PHASE2_ONLY[:2], False)
-        assert self.COUNTS <= held <= self.COUNTS + SLACK
+        assert self.COUNTS <= held <= self.COUNTS + 3 * SLACK
 
     @pytest.mark.parametrize("readers, schemes", [
         ({"p2": 3}, PHASE2_ONLY),               # made once for all three
@@ -645,7 +662,8 @@ def _assert_frame_table_sums(pop):
     for resolve in (three_stage.resolve_3ss, resolve_2ss):
         counts, _, _, energy = three_stage.trial_frames(
             resolve, pop, cfg, RngBank(8))
-        tables = resolve(counts, cfg.s_w, pop.n)[2][2]
+        tables = functools.partial(
+            resolve([counts], cfg.s_w, energy=True).tables, counts)
         for b, nb in enumerate(pop.n, 1):
             streams = RngBank(8).streams(
                 [("p1", m, b) for m in range(cfg.m_prime)])
@@ -670,6 +688,7 @@ class TestRepeatedDrawThreads:
         assert cfg.m_prime * max(pop.n) > 1000
 
         def runs(bank):
+            resolve_block([(bank, pop, cfg)], (), repeated=REPEATED)
             reports = {s: run_baseline(s, pop, cfg, bank) for s in REPEATED}
             reports["HSRC1"] = run_hsrc("HSRC1", pop, cfg, RngBank(5))
             return reports
@@ -941,9 +960,12 @@ class TestPhase2KeepsNoNodeArrays:
             slots[b] = uniform * mask
         return slots
 
-    def _assert_count_level(self, energy):
+    def _assert_count_level(self, energy, counts=None):
+        # The block counts a per-node table is built from, ``counts``, are
+        # count-level whatever their size.
         held = [a for _b, amounts in energy._charges
-                for a in _held_arrays(amounts)]
+                for a in _held_arrays(amounts)
+                if counts is None or not np.shares_memory(a, counts)]
         assert all(a.size < min(self.N) for a in held), sorted(
             a.size for a in held)
 
@@ -954,13 +976,14 @@ class TestPhase2KeepsNoNodeArrays:
         runner, resolve = ((run_3ss_bb, three_stage.resolve_3ss)
                            if code == "3SS" else (run_2ss_bb, resolve_2ss))
         res = runner(pop, rough, cfg, RngBank(4))
-        self._assert_count_level(res.energy)
+        self._assert_count_level(res.energy, res.counts)
         slots = self._reference_slots(pop, cfg, rough, 4)
-        ledger, _plan, (_tx, _rx, tables) = resolve(res.counts[:, None],
-                                                    cfg.s_w, pop.n)
+        frame = res.counts[:, None]
+        resolved = resolve([frame], cfg.s_w, energy=True)
+        ledger = SlotLedger(*resolved.slots[0].tolist())
         assert ledger == res.ledger
         for b, nb in enumerate(pop.n, 1):
-            tx, rx = tables(b)
+            tx, rx = resolved.tables(frame, b)
             assert np.array_equal(res.energy.tx[b], tx[0][slots[b]])
             assert np.array_equal(res.energy.rx[b], rx[0][slots[b]])
             assert np.array_equal(res.energy.accounted[b],
@@ -1027,3 +1050,33 @@ class TestOneTwoPhaseProtocol:
             flagged.append(flag)
         if ell == 1:
             assert any(flagged) and not all(flagged)
+
+
+class TestJoinedOncePerDraw:
+    """The phase-2 draw holds each type's joined nodes beside its counts,
+    made once per draw: no TRepBB reader sums the counts' rows again."""
+
+    def test_trepbb_readers_sum_no_rows(self):
+        class Counted(np.ndarray):
+            sums = 0
+
+            def sum(self, *args, **kwargs):
+                Counted.sums += 1
+                return super().sum(*args, **kwargs)
+
+        pop = _pop((300, 0, 800, 45), 4000)
+        cfg = derive_config(0.03, 0.2, pop.n_all)
+        bank = RngBank(3)
+        first = SCHEMES["txsrcs"](pop, cfg, bank, {})
+        (key,) = [key for key in bank._kept if key[0] == "p2"]
+        counts, joined, final, flags = bank._kept[key]
+        assert joined == counts.sum(axis=1).tolist()
+        bank._kept[key] = (counts.view(Counted), joined, final, flags)
+        # HSRC's forced TRepBB branch, TxSRCS, and phase 2 alone at the
+        # same rough estimates all read this draw.
+        for s in ("hsrc1-trepbb", "hsrc2-trepbb", "txsrcs", "p2-trepbb"):
+            report = SCHEMES[s](pop, cfg, bank, {"rough": first.rough})
+            assert report.final == first.final
+        # Phase 2 alone charges each type's joined nodes one tx each.
+        assert report.energy.sums[:, 0].tolist() == joined
+        assert Counted.sums == 0
