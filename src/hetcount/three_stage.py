@@ -347,8 +347,7 @@ def hold_frames(resolve, entries, s_w):
     """The block pass of one code and phase: the frames of every replicate
     in ``entries`` (bank, key, counts, n), as held_frames reads them, in one
     resolve_replicates call, each replicate's share held in its own bank's
-    memo (an entry listed twice is resolved once)."""
-    entries = list({(id(e[0]), e[1]): e for e in entries}.values())
+    memo."""
     shares = resolve_replicates(resolve, [e[2] for e in entries],
                                 [e[3] for e in entries], s_w)
     for (bank, key, _counts, _n), share in zip(entries, shares):
