@@ -553,18 +553,22 @@ def _replay_type():
 
 
 @functools.lru_cache(maxsize=64)
-def _exponent_blocks(t):
+def _exponent_blocks(t, k=0):
     """Read-only map from the biased float64 exponent of 1 - U to the block
-    min(max(1, 1023 - exponent), t)."""
+    min(max(1, 1023 - exponent), t), or with k to the block's first bin
+    (block - 1) * k among k trials' bins, blocks first (_block_counts)."""
     blocks = np.clip(1023 - np.arange(1024, dtype=np.int64), 1, t)
+    if k:
+        blocks = (blocks - 1) * k
     blocks.flags.writeable = False
     return blocks
 
 
-def _geometric_blocks(u, t, out=None):
+def _geometric_blocks(u, t, out=None, k=0):
     """Blocks min(Geometric(1/2), t) as int64 from uniforms u in [0, 1)
     (any shape, float64, C-contiguous), which it overwrites; written into
-    ``out`` (int64, u's shape) when given.
+    ``out`` (int64, u's shape) when given; with k, as _exponent_blocks(t,
+    k) bins.
 
     numpy's ``Generator.geometric(0.5)`` takes one uniform U per variate and
     returns the least k >= 1 with U <= 1 - 2^-k; its partial sums are exact
@@ -578,7 +582,7 @@ def _geometric_blocks(u, t, out=None):
     """
     exponents = np.subtract(1.0, u, out=u).view(np.int64)
     exponents >>= 52
-    return _exponent_blocks(t).take(exponents, out=out, mode="clip")
+    return _exponent_blocks(t, k).take(exponents, out=out, mode="clip")
 
 
 def geometric_block_choices(rng, n, t):
@@ -694,8 +698,8 @@ def _draw_types(jobs, t, kernel, u, idx):
     chunk of ``rows`` trials of ``nb`` nodes from its ``rngs``, through the
     float64 buffer u and the int64 buffer idx.  A trial of more nodes than
     u holds is drawn in pieces of len(u) nodes from its own stream, and the
-    pieces' counts are added, then capped at 2 where _class_chunk keeps the
-    whole trial as classes: so out does not depend on the budget."""
+    pieces' counts are added, classes capped at 2 again after each: so out
+    does not depend on the budget."""
     for out, rngs, nb, rows in jobs:
         width = min(nb, len(u))
         part = np.empty_like(out[:1]) if width < nb else None
@@ -712,49 +716,62 @@ def _draw_types(jobs, t, kernel, u, idx):
                        part if lo else out[s:s + k])
                 if lo:
                     out[s] += part[0]
-            if (part is not None and kernel is _class_chunk
-                    and _class_depth(nb, t) >= 2):
-                np.minimum(out[s], 2, out=out[s])
+                    if kernel is _class_chunk:
+                        np.minimum(out[s], 2, out=out[s])
+
+
+def _block_counts(u, t, idx):
+    """(t, k) int64 counts, blocks first, of k trials' blocks
+    min(Geometric(1/2), t), from their nodes' uniforms u (k, n_b;
+    overwritten), by one bincount over the bins (block - 1) * k + trial
+    (row 0 needs no offset).  idx (int64, u's shape) holds the bins.  An
+    ``out`` held blocks first takes the counts' rows whole."""
+    k = len(u)
+    bins = _geometric_blocks(u, t, out=idx, k=k)
+    bins[1:] += np.arange(1, k)[:, None]
+    return np.bincount(bins.ravel(), minlength=k * t).reshape(t, k)
 
 
 def _count_chunk(u, t, idx, out):
-    """Counts into ``out`` (k, t) of k trials' blocks min(Geometric(1/2), t),
-    from their nodes' uniforms u (k, n_b; overwritten), by one bincount over
-    the blocks offset by t per row (bin 0 stays empty and is dropped; row 0
-    needs no offset).  idx (int64, u's shape) holds the blocks."""
-    k = len(u)
-    blocks = _geometric_blocks(u, t, out=idx)
-    blocks[1:] += np.arange(t, k * t, t)[:, None]
-    out[...] = np.bincount(blocks.ravel(),
-                           minlength=k * t + 1)[1:].reshape(k, t)
+    """Counts into ``out`` (k, t) of k trials' blocks min(Geometric(1/2), t)
+    from their nodes' uniforms u (k, n_b; overwritten): _block_counts."""
+    out[...] = _block_counts(u, t, idx).T
 
 
 def _class_chunk(u, t, idx, out):
     """Classes min(count, 2) into ``out`` (k, t) of the counts _count_chunk
-    takes from u (k, n_b; may be overwritten).  Blocks above L are counted
+    takes from u (k, n_b; may be overwritten), capped before they are
+    stored, so uint8 holds them whatever n_b.  Blocks above L are counted
     from the nodes with U > 1 - 2^-L (exact in float64; true iff the block
     is above L).  Blocks 1..L are class 2 where a trial's first W = n_b // 8
     nodes hold two each (else it is counted in full); L = min(t - 1,
-    floor(log2(W/16))), so block L expects 16 of them, and below L = 2 the
-    counts are exact.  idx (int64, u's shape) holds the prefix, then a mask."""
+    floor(log2(W/16))), so block L expects 16 of them, and below L = 2
+    every node is counted.  idx (int64, u's shape) holds the prefix, then
+    a mask."""
     k, nb = u.shape
     w = nb // 8
     low = _class_depth(nb, t)
     if low < 2:
-        return _count_chunk(u, t, idx, out)
+        counts = _block_counts(u, t, idx)
+        if nb > 255:    # a count could wrap in uint8: capped before
+            np.minimum(counts, 2, out=counts)
+        out[...] = counts.T
+        # Against an array of twos: a scalar 2 is several times slower.
+        np.minimum(out, np.full(t, 2, dtype=out.dtype), out=out)
+        return
     words = idx.reshape(-1)
     prefix = words[:k * w].view(np.float64).reshape(k, w)
     np.copyto(prefix, u[:, :w])
-    _count_chunk(prefix, t, words[k * w:2 * k * w].reshape(k, w), out)
-    short = np.flatnonzero((out[:, :low] < 2).any(axis=1))
+    witnesses = _block_counts(prefix, t, words[k * w:2 * k * w].reshape(k, w))
+    short = np.flatnonzero((witnesses[:low] < 2).any(axis=0))
     high = np.flatnonzero(np.greater(
         u, 1 - 2.0 ** -low, out=words.view(np.bool_)[:k * nb].reshape(k, nb)))
-    blocks = _geometric_blocks(u.reshape(-1)[high], t) + (high // nb * t - 1)
-    np.minimum(np.bincount(blocks, minlength=k * t).reshape(k, t), 2, out=out)
+    bins = _geometric_blocks(u.reshape(-1)[high], t, k=k) + high // nb
+    counts = np.bincount(bins, minlength=k * t).reshape(t, k)
+    out[...] = np.minimum(counts, 2, out=counts).T
     out[:, :low] = 2
     for r in short:
-        _count_chunk(u[r:r + 1], t, idx[:1], out[r:r + 1])
-        np.minimum(out[r], 2, out=out[r])
+        out[r] = np.minimum(_block_counts(u[r:r + 1], t, idx[:1])[:, 0], 2)
 
 
 def _class_depth(nb, t):

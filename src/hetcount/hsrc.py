@@ -44,15 +44,21 @@ from .core import (
 from .homogeneous import (
     bb_key,
     bb_trials,
-    lof_estimates,
+    lof_estimate,
     rough_estimates,
     t_repetitions_bb,
     t_repetitions_srcs,
     trial_counts,
     trial_key,
 )
-from .three_stage import hold_frames, resolve_3ss, run_3ss_bb, trial_frames
-from .two_stage import resolve_2ss, run_2ss_bb
+from .three_stage import (
+    _chunk_3ss,
+    hold_frames,
+    resolve_3ss,
+    run_3ss_bb,
+    trial_frames,
+)
+from .two_stage import _chunk_2ss, plan_slots, resolver_for, run_2ss_bb
 
 
 def run_phase2(method, bb_runner, population, rough, config,
@@ -85,7 +91,7 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
         raise ValueError(f"unknown variant {variant!r}")
     T = population.T
     resolve, bb_runner = ((resolve_3ss, run_3ss_bb) if variant == "HSRC1"
-                          else (resolve_2ss, run_2ss_bb))
+                          else (resolver_for(T), run_2ss_bb))
 
     _counts, phase1_ledger, plan_overhead, energy = trial_frames(
         resolve, population, config, bank)
@@ -111,16 +117,17 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
 
 
 def _repeated_block_classes(population, t, M, bank):
-    """(T, M, t) int32 per-type per-trial per-block transmitter count
-    classes for the repeated baselines, which read no more: min(count, 2)
-    (exact counts where core._class_chunk keeps them) of one (M, n_b) draw
-    per type from stream ("rep", b), by core.draw_trials."""
+    """(T, M, t) uint8 per-type per-trial per-block transmitter count
+    classes min(count, 2) for the repeated baselines, which read no more,
+    of one (M, n_b) draw per type from stream ("rep", b), by
+    core.draw_trials.  They are held blocks first, (T, t, M) in memory, so
+    the report pass reads a block's classes over the trials in one row."""
     n = population.n
     opened = iter(bank.streams([("rep", b) for b, nb in enumerate(n, 1)
                                 if nb]))
+    classes = np.empty((population.T, t, M), dtype=np.uint8)
     return draw_trials([next(opened) if nb else None for nb in n], n, t,
-                       np.empty((population.T, M, t), dtype=np.int32),
-                       _class_chunk)
+                       classes.transpose(0, 2, 1), _class_chunk)
 
 
 _REPEATED = ("3SS-repeated", "2SS-repeated")
@@ -147,22 +154,53 @@ def repeated_reports(population, config, bank, schemes):
     held = bank.shared(("rep", population.n, config), dict)
     missing = [s for s in schemes if s not in held]
     if missing:
-        classes = _repeated_block_classes(population, config.t_T,
-                                          config.m_lof, bank)
-        final = lof_estimates(classes)
-        held.update((s, _repeated_report(s, classes, config.s_w, final))
-                    for s in missing)
+        held.update(_repeated_pass(_repeated_block_classes(
+            population, config.t_T, config.m_lof, bank), config.s_w, missing))
     return held
 
 
-_CODES = {"3SS": resolve_3ss, "2SS": resolve_2ss}
+def _repeated_pass(classes, s_w, schemes):
+    """The reports of the repeated baselines ``schemes`` from their trials'
+    (T, M, t) count classes, in a few whole-array passes.  Each type's
+    first-absent estimate (homogeneous.lof_estimate): a trial's j - 1 is
+    the number of blocks before its first empty one, the last counting as
+    empty (homogeneous.first_empty), counted a block at a time until every
+    trial has met one, which argmax over each trial's short row took three
+    times as long to find.  Each code's ledger: its trials' slots, worked
+    out by its resolver over the trials as frames in one call
+    (three_stage._chunk_3ss, two_stage._chunk_2ss), summed; at T <= 3,
+    where the codes coincide (two_stage.resolver_for), one serves both."""
+    T, M, t = classes.shape
+    lead = np.zeros((T, M), dtype=np.uint8)
+    alive = classes[:, :, 0] > 0
+    for k in range(1, t):
+        if not alive.any():
+            break
+        lead += alive
+        np.logical_and(alive, classes[:, :, k], out=alive)
+    final = {b: lof_estimate(j) for b, j in enumerate(lead + 1, 1)}
+    ledgers, reports = {}, {}
+    for scheme in schemes:
+        code = resolver_for(T) if scheme == _REPEATED[1] else resolve_3ss
+        if code not in ledgers:
+            plan = 0 if code is resolve_3ss else plan_slots(T, t, s_w)
+            frames = (_chunk_3ss(s_w, False, classes) if code is resolve_3ss
+                      else _chunk_2ss(bitmap_bp_slots(t, s_w) + plan, False,
+                                      classes))
+            ledgers[code] = SlotLedger(*frames.sum(axis=0).tolist()), M * plan
+        ledger, overhead = ledgers[code]
+        reports[scheme] = EstimateReport(
+            rough=dict(final), final=dict(final), phase2_method=None,
+            ledger=ledger, energy=None, overhead_slots=overhead)
+    return reports
 
 
 def resolve_block(contexts, frames, rough=None, repeated=()):
     """The block pass: before any scheme runs on a block's replicates,
     ``contexts`` (bank, population, config), resolve the frames they will
-    read, in one resolver call for each (code, phase) of ``frames``, code
-    "3SS" or "2SS" and phase "p1" (the m' phase-1 trials), "p2" (the SSBB
+    read, in one resolver call for each (code, phase) of ``frames`` (one
+    for both codes at T <= 3, two_stage.resolver_for), code "3SS" or "2SS"
+    and phase "p1" (the m' phase-1 trials), "p2" (the SSBB
     phase-2 frame at the replicate's own rough estimates) or "given" (at
     the rough estimates ``rough``), each replicate's share held in its
     bank's memo (three_stage.hold_frames) for its scheme runs; and the
@@ -175,7 +213,8 @@ def resolve_block(contexts, frames, rough=None, repeated=()):
     if repeated:
         for bank, population, config in contexts:
             repeated_reports(population, config, bank, repeated)
-    for code, phase in frames:
+    codes = {"3SS": resolve_3ss, "2SS": resolver_for(contexts[0][1].T)}
+    for resolve, phase in dict.fromkeys((codes[c], p) for c, p in frames):
         entries = []
         for bank, population, config in contexts:
             n = population.n
@@ -187,16 +226,5 @@ def resolve_block(contexts, frames, rough=None, repeated=()):
                     n, config, bank)
                 key = bb_key(n, at, config)
                 counts = bb_trials(key, bank)[0][:, None]
-            entries.append((bank, key, counts, n))
-        hold_frames(_CODES[code], entries, contexts[0][2].s_w)
-
-
-def _repeated_report(scheme, counts, s_w, final):
-    """Report of a repeated baseline on its trials' (T, M, t) counts."""
-    resolve = resolve_2ss if scheme == _REPEATED[1] else resolve_3ss
-    res = resolve([counts], s_w)
-    ledger = SlotLedger(*res.slots.sum(axis=0).tolist())
-    overhead = counts.shape[1] * res.plan
-    return EstimateReport(rough=dict(final), final=dict(final),
-                          phase2_method=None, ledger=ledger, energy=None,
-                          overhead_slots=overhead)
+            entries.append((bank, key, counts))
+        hold_frames(resolve, entries, contexts[0][2].s_w)

@@ -196,28 +196,37 @@ def frame_chunks(counts):
 @dataclass
 class Resolved:
     """What a resolver works out for F frames, frame by frame in order."""
-    slots: np.ndarray       # (F, 4) int64 stage-1, stage-2, stage-3, bp slots
-    plan: int               # plan-broadcast slots of every frame
+    sums: np.ndarray        # (F, 4 + 2T) int64: slots, tx, rx (no tx, rx
+    plan: int               # without energy); plan-broadcast slots a frame
     heard: int = 0          # slots every node of every type hears per frame
-    tx: np.ndarray | None = None    # (F, T) transmissions by type
-    rx: np.ndarray | None = None    # (F, T) receptions beyond ``heard``
     tables: object = None   # (counts, b): one replicate's per-node tables
+
+    # Stage-1, stage-2, stage-3 and bp slots, (F, 4), then (F, T)
+    # transmissions and receptions beyond ``heard`` by type.
+    slots = property(lambda self: self.sums[:, :4])
+    tx = property(lambda self: self.sums[:, 4:(4 + self.sums.shape[1]) // 2])
+    rx = property(lambda self: self.sums[:, (4 + self.sums.shape[1]) // 2:])
 
 
 def _followup(counts):
-    """(flagged, stage3) (F, n_blocks) masks of the frames of (T, F,
-    n_blocks) counts: a block is flagged when every slot collides, i.e.
+    """(flagged, stage3), the (F, n_blocks) masks of the frames of (T, F,
+    n_blocks) counts, as one (2, F, n_blocks) bool array laid out as the
+    counts are: a block is flagged when every slot collides, i.e.
     c_1 + c_b >= 2 for every b >= 2, and goes to stage 3 when c_1 >= 2.
     For narrow unsigned counts, as phase 2 draws them, the sum is never
     formed, so it cannot wrap: c_1 + c with c = min(c_b) is at least 2
     where both are at least 1 or either is at least 2."""
     c1, c = counts[0], counts[1:].min(axis=0)
+    masks = np.empty_like(counts[:2], dtype=bool)
+    flagged, stage3 = masks
     if counts.itemsize >= 4:    # wide counts: the sum is one step
-        flagged = c1 + c >= 2
+        np.greater_equal(c1 + c, 2, out=flagged)
     else:
-        flagged = np.minimum(c1, c) > 0
+        np.greater(np.minimum(c1, c), 0, out=flagged)
         flagged |= np.maximum(c1, c) > 1
-    return flagged, flagged & (c1 > 1)
+    np.greater(c1, 1, out=stage3)
+    stage3 &= flagged
+    return masks
 
 
 def resolve_3ss(counts, s_w, energy=False):
@@ -235,53 +244,52 @@ def resolve_3ss(counts, s_w, energy=False):
     cost is worked out (_followup).  The sums are contractions of the
     _energy_3ss tables with the counts, whole numbers summed exactly in
     any order."""
-    n_blocks = counts[0].shape[2]
-    bp1 = bitmap_bp_slots(n_blocks, s_w)
-    slots, *sums = by_chunks(partial(_chunk_3ss, s_w, bp1, energy), counts)
+    sums = by_chunks(partial(_chunk_3ss, s_w, energy), counts)
     if not energy:
-        return Resolved(slots, 0)
-    return Resolved(slots, 0, bp1, *sums, partial(_energy_3ss, s_w))
+        return Resolved(sums, 0)
+    return Resolved(sums, 0, bitmap_bp_slots(counts[0].shape[2], s_w),
+                    partial(_energy_3ss, s_w))
 
 
-def _chunk_3ss(s_w, bp1, energy, counts):
-    """resolve_3ss of one chunk's (T, F, n_blocks) counts: its (F, 4)
-    slots, and with ``energy`` its (F, T) tx and rx sums."""
+def _chunk_3ss(s_w, energy, counts):
+    """resolve_3ss of one chunk's (T, F, n_blocks) counts, or of any (T,
+    F, n_blocks) view: its Resolved sums."""
     T, F, n_blocks = counts.shape
-    flagged, stage3 = _followup(counts)
-    K = flagged.sum(axis=1)
-    slots = np.empty((F, 4), dtype=np.int64)
-    slots[:, 0] = (T - 1) * n_blocks
-    slots[:, 1] = K
-    slots[:, 2] = (T - 1) * stage3.sum(axis=1)
-    slots[:, 3] = bp1 - (-K // s_w)
-    if not energy:
-        return (slots,)
-    joined, on_flagged, on_stage3 = (
-        _frame_sums(counts if mask is None else counts * mask)
-        for mask in (None, flagged, stage3))
-    tx = joined + on_stage3
-    tx[:, 0] = (T - 1) * joined[:, 0] + on_flagged[:, 0]
-    on_flagged[:, 0] = 0
-    return slots, tx, on_flagged
+    masks = _followup(counts)
+    K, R = masks.sum(axis=2)
+    sums = np.empty((F, 4 + 2 * T * energy), dtype=np.int64)
+    sums[:, 0] = (T - 1) * n_blocks
+    sums[:, 1] = K
+    sums[:, 2] = (T - 1) * R
+    sums[:, 3] = bitmap_bp_slots(n_blocks, s_w) - (-K // s_w)
+    if energy:
+        joined = _frame_sums(counts)
+        on_flagged, on_stage3 = _frame_sums(counts[:, None] * masks).swapaxes(
+            0, 1)
+        tx, rx = sums[:, 4:4 + T].T, sums[:, 4 + T:].T
+        np.add(joined, on_stage3, out=tx)
+        tx[0] = (T - 1) * joined[0] + on_flagged[0]
+        rx[...] = on_flagged
+        rx[0] = 0
+    return sums
 
 
 def by_chunks(resolve_chunk, counts):
     """``resolve_chunk`` of each frame_chunks chunk of ``counts``, its
-    per-frame arrays joined in frame order.  A chunk and what its call
-    made are dropped before the next chunk is joined."""
+    per-frame array joined in frame order.  A chunk and what its call made
+    are dropped before the next chunk is joined."""
     if len(counts) == 1 and counts[0].size <= _RESOLVE_CELLS:
         return resolve_chunk(counts[0])     # one array, one chunk
-    chunks = list(map(resolve_chunk, frame_chunks(counts)))
-    return [np.concatenate(parts) for parts in zip(*chunks)]
+    return np.concatenate(list(map(resolve_chunk, frame_chunks(counts))))
 
 
 def _frame_sums(counts):
-    """(F, T) int64 sums over the blocks of (T, F, n_blocks) counts.  A
-    type's sum in a frame is at most its nodes, below 2^31, so narrow
-    counts are summed in uint32, which is several times faster than
+    """Sums over the blocks, the last axis, of (T, ..., F, n_blocks)
+    counts.  A type's sum in a frame is at most its nodes, below 2^31, so
+    narrow counts are summed in uint32, which is several times faster than
     summing them into int64."""
-    wide = np.uint32 if counts.itemsize < 4 else np.int64
-    return counts.sum(axis=2, dtype=wide).T.astype(np.int64, copy=False)
+    return counts.sum(axis=-1, dtype=np.uint32 if counts.itemsize < 4
+                      else np.int64)
 
 
 def _energy_3ss(s_w, counts, b):
@@ -303,38 +311,31 @@ def _energy_3ss(s_w, counts, b):
     return tx, rx
 
 
-def resolve_replicates(resolve, counts, n, s_w):
+def resolve_replicates(resolve, counts, s_w):
     """The frames of R replicates through one ``resolve`` call (resolve_3ss
     or two_stage.resolve_2ss): ``counts`` lists their types-first (T, M_r,
-    n_blocks) block counts and ``n`` their nodes per type.  Per replicate,
-    its frames' (ledger, plan-broadcast slots, per-type tx and rx sums,
-    per-node tables), each summed over its frames, all whole numbers; the
-    ledger as its stage1, stage2, stage3 and bp slots, so each read makes
-    its own SlotLedger."""
+    n_blocks) block counts.  Per replicate, its frames' (ledger,
+    plan-broadcast slots, per-type tx sums, per-type rx sums beyond the
+    slots every node hears, those heard slots, per-node tables), each
+    summed over its frames, all whole numbers; the ledger as its stage1,
+    stage2, stage3 and bp slots, so each read makes its own SlotLedger."""
     res = resolve(counts, s_w, energy=True)
-    if len(counts) == 1:        # a block of one sums all its frames
-        M = counts[0].shape[1]
-        slots, tx, rx = ((a[0] if M == 1 else a.sum(axis=0))
-                         for a in (res.slots, res.tx, res.rx))
-        return [(slots.tolist(), M * res.plan, tx,
-                 rx + M * res.heard * np.asarray(n[0]), res.tables)]
-    frames = [array.shape[1] for array in counts]
-    starts = np.cumsum([0] + frames[:-1])
-    slots, tx, rx = (np.add.reduceat(a, starts)
-                     for a in (res.slots, res.tx, res.rx))
-    rx += res.heard * np.asarray(frames)[:, None] * np.asarray(n)
-    return [(stages, M * res.plan, tx_r, rx_r, res.tables)
-            for stages, M, tx_r, rx_r in zip(slots.tolist(), frames, tx, rx)]
+    frames, starts = [array.shape[1] for array in counts], [0]
+    for M in frames[:-1]:
+        starts.append(starts[-1] + M)
+    T = len(counts[0])
+    return [(row[:4].tolist(), M * res.plan, row[4:4 + T], row[4 + T:],
+             M * res.heard, res.tables)
+            for row, M in zip(np.add.reduceat(res.sums, starts), frames)]
 
 
-def held_frames(resolve, key, counts, n, s_w, bank):
+def held_frames(resolve, key, counts, s_w, bank):
     """One replicate's resolve_replicates share of its frames, the counts
     ``counts`` the bank holds under ``key``: from the bank's memo
     (RngBank.shared), where hold_frames put it for the block's pass, else
     resolved as a block of one."""
-    return bank.shared(
-        _frames_key(resolve, key, s_w),
-        lambda: resolve_replicates(resolve, [counts], [n], s_w)[0])
+    return bank.shared(_frames_key(resolve, key, s_w),
+                       lambda: resolve_replicates(resolve, [counts], s_w)[0])
 
 
 def _frames_key(resolve, key, s_w):
@@ -345,12 +346,11 @@ def _frames_key(resolve, key, s_w):
 
 def hold_frames(resolve, entries, s_w):
     """The block pass of one code and phase: the frames of every replicate
-    in ``entries`` (bank, key, counts, n), as held_frames reads them, in one
+    in ``entries`` (bank, key, counts), as held_frames reads them, in one
     resolve_replicates call, each replicate's share held in its own bank's
     memo."""
-    shares = resolve_replicates(resolve, [e[2] for e in entries],
-                                [e[3] for e in entries], s_w)
-    for (bank, key, _counts, _n), share in zip(entries, shares):
+    shares = resolve_replicates(resolve, [e[2] for e in entries], s_w)
+    for (bank, key, _counts), share in zip(entries, shares):
         bank.shared(_frames_key(resolve, key, s_w), lambda share=share: share)
 
 
@@ -362,12 +362,13 @@ def run_frames(resolved, counts, n, frames):
     for that read only, and calls ``frames(b)``: type b's 1-based block per
     node (0 = idle), frame after frame, as (frame, slice of the nodes,
     blocks) pieces (core.uniform_pieces)."""
-    stages, _plan, sums_tx, sums_rx, tables = resolved
+    stages, _plan, sums_tx, sums_rx, heard, tables = resolved
     total = float(sum(stages))
     energy = EnergyLedger(len(n), n)
     node_tables = partial(tables, counts)
     for b, nb in enumerate(n, 1):
-        energy.charge(b, (sums_tx[b - 1], sums_rx[b - 1], total * nb),
+        energy.charge(b, (sums_tx[b - 1], sums_rx[b - 1] + heard * nb,
+                          total * nb),
                       partial(_node_sums, frames, b, node_tables, total))
     return energy
 
@@ -407,10 +408,10 @@ def trial_frames(resolve, population: PopulationSpec, config: ProtocolConfig,
     counts = trial_counts(n, config, bank, trials)
     if trials is None:
         trials = range(config.m_prime)
-        resolved = held_frames(resolve, trial_key(n, config), counts, n,
+        resolved = held_frames(resolve, trial_key(n, config), counts,
                                config.s_w, bank)
     else:
-        (resolved,) = resolve_replicates(resolve, [counts], [n], config.s_w)
+        (resolved,) = resolve_replicates(resolve, [counts], config.s_w)
 
     def frames(b):
         return geometric_block_pieces(
@@ -439,7 +440,7 @@ def run_bb(resolve, population, rough, config, bank):
     key = bb_key(n, rough, config)
     counts, _joined, final, flags, slots = bb_trials(key, bank)
     frame = counts[:, None]
-    resolved = held_frames(resolve, key, frame, n, config.s_w, bank)
+    resolved = held_frames(resolve, key, frame, config.s_w, bank)
     return Run3SSResult(j=None, counts=counts,
                         ledger=SlotLedger(*resolved[0]),
                         energy=run_frames(resolved, frame, n, slots),

@@ -476,6 +476,14 @@ def plan_slots(T, n_blocks, s_w) -> int:
     return 0 if T <= 3 else bitmap_bp_slots(2 * n_blocks, s_w)
 
 
+def resolver_for(T):
+    """The resolver of the two-stage code at T types: resolve_3ss where
+    T <= 3, for the codes coincide there (resolve_2ss hands such frames on
+    to it), so a frame both codes read is keyed, resolved and held once;
+    else resolve_2ss."""
+    return resolve_3ss if T <= 3 else resolve_2ss
+
+
 def resolve_2ss(counts, s_w, energy=False):
     """The frames of the two-stage code from their block counts, as
     three_stage.resolve_3ss: ``counts`` lists types-first (T, M_r,
@@ -493,39 +501,38 @@ def resolve_2ss(counts, s_w, energy=False):
         return resolve_3ss(counts, s_w, energy)
     plan = plan_slots(T, n_blocks, s_w)
     bp = bitmap_bp_slots(n_blocks, s_w) + plan
-    slots, *tx = by_chunks(partial(_chunk_2ss, bp, energy), counts)
+    sums = by_chunks(partial(_chunk_2ss, bp, energy), counts)
     if not energy:
-        return Resolved(slots, plan)
-    return Resolved(slots, plan, bp, *tx, np.zeros_like(*tx),
-                    partial(_energy_2ss, s_w))
+        return Resolved(sums, plan)
+    return Resolved(sums, plan, bp, partial(_energy_2ss, s_w))
 
 
 def _chunk_2ss(bp, energy, counts):
-    """resolve_2ss of one chunk's (T, F, n_blocks) counts: its (F, 4)
-    slots, and with ``energy`` its (F, T) tx sums, gathered one type at a
+    """resolve_2ss of one chunk's (T, F, n_blocks) counts, or of any (T,
+    F, n_blocks) view: its Resolved sums, the tx gathered one type at a
     time, or for one frame all at once, in one (T, 1, n_blocks) float64
     gather."""
     T, F, n_blocks = counts.shape
     codes = class_codes(counts, axis=0)
     lut = resolver_lut(T)
-    lut.ensure(codes.ravel())
-    slots = np.zeros((F, 4), dtype=np.int64)
-    slots[:, 0] = sigma_slots(T) * n_blocks
-    slots[:, 1] = lut.extra.take(codes).sum(axis=1)
-    slots[:, 3] = bp
+    lut.ensure(codes.ravel("K"))
+    sums = np.zeros((F, 4 + 2 * T * energy), dtype=np.int64)
+    sums[:, 0] = sigma_slots(T) * n_blocks
+    sums[:, 1] = lut.extra[codes].sum(axis=1)    # in the codes' layout
+    sums[:, 3] = bp
     if not energy:
-        return (slots,)
+        return sums
     if F == 1:      # one frame: every type's gather at once, (T, 1, n)
         sent = _node_tx(T).take(codes, axis=1)
         sent *= counts
-        return slots, sent.sum(axis=2).T
-    tx = np.empty((F, T))
+        sums[:, 4:4 + T] = sent.sum(axis=2).T
+        return sums
     for b, row in enumerate(_node_tx(T)):
         sent = row.take(codes)
         sent *= counts[b]
-        tx[:, b] = sent.sum(axis=1)
+        sums[:, 4 + b] = sent.sum(axis=1)
         del sent            # before the next type's gather
-    return slots, tx
+    return sums
 
 
 @lru_cache(maxsize=None)
@@ -562,4 +569,5 @@ def run_2ss_trial(population: PopulationSpec, config: ProtocolConfig,
 def run_2ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
                bank: RngBank) -> Run3SSResult:
     """The balls-and-bins frame of the two-stage code (see run_bb)."""
-    return run_bb(resolve_2ss, population, rough, config, bank)
+    return run_bb(resolver_for(population.T), population, rough, config,
+                  bank)

@@ -631,13 +631,28 @@ def _exact_classes(u, t):
 
 
 class TestClassChunk:
-    """core._class_chunk writes min(count, 2) of _count_chunk's counts."""
+    """core._class_chunk writes min(count, 2) of _count_chunk's counts,
+    capped before they are stored, so a uint8 ``out`` holds them for every
+    n_b."""
 
     @staticmethod
-    def _classes(u, t):
-        out = np.full((len(u), t), -1, dtype=np.int32)
+    def _classes(u, t, dtype=np.int32):
+        out = np.full((len(u), t), -1 if dtype == np.int32 else 255,
+                      dtype=dtype)
         core._class_chunk(u, t, np.empty(u.shape, dtype=np.int64), out)
         return out
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """The (trials, nodes) of every core._block_counts call."""
+        calls = []
+        count = core._block_counts
+
+        def counted(u, t, idx):
+            calls.append(u.shape)
+            return count(u, t, idx)
+        monkeypatch.setattr(core, "_block_counts", counted)
+        return calls
 
     def test_short_prefix_counted_in_full(self, monkeypatch):
         # n_b = 4096: W = 512 and L = 5.  Trial 1's first W nodes all sit in
@@ -649,15 +664,10 @@ class TestClassChunk:
         u[2, :7] = [0.75, 0.875, 0.875, 0.9375, 0.9375, 0.96875, 0.96875]
         expected = _exact_classes(u, 12)
         assert expected[2, :6].tolist() == [2, 1, 2, 2, 2, 0]
-        rows = []
-        count = core._count_chunk
-
-        def counted(u, t, idx, out):
-            rows.append(len(u))
-            return count(u, t, idx, out)
-        monkeypatch.setattr(core, "_count_chunk", counted)
+        calls = self._counted(monkeypatch)
         assert np.array_equal(self._classes(u, 12), expected)
-        assert rows == [3, 1, 1]   # the prefixes, then trials 1, 2 in full
+        # The prefixes, then trials 1 and 2 in full.
+        assert [k for k, _nb in calls] == [3, 1, 1]
 
     def test_threshold_boundary(self):
         # n_b = 512 at t = 5: W = 64 and L = 2, so U > 0.75 selects block 3
@@ -677,14 +687,45 @@ class TestClassChunk:
     @pytest.mark.parametrize("nb, t, exact", [
         (511, 20, True), (512, 20, False), (4096, 2, True), (4096, 3, False),
     ])
-    def test_exact_below_the_certified_blocks(self, nb, t, exact):
+    def test_exact_below_the_certified_blocks(self, nb, t, exact,
+                                              monkeypatch):
+        # Below L = 2 (``exact``) every node of a trial is counted, in one
+        # count of the whole trials; else the first count is the prefixes'.
+        # Either way the classes are min(count, 2) of the exact counts.
         u = np.random.default_rng(nb + t).random((4, nb))
         expected = np.empty((4, t), dtype=np.int64)
         core._count_chunk(u.copy(), t, np.empty(u.shape, dtype=np.int64),
                           expected)
+        calls = self._counted(monkeypatch)
         got = self._classes(u, t)
-        assert np.array_equal(got, expected if exact
-                              else np.minimum(expected, 2))
+        assert np.array_equal(got, np.minimum(expected, 2))
+        assert calls[0] == (4, nb if exact else nb // 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.sampled_from([255, 256, 511, 512, 513, 1024]),
+                    min_size=1, max_size=3),
+           st.sampled_from([1, 2, 5, 20]), st.integers(1, 5),
+           st.sampled_from([1 << 19, 600]))
+    def test_property_uint8_class_draw(self, seed, n, t, M, chunk):
+        # The uint8 class draw equals min(count, 2) of an exact _count_chunk
+        # draw on the same streams, for n_b across the _class_depth
+        # switches, whole or in pieces (chunk 600).  At t <= 2, and at
+        # n_b >= 512 for t = 5, blocks of 256 nodes or more are common:
+        # stored before capping, uint8 would wrap them to a smaller class
+        # (256 nodes to class 0).
+        def draw(dtype, kernel):
+            bank = RngBank(seed)
+            rngs = [bank.stream("rep", b) for b in range(1, len(n) + 1)]
+            return core.draw_trials(rngs, n, t,
+                                    np.empty((len(n), M, t), dtype=dtype),
+                                    getattr(core, kernel))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_TRIAL_CHUNK", chunk)
+            mp.setattr(core, "_CPUS", 1)
+            got = draw(np.uint8, "_class_chunk")
+            exact = draw(np.int64, "_count_chunk")
+        assert np.array_equal(got, np.minimum(exact, 2))
 
 
 class TestNodePieces:
@@ -781,7 +822,7 @@ class TestDrawTrials:
         want = _one_shot_counts(streams(), self.N, t, M)
         if kernel == "_class_chunk":
             assert got[0].max() == 2 < want[0].max()
-            got, want = np.minimum(got, 2), np.minimum(want, 2)
+            want = np.minimum(want, 2)
         assert np.array_equal(got, want)
 
     @staticmethod
@@ -800,9 +841,8 @@ class TestDrawTrials:
                                           monkeypatch):
         """A trial of more nodes than a worker's share c is drawn in pieces
         of c nodes from its own stream.  The counts equal a one-shot draw's
-        at n = c - 1, c, c + 1 and 2c + 1 (classes for _class_chunk where it
-        keeps the whole trial as classes: 512 nodes or more at t = 6), and
-        the traced peak is the same at n = 2c + 1 and 8c + 1."""
+        at n = c - 1, c, c + 1 and 2c + 1 (their classes for _class_chunk),
+        and the traced peak is the same at n = 2c + 1 and 8c + 1."""
         chunk, M, t = 2048, 3, 6
         monkeypatch.setattr(core, "_TRIAL_CHUNK", chunk)
         monkeypatch.setattr(core, "_CPUS", cpus)
@@ -818,7 +858,7 @@ class TestDrawTrials:
             got = core.draw_trials(rngs, n, t, out, getattr(core, kernel))
             want = _one_shot_counts(self._streams(layout, n, M), n, t, M)
             if kernel == "_class_chunk":
-                want[[0, 3]] = np.minimum(want[[0, 3]], 2)
+                want = np.minimum(want, 2)
             assert np.array_equal(got, want), x
         peaks = []
         for x in (2 * c + 1, 8 * c + 1):

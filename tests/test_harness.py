@@ -385,12 +385,12 @@ class TestSharedReplicates:
             return shared(bank, key, counted)
         monkeypatch.setattr(RngBank, "shared", recorded)
         counts = {"rough": [], "reports": [], "p2": []}
-        lof, report = homogeneous.lof_estimates, hsrc._repeated_report
+        lof, reports = homogeneous.lof_estimates, hsrc._repeated_pass
         bb = homogeneous.uniform_block_choices
         monkeypatch.setattr(homogeneous, "lof_estimates", lambda c: (
             counts["rough"].append(1), lof(c))[1])
-        monkeypatch.setattr(hsrc, "_repeated_report", lambda *a: (
-            counts["reports"].append(a[0]), report(*a))[1])
+        monkeypatch.setattr(hsrc, "_repeated_pass", lambda *a: (
+            counts["reports"].extend(a[2]), reports(*a))[1])
         monkeypatch.setattr(homogeneous, "uniform_block_choices",
                             lambda *a, **k: (counts["p2"].append(1),
                                              bb(*a, **k))[1])
@@ -1300,25 +1300,45 @@ class TestBlockPass:
                                       alone.energy.idle(b))
                 assert np.array_equal(report.energy.tx[b], alone.energy.tx[b])
 
-    def test_one_resolver_call_per_block_code_and_phase(self, monkeypatch):
-        # fig8b at 40 replicates: one block per cell, one 3SS call for
-        # p2-3ssbb and one 2SS call for p2-2ssbb, each over all 40 frames;
-        # no scheme run resolves a frame.
+    @staticmethod
+    def _resolver_calls(monkeypatch):
+        """(resolver, frames) of every resolve_3ss and resolve_2ss call,
+        wherever the package binds them."""
         calls = []
-        for module, name in ((three_stage, "resolve_3ss"),
-                             (two_stage, "resolve_2ss")):
-            original = getattr(module, name)
+        for modules, name in (((three_stage, two_stage, hsrc), "resolve_3ss"),
+                              ((two_stage,), "resolve_2ss")):
+            original = getattr(modules[0], name)
 
             @functools.wraps(original)
             def spy(counts, s_w, energy=False, original=original):
                 calls.append((original.__name__,
                               sum(c.shape[1] for c in counts)))
                 return original(counts, s_w, energy)
-            monkeypatch.setattr(module, name, spy)
-            monkeypatch.setitem(hsrc._CODES, name[-3:].upper(), spy)
+            for module in modules:
+                monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_one_resolver_call_per_block_code_and_phase(self, monkeypatch):
+        # fig8b at 40 replicates: one block per cell, one 3SS call for
+        # p2-3ssbb and one 2SS call for p2-2ssbb, each over all 40 frames;
+        # no scheme run resolves a frame.
+        calls = self._resolver_calls(monkeypatch)
         figure_preset("fig8b", replicates=40, seed=2)
         cells = len(harness.PRESETS["fig8b"][2])
         assert calls == [("resolve_3ss", 40), ("resolve_2ss", 40)] * cells
+
+    def test_codes_that_coincide_resolve_once(self, monkeypatch):
+        # At T = 3 the two codes are one: a block of 5 replicates of both
+        # HSRC variants and both SSBB phase-2 schemes resolves each phase
+        # once, by resolve_3ss, and no scheme run resolves a frame.
+        calls = self._resolver_calls(monkeypatch)
+        run_experiment(ExperimentSpec(
+            ["hsrc1", "hsrc2", "p2-3ssbb", "p2-2ssbb"], "none", [0],
+            {"T": 3, "epsilon": 0.03, "n": (30, 45, 12), "n_all": 1 << 10,
+             "rough": (25, 60, 12)}, replicates=5, seed=4))
+        m_prime = derive_config(0.03, 0.2, (1 << 10,) * 3).m_prime
+        assert calls == [("resolve_3ss", 5 * m_prime), ("resolve_3ss", 5),
+                         ("resolve_3ss", 5)]
 
     def test_estimator_equality_inside_blocks(self, monkeypatch):
         monkeypatch.setattr(harness, "BLOCK", 3)

@@ -23,7 +23,6 @@ from hetcount.harness import PHASE2_ONLY, SCHEMES, figure_preset
 from hetcount.hsrc import (_repeated_block_classes, resolve_block,
                            run_baseline, run_hsrc, run_phase2)
 from hetcount.homogeneous import (bb_key, bb_trials, lof_estimate,
-                                  lof_estimates,
                                   participation_probability, run_srcs,
                                   t_repetitions_srcs)
 from hetcount.three_stage import (Stage1Result3SS, outcomes_3ss, run_3ss_bb,
@@ -444,8 +443,10 @@ class TestSharedPhase2:
                                       fresh.energy.tx[b])
                 assert np.array_equal(shared.energy.rx[b],
                                       fresh.energy.rx[b])
-        # The draw, and its frame resolved by each code.
-        assert [key[0] for key in bank._kept] == ["p2", "frames", "frames"]
+        # The draw, and its frame resolved by each code: by one at T = 3,
+        # where the codes coincide.
+        assert [key[0] for key in bank._kept] == ["p2"] + ["frames"] * (
+            1 if pop.T == 3 else 2)
         held = bb_trials(bb_key(pop.n, prm["rough"], cfg), RngBank(5))[0]
         assert not held.flags.writeable
         assert held.dtype == np.min_scalar_type(held.max())
@@ -467,7 +468,8 @@ class TestSharedPhase2:
             assert report.final == want.final and report.flags == want.flags
             report.final[1] = -1.0
             report.flags.clear()
-        assert [key[0] for key in bank._kept] == ["p2", "frames", "frames"]
+        # The draw, and its frame, which both codes read at T = 3.
+        assert [key[0] for key in bank._kept] == ["p2", "frames"]
 
     # The (T, ell) uint8 counts of _kept_bytes: 6 x 3009 bytes.
     COUNTS = 18054
@@ -536,52 +538,48 @@ class TestRepeatedBlockCounts:
     # draw exactly; this fails if a numpy release changes that algorithm.
     # ``cpus`` sets the workers to min(T, cpus) wherever some type's trials
     # span more than one chunk, so the pooled draw runs on any machine.  The
-    # first eight cases keep the ids they had without it.  ``classes`` marks
-    # the cases with a type of 512 or more nodes at t >= 3, which
-    # core._class_chunk keeps as classes: there only min(count, 2) is exact.
-    @pytest.mark.parametrize("chunk, n, M, t, cpus, classes", [
+    # first eight cases keep the ids they had without it.  The draw holds
+    # count classes, min(count, 2) of the one-shot counts, in uint8.
+    @pytest.mark.parametrize("chunk, n, M, t, cpus", [
         # n_b far below the budget: one chunk, drawn inline.
-        pytest.param(1 << 20, (40, 7, 0), 13, 5, 2, False,
+        pytest.param(1 << 20, (40, 7, 0), 13, 5, 2,
                      id="1048576-n0-13-5"),
         # 1030 trials span chunks; types 1 and 3 on two of three workers.
-        pytest.param(1 << 20, (1023, 0, 5), 1030, 6, 3, True,
+        pytest.param(1 << 20, (1023, 0, 5), 1030, 6, 3,
                      id="1048576-n1-1030-6"),
         # n_b at the budget, and above it at t = 1: one row per chunk.
-        pytest.param(1 << 20, (1 << 20, 1), 3, 20, 2, True,
+        pytest.param(1 << 20, (1 << 20, 1), 3, 20, 2,
                      id="1048576-n2-3-20"),
-        pytest.param(1 << 20, ((1 << 20) + 1, 2), 2, 1, 2, False,
+        pytest.param(1 << 20, ((1 << 20) + 1, 2), 2, 1, 2,
                      id="1048576-n3-2-1"),
         # 3 rows + 2, and 1 row, on one worker.
-        pytest.param(100, (30, 250, 0), 11, 9, 1, False, id="100-n4-11-9"),
+        pytest.param(100, (30, 250, 0), 11, 9, 1, id="100-n4-11-9"),
         # Small chunks at t = 1, 2.
-        pytest.param(100, (30, 250, 7), 11, 1, 3, False, id="100-n5-11-1"),
-        pytest.param(100, (30, 250, 7), 11, 2, 2, False, id="100-n6-11-2"),
+        pytest.param(100, (30, 250, 7), 11, 1, 3, id="100-n5-11-1"),
+        pytest.param(100, (30, 250, 7), 11, 2, 2, id="100-n6-11-2"),
         # 1 row per chunk, t = 20.
-        pytest.param(64, (100, 33, 5), 17, 20, 2, False, id="64-n7-17-20"),
+        pytest.param(64, (100, 33, 5), 17, 20, 2, id="64-n7-17-20"),
         # T = 3 on 2 workers: two types on one, one on the other.
-        pytest.param(100, (40, 25, 9), 13, 4, 2, False, id="uneven-split"),
+        pytest.param(100, (40, 25, 9), 13, 4, 2, id="uneven-split"),
         # A zero-count type beside a drawn one in a worker's group.
-        pytest.param(100, (40, 25, 0, 9), 13, 5, 2, False,
+        pytest.param(100, (40, 25, 0, 9), 13, 5, 2,
                      id="zero-type-in-group"),
         # One worker's types need 45 and 70 uniforms a chunk, the other's
         # 40 and 45, each through its worker's one pair of buffers.
-        pytest.param(100, (3, 20, 70, 45), 15, 6, 2, False,
+        pytest.param(100, (3, 20, 70, 45), 15, 6, 2,
                      id="mixed-n-in-group"),
         # M * max(n_b) at the budget (inline) and one trial row above it.
-        pytest.param(100, (5, 4, 5), 20, 4, 3, False, id="at-budget"),
-        pytest.param(100, (5, 4, 5), 21, 4, 3, False, id="above-budget"),
+        pytest.param(100, (5, 4, 5), 20, 4, 3, id="at-budget"),
+        pytest.param(100, (5, 4, 5), 21, 4, 3, id="above-budget"),
     ])
-    def test_equals_one_shot_draw(self, chunk, n, M, t, cpus, classes,
-                                  monkeypatch):
+    def test_equals_one_shot_draw(self, chunk, n, M, t, cpus, monkeypatch):
         monkeypatch.setattr(core, "_TRIAL_CHUNK", chunk)
         monkeypatch.setattr(core, "_CPUS", cpus)
         pop = _pop(n, max(n))
         got = _repeated_block_classes(pop, t, M, RngBank(3))
-        assert got.dtype == np.int32
+        assert got.dtype == np.uint8
         one_shot = _one_shot_block_counts(pop, t, M, RngBank(3))
-        if classes:
-            got, one_shot = np.minimum(got, 2), np.minimum(one_shot, 2)
-        assert np.array_equal(got, one_shot)
+        assert np.array_equal(got, np.minimum(one_shot, 2))
 
     def test_memory_flat_in_trials_times_nodes(self):
         # m_lof x n_b = 1136 x 2e4 uniforms per type would take 182 MB at
@@ -621,8 +619,7 @@ class TestRepeatedBlockClasses:
         bank = RngBank(6)
         for s in REPEATED:
             got = run_baseline(s, pop, cfg, bank)
-            want = hsrc._repeated_report(s, exact, cfg.s_w,
-                                         lof_estimates(exact))
+            want = hsrc._repeated_pass(exact, cfg.s_w, [s])[s]
             assert got.final == want.final
             assert got.ledger == want.ledger
             assert got.overhead_slots == want.overhead_slots
@@ -758,8 +755,8 @@ class TestRepeatedDrawThreads:
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown(wait=True)
-        assert np.array_equal(got, _one_shot_block_counts(pop, 8, 200,
-                                                          RngBank(4)))
+        assert np.array_equal(got, np.minimum(_one_shot_block_counts(
+            pop, 8, 200, RngBank(4)), 2))
 
     @staticmethod
     def _runs_without_pool(preset, monkeypatch):
@@ -902,9 +899,10 @@ class TestRepeatedReportMatchesFormula:
     def test_report_equals_formula(self, seed, T, M, t, s_w, load, scheme):
         counts = np.random.default_rng(seed).poisson(
             load, size=(M, t, T)).astype(np.int32)
-        counts_tf = counts.transpose(2, 0, 1)
-        rep = hsrc._repeated_report(scheme, counts_tf, s_w,
-                                    lof_estimates(counts_tf))
+        # The pass reads the draw's uint8 classes, blocks first in memory.
+        classes = np.minimum(counts, 2).astype(np.uint8).transpose(2, 1, 0)
+        rep = hsrc._repeated_pass(np.ascontiguousarray(classes).transpose(
+            0, 2, 1), s_w, [scheme])[scheme]
         final, ledger, overhead = _repeated_report_by_formula(scheme, counts,
                                                               s_w)
         assert rep.final == rep.rough == final
