@@ -753,7 +753,7 @@ def _class_chunk(u, t, idx, out):
     low = _class_depth(nb, t)
     if low < 2:
         counts = _block_counts(u, t, idx)
-        if nb > 255:    # a count could wrap in uint8: capped before
+        if nb > 255:    # a count could wrap in uint8: cap it first
             np.minimum(counts, 2, out=counts)
         out[...] = counts.T
         # Against an array of twos: a scalar 2 is several times slower.

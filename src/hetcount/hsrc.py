@@ -15,13 +15,14 @@ phase-2 frames likewise, before any scheme runs on the block, and a bank
 used alone resolves its own (three_stage.held_frames).  It reads the rough
 estimates worked out once beside the counts (homogeneous.rough_estimates),
 so the rough estimates agree by construction; node blocks are drawn again
-only for a per-node read.  Each repeated baseline resolves its trials'
-(T, m_lof, t) count classes (0, 1, 2+), counted exactly only where a
-block can hold fewer than two nodes, one replicate at a time.  Both trial
-draws are core.draw_trials calls.  Both phase-2 branches, and TxSRCS, read
-homogeneous.bb_trials, one draw per replicate at the shared rough
-estimates, and the joined nodes and final estimates it holds beside the
-counts; no report keeps a per-node array.
+only for a per-node read.  The repeated baselines draw their trials once
+per replicate as one (T, m_lof, t) uint8 array of count classes (0, 1,
+2+), held blocks first, and one pass over it (_repeated_pass) works out
+the first-absent estimates and the ledger of each code they list.  Both
+trial draws are core.draw_trials calls.  Both phase-2 branches, and
+TxSRCS, read homogeneous.bb_trials, one draw per replicate at the shared
+rough estimates, and the joined nodes and final estimates it holds beside
+the counts; no report keeps a per-node array.
 """
 
 from __future__ import annotations
@@ -200,9 +201,9 @@ def resolve_block(contexts, frames, rough=None, repeated=()):
     ``contexts`` (bank, population, config), resolve the frames they will
     read, in one resolver call for each (code, phase) of ``frames`` (one
     for both codes at T <= 3, two_stage.resolver_for), code "3SS" or "2SS"
-    and phase "p1" (the m' phase-1 trials), "p2" (the SSBB
-    phase-2 frame at the replicate's own rough estimates) or "given" (at
-    the rough estimates ``rough``), each replicate's share held in its
+    and phase "p1" (the m' phase-1 trials), "p2" (the SSBB phase-2 frame
+    at the replicate's own rough estimates) or "given" (at the rough
+    estimates ``rough``), each replicate's share held in its
     bank's memo (three_stage.hold_frames) for its scheme runs; and the
     reports of the repeated baselines ``repeated``, replicate by replicate.
     The draws are each replicate's own, as its scheme runs would make

@@ -195,14 +195,16 @@ def frame_chunks(counts):
 
 @dataclass
 class Resolved:
-    """What a resolver works out for F frames, frame by frame in order."""
-    sums: np.ndarray        # (F, 4 + 2T) int64: slots, tx, rx (no tx, rx
-    plan: int               # without energy); plan-broadcast slots a frame
+    """What a resolver works out for F frames, frame by frame in order.
+    ``sums`` (int64) holds each frame's stage-1, stage-2, stage-3 and bp
+    slots, (F, 4), and with energy, (F, 4 + 2T), then each type's
+    transmissions and its receptions beyond ``heard``: ``slots``, ``tx``
+    and ``rx``, read one replicate's share at a time in one reduction."""
+    sums: np.ndarray
+    plan: int               # plan-broadcast slots of every frame
     heard: int = 0          # slots every node of every type hears per frame
     tables: object = None   # (counts, b): one replicate's per-node tables
 
-    # Stage-1, stage-2, stage-3 and bp slots, (F, 4), then (F, T)
-    # transmissions and receptions beyond ``heard`` by type.
     slots = property(lambda self: self.sums[:, :4])
     tx = property(lambda self: self.sums[:, 4:(4 + self.sums.shape[1]) // 2])
     rx = property(lambda self: self.sums[:, (4 + self.sums.shape[1]) // 2:])
