@@ -326,11 +326,18 @@ def resolve_2ss(counts, s_w, energy=False):
     return Resolved(sums, plan, bp, partial(_energy_2ss, s_w))
 
 
+# Up to this many block-type cells, _chunk_2ss gathers every type's tx at
+# once: on one replicate's phase-1 frames that saves 3(T - 1) numpy calls of
+# a call's fixed cost.  Larger chunks go a type at a time, which bounds the
+# float64 gather.
+_GATHER_CELLS = 1 << 12
+
+
 def _chunk_2ss(bp, energy, counts):
     """resolve_2ss of one chunk's (T, F, n_blocks) counts, or of any (T,
     F, n_blocks) view: its Resolved sums, the tx gathered one type at a
-    time, or for one frame all at once, in one (T, 1, n_blocks) float64
-    gather."""
+    time, or all at once in one (T, F, n_blocks) float64 gather where that
+    holds one frame or at most _GATHER_CELLS cells."""
     T, F, n_blocks = counts.shape
     codes = class_codes(counts, axis=0)
     lut = resolver_lut(T)
@@ -341,7 +348,7 @@ def _chunk_2ss(bp, energy, counts):
     sums[:, 3] = bp
     if not energy:
         return sums
-    if F == 1:      # one frame: every type's gather at once, (T, 1, n)
+    if F == 1 or counts.size <= _GATHER_CELLS:    # every type at once
         sent = _node_tx(T).take(codes, axis=1)
         sent *= counts
         sums[:, 4:4 + T] = sent.sum(axis=2).T

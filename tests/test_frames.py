@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetcount import core, three_stage
+from hetcount import core, three_stage, two_stage
 from hetcount.core import (
     PopulationSpec,
     RngBank,
@@ -115,14 +115,17 @@ class TestFrameMatchesReference:
 class TestEnergySumsByContraction:
     """Each resolver's per-frame, per-type energy sums, contracted from the
     counts, equal the sums of per-node arrays built from each type's
-    (M, n_blocks + 1) reference tables, exactly, frame by frame."""
+    (M, n_blocks + 1) reference tables, exactly, frame by frame; the 2SS
+    tx gathered every type at once or a type at a time (``gather``, the
+    cells up to which two_stage._chunk_2ss gathers at once)."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([resolve_3ss, resolve_2ss]), st.integers(2, 8),
            st.integers(1, 3), st.integers(1, 10), st.integers(1, 8),
-           st.sampled_from([np.int32, np.uint8]), st.data())
+           st.sampled_from([np.int32, np.uint8]),
+           st.sampled_from([0, two_stage._GATHER_CELLS]), st.data())
     def test_sums_equal_per_node_tables(self, resolve, T, M, n_blocks, s_w,
-                                        dtype, data):
+                                        dtype, gather, data):
         # Counts near 128 make c_1 + c_b wrap in uint8 unless capped.
         cells = data.draw(st.lists(st.integers(0, 3) | st.integers(126, 130),
                                    min_size=T * M * n_blocks,
@@ -131,7 +134,9 @@ class TestEnergySumsByContraction:
         joined = counts.sum(axis=2, dtype=np.int64)
         idle = data.draw(st.lists(st.integers(0, 6), min_size=T, max_size=T))
         n = tuple(int(j) + i for j, i in zip(joined.max(axis=1), idle))
-        res = resolve([counts], s_w, energy=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(two_stage, "_GATHER_CELLS", gather)
+            res = resolve([counts], s_w, energy=True)
         assert res.slots.shape == (M, 4) and res.tx.shape == (M, T)
         for b, nb in enumerate(n):
             table_tx, table_rx = res.tables(counts, b + 1)
