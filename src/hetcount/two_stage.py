@@ -313,8 +313,8 @@ def resolve_2ss(counts, s_w, energy=False):
     code is the three-stage one.  The tables recover every type's presence
     exactly (they are checked against it code by code when built), so only
     the follow-up cost is looked up, and each type's tx, _node_tx(T) at the
-    block codes times the counts, is summed a type at a time: whole
-    numbers, exact in any order."""
+    block codes times the counts, is summed (_chunk_2ss): whole numbers,
+    exact in any order."""
     T, _, n_blocks = counts[0].shape
     if T <= 3:
         return resolve_3ss(counts, s_w, energy)
