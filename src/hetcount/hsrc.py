@@ -184,11 +184,10 @@ def _repeated_pass(classes, s_w, schemes):
     for scheme in schemes:
         code = resolver_for(T) if scheme == _REPEATED[1] else resolve_3ss
         if code not in ledgers:
-            plan = 0 if code is resolve_3ss else plan_slots(T, t, s_w)
-            frames = (_chunk_3ss(s_w, False, classes) if code is resolve_3ss
-                      else _chunk_2ss(bitmap_bp_slots(t, s_w) + plan, False,
-                                      classes))
-            ledgers[code] = SlotLedger(*frames.sum(axis=0).tolist()), M * plan
+            chunk, plan = ((_chunk_3ss, 0) if code is resolve_3ss
+                           else (_chunk_2ss, plan_slots(T, t, s_w)))
+            slots = chunk(s_w, False, classes).sum(axis=0)
+            ledgers[code] = SlotLedger(*slots.tolist()), M * plan
         ledger, overhead = ledgers[code]
         reports[scheme] = EstimateReport(
             rough=dict(final), final=dict(final), phase2_method=None,

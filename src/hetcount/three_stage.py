@@ -196,18 +196,14 @@ def frame_chunks(counts):
 @dataclass
 class Resolved:
     """What a resolver works out for F frames, frame by frame in order.
-    ``sums`` (int64) holds each frame's stage-1, stage-2, stage-3 and bp
-    slots, (F, 4), and with energy, (F, 4 + 2T), then each type's
-    transmissions and its receptions beyond ``heard``: ``slots``, ``tx``
-    and ``rx``, read one replicate's share at a time in one reduction."""
+    ``sums`` (int64, (F, 4 + 2T)) holds each frame's stage-1, stage-2,
+    stage-3 and bp slots, then each type's transmissions, then its
+    receptions beyond ``heard``, read one replicate's share at a time in
+    one reduction."""
     sums: np.ndarray
-    plan: int               # plan-broadcast slots of every frame
-    heard: int = 0          # slots every node of every type hears per frame
-    tables: object = None   # (counts, b): one replicate's per-node tables
-
-    slots = property(lambda self: self.sums[:, :4])
-    tx = property(lambda self: self.sums[:, 4:(4 + self.sums.shape[1]) // 2])
-    rx = property(lambda self: self.sums[:, (4 + self.sums.shape[1]) // 2:])
+    plan: int       # plan-broadcast slots of every frame
+    heard: int      # slots every node of every type hears per frame
+    tables: object  # (counts, b): one replicate's per-node tables
 
 
 def _followup(counts):
@@ -231,31 +227,30 @@ def _followup(counts):
     return masks
 
 
-def resolve_3ss(counts, s_w, energy=False):
+def resolve_3ss(counts, s_w):
     """The frames of the three-stage code from their block counts:
     ``counts`` lists types-first (T, M_r, n_blocks) arrays, the frames of
     one replicate each, say, and they are resolved a chunk at a time
-    (frame_chunks).  A Resolved of every frame in order: its slots, no
-    plan-broadcast slots (this code has none), and with ``energy`` each
-    type's tx and rx sums over its joined nodes, the bp1 bitmap slots every
-    node hears, and _energy_3ss, which builds type b's per-node tables from
-    one replicate's counts.
+    (frame_chunks).  A Resolved of every frame in order: its slots and
+    each type's tx and rx sums over its joined nodes, no plan-broadcast
+    slots (this code has none), the bp1 bitmap slots every node hears, and
+    _energy_3ss, which builds type b's per-node tables from one replicate's
+    counts.
 
     The follow-up recovers every type's presence exactly (run_3ss_followup
     is the reference), so presence is counts > 0 and only the follow-up's
     cost is worked out (_followup).  The sums are contractions of the
     _energy_3ss tables with the counts, whole numbers summed exactly in
     any order."""
-    sums = by_chunks(partial(_chunk_3ss, s_w, energy), counts)
-    if not energy:
-        return Resolved(sums, 0)
+    sums = by_chunks(partial(_chunk_3ss, s_w, True), counts)
     return Resolved(sums, 0, bitmap_bp_slots(counts[0].shape[2], s_w),
                     partial(_energy_3ss, s_w))
 
 
 def _chunk_3ss(s_w, energy, counts):
     """resolve_3ss of one chunk's (T, F, n_blocks) counts, or of any (T,
-    F, n_blocks) view: its Resolved sums."""
+    F, n_blocks) view: its Resolved sums, or without ``energy`` only their
+    (F, 4) slots."""
     T, F, n_blocks = counts.shape
     masks = _followup(counts)
     K, R = masks.sum(axis=2)
@@ -270,7 +265,7 @@ def _chunk_3ss(s_w, energy, counts):
             0, 1)
         tx, rx = sums[:, 4:4 + T].T, sums[:, 4 + T:].T
         np.add(joined, on_stage3, out=tx)
-        tx[0] = (T - 1) * joined[0] + on_flagged[0]
+        tx[0] = (T - 1) * joined[0].astype(np.int64) + on_flagged[0]
         rx[...] = on_flagged
         rx[0] = 0
     return sums
@@ -321,7 +316,7 @@ def resolve_replicates(resolve, counts, s_w):
     slots every node hears, those heard slots, per-node tables), each
     summed over its frames, all whole numbers; the ledger as its stage1,
     stage2, stage3 and bp slots, so each read makes its own SlotLedger."""
-    res = resolve(counts, s_w, energy=True)
+    res = resolve(counts, s_w)
     frames, starts = [array.shape[1] for array in counts], [0]
     for M in frames[:-1]:
         starts.append(starts[-1] + M)

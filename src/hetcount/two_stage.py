@@ -5,7 +5,7 @@ Stage 1 uses blocks of only sigma(T) = floor(T/2) slots (T even) or
 of increasing length, the rest beta-suffixes of increasing length, and for
 odd T the last type transmits beta in the first slot plus alpha in the last.
 For T = 2 and T = 3 the scheme coincides with the three-stage scheme, and
-resolve_2ss delegates there.
+resolver_for hands such frames to resolve_3ss.
 
 Ambiguity left after stage 1 is resolved in stage 2: blocks colliding in
 every slot split the type set in half and re-run a stage-1 sub-block per
@@ -17,16 +17,16 @@ The runners decode through one process-global table per T, indexed by the
 base-3 code of a block's per-type count classes.  Each table is built whole,
 all 3^T codes in one numpy pass per stage-1 outcome, on its first use
 (``resolver_lut(T).ensure``); it costs O(3^T) time and memory, e.g. 59 049
-codes at T = 10, built in well under a second.  The reference the tables
-are tested against, which resolves one block the slow, readable way
-(resolve_block_2ss), is a test oracle, tests/reference_2ss.py; tables are
-tested, and built, for T <= 10.
+codes at T = 10, built in well under a second.  ``resolve_block_2ss``
+resolves one block the slow, readable way and is kept as the reference the
+tables are tested against; tables are tested, and built, for T <= 10.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 
@@ -51,7 +51,12 @@ from .three_stage import (
     sym3_matrix,
 )
 
+_EMPTY = SlotOutcome.EMPTY.value
+_SA = SlotOutcome.SINGLE_ALPHA.value
+_SB = SlotOutcome.SINGLE_BETA.value
 _COLL = SlotOutcome.COLLISION.value
+
+ABSENT, PRESENT, AMBIGUOUS = "Absent", "Present", "Ambiguous"
 
 
 def eta(T) -> int:
@@ -96,6 +101,184 @@ def build_sym2_matrix(T) -> Sym2Matrix:
     return Sym2Matrix(T=T, rows=tuple(rows))
 
 
+def _predict_outcome(classes, matrix: Sym2Matrix):
+    """Slot outcomes produced by a per-type count-class vector (0/1/>=2).
+    Capping counts at 2 never changes an outcome, so classes are enough."""
+    out = []
+    for s in range(matrix.slots):
+        a = sum(c for c, row in zip(classes, matrix.rows) if row[s] == "alpha")
+        b = sum(c for c, row in zip(classes, matrix.rows) if row[s] == "beta")
+        tot = a + b
+        if tot == 0:
+            out.append(_EMPTY)
+        elif tot == 1:
+            out.append(_SA if a == 1 else _SB)
+        else:
+            out.append(_COLL)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _consistent_scenarios(outcome, T):
+    matrix = build_sym2_matrix(T)
+    found = [classes for classes in product((0, 1, 2), repeat=T)
+             if _predict_outcome(classes, matrix) == outcome]
+    if not found:
+        raise InconsistentOutcome(f"no population produces outcome {outcome}")
+    return tuple(found)
+
+
+def decode_block_2ss(outcome, matrix: Sym2Matrix):
+    """Per-type verdict by consistency enumeration over count classes."""
+    codes = tuple(o.value if isinstance(o, SlotOutcome) else int(o)
+                  for o in outcome)
+    scenarios = _consistent_scenarios(codes, matrix.T)
+    verdicts = []
+    for b in range(matrix.T):
+        present = {sc[b] > 0 for sc in scenarios}
+        verdicts.append(PRESENT if present == {True}
+                        else ABSENT if present == {False} else AMBIGUOUS)
+    return tuple(verdicts)
+
+
+def _greedy_probes(scenarios, ambiguous_types):
+    """Smallest-by-greedy set of type probes whose observed count classes
+    separate every pair of scenarios that disagree on some type's presence.
+    Ties break toward the lowest type index."""
+    pairs = []
+    for i in range(len(scenarios)):
+        for j in range(i + 1, len(scenarios)):
+            pi = tuple(c > 0 for c in scenarios[i])
+            pj = tuple(c > 0 for c in scenarios[j])
+            if pi != pj:
+                pairs.append((scenarios[i], scenarios[j]))
+    probes = []
+    while True:
+        unsep = [(s1, s2) for s1, s2 in pairs
+                 if all(s1[b] == s2[b] for b in probes)]
+        if not unsep:
+            return probes
+        best, best_gain = None, -1
+        for b in ambiguous_types:
+            if b in probes:
+                continue
+            gain = sum(1 for s1, s2 in unsep if s1[b] != s2[b])
+            if gain > best_gain:
+                best, best_gain = b, gain
+        if best is None or best_gain == 0:
+            raise InconsistentOutcome("probe construction cannot separate "
+                                      "presence-differing scenarios")
+        probes.append(best)
+
+
+@dataclass(frozen=True)
+class ResolutionStep:
+    kind: str          # "probe" | "subblock" | "stage2" | "stage3"
+    types: tuple       # 1-based type indices involved
+    slots: int
+
+
+@dataclass(frozen=True)
+class BlockResolution:
+    presence: tuple    # per-type bool
+    extra_slots: int
+    tx: tuple          # per-type transmissions during resolution
+    steps: tuple       # ResolutionStep trace (the block's ResolutionPlan)
+
+
+@lru_cache(maxsize=None)
+def resolve_block_2ss(classes, T) -> BlockResolution:
+    """Full base-station side resolution of one stage-1 block given the
+    per-type count classes that produced it.
+
+    The observable inputs are only slot outcomes (of the stage-1 block and
+    of every follow-up slot); classes enter solely through the outcomes
+    they deterministically generate.  The runners read the same results
+    from resolver_lut(T); this function is the reference for those tables.
+    """
+    matrix = build_sym2_matrix(T)
+    outcome = _predict_outcome(classes, matrix)
+    scenarios = _consistent_scenarios(outcome, T)
+    verdicts = decode_block_2ss(outcome, matrix)
+    truth = tuple(c > 0 for c in classes)
+    tx = [0] * T
+
+    if AMBIGUOUS not in verdicts:
+        presence = tuple(v == PRESENT for v in verdicts)
+        if presence != truth:
+            raise InconsistentOutcome("decoded presence contradicts ground truth")
+        return BlockResolution(presence, 0, tuple(tx), ())
+
+    if all(o == _COLL for o in outcome):
+        if T <= 3:
+            # Degenerate to the three-stage follow-up: one slot where only
+            # type 1 transmits, then dedicated slots if it still collides.
+            steps = [ResolutionStep("stage2", (1,), 1)]
+            extra = 1
+            tx[0] += 1
+            c1 = classes[0]
+            if c1 == 1:
+                presence = tuple([True] * T)
+            elif c1 == 0:
+                presence = tuple([False] + [True] * (T - 1))
+            else:
+                steps.append(ResolutionStep("stage3", tuple(range(2, T + 1)),
+                                            T - 1))
+                extra += T - 1
+                for b in range(1, T):
+                    tx[b] += 1
+                presence = tuple([True] + [c > 0 for c in classes[1:]])
+            if presence != truth:
+                raise InconsistentOutcome("follow-up contradicts ground truth")
+            return BlockResolution(presence, extra, tuple(tx), tuple(steps))
+        # Split the type set in half; each half re-runs stage 1 on its own
+        # sub-block (recursively), a singleton half gets a bare probe slot.
+        half = -(-T // 2)
+        groups = [tuple(range(1, half + 1)), tuple(range(half + 1, T + 1))]
+        presence = [False] * T
+        extra = 0
+        steps = []
+        for group in groups:
+            sub = tuple(classes[g - 1] for g in group)
+            if len(group) == 1:
+                extra += 1
+                tx[group[0] - 1] += 1
+                presence[group[0] - 1] = sub[0] > 0
+                steps.append(ResolutionStep("probe", group, 1))
+            else:
+                tg = len(group)
+                sub_matrix = build_sym2_matrix(tg)
+                stage1 = sigma_slots(tg)
+                res = resolve_block_2ss(sub, tg)
+                extra += stage1 + res.extra_slots
+                steps.append(ResolutionStep("subblock", group,
+                                            stage1 + res.extra_slots))
+                for idx, g in enumerate(group):
+                    row_syms = sum(1 for sym in sub_matrix.rows[idx] if sym)
+                    tx[g - 1] += row_syms + res.tx[idx]
+                    presence[g - 1] = res.presence[idx]
+        presence = tuple(presence)
+        if presence != truth:
+            raise InconsistentOutcome("recursion contradicts ground truth")
+        return BlockResolution(presence, extra, tuple(tx), tuple(steps))
+
+    # Partial ambiguity: dedicated probe slots, greedily chosen so their
+    # outcomes separate every pair of interpretations that disagree on
+    # somebody's presence.
+    ambiguous = [b for b, v in enumerate(verdicts) if v == AMBIGUOUS]
+    probes = _greedy_probes(scenarios, ambiguous)
+    signature = tuple(classes[b] for b in probes)
+    survivors = [sc for sc in scenarios
+                 if tuple(sc[b] for b in probes) == signature]
+    patterns = {tuple(c > 0 for c in sc) for sc in survivors}
+    if len(patterns) != 1 or patterns.pop() != truth:
+        raise InconsistentOutcome("probes failed to pin down presence")
+    for b in probes:
+        tx[b] += 1
+    steps = tuple(ResolutionStep("probe", (b + 1,), 1) for b in probes)
+    return BlockResolution(truth, len(probes), tuple(tx), steps)
+
+
 def _row_symbols(T) -> np.ndarray:
     """Stage-1 transmissions per type: the symbols in its matrix row."""
     return np.array([sum(1 for sym in row if sym)
@@ -103,8 +286,7 @@ def _row_symbols(T) -> np.ndarray:
 
 
 def _outcome_keys(classes, matrix: Sym2Matrix) -> np.ndarray:
-    """The stage-1 outcome of every row of per-type count classes, as one
-    base-4 integer per row."""
+    """_predict_outcome of every row, as one base-4 integer per row."""
     def incidence(symbol):
         return np.array([[sym == symbol for sym in row] for row in matrix.rows],
                         dtype=np.int64)
@@ -120,8 +302,7 @@ def _pairs(keys) -> int:
 
 
 def _probe_search(classes, pattern, candidates):
-    """The reference's greedy probe choice (_greedy_probes, in the test
-    oracle) over one outcome's scenarios without listing pairs.
+    """_greedy_probes over one outcome's scenarios without listing pairs.
 
     Scenario pairs that disagree on presence yet agree on every probe are
     counted as pairs sharing a probe signature minus pairs sharing the
@@ -297,47 +478,43 @@ def plan_slots(T, n_blocks, s_w) -> int:
 
 def resolver_for(T):
     """The resolver of the two-stage code at T types: resolve_3ss where
-    T <= 3, for the codes coincide there (resolve_2ss hands such frames on
-    to it), so a frame both codes read is keyed, resolved and held once;
-    else resolve_2ss."""
+    T <= 3, for the codes coincide there, so a frame both codes read is
+    keyed, resolved and held once; else resolve_2ss.  Every run of the
+    two-stage code takes its resolver from here."""
     return resolve_3ss if T <= 3 else resolve_2ss
 
 
-def resolve_2ss(counts, s_w, energy=False):
-    """The frames of the two-stage code from their block counts, as
-    three_stage.resolve_3ss: ``counts`` lists types-first (T, M_r,
-    n_blocks) arrays, resolved a chunk at a time (frame_chunks), into a
-    Resolved of every frame in order: its slots, the plan-broadcast slots
-    of a frame, and with ``energy`` each type's tx sums (no rx beyond the
-    bp broadcast slots every node hears) and _energy_2ss.  For T <= 3 the
-    code is the three-stage one.  The tables recover every type's presence
+def resolve_2ss(counts, s_w):
+    """The frames of the two-stage code at T > 3 types (resolver_for) from
+    their block counts, as three_stage.resolve_3ss: ``counts`` lists
+    types-first (T, M_r, n_blocks) arrays, resolved a chunk at a time
+    (frame_chunks), into a Resolved of every frame in order: its slots and
+    each type's tx sums (no rx beyond the bp broadcast slots every node
+    hears), the plan-broadcast slots of a frame, those bp slots and
+    _energy_2ss.  The tables recover every type's presence
     exactly (they are checked against it code by code when built), so only
     the follow-up cost is looked up, and each type's tx, _node_tx(T) at the
     block codes times the counts, is summed (_chunk_2ss): whole numbers,
     exact in any order."""
     T, _, n_blocks = counts[0].shape
-    if T <= 3:
-        return resolve_3ss(counts, s_w, energy)
     plan = plan_slots(T, n_blocks, s_w)
-    bp = bitmap_bp_slots(n_blocks, s_w) + plan
-    sums = by_chunks(partial(_chunk_2ss, bp, energy), counts)
-    if not energy:
-        return Resolved(sums, plan)
-    return Resolved(sums, plan, bp, partial(_energy_2ss, s_w))
+    sums = by_chunks(partial(_chunk_2ss, s_w, True), counts)
+    return Resolved(sums, plan, bitmap_bp_slots(n_blocks, s_w) + plan,
+                    partial(_energy_2ss, s_w))
 
 
 # Up to this many block-type cells, _chunk_2ss gathers every type's tx at
-# once: on one replicate's phase-1 frames that saves 3(T - 1) numpy calls of
-# a call's fixed cost.  Larger chunks go a type at a time, which bounds the
-# float64 gather.
-_GATHER_CELLS = 1 << 12
+# once, which saves 3(T - 1) numpy calls of a call's fixed cost, in one
+# float64 temporary of at most 256 KiB.  Larger chunks go a type at a time,
+# which bounds the gather.
+_GATHER_CELLS = 1 << 15
 
 
-def _chunk_2ss(bp, energy, counts):
+def _chunk_2ss(s_w, energy, counts):
     """resolve_2ss of one chunk's (T, F, n_blocks) counts, or of any (T,
-    F, n_blocks) view: its Resolved sums, the tx gathered one type at a
-    time, or all at once in one (T, F, n_blocks) float64 gather where that
-    holds one frame or at most _GATHER_CELLS cells."""
+    F, n_blocks) view: its Resolved sums, or without ``energy`` only their
+    (F, 4) slots.  The tx is gathered all at once in one (T, F, n_blocks)
+    float64 array up to _GATHER_CELLS cells, else one type at a time."""
     T, F, n_blocks = counts.shape
     codes = class_codes(counts, axis=0)
     lut = resolver_lut(T)
@@ -345,10 +522,10 @@ def _chunk_2ss(bp, energy, counts):
     sums = np.zeros((F, 4 + 2 * T * energy), dtype=np.int64)
     sums[:, 0] = sigma_slots(T) * n_blocks
     sums[:, 1] = lut.extra[codes].sum(axis=1)    # in the codes' layout
-    sums[:, 3] = bp
+    sums[:, 3] = bitmap_bp_slots(n_blocks, s_w) + plan_slots(T, n_blocks, s_w)
     if not energy:
         return sums
-    if F == 1 or counts.size <= _GATHER_CELLS:    # every type at once
+    if counts.size <= _GATHER_CELLS:    # every type at once
         sent = _node_tx(T).take(codes, axis=1)
         sent *= counts
         sums[:, 4:4 + T] = sent.sum(axis=2).T
@@ -389,7 +566,8 @@ def _energy_2ss(s_w, counts, b):
 def run_2ss_trial(population: PopulationSpec, config: ProtocolConfig,
                   bank: RngBank, trial_index=0) -> Run3SSResult:
     """One trial-mode frame of the two-stage code (see run_trial)."""
-    return run_trial(resolve_2ss, population, config, bank, trial_index)
+    return run_trial(resolver_for(population.T), population, config, bank,
+                     trial_index)
 
 
 def run_2ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,

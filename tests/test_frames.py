@@ -41,6 +41,7 @@ from hetcount.two_stage import (
     class_codes,
     plan_slots,
     resolve_2ss,
+    resolver_for,
     resolver_lut,
     run_2ss_bb,
     run_2ss_trial,
@@ -112,6 +113,16 @@ class TestFrameMatchesReference:
         assert res.overhead == plan
 
 
+def _resolver(code, T):
+    """The resolver of ``code`` at T types."""
+    return resolve_3ss if code == "3SS" else resolver_for(T)
+
+
+def _fields(res, T):
+    """(slots, tx, rx) of a Resolved's per-frame sums."""
+    return res.sums[:, :4], res.sums[:, 4:4 + T], res.sums[:, 4 + T:]
+
+
 class TestEnergySumsByContraction:
     """Each resolver's per-frame, per-type energy sums, contracted from the
     counts, equal the sums of per-node arrays built from each type's
@@ -120,12 +131,13 @@ class TestEnergySumsByContraction:
     cells up to which two_stage._chunk_2ss gathers at once)."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from([resolve_3ss, resolve_2ss]), st.integers(2, 8),
+    @given(st.sampled_from(["3SS", "2SS"]), st.integers(2, 8),
            st.integers(1, 3), st.integers(1, 10), st.integers(1, 8),
            st.sampled_from([np.int32, np.uint8]),
            st.sampled_from([0, two_stage._GATHER_CELLS]), st.data())
-    def test_sums_equal_per_node_tables(self, resolve, T, M, n_blocks, s_w,
+    def test_sums_equal_per_node_tables(self, code, T, M, n_blocks, s_w,
                                         dtype, gather, data):
+        resolve = _resolver(code, T)
         # Counts near 128 make c_1 + c_b wrap in uint8 unless capped.
         cells = data.draw(st.lists(st.integers(0, 3) | st.integers(126, 130),
                                    min_size=T * M * n_blocks,
@@ -136,8 +148,9 @@ class TestEnergySumsByContraction:
         n = tuple(int(j) + i for j, i in zip(joined.max(axis=1), idle))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(two_stage, "_GATHER_CELLS", gather)
-            res = resolve([counts], s_w, energy=True)
-        assert res.slots.shape == (M, 4) and res.tx.shape == (M, T)
+            res = resolve([counts], s_w)
+        assert res.sums.shape == (M, 4 + 2 * T)
+        _slots, res_tx, res_rx = _fields(res, T)
         for b, nb in enumerate(n):
             table_tx, table_rx = res.tables(counts, b + 1)
             for m in range(M):
@@ -146,13 +159,24 @@ class TestEnergySumsByContraction:
                 frame = np.repeat(np.arange(n_blocks + 1), np.concatenate(
                     ([nb - joined[b, m]], counts[b, m])))
                 assert frame.size == nb
-                assert res.tx[m, b] == table_tx[m].take(frame).sum()
-                assert (res.heard * nb + res.rx[m, b]
+                assert res_tx[m, b] == table_tx[m].take(frame).sum()
+                assert (res.heard * nb + res_rx[m, b]
                         == table_rx[m].take(frame).sum())
-        wide = resolve([counts.astype(np.int64)], s_w, energy=True)
+        wide = resolve([counts.astype(np.int64)], s_w)
         assert wide.plan == res.plan and wide.heard == res.heard
-        for field in ("slots", "tx", "rx"):
-            assert np.array_equal(getattr(wide, field), getattr(res, field))
+        assert np.array_equal(wide.sums, res.sums)
+
+
+def test_narrow_counts_sum_past_uint32():
+    """A 3SS frame of narrow counts whose type-1 tx sum, (T - 1) times its
+    joined nodes plus those on flagged blocks, passes 2^32 sums as it
+    does from int64 counts."""
+    T, n_blocks = 10, 7300
+    counts = np.full((T, 1, n_blocks), 2 ** 16 - 1, dtype=np.uint16)
+    narrow = resolve_3ss([counts], 6)
+    assert narrow.sums[0, 4] > 2 ** 32
+    assert np.array_equal(narrow.sums,
+                          resolve_3ss([counts.astype(np.int64)], 6).sums)
 
 
 class TestFramesInChunks:
@@ -161,33 +185,33 @@ class TestFramesInChunks:
     resolve_replicates sums each replicate's share from them."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([resolve_3ss, resolve_2ss]), st.integers(2, 6),
+    @given(st.sampled_from(["3SS", "2SS"]), st.integers(2, 6),
            st.lists(st.integers(1, 4), min_size=1, max_size=5),
            st.integers(1, 12), st.integers(1, 8), st.integers(1, 200),
            st.integers(0, 2 ** 32 - 1))
-    def test_same_frames_whatever_the_split(self, resolve, T, frames,
+    def test_same_frames_whatever_the_split(self, code, T, frames,
                                             n_blocks, s_w, cells, seed):
+        resolve = _resolver(code, T)
         rng = np.random.default_rng(seed)
         parts = [rng.poisson(1.0, size=(T, M, n_blocks)).astype(np.uint8)
                  for M in frames]
-        whole = resolve([np.concatenate(parts, axis=1)], s_w, energy=True)
+        whole = resolve([np.concatenate(parts, axis=1)], s_w)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(three_stage, "_RESOLVE_CELLS", cells)
-            split = resolve(parts, s_w, energy=True)
-        for field in ("slots", "tx", "rx"):
-            assert np.array_equal(getattr(split, field),
-                                  getattr(whole, field))
+            split = resolve(parts, s_w)
+        assert np.array_equal(split.sums, whole.sums)
         shares = resolve_replicates(resolve, parts, s_w)
         lo = 0
         for part, (stages, plan, tx, rx, heard, _tables) in zip(parts,
                                                                 shares):
             M = part.shape[1]
-            alone = resolve([part], s_w, energy=True)
-            assert stages == whole.slots[lo:lo + M].sum(axis=0).tolist()
-            assert stages == alone.slots.sum(axis=0).tolist()
+            alone = resolve([part], s_w)
+            slots, alone_tx, alone_rx = _fields(alone, T)
+            assert stages == whole.sums[lo:lo + M, :4].sum(axis=0).tolist()
+            assert stages == slots.sum(axis=0).tolist()
             assert plan == M * alone.plan
-            assert np.array_equal(tx, alone.tx.sum(axis=0))
-            assert np.array_equal(rx, alone.rx.sum(axis=0))
+            assert np.array_equal(tx, alone_tx.sum(axis=0))
+            assert np.array_equal(rx, alone_rx.sum(axis=0))
             assert heard == M * alone.heard
             lo += M
 
@@ -218,8 +242,8 @@ def _frames_by_draw_blocks(resolve, population, config, bank, M):
             population, config.t_T, "geometric", None,
             [bank.stream("p1", m, b) for b in range(1, T + 1)])
         counts[:, m] = frame
-        res = resolve([frame[:, None]], config.s_w, energy=True)
-        ledger = ledger + SlotLedger(*res.slots[0].tolist())
+        res = resolve([frame[:, None]], config.s_w)
+        ledger = ledger + SlotLedger(*res.sums[0, :4].tolist())
         for b in tx:
             frame_tx, frame_rx = res.tables(frame[:, None], b)
             tx[b] += frame_tx[0, chosen[b]]

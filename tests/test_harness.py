@@ -1310,10 +1310,10 @@ class TestBlockPass:
             original = getattr(modules[0], name)
 
             @functools.wraps(original)
-            def spy(counts, s_w, energy=False, original=original):
+            def spy(counts, s_w, original=original):
                 calls.append((original.__name__,
                               sum(c.shape[1] for c in counts)))
-                return original(counts, s_w, energy)
+                return original(counts, s_w)
             for module in modules:
                 monkeypatch.setattr(module, name, spy)
         return calls

@@ -28,8 +28,8 @@ from hetcount.homogeneous import (bb_key, bb_trials, lof_estimate,
 from hetcount.three_stage import (Stage1Result3SS, outcomes_3ss, run_3ss_bb,
                                   run_3ss_followup, run_3ss_trial)
 from hetcount.two_stage import (class_codes, plan_slots, resolve_2ss,
-                                resolver_lut, run_2ss_bb, run_2ss_trial,
-                                sigma_slots)
+                                resolver_for, resolver_lut, run_2ss_bb,
+                                run_2ss_trial, sigma_slots)
 
 
 def _pop(n, n_all_each):
@@ -660,7 +660,7 @@ def _assert_frame_table_sums(pop):
         counts, _, _, energy = three_stage.trial_frames(
             resolve, pop, cfg, RngBank(8))
         tables = functools.partial(
-            resolve([counts], cfg.s_w, energy=True).tables, counts)
+            resolve([counts], cfg.s_w).tables, counts)
         for b, nb in enumerate(pop.n, 1):
             streams = RngBank(8).streams(
                 [("p1", m, b) for m in range(cfg.m_prime)])
@@ -972,13 +972,14 @@ class TestPhase2KeepsNoNodeArrays:
         pop, cfg = self._setup()
         rough = {1: 4000, 2: 6500, 3: 9000}
         runner, resolve = ((run_3ss_bb, three_stage.resolve_3ss)
-                           if code == "3SS" else (run_2ss_bb, resolve_2ss))
+                           if code == "3SS"
+                           else (run_2ss_bb, resolver_for(pop.T)))
         res = runner(pop, rough, cfg, RngBank(4))
         self._assert_count_level(res.energy, res.counts)
         slots = self._reference_slots(pop, cfg, rough, 4)
         frame = res.counts[:, None]
-        resolved = resolve([frame], cfg.s_w, energy=True)
-        ledger = SlotLedger(*resolved.slots[0].tolist())
+        resolved = resolve([frame], cfg.s_w)
+        ledger = SlotLedger(*resolved.sums[0, :4].tolist())
         assert ledger == res.ledger
         for b, nb in enumerate(pop.n, 1):
             tx, rx = resolved.tables(frame, b)

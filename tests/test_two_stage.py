@@ -22,23 +22,21 @@ from hetcount.core import (
 from hetcount.homogeneous import participations
 from hetcount.three_stage import run_3ss_stage1, run_3ss_trial, sym3_matrix
 from hetcount.two_stage import (
+    ABSENT,
+    AMBIGUOUS,
     MAX_TABLE_T,
+    PRESENT,
     _row_symbols,
     build_sym2_matrix,
     class_codes,
+    decode_block_2ss,
     eta,
     plan_slots,
+    resolve_block_2ss,
     resolver_lut,
     run_2ss_bb,
     run_2ss_trial,
     sigma_slots,
-)
-from reference_2ss import (
-    ABSENT,
-    AMBIGUOUS,
-    PRESENT,
-    decode_block_2ss,
-    resolve_block_2ss,
 )
 
 E = SlotOutcome.EMPTY.value
