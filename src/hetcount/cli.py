@@ -17,7 +17,6 @@ from .core import ELL_TABLE, MAX_NODES, UnknownAccuracyKey
 from .harness import (
     ConfigError,
     ExperimentSpec,
-    TABLE_SCHEMES,
     apply_sweep,
     calibrate_ell,
     check_out,
@@ -27,7 +26,6 @@ from .harness import (
     run_experiment,
     validate_accuracy,
 )
-from .two_stage import MAX_TABLE_T
 
 
 # Sweep variables that take whole numbers.  Their values are parsed as int,
@@ -181,9 +179,9 @@ def _check_config(parser, params, n_all=(2,)):
 
 
 def _check_population(parser, params, drawn=True):
-    """Fail on a q outside [0, 1], a negative node count or rough estimate,
-    more active nodes per type than n_all (else D) allows or, where nodes
-    are ``drawn``, than MAX_NODES."""
+    """Fail on a q outside [0, 1], a negative node count or rough estimate
+    or, where nodes are ``drawn``, more active nodes per type than
+    MAX_NODES."""
     q = params.get("q")
     if q is not None and not 0 <= q <= 1:
         parser.error(f"q must be in [0, 1], got {q}")
@@ -194,19 +192,6 @@ def _check_population(parser, params, drawn=True):
         parser.error(f"node counts (--n, D) must be at most {MAX_NODES}")
     if min(params.get("rough") or (0,)) < 0:
         parser.error("rough estimates (--rough) must be >= 0")
-    total = params.get("n_all", params.get("D"))
-    most = max(params["n"]) if params.get("n") is not None else params.get("D")
-    if total is not None and most is not None and most > total:
-        parser.error(f"up to {most} active nodes per type, but n_all "
-                     f"(else D) is {total}")
-
-
-def _check_tables(parser, T, schemes):
-    """Fail on a scheme that decodes through a 2SS table past its bound."""
-    using = [s for s in schemes if s in TABLE_SCHEMES]
-    if T > MAX_TABLE_T and using:
-        parser.error(f"{', '.join(using)}: 2SS decoder tables are built for "
-                     f"T <= {MAX_TABLE_T}, got T = {T}")
 
 
 def main(argv=None):
@@ -244,7 +229,6 @@ def _run(parser, args):
                   "m_prime": args.m_prime, "n_all": _n_all(args.D, n)}
         _check_population(parser, dict(params, n=n))
         _check_config(parser, params)
-        _check_tables(parser, T, [args.scheme])
 
     if args.command == "simulate":
         fixed = {"T": T, "epsilon": args.eps, "delta": args.delta,
@@ -274,6 +258,12 @@ def _run(parser, args):
                          f"(missing {' and '.join(missing)})")
         if args.n is None and args.sweep_var == "n2_value":
             parser.error("--sweep-var n2_value needs --n")
+        # A swept T, epsilon, delta, n_all, ... replaces the fixed value.
+        for value in values:
+            cell = apply_sweep(dict(fixed), args.sweep_var, value)
+            _check_types(parser, cell["T"], args.n)
+            _check_population(parser, cell)
+            _check_config(parser, cell)
         try:
             spec = ExperimentSpec(
                 schemes=args.schemes.split(","), sweep_var=args.sweep_var,
@@ -282,13 +272,6 @@ def _run(parser, args):
                 out=args.out, include_overhead=args.include_overhead)
         except ConfigError as exc:
             parser.error(str(exc))
-        # A swept T, epsilon, delta, n_all, ... replaces the fixed value.
-        for value in values:
-            cell = apply_sweep(dict(fixed), args.sweep_var, value)
-            _check_types(parser, cell["T"], args.n)
-            _check_population(parser, cell)
-            _check_config(parser, cell)
-            _check_tables(parser, cell["T"], spec.schemes)
         sys.stdout.write(format_csv(run_experiment(spec)))
     elif args.command == "figure":
         rows = figure_preset(args.name, replicates=args.replicates,
@@ -350,9 +333,12 @@ def _run(parser, args):
         ref = f" (table: {table})" if table else ""
         sys.stdout.write(f"calibrated ell={ell}{ref}\n")
     elif args.command == "validate":
-        rates = validate_accuracy(
-            args.scheme, [n], params,
-            replicates=args.replicates, seed=args.seed)
+        try:
+            rates = validate_accuracy(
+                args.scheme, [n], params,
+                replicates=args.replicates, seed=args.seed)
+        except ConfigError as exc:
+            parser.error(str(exc))
         for b, (rate, (lo, hi)) in sorted(rates.items()):
             sys.stdout.write(
                 f"type {b}: rate={rate:.4f} wilson95=({lo:.4f},{hi:.4f})\n")

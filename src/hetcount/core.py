@@ -109,6 +109,9 @@ class PopulationSpec:
     @staticmethod
     def sample_activity(T, D, q, rng) -> "PopulationSpec":
         """Each of D nodes per type is independently active with probability q."""
+        if D < 0 or not 0 <= q <= 1:    # a NaN q fails the comparison
+            raise ValueError(f"need D >= 0 and q in [0, 1], got D = {D}, "
+                             f"q = {q}")
         n = tuple(int(x) for x in rng.binomial(D, q, size=T))
         return PopulationSpec(n=n, n_all=(int(D),) * T, D=int(D), q=float(q))
 

@@ -25,7 +25,7 @@ from .core import (
 from .homogeneous import run_srcs
 from .hsrc import resolve_block, run_baseline, run_hsrc, run_phase2
 from .three_stage import run_3ss_bb
-from .two_stage import run_2ss_bb
+from .two_stage import MAX_TABLE_T, run_2ss_bb
 
 
 # Parameters build_config passes on to derive_config besides epsilon and
@@ -82,6 +82,33 @@ class ExperimentSpec:
                 raise ConfigError(f"{s} runs phase 2 alone: it needs rough "
                                   "estimates, from a fixed 'rough' or an "
                                   "n2_value sweep")
+        need = {"n2_value": "n", "rough1": "rough"}.get(self.sweep_var)
+        if need is not None and self.fixed.get(need) is None:
+            raise ConfigError(f"a {self.sweep_var} sweep needs {need}")
+        for value in self.sweep_values:
+            _check_cell(self.schemes, _with_rough(apply_sweep(
+                dict(self.fixed), self.sweep_var, value)))
+
+
+def _check_cell(schemes, prm):
+    """Raise ConfigError for a cell ``prm`` (_with_rough) that ``schemes``
+    cannot run; plain comparisons, as a preset checks its cells each run."""
+    n, rough, D = prm.get("n"), prm.get("rough"), prm.get("D")
+    T = prm.get("T", len(n or ()))
+    for name, values in (("rough", rough), ("n", n)):
+        if values is not None and len(values) != T:
+            raise ConfigError(f"{name} gives {len(values)} types but T is "
+                              f"{T}")
+    if rough is not None and min(rough.values()) < 0:
+        raise ConfigError("rough estimates must be >= 0")
+    total, most = prm.get("n_all", D), max(n) if n else D
+    if total is not None and most is not None and most > total:
+        raise ConfigError(f"up to {most} active nodes per type, but n_all "
+                          f"(else D) is {total}")
+    using = [s for s in schemes if s in TABLE_SCHEMES]
+    if using and T > MAX_TABLE_T:
+        raise ConfigError(f"{', '.join(using)}: 2SS decoder tables are "
+                          f"built for T <= {MAX_TABLE_T}, got T = {T}")
 
 
 @dataclass
@@ -255,8 +282,10 @@ def _stream_keys(schemes, T, m_prime, sampled):
 
 
 def _blocks(seeds, keys):
-    """The banks of ``seeds``, BLOCK at a time, each block opened together
-    with ``keys`` derived for all of it in one pass."""
+    """The banks of ``seeds`` (one at least), BLOCK at a time, each block
+    opened together with ``keys`` derived for all of it in one pass."""
+    if not seeds:
+        raise ConfigError("replicates must be >= 1")
     for start in range(0, len(seeds), BLOCK):
         yield RngBank.cell(seeds[start:start + BLOCK], keys)
 
@@ -452,12 +481,14 @@ def figure_preset(name, replicates=None, seed=0, out=None,
 
 def validate_accuracy(scheme, populations, params, replicates, seed=0):
     """Empirical per-type accuracy rates with Wilson 95% intervals, taken
-    over a grid of populations."""
+    over a grid of populations, each checked before the first runs."""
+    cells = [_with_rough(dict(params, n=tuple(n))) for n in populations]
+    for prm in cells:
+        _check_cell([scheme], prm)
     hits, tries = {}, {}
-    for pop_n in populations:
-        prm = _with_rough(dict(params, n=tuple(pop_n)))
+    for prm in cells:
         for contexts in _replicates(prm, [
-                _rep_seed(seed, "validate", tuple(pop_n), rep)
+                _rep_seed(seed, "validate", prm["n"], rep)
                 for rep in range(replicates)], [scheme]):
             _resolve_block(contexts, [scheme], prm)
             for bank, population, config in contexts:
@@ -472,8 +503,6 @@ def validate_accuracy(scheme, populations, params, replicates, seed=0):
 
 
 def _wilson(k, n, zcrit=1.959963984540054):
-    if n == 0:
-        return (0.0, 1.0)
     phat = k / n
     z2 = zcrit * zcrit
     denom = 1 + z2 / n

@@ -7,22 +7,23 @@ a phase-2 method (per-type balls-and-bins repetitions, or one multiplexed
 balls-and-bins execution of the block code), and produces final estimates
 from the per-type empty-slot counts.  The baselines are the block-coded
 schemes repeated to standalone accuracy, and the two-phase homogeneous
-protocol run once per type.  Phase 1 reads the replicate's one draw of
-the m' trials as block counts, shared with TxSRCS, resolved once per
+protocol run once per type.  Phase 1 reads the replicate's one draw of the
+m' trials as block counts, shared with TxSRCS, resolved once per
 replicate: the block pass (resolve_block) resolves the phase-1 frames of
-every replicate of a block in one resolver call per code, and the SSBB
-phase-2 frames likewise, before any scheme runs on the block, and a bank
-used alone resolves its own (three_stage.held_frames).  It reads the rough
-estimates worked out once beside the counts (homogeneous.rough_estimates),
-so the rough estimates agree by construction; node blocks are drawn again
-only for a per-node read.  The repeated baselines draw their trials once
-per replicate as one (T, m_lof, t) uint8 array of count classes (0, 1,
-2+), held blocks first, and one pass over it (_repeated_pass) works out
-the first-absent estimates and the ledger of each code they list.  Both
-trial draws are core.draw_trials calls.  Both phase-2 branches, and
-TxSRCS, read homogeneous.bb_trials, one draw per replicate at the shared
-rough estimates, and the joined nodes and final estimates it holds beside
-the counts; no report keeps a per-node array.
+every replicate of a block in one three_stage.resolve call per block code
+(two_stage.block_code), and the SSBB phase-2 frames likewise, before any
+scheme runs on the block, and a bank used alone resolves its own
+(three_stage.held_frames).  It reads the rough estimates worked out once
+beside the counts (homogeneous.rough_estimates), so the rough estimates
+agree by construction; node blocks are drawn again only for a per-node
+read.  The repeated baselines draw their trials once per replicate as one
+(T, m_lof, t) uint8 array of count classes (0, 1, 2+), held blocks first,
+and one pass over it (_repeated_pass) works out the first-absent estimates
+and the ledger of each code they list.  Both trial draws are
+core.draw_trials calls.  Both phase-2 branches, and TxSRCS, read
+homogeneous.bb_trials, one draw per replicate at the shared rough
+estimates, and the joined nodes and final estimates it holds beside the
+counts; no report keeps a per-node array.
 """
 
 from __future__ import annotations
@@ -52,14 +53,8 @@ from .homogeneous import (
     trial_counts,
     trial_key,
 )
-from .three_stage import (
-    _chunk_3ss,
-    hold_frames,
-    resolve_3ss,
-    run_3ss_bb,
-    trial_frames,
-)
-from .two_stage import _chunk_2ss, plan_slots, resolver_for, run_2ss_bb
+from .three_stage import hold_frames, run_3ss_bb, trial_frames
+from .two_stage import block_code, run_2ss_bb
 
 
 def run_phase2(method, bb_runner, population, rough, config,
@@ -91,11 +86,11 @@ def run_hsrc(variant, population: PopulationSpec, config: ProtocolConfig,
     if variant not in ("HSRC1", "HSRC2"):
         raise ValueError(f"unknown variant {variant!r}")
     T = population.T
-    resolve, bb_runner = ((resolve_3ss, run_3ss_bb) if variant == "HSRC1"
-                          else (resolver_for(T), run_2ss_bb))
+    name, bb_runner = (("3SS", run_3ss_bb) if variant == "HSRC1"
+                       else ("2SS", run_2ss_bb))
 
     _counts, phase1_ledger, plan_overhead, energy = trial_frames(
-        resolve, population, config, bank)
+        block_code(name, T), population, config, bank)
     rough = rough_estimates(population.n, config, bank)
 
     # Phase-boundary broadcast of the rough estimates, received by everyone.
@@ -168,9 +163,9 @@ def _repeated_pass(classes, s_w, schemes):
     empty (homogeneous.first_empty), counted a block at a time until every
     trial has met one, which argmax over each trial's short row took three
     times as long to find.  Each code's ledger: its trials' slots, worked
-    out by its resolver over the trials as frames in one call
-    (three_stage._chunk_3ss, two_stage._chunk_2ss), summed; at T <= 3,
-    where the codes coincide (two_stage.resolver_for), one serves both."""
+    out by BlockCode.chunk over the trials as frames in one call, summed;
+    at T <= 3, where the codes coincide (two_stage.block_code), one serves
+    both."""
     T, M, t = classes.shape
     lead = np.zeros((T, M), dtype=np.uint8)
     alive = classes[:, :, 0] > 0
@@ -182,13 +177,12 @@ def _repeated_pass(classes, s_w, schemes):
     final = {b: lof_estimate(j) for b, j in enumerate(lead + 1, 1)}
     ledgers, reports = {}, {}
     for scheme in schemes:
-        code = resolver_for(T) if scheme == _REPEATED[1] else resolve_3ss
-        if code not in ledgers:
-            chunk, plan = ((_chunk_3ss, 0) if code is resolve_3ss
-                           else (_chunk_2ss, plan_slots(T, t, s_w)))
-            slots = chunk(s_w, False, classes).sum(axis=0)
-            ledgers[code] = SlotLedger(*slots.tolist()), M * plan
-        ledger, overhead = ledgers[code]
+        code = block_code(scheme[:3], T)    # "3SS" or "2SS"
+        if code.name not in ledgers:
+            slots = code.chunk(s_w, False, classes).sum(axis=0)
+            ledgers[code.name] = (SlotLedger(*slots.tolist()),
+                                  M * code.plan(T, t, s_w))
+        ledger, overhead = ledgers[code.name]
         reports[scheme] = EstimateReport(
             rough=dict(final), final=dict(final), phase2_method=None,
             ledger=ledger, energy=None, overhead_slots=overhead)
@@ -198,8 +192,8 @@ def _repeated_pass(classes, s_w, schemes):
 def resolve_block(contexts, frames, rough=None, repeated=()):
     """The block pass: before any scheme runs on a block's replicates,
     ``contexts`` (bank, population, config), resolve the frames they will
-    read, in one resolver call for each (code, phase) of ``frames`` (one
-    for both codes at T <= 3, two_stage.resolver_for), code "3SS" or "2SS"
+    read, in one resolve call for each (code, phase) of ``frames`` (one
+    for both codes at T <= 3, two_stage.block_code), code "3SS" or "2SS"
     and phase "p1" (the m' phase-1 trials), "p2" (the SSBB phase-2 frame
     at the replicate's own rough estimates) or "given" (at the rough
     estimates ``rough``), each replicate's share held in its
@@ -213,8 +207,9 @@ def resolve_block(contexts, frames, rough=None, repeated=()):
     if repeated:
         for bank, population, config in contexts:
             repeated_reports(population, config, bank, repeated)
-    codes = {"3SS": resolve_3ss, "2SS": resolver_for(contexts[0][1].T)}
-    for resolve, phase in dict.fromkeys((codes[c], p) for c, p in frames):
+    T = contexts[0][1].T
+    for code, phase in dict.fromkeys((block_code(c, T), p)
+                                     for c, p in frames):
         entries = []
         for bank, population, config in contexts:
             n = population.n
@@ -227,4 +222,4 @@ def resolve_block(contexts, frames, rough=None, repeated=()):
                 key = bb_key(n, at, config)
                 counts = bb_trials(key, bank)[0][:, None]
             entries.append((bank, key, counts))
-        hold_frames(resolve, entries, contexts[0][2].s_w)
+        hold_frames(code, entries, contexts[0][2].s_w)

@@ -13,11 +13,11 @@ everyone participates) which yields first-absent-block indices j_b, and
 counts give the empty-block counts z_b.  The schemes draw both as block
 counts, trial mode through homogeneous.trial_counts and bb mode through
 homogeneous.bb_trials, and resolve them with resolve_replicates, the
-frames of a block of replicates in one resolver call (held_frames,
-hold_frames); node blocks are drawn again only for a per-node energy read,
-a bounded piece of nodes at a time.  draw_blocks, which keeps every node's
-block, is the reference draw of
-run_3ss_stage1.
+frames of a block of replicates in one resolve call (held_frames,
+hold_frames) of their BlockCode, THREE_STAGE here or two_stage.TWO_STAGE;
+node blocks are drawn again only for a per-node energy read, a bounded
+piece of nodes at a time.  draw_blocks, which keeps every node's block, is
+the reference draw of run_3ss_stage1.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def run_3ss_followup(stage1: Stage1Result3SS, s_w) -> Frame3SS:
                     ledger=ledger, stage1=stage1)
 
 
-# Block-type cells a resolver works on at once: it takes its frames a chunk
+# Block-type cells resolve works on at once: it takes its frames a chunk
 # of at most this many cells (one frame at least) at a time, so what it
 # allocates stays bounded whatever the number of frames it is given.
 _RESOLVE_CELLS = 1 << 17
@@ -195,7 +195,7 @@ def frame_chunks(counts):
 
 @dataclass
 class Resolved:
-    """What a resolver works out for F frames, frame by frame in order.
+    """What resolve works out for F frames, frame by frame in order.
     ``sums`` (int64, (F, 4 + 2T)) holds each frame's stage-1, stage-2,
     stage-3 and bp slots, then each type's transmissions, then its
     receptions beyond ``heard``, read one replicate's share at a time in
@@ -227,30 +227,13 @@ def _followup(counts):
     return masks
 
 
-def resolve_3ss(counts, s_w):
-    """The frames of the three-stage code from their block counts:
-    ``counts`` lists types-first (T, M_r, n_blocks) arrays, the frames of
-    one replicate each, say, and they are resolved a chunk at a time
-    (frame_chunks).  A Resolved of every frame in order: its slots and
-    each type's tx and rx sums over its joined nodes, no plan-broadcast
-    slots (this code has none), the bp1 bitmap slots every node hears, and
-    _energy_3ss, which builds type b's per-node tables from one replicate's
-    counts.
-
-    The follow-up recovers every type's presence exactly (run_3ss_followup
-    is the reference), so presence is counts > 0 and only the follow-up's
-    cost is worked out (_followup).  The sums are contractions of the
-    _energy_3ss tables with the counts, whole numbers summed exactly in
-    any order."""
-    sums = by_chunks(partial(_chunk_3ss, s_w, True), counts)
-    return Resolved(sums, 0, bitmap_bp_slots(counts[0].shape[2], s_w),
-                    partial(_energy_3ss, s_w))
-
-
 def _chunk_3ss(s_w, energy, counts):
-    """resolve_3ss of one chunk's (T, F, n_blocks) counts, or of any (T,
-    F, n_blocks) view: its Resolved sums, or without ``energy`` only their
-    (F, 4) slots."""
+    """The three-stage code's Resolved sums of one chunk's (T, F, n_blocks)
+    counts, or of any such view, or without ``energy`` only their (F, 4)
+    slots.  The follow-up recovers every type's presence exactly
+    (run_3ss_followup is the reference), so only its cost is worked out
+    (_followup); the sums contract the _energy_3ss tables with the counts,
+    whole numbers summed exactly in any order."""
     T, F, n_blocks = counts.shape
     masks = _followup(counts)
     K, R = masks.sum(axis=2)
@@ -271,15 +254,6 @@ def _chunk_3ss(s_w, energy, counts):
     return sums
 
 
-def by_chunks(resolve_chunk, counts):
-    """``resolve_chunk`` of each frame_chunks chunk of ``counts``, its
-    per-frame array joined in frame order.  A chunk and what its call made
-    are dropped before the next chunk is joined."""
-    if len(counts) == 1 and counts[0].size <= _RESOLVE_CELLS:
-        return resolve_chunk(counts[0])     # one array, one chunk
-    return np.concatenate(list(map(resolve_chunk, frame_chunks(counts))))
-
-
 def _frame_sums(counts):
     """Sums over the blocks, the last axis, of (T, ..., F, n_blocks)
     counts.  A type's sum in a frame is at most its nodes, below 2^31, so
@@ -289,17 +263,17 @@ def _frame_sums(counts):
                       else np.int64)
 
 
-def _energy_3ss(s_w, counts, b):
+def _energy_3ss(heard, counts, b):
     """(tx, rx) of a node of type b by frame and block, (M, n_blocks + 1),
     in the M frames of one replicate's (T, M, n_blocks) counts, from their
     flagged and stage-3 masks (_followup).  Type 1 sends in every stage-1
     slot and in stage 2, type b >= 2 in its own slot and in stage 3 and
-    listens to stage 2; all hear the bp1-slot stage-1 bitmap.  Entry 0 is
-    an idle node, which only hears the bitmap."""
+    listens to stage 2; all hear the ``heard`` slots of the stage-1 bitmap.
+    Entry 0 is an idle node, which only hears the bitmap."""
     flagged, stage3 = _followup(counts)
     M, n_blocks = flagged.shape
     tx = np.zeros((M, n_blocks + 1))
-    rx = np.full(tx.shape, float(bitmap_bp_slots(n_blocks, s_w)))
+    rx = np.full(tx.shape, float(heard))
     if b == 1:
         tx[:, 1:] = (len(counts) - 1) + flagged
     else:
@@ -308,15 +282,50 @@ def _energy_3ss(s_w, counts, b):
     return tx, rx
 
 
-def resolve_replicates(resolve, counts, s_w):
-    """The frames of R replicates through one ``resolve`` call (resolve_3ss
-    or two_stage.resolve_2ss): ``counts`` lists their types-first (T, M_r,
-    n_blocks) block counts.  Per replicate, its frames' (ledger,
-    plan-broadcast slots, per-type tx sums, per-type rx sums beyond the
-    slots every node hears, those heard slots, per-node tables), each
-    summed over its frames, all whole numbers; the ledger as its stage1,
-    stage2, stage3 and bp slots, so each read makes its own SlotLedger."""
-    res = resolve(counts, s_w)
+@dataclass(frozen=True)
+class BlockCode:
+    """A block code as the frame runner reads it: its ``name``, which keys
+    its resolved frames in a bank's memo; ``chunk(s_w, energy, counts)``,
+    the Resolved sums of a chunk's (T, F, n_blocks) counts (or without
+    ``energy`` only their (F, 4) slots); ``tables(heard, counts, b)``, type
+    b's per-node tables; and ``plan(T, n_blocks, s_w)``, the plan-broadcast
+    slots of a frame.  two_stage.block_code picks the code of a run."""
+    name: str
+    chunk: object
+    tables: object
+    plan: object
+
+
+THREE_STAGE = BlockCode("3SS", _chunk_3ss, _energy_3ss, lambda *args: 0)
+
+
+def resolve(code, counts, s_w):
+    """The frames of the block code ``code`` from their block counts, a
+    list of types-first (T, M_r, n_blocks) arrays, a chunk at a time
+    (frame_chunks): a Resolved of every frame in order, with the slots of
+    its plan broadcast and those every node hears (the bp1 bitmap and the
+    plan).  A chunk and what its code.chunk call made are dropped before
+    the next chunk is joined."""
+    T, _, n_blocks = counts[0].shape
+    plan = code.plan(T, n_blocks, s_w)
+    heard = bitmap_bp_slots(n_blocks, s_w) + plan
+    chunk = partial(code.chunk, s_w, True)
+    if len(counts) == 1 and counts[0].size <= _RESOLVE_CELLS:
+        sums = chunk(counts[0])     # one array, one chunk
+    else:
+        sums = np.concatenate(list(map(chunk, frame_chunks(counts))))
+    return Resolved(sums, plan, heard, partial(code.tables, heard))
+
+
+def resolve_replicates(code, counts, s_w):
+    """The frames of R replicates of the block code ``code`` in one resolve
+    call: ``counts`` lists their types-first (T, M_r, n_blocks) block
+    counts.  Per replicate, its frames' (ledger, plan-broadcast slots,
+    per-type tx sums, per-type rx sums beyond the slots every node hears,
+    those heard slots, per-node tables), each summed over its frames, all
+    whole numbers; the ledger as its stage1, stage2, stage3 and bp slots,
+    so each read makes its own SlotLedger."""
+    res = resolve(code, counts, s_w)
     frames, starts = [array.shape[1] for array in counts], [0]
     for M in frames[:-1]:
         starts.append(starts[-1] + M)
@@ -326,35 +335,35 @@ def resolve_replicates(resolve, counts, s_w):
             for row, M in zip(np.add.reduceat(res.sums, starts), frames)]
 
 
-def held_frames(resolve, key, counts, s_w, bank):
+def held_frames(code, key, counts, s_w, bank):
     """One replicate's resolve_replicates share of its frames, the counts
     ``counts`` the bank holds under ``key``: from the bank's memo
     (RngBank.shared), where hold_frames put it for the block's pass, else
     resolved as a block of one."""
-    return bank.shared(_frames_key(resolve, key, s_w),
-                       lambda: resolve_replicates(resolve, [counts], s_w)[0])
+    return bank.shared(_frames_key(code, key, s_w),
+                       lambda: resolve_replicates(code, [counts], s_w)[0])
 
 
-def _frames_key(resolve, key, s_w):
+def _frames_key(code, key, s_w):
     """The memo key of the frames of the counts held under ``key``,
-    resolved by ``resolve`` at bitmap width s_w."""
-    return ("frames", resolve.__name__, key, s_w)
+    resolved by the block code ``code`` at bitmap width s_w."""
+    return ("frames", code.name, key, s_w)
 
 
-def hold_frames(resolve, entries, s_w):
+def hold_frames(code, entries, s_w):
     """The block pass of one code and phase: the frames of every replicate
     in ``entries`` (bank, key, counts), as held_frames reads them, in one
     resolve_replicates call, each replicate's share held in its own bank's
     memo."""
-    shares = resolve_replicates(resolve, [e[2] for e in entries], s_w)
+    shares = resolve_replicates(code, [e[2] for e in entries], s_w)
     for (bank, key, _counts), share in zip(entries, shares):
-        bank.shared(_frames_key(resolve, key, s_w), lambda share=share: share)
+        bank.shared(_frames_key(code, key, s_w), lambda share=share: share)
 
 
 def run_frames(resolved, counts, n, frames):
     """The energy of one replicate's frames, resolved (held_frames) from
     its types-first (T, M, n_blocks) counts, n[b - 1] nodes of type b: the
-    resolver's sums, and per node the frame tables.  A per-node read of
+    resolved sums, and per node the frame tables.  A per-node read of
     type b builds its (M, n_blocks + 1) tables from ``counts``, keeps them
     for that read only, and calls ``frames(b)``: type b's 1-based block per
     node (0 = idle), frame after frame, as (frame, slice of the nodes,
@@ -392,23 +401,23 @@ class Run3SSResult:
     flags: dict | None = None   # and their flags (homogeneous.bb_trials)
 
 
-def trial_frames(resolve, population: PopulationSpec, config: ProtocolConfig,
+def trial_frames(code, population: PopulationSpec, config: ProtocolConfig,
                  bank: RngBank, trials=None):
     """The trial-mode frames numbered ``trials`` (default: the m' phase-1
     frames, one draw per replicate shared by its readers, and resolved once
     per replicate, held_frames), counted by homogeneous.trial_counts and
-    resolved by ``resolve``: (counts, ledger, plan-broadcast slots, and
-    run_frames' energy).  Node blocks are drawn again from the frames'
-    streams ("p1", trial, type) only when a per-node energy is read, a
-    piece of nodes at a time."""
+    resolved by the block code ``code``: (counts, ledger, plan-broadcast
+    slots, and run_frames' energy).  Node blocks are drawn again from the
+    frames' streams ("p1", trial, type) only when a per-node energy is
+    read, a piece of nodes at a time."""
     n = population.n
     counts = trial_counts(n, config, bank, trials)
     if trials is None:
         trials = range(config.m_prime)
-        resolved = held_frames(resolve, trial_key(n, config), counts,
+        resolved = held_frames(code, trial_key(n, config), counts,
                                config.s_w, bank)
     else:
-        (resolved,) = resolve_replicates(resolve, [counts], config.s_w)
+        (resolved,) = resolve_replicates(code, [counts], config.s_w)
 
     def frames(b):
         return geometric_block_pieces(
@@ -418,18 +427,18 @@ def trial_frames(resolve, population: PopulationSpec, config: ProtocolConfig,
             run_frames(resolved, counts, n, frames))
 
 
-def run_trial(resolve, population, config, bank, trial_index):
-    """Trial frame ``trial_index`` (of any integer type) of the code
-    ``resolve`` decodes."""
+def run_trial(code, population, config, bank, trial_index):
+    """Trial frame ``trial_index`` (of any integer type) of the block code
+    ``code``."""
     counts, ledger, overhead, energy = trial_frames(
-        resolve, population, config, bank, [operator.index(trial_index)])
+        code, population, config, bank, [operator.index(trial_index)])
     j = dict(enumerate(first_empty(counts[:, 0]).tolist(), 1))
     return Run3SSResult(j=j, counts=counts[:, 0], ledger=ledger,
                         energy=energy, overhead=overhead)
 
 
-def run_bb(resolve, population, rough, config, bank):
-    """The balls-and-bins frame of the code ``resolve`` decodes: ell
+def run_bb(code, population, rough, config, bank):
+    """The balls-and-bins frame of the block code ``code``: ell
     blocks, the homogeneous.bb_trials of every type at once, resolved as
     one frame (once per replicate, held_frames), with the trials' final
     estimates.  Per-node energy reads draw the node slots again."""
@@ -437,7 +446,7 @@ def run_bb(resolve, population, rough, config, bank):
     key = bb_key(n, rough, config)
     counts, _joined, final, flags, slots = bb_trials(key, bank)
     frame = counts[:, None]
-    resolved = held_frames(resolve, key, frame, config.s_w, bank)
+    resolved = held_frames(code, key, frame, config.s_w, bank)
     return Run3SSResult(j=None, counts=counts,
                         ledger=SlotLedger(*resolved[0]),
                         energy=run_frames(resolved, frame, n, slots),
@@ -447,10 +456,10 @@ def run_bb(resolve, population, rough, config, bank):
 def run_3ss_trial(population: PopulationSpec, config: ProtocolConfig,
                   bank: RngBank, trial_index=0) -> Run3SSResult:
     """One trial-mode frame of the three-stage code (see run_trial)."""
-    return run_trial(resolve_3ss, population, config, bank, trial_index)
+    return run_trial(THREE_STAGE, population, config, bank, trial_index)
 
 
 def run_3ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
                bank: RngBank) -> Run3SSResult:
     """The balls-and-bins frame of the three-stage code (see run_bb)."""
-    return run_bb(resolve_3ss, population, rough, config, bank)
+    return run_bb(THREE_STAGE, population, rough, config, bank)

@@ -5,7 +5,7 @@ Stage 1 uses blocks of only sigma(T) = floor(T/2) slots (T even) or
 of increasing length, the rest beta-suffixes of increasing length, and for
 odd T the last type transmits beta in the first slot plus alpha in the last.
 For T = 2 and T = 3 the scheme coincides with the three-stage scheme, and
-resolver_for hands such frames to resolve_3ss.
+block_code hands such runs to three_stage.THREE_STAGE.
 
 Ambiguity left after stage 1 is resolved in stage 2: blocks colliding in
 every slot split the type set in half and re-run a stage-1 sub-block per
@@ -13,19 +13,20 @@ half, recursively; blocks with only partial ambiguity get a minimal set of
 single-type probe slots chosen greedily to separate all surviving
 interpretations.
 
-The runners decode through one process-global table per T, indexed by the
-base-3 code of a block's per-type count classes.  Each table is built whole,
-all 3^T codes in one numpy pass per stage-1 outcome, on its first use
-(``resolver_lut(T).ensure``); it costs O(3^T) time and memory, e.g. 59 049
-codes at T = 10, built in well under a second.  ``resolve_block_2ss``
-resolves one block the slow, readable way and is kept as the reference the
-tables are tested against; tables are tested, and built, for T <= 10.
+TWO_STAGE, the code at T > 3, decodes through one process-global table
+per T, indexed by the base-3 code of a block's per-type count classes.
+Each table is built whole, all 3^T codes in one numpy pass per stage-1
+outcome, on its first use (``resolver_lut(T).ensure``); it costs O(3^T)
+time and memory, e.g. 59 049 codes at T = 10, built in well under a
+second.  ``resolve_block_2ss`` resolves one block the slow, readable way
+and is kept as the reference the tables are tested against; tables are
+tested, and built, for T <= 10.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -35,16 +36,14 @@ from .core import (
     PopulationSpec,
     ProtocolConfig,
     RngBank,
-    SlotLedger,
     SlotOutcome,
     bitmap_bp_slots,
     slot_outcomes,
 )
 from .three_stage import (
-    Resolved,
+    THREE_STAGE,
+    BlockCode,
     Run3SSResult,
-    by_chunks,
-    resolve_3ss,
     resolve_flagged,
     run_bb,
     run_trial,
@@ -471,36 +470,9 @@ def class_codes(counts, axis=-1) -> np.ndarray:
 
 
 def plan_slots(T, n_blocks, s_w) -> int:
-    """Slots of the 2SS plan broadcast, two bits per block; none for T <= 3,
-    where the scheme is the three-stage one."""
-    return 0 if T <= 3 else bitmap_bp_slots(2 * n_blocks, s_w)
-
-
-def resolver_for(T):
-    """The resolver of the two-stage code at T types: resolve_3ss where
-    T <= 3, for the codes coincide there, so a frame both codes read is
-    keyed, resolved and held once; else resolve_2ss.  Every run of the
-    two-stage code takes its resolver from here."""
-    return resolve_3ss if T <= 3 else resolve_2ss
-
-
-def resolve_2ss(counts, s_w):
-    """The frames of the two-stage code at T > 3 types (resolver_for) from
-    their block counts, as three_stage.resolve_3ss: ``counts`` lists
-    types-first (T, M_r, n_blocks) arrays, resolved a chunk at a time
-    (frame_chunks), into a Resolved of every frame in order: its slots and
-    each type's tx sums (no rx beyond the bp broadcast slots every node
-    hears), the plan-broadcast slots of a frame, those bp slots and
-    _energy_2ss.  The tables recover every type's presence
-    exactly (they are checked against it code by code when built), so only
-    the follow-up cost is looked up, and each type's tx, _node_tx(T) at the
-    block codes times the counts, is summed (_chunk_2ss): whole numbers,
-    exact in any order."""
-    T, _, n_blocks = counts[0].shape
-    plan = plan_slots(T, n_blocks, s_w)
-    sums = by_chunks(partial(_chunk_2ss, s_w, True), counts)
-    return Resolved(sums, plan, bitmap_bp_slots(n_blocks, s_w) + plan,
-                    partial(_energy_2ss, s_w))
+    """Slots of the 2SS plan broadcast at T > 3 types, two bits per block
+    (at T <= 3 the runs take the three-stage code, block_code)."""
+    return bitmap_bp_slots(2 * n_blocks, s_w)
 
 
 # Up to this many block-type cells, _chunk_2ss gathers every type's tx at
@@ -511,9 +483,12 @@ _GATHER_CELLS = 1 << 15
 
 
 def _chunk_2ss(s_w, energy, counts):
-    """resolve_2ss of one chunk's (T, F, n_blocks) counts, or of any (T,
-    F, n_blocks) view: its Resolved sums, or without ``energy`` only their
-    (F, 4) slots.  The tx is gathered all at once in one (T, F, n_blocks)
+    """The two-stage code's Resolved sums, at T > 3, of one chunk's (T, F,
+    n_blocks) counts, or of any such view, or without ``energy`` only
+    their (F, 4) slots.  The tables recover every type's presence exactly
+    (checked code by code when built), so only the follow-up cost is
+    looked up, and each type's tx, _node_tx(T) at the block codes times
+    the counts, is summed exactly; all at once in one (T, F, n_blocks)
     float64 array up to _GATHER_CELLS cells, else one type at a time."""
     T, F, n_blocks = counts.shape
     codes = class_codes(counts, axis=0)
@@ -548,30 +523,41 @@ def _node_tx(T):
     return table
 
 
-def _energy_2ss(s_w, counts, b):
+def _energy_2ss(heard, counts, b):
     """(tx, rx) of a node of type b by frame and block, (M, n_blocks + 1),
     in the M frames of one replicate's (T, M, n_blocks) counts, from their
     block codes: a node sends its matrix row's symbols and its block's
-    follow-up transmissions, and every node hears the bp broadcast slots
-    (the bitmap and the plan).  Entry 0 is an idle node, which sends
-    nothing."""
-    T, M, n_blocks = counts.shape
+    follow-up transmissions, and every node hears the ``heard`` bp
+    broadcast slots (the bitmap and the plan).  Entry 0 is an idle node,
+    which sends nothing."""
+    T, M, _ = counts.shape
     codes = class_codes(counts, axis=0)
     idle = np.full((M, 1), 3 ** T)
     tx = _node_tx(T)[b - 1].take(np.hstack((idle, codes)))
-    bp = bitmap_bp_slots(n_blocks, s_w) + plan_slots(T, n_blocks, s_w)
-    return tx, np.full(tx.shape, float(bp))
+    return tx, np.full(tx.shape, float(heard))
+
+
+TWO_STAGE = BlockCode("2SS", _chunk_2ss, _energy_2ss, plan_slots)
+
+
+def block_code(name, T):
+    """The block code ``name``, "3SS" or "2SS", at T types: the two-stage
+    code is the three-stage one at T <= 3, where the codes coincide, so a
+    frame both read is keyed, resolved and held once.  Every run takes its
+    code from here."""
+    return {"3SS": THREE_STAGE,
+            "2SS": THREE_STAGE if T <= 3 else TWO_STAGE}[name]
 
 
 def run_2ss_trial(population: PopulationSpec, config: ProtocolConfig,
                   bank: RngBank, trial_index=0) -> Run3SSResult:
     """One trial-mode frame of the two-stage code (see run_trial)."""
-    return run_trial(resolver_for(population.T), population, config, bank,
-                     trial_index)
+    return run_trial(block_code("2SS", population.T), population, config,
+                     bank, trial_index)
 
 
 def run_2ss_bb(population: PopulationSpec, rough, config: ProtocolConfig,
                bank: RngBank) -> Run3SSResult:
     """The balls-and-bins frame of the two-stage code (see run_bb)."""
-    return run_bb(resolver_for(population.T), population, rough, config,
-                  bank)
+    return run_bb(block_code("2SS", population.T), population, rough,
+                  config, bank)

@@ -1,5 +1,5 @@
 """One block-coded frame through the count engine (the runners, over
-three_stage.resolve_replicates and each code's resolver) against the reference
+three_stage.resolve_replicates and each block code) against the reference
 decoders run on the same generators: the 3SS stage-1 and follow-up
 decoders, and the 2SS decoder tables. The per-node energy of each code is
 checked against its own reference loop in test_three_stage and
@@ -28,8 +28,9 @@ from hetcount.homogeneous import (
     run_srcs,
 )
 from hetcount.three_stage import (
+    THREE_STAGE,
     draw_blocks,
-    resolve_3ss,
+    resolve,
     resolve_replicates,
     run_3ss_bb,
     run_3ss_followup,
@@ -38,10 +39,10 @@ from hetcount.three_stage import (
     trial_frames,
 )
 from hetcount.two_stage import (
+    TWO_STAGE,
+    block_code,
     class_codes,
     plan_slots,
-    resolve_2ss,
-    resolver_for,
     resolver_lut,
     run_2ss_bb,
     run_2ss_trial,
@@ -50,6 +51,9 @@ from hetcount.two_stage import (
 
 RUNNERS = {"3SS": (run_3ss_trial, run_3ss_bb),
            "2SS": (run_2ss_trial, run_2ss_bb)}
+# Both block codes, as parameters under the ids the suite lists them by.
+CODES = [pytest.param(THREE_STAGE, id="resolve_3ss"),
+         pytest.param(TWO_STAGE, id="resolve_2ss")]
 
 
 def _reference(code, stage1, population, config):
@@ -113,11 +117,6 @@ class TestFrameMatchesReference:
         assert res.overhead == plan
 
 
-def _resolver(code, T):
-    """The resolver of ``code`` at T types."""
-    return resolve_3ss if code == "3SS" else resolver_for(T)
-
-
 def _fields(res, T):
     """(slots, tx, rx) of a Resolved's per-frame sums."""
     return res.sums[:, :4], res.sums[:, 4:4 + T], res.sums[:, 4 + T:]
@@ -137,7 +136,7 @@ class TestEnergySumsByContraction:
            st.sampled_from([0, two_stage._GATHER_CELLS]), st.data())
     def test_sums_equal_per_node_tables(self, code, T, M, n_blocks, s_w,
                                         dtype, gather, data):
-        resolve = _resolver(code, T)
+        code = block_code(code, T)
         # Counts near 128 make c_1 + c_b wrap in uint8 unless capped.
         cells = data.draw(st.lists(st.integers(0, 3) | st.integers(126, 130),
                                    min_size=T * M * n_blocks,
@@ -148,7 +147,7 @@ class TestEnergySumsByContraction:
         n = tuple(int(j) + i for j, i in zip(joined.max(axis=1), idle))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(two_stage, "_GATHER_CELLS", gather)
-            res = resolve([counts], s_w)
+            res = resolve(code, [counts], s_w)
         assert res.sums.shape == (M, 4 + 2 * T)
         _slots, res_tx, res_rx = _fields(res, T)
         for b, nb in enumerate(n):
@@ -162,7 +161,7 @@ class TestEnergySumsByContraction:
                 assert res_tx[m, b] == table_tx[m].take(frame).sum()
                 assert (res.heard * nb + res_rx[m, b]
                         == table_rx[m].take(frame).sum())
-        wide = resolve([counts.astype(np.int64)], s_w)
+        wide = resolve(code, [counts.astype(np.int64)], s_w)
         assert wide.plan == res.plan and wide.heard == res.heard
         assert np.array_equal(wide.sums, res.sums)
 
@@ -173,10 +172,10 @@ def test_narrow_counts_sum_past_uint32():
     does from int64 counts."""
     T, n_blocks = 10, 7300
     counts = np.full((T, 1, n_blocks), 2 ** 16 - 1, dtype=np.uint16)
-    narrow = resolve_3ss([counts], 6)
+    narrow = resolve(THREE_STAGE, [counts], 6)
     assert narrow.sums[0, 4] > 2 ** 32
-    assert np.array_equal(narrow.sums,
-                          resolve_3ss([counts.astype(np.int64)], 6).sums)
+    assert np.array_equal(narrow.sums, resolve(
+        THREE_STAGE, [counts.astype(np.int64)], 6).sums)
 
 
 class TestFramesInChunks:
@@ -191,21 +190,21 @@ class TestFramesInChunks:
            st.integers(0, 2 ** 32 - 1))
     def test_same_frames_whatever_the_split(self, code, T, frames,
                                             n_blocks, s_w, cells, seed):
-        resolve = _resolver(code, T)
+        code = block_code(code, T)
         rng = np.random.default_rng(seed)
         parts = [rng.poisson(1.0, size=(T, M, n_blocks)).astype(np.uint8)
                  for M in frames]
-        whole = resolve([np.concatenate(parts, axis=1)], s_w)
+        whole = resolve(code, [np.concatenate(parts, axis=1)], s_w)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(three_stage, "_RESOLVE_CELLS", cells)
-            split = resolve(parts, s_w)
+            split = resolve(code, parts, s_w)
         assert np.array_equal(split.sums, whole.sums)
-        shares = resolve_replicates(resolve, parts, s_w)
+        shares = resolve_replicates(code, parts, s_w)
         lo = 0
         for part, (stages, plan, tx, rx, heard, _tables) in zip(parts,
                                                                 shares):
             M = part.shape[1]
-            alone = resolve([part], s_w)
+            alone = resolve(code, [part], s_w)
             slots, alone_tx, alone_rx = _fields(alone, T)
             assert stages == whole.sums[lo:lo + M, :4].sum(axis=0).tolist()
             assert stages == slots.sum(axis=0).tolist()
@@ -229,7 +228,7 @@ def test_numpy_integer_trial_index(code):
         assert got.j == want.j and got.ledger == want.ledger
 
 
-def _frames_by_draw_blocks(resolve, population, config, bank, M):
+def _frames_by_draw_blocks(code, population, config, bank, M):
     """Trial-mode frames 0..M-1 drawn one at a time by draw_blocks and
     resolved one at a time: (counts, ledger, per-node tx, per-node rx)."""
     T = population.T
@@ -242,7 +241,7 @@ def _frames_by_draw_blocks(resolve, population, config, bank, M):
             population, config.t_T, "geometric", None,
             [bank.stream("p1", m, b) for b in range(1, T + 1)])
         counts[:, m] = frame
-        res = resolve([frame[:, None]], config.s_w)
+        res = resolve(code, [frame[:, None]], config.s_w)
         ledger = ledger + SlotLedger(*res.sums[0, :4].tolist())
         for b in tx:
             frame_tx, frame_rx = res.tables(frame[:, None], b)
@@ -257,10 +256,10 @@ class TestBatchedTrialDraw:
 
     CHUNK = 12
 
-    @pytest.mark.parametrize("resolve", [resolve_3ss, resolve_2ss])
+    @pytest.mark.parametrize("code", CODES)
     @pytest.mark.parametrize("nb", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
     @pytest.mark.parametrize("M", ["one", "m_prime", "rows_plus_one"])
-    def test_equals_frames_drawn_one_by_one(self, resolve, nb, M,
+    def test_equals_frames_drawn_one_by_one(self, code, nb, M,
                                             monkeypatch):
         monkeypatch.setattr(core, "_TRIAL_CHUNK", self.CHUNK)
         M = {"one": 1, "m_prime": 10,
@@ -269,9 +268,9 @@ class TestBatchedTrialDraw:
         cfg = dataclasses.replace(derive_config(0.03, 0.2, pop.n_all),
                                   m_prime=M)
         counts, ledger, plan, energy = trial_frames(
-            resolve, pop, cfg, RngBank(9), range(M))
+            code, pop, cfg, RngBank(9), range(M))
         want, want_ledger, tx, rx = _frames_by_draw_blocks(
-            resolve, pop, cfg, RngBank(9), M)
+            code, pop, cfg, RngBank(9), M)
         assert np.array_equal(counts, want)
         assert np.array_equal(first_empty(counts), first_empty(want))
         assert ledger == want_ledger
@@ -282,24 +281,23 @@ class TestBatchedTrialDraw:
         rough = run_srcs(nb, cfg, RngBank(9))[0]
         assert rough == lof_estimate(first_empty(want[0]))
 
-    @pytest.mark.parametrize("resolve", [resolve_3ss, resolve_2ss])
-    def test_per_node_energy_after_the_shared_counts_are_freed(self,
-                                                              resolve):
+    @pytest.mark.parametrize("code", CODES)
+    def test_per_node_energy_after_the_shared_counts_are_freed(self, code):
         # Phase 1 keeps no node blocks: the bank holds the counts, and
         # once they are freed, a per-node read draws the node blocks again
         # from the streams.
         pop = PopulationSpec.fixed((7, 0, 12, 5), n_all=(64,) * 4)
         cfg = derive_config(0.03, 0.2, pop.n_all)
         bank = RngBank(9)
-        first = trial_frames(resolve, pop, cfg, bank)
-        second = trial_frames(resolve, pop, cfg, bank)
+        first = trial_frames(code, pop, cfg, bank)
+        second = trial_frames(code, pop, cfg, bank)
         # The bank holds the counts and their resolved frames.
         assert [key[0] for key in bank._kept] == ["p1", "frames"]
         assert next(iter(bank._kept.values())) is first[0]
         bank._kept.clear()
         assert second[0] is first[0] and not first[0].flags.writeable
         want, want_ledger, tx, rx = _frames_by_draw_blocks(
-            resolve, pop, cfg, RngBank(9), cfg.m_prime)
+            code, pop, cfg, RngBank(9), cfg.m_prime)
         for counts, ledger, _plan, energy in (first, second):
             assert np.array_equal(counts, want)
             assert ledger == want_ledger

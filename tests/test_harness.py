@@ -74,6 +74,50 @@ class TestSpecValidation:
         ExperimentSpec([scheme], "n2_value", [60], fixed)
         ExperimentSpec([scheme], "none", [0], dict(fixed, rough=(50,) * 3))
 
+    DRAWN = {"T": 3, "epsilon": 0.03, "D": 10, "q": 0.5}
+    GIVEN = {"T": 3, "epsilon": 0.03, "n": (30, 45, 12)}
+
+    @pytest.mark.parametrize("sweep_var, values, fixed, match", [
+        # Each was met only inside the run, as a bare KeyError, or not at
+        # all.
+        ("none", [0], dict(GIVEN, rough=(-5, 10, 10)),
+         "rough estimates must be >= 0"),
+        ("none", [0], dict(GIVEN, rough=(10, 10)),
+         "rough gives 2 types but T is 3"),
+        ("none", [0], dict(GIVEN, n=(30, 45, 12, 7)),
+         "n gives 4 types but T is 3"),
+        ("n2_value", [10], DRAWN, "n2_value sweep needs n"),
+        ("rough1", [10], GIVEN, "rough1 sweep needs rough"),
+        ("D", [10, 20], dict(DRAWN, n_all=15),
+         "up to 20 active nodes per type, but n_all"),
+    ])
+    def test_bad_cell_fails_before_any_run(self, sweep_var, values, fixed,
+                                           match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentSpec(["hsrc1"], sweep_var, values, fixed)
+
+    @pytest.mark.parametrize("D, q", [(10, 1.5), (10, float("nan")),
+                                      (-5, 0.5)])
+    def test_drawn_d_and_q_checked(self, D, q):
+        # numpy's "p < 0, p > 1 or p is NaN" and "n < 0" came from inside
+        # the draw.
+        match = rf"need D >= 0 and q in \[0, 1\], got D = {D}, q = {q}"
+        with pytest.raises(ValueError, match=match):
+            PopulationSpec.sample_activity(3, D, q, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=match):
+            run_experiment(ExperimentSpec(["txsrcs"], "none", [0],
+                                          dict(self.DRAWN, D=D, q=q), 1))
+
+    def test_table_bound_checked_per_cell_up_front(self):
+        # T = 11 used to fail in resolver_lut after the cells at T = 3, 4
+        # and 5 had run.
+        with pytest.raises(ConfigError,
+                           match="hsrc2: 2SS decoder tables .* got T = 11"):
+            ExperimentSpec(["hsrc1", "hsrc2"], "T", [3, 4, 5, 11],
+                           dict(self.DRAWN, n_all=1 << 10))
+        ExperimentSpec(["hsrc1", "3ss-rep"], "T", [3, 11],
+                       dict(self.DRAWN, n_all=1 << 10))
+
     def test_api_default_n_all_sets_phase1_depth(self):
         # Without n_all or D the harness takes the CLI's default, 2^20
         # manufactured nodes per type: 20 one-slot blocks per trial at T = 2.
@@ -400,8 +444,8 @@ class TestSharedReplicates:
             schemes, "none", [0], {"T": 4, "epsilon": 0.03,
                                    "n": (20, 0, 30, 10), "n_all": 1 << 10},
             replicates=reps, seed=2))
-        frames = {("frames", f"resolve_{code}", phase)
-                  for code in ("3ss", "2ss") for phase in ("p1", "p2")}
+        frames = {("frames", code, phase)
+                  for code in ("3SS", "2SS") for phase in ("p1", "p2")}
         assert len(made) == len(set(made)) == 8 * reps
         assert ({purpose for _seed, purpose in made}
                 == {"p1", "rough", "p2", "rep"} | frames)
@@ -435,8 +479,7 @@ class TestSharedReplicates:
             # hsrc1's phase-1 and phase-2 frames, and the given-rough
             # frame by each code.
             assert sorted((key[1], key[2][0]) for key in frames) == [
-                ("resolve_2ss", "p2"), ("resolve_3ss", "p1"),
-                ("resolve_3ss", "p2"), ("resolve_3ss", "p2")]
+                ("2SS", "p2"), ("3SS", "p1"), ("3SS", "p2"), ("3SS", "p2")]
 
     def test_fig11a_derives_each_key_once_in_few_passes(self, monkeypatch):
         # Every stream key is derived once per bank, in the cell's one
@@ -813,7 +856,28 @@ class TestValidateAccuracy:
             assert rate >= 0.7
 
 
+    def test_bad_input_fails_before_any_run(self, monkeypatch):
+        params = {"epsilon": 0.03, "delta": 0.2}
+        # replicates = 0 returned {}.
+        with pytest.raises(ConfigError, match="replicates must be >= 1"):
+            validate_accuracy("hsrc1", [(5, 5, 5)], params, replicates=0)
+        # T = 11 failed in resolver_lut after the populations before it
+        # had run.
+        cells = []
+        monkeypatch.setattr(harness, "_replicates",
+                            lambda prm, *args: cells.append(prm) or [])
+        with pytest.raises(ConfigError, match="got T = 11"):
+            validate_accuracy("2ss-rep", [(5, 5, 5), (5,) * 11], params,
+                              replicates=1)
+        assert cells == []
+
+
 class TestCalibrateEll:
+    def test_zero_replicates(self):
+        # It divided by the replicates: ZeroDivisionError.
+        with pytest.raises(ConfigError, match="replicates must be >= 1"):
+            calibrate_ell(0.05, 0.2, (1000,), replicates=0)
+
     def test_within_band_of_published(self):
         ell = calibrate_ell(0.05, 0.2, (1000, 5000), replicates=200, seed=1)
         assert abs(ell - 1075) <= 0.15 * 1075
@@ -1302,20 +1366,15 @@ class TestBlockPass:
 
     @staticmethod
     def _resolver_calls(monkeypatch):
-        """(resolver, frames) of every resolve_3ss and resolve_2ss call,
-        wherever the package binds them."""
+        """(code name, frames) of every three_stage.resolve call."""
         calls = []
-        for modules, name in (((three_stage, two_stage, hsrc), "resolve_3ss"),
-                              ((two_stage,), "resolve_2ss")):
-            original = getattr(modules[0], name)
+        original = three_stage.resolve
 
-            @functools.wraps(original)
-            def spy(counts, s_w, original=original):
-                calls.append((original.__name__,
-                              sum(c.shape[1] for c in counts)))
-                return original(counts, s_w)
-            for module in modules:
-                monkeypatch.setattr(module, name, spy)
+        @functools.wraps(original)
+        def spy(code, counts, s_w):
+            calls.append((code.name, sum(c.shape[1] for c in counts)))
+            return original(code, counts, s_w)
+        monkeypatch.setattr(three_stage, "resolve", spy)
         return calls
 
     def test_one_resolver_call_per_block_code_and_phase(self, monkeypatch):
@@ -1325,20 +1384,19 @@ class TestBlockPass:
         calls = self._resolver_calls(monkeypatch)
         figure_preset("fig8b", replicates=40, seed=2)
         cells = len(harness.PRESETS["fig8b"][2])
-        assert calls == [("resolve_3ss", 40), ("resolve_2ss", 40)] * cells
+        assert calls == [("3SS", 40), ("2SS", 40)] * cells
 
     def test_codes_that_coincide_resolve_once(self, monkeypatch):
         # At T = 3 the two codes are one: a block of 5 replicates of both
         # HSRC variants and both SSBB phase-2 schemes resolves each phase
-        # once, by resolve_3ss, and no scheme run resolves a frame.
+        # once, by the 3SS code, and no scheme run resolves a frame.
         calls = self._resolver_calls(monkeypatch)
         run_experiment(ExperimentSpec(
             ["hsrc1", "hsrc2", "p2-3ssbb", "p2-2ssbb"], "none", [0],
             {"T": 3, "epsilon": 0.03, "n": (30, 45, 12), "n_all": 1 << 10,
              "rough": (25, 60, 12)}, replicates=5, seed=4))
         m_prime = derive_config(0.03, 0.2, (1 << 10,) * 3).m_prime
-        assert calls == [("resolve_3ss", 5 * m_prime), ("resolve_3ss", 5),
-                         ("resolve_3ss", 5)]
+        assert calls == [("3SS", 5 * m_prime), ("3SS", 5), ("3SS", 5)]
 
     def test_estimator_equality_inside_blocks(self, monkeypatch):
         monkeypatch.setattr(harness, "BLOCK", 3)

@@ -27,8 +27,8 @@ from hetcount.homogeneous import (bb_key, bb_trials, lof_estimate,
                                   t_repetitions_srcs)
 from hetcount.three_stage import (Stage1Result3SS, outcomes_3ss, run_3ss_bb,
                                   run_3ss_followup, run_3ss_trial)
-from hetcount.two_stage import (class_codes, plan_slots, resolve_2ss,
-                                resolver_for, resolver_lut, run_2ss_bb,
+from hetcount.two_stage import (TWO_STAGE, block_code, class_codes,
+                                plan_slots, resolver_lut, run_2ss_bb,
                                 run_2ss_trial, sigma_slots)
 
 
@@ -656,11 +656,11 @@ def _assert_frame_table_sums(pop):
     core.geometric_block_choices, summed frame by frame, one table at a
     time."""
     cfg = derive_config(0.03, 0.2, pop.n_all)
-    for resolve in (three_stage.resolve_3ss, resolve_2ss):
+    for code in (three_stage.THREE_STAGE, TWO_STAGE):
         counts, _, _, energy = three_stage.trial_frames(
-            resolve, pop, cfg, RngBank(8))
+            code, pop, cfg, RngBank(8))
         tables = functools.partial(
-            resolve([counts], cfg.s_w).tables, counts)
+            three_stage.resolve(code, [counts], cfg.s_w).tables, counts)
         for b, nb in enumerate(pop.n, 1):
             streams = RngBank(8).streams(
                 [("p1", m, b) for m in range(cfg.m_prime)])
@@ -971,14 +971,13 @@ class TestPhase2KeepsNoNodeArrays:
     def test_ssbb(self, code):
         pop, cfg = self._setup()
         rough = {1: 4000, 2: 6500, 3: 9000}
-        runner, resolve = ((run_3ss_bb, three_stage.resolve_3ss)
-                           if code == "3SS"
-                           else (run_2ss_bb, resolver_for(pop.T)))
+        runner = run_3ss_bb if code == "3SS" else run_2ss_bb
         res = runner(pop, rough, cfg, RngBank(4))
         self._assert_count_level(res.energy, res.counts)
         slots = self._reference_slots(pop, cfg, rough, 4)
         frame = res.counts[:, None]
-        resolved = resolve([frame], cfg.s_w)
+        resolved = three_stage.resolve(block_code(code, pop.T), [frame],
+                                       cfg.s_w)
         ledger = SlotLedger(*resolved.sums[0, :4].tolist())
         assert ledger == res.ledger
         for b, nb in enumerate(pop.n, 1):

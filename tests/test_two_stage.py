@@ -20,13 +20,22 @@ from hetcount.core import (
     derive_config,
 )
 from hetcount.homogeneous import participations
-from hetcount.three_stage import run_3ss_stage1, run_3ss_trial, sym3_matrix
+from hetcount.three_stage import (
+    THREE_STAGE,
+    _followup,
+    run_3ss_stage1,
+    run_3ss_trial,
+    sym3_matrix,
+)
 from hetcount.two_stage import (
     ABSENT,
     AMBIGUOUS,
     MAX_TABLE_T,
     PRESENT,
+    TWO_STAGE,
+    _build_table,
     _row_symbols,
+    block_code,
     build_sym2_matrix,
     class_codes,
     decode_block_2ss,
@@ -280,6 +289,25 @@ class TestRunners:
         res3 = run_3ss_trial(pop, cfg, RngBank(5))
         assert res2.j == res3.j
         assert res2.ledger == res3.ledger
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_table_is_the_three_stage_followup_for_small_t(self, T):
+        # block_code hands the 2SS code to THREE_STAGE at T <= 3, which
+        # holds because the 2SS table agrees there, code by code, with the
+        # 3SS follow-up (_followup) on a one-block frame of those classes.
+        extra, presence, tx = _build_table(T)
+        classes = np.arange(3 ** T)[:, None] // 3 ** np.arange(T) % 3
+        flagged, stage3 = _followup(classes.T[:, None, :])[:, 0]
+        assert np.array_equal(extra, flagged + (T - 1) * stage3)
+        assert np.array_equal(presence, classes > 0)
+        assert np.array_equal(tx[:, 0], flagged)
+        assert (tx[:, 1:] == stage3[:, None]).all()
+
+    def test_block_code_by_t(self):
+        for T in range(2, MAX_TABLE_T + 1):
+            assert block_code("3SS", T) is THREE_STAGE
+            assert block_code("2SS", T) is (THREE_STAGE if T <= 3
+                                            else TWO_STAGE)
 
     def test_trial_soundness_and_ledger(self):
         pop = PopulationSpec.fixed((30, 20, 25, 40, 10), n_all=(64,) * 5)
