@@ -13,13 +13,12 @@ import functools
 import sys
 
 from . import analysis, harness
-from .core import ELL_TABLE, MAX_NODES, UnknownAccuracyKey
+from .core import ELL_TABLE
 from .harness import (
     ConfigError,
     ExperimentSpec,
-    apply_sweep,
     calibrate_ell,
-    check_out,
+    check_cell,
     default_n_all as _n_all,
     figure_preset,
     format_csv,
@@ -160,40 +159,6 @@ def _sweep_values(parser, var, text):
     return values
 
 
-def _check_types(parser, T, n):
-    if T < 2:
-        parser.error(f"T must be at least 2, got {T}")
-    if n is not None and len(n) != T:
-        parser.error(f"--n gives {len(n)} types but T is {T}")
-
-
-def _check_config(parser, params, n_all=(2,)):
-    """The protocol config of ``params`` at ``n_all``, or a one-line error
-    for a setting that derive_config rejects."""
-    try:
-        return harness.build_config(params, n_all)
-    except UnknownAccuracyKey as exc:
-        parser.error(exc.args[0])
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _check_population(parser, params, drawn=True):
-    """Fail on a q outside [0, 1], a negative node count or rough estimate
-    or, where nodes are ``drawn``, more active nodes per type than
-    MAX_NODES."""
-    q = params.get("q")
-    if q is not None and not 0 <= q <= 1:
-        parser.error(f"q must be in [0, 1], got {q}")
-    counts = (*(params.get("n") or ()), params.get("D", 0))
-    if min(counts) < 0:
-        parser.error("node counts (--n, D) must be >= 0")
-    if drawn and max(counts) > MAX_NODES:
-        parser.error(f"node counts (--n, D) must be at most {MAX_NODES}")
-    if min(params.get("rough") or (0,)) < 0:
-        parser.error("rough estimates (--rough) must be >= 0")
-
-
 def main(argv=None):
     argv = list(sys.argv if argv is None else ["hetcount"] + list(argv))
     parser = build_parser()
@@ -201,35 +166,17 @@ def main(argv=None):
     args = parser.parse_args(argv[1:])
     try:
         return _run(parser, args)
+    except ConfigError as exc:
+        parser.error(str(exc))
     except MemoryError as exc:
         parser.error(f"out of memory: {exc}".rstrip(": "))
 
 
 def _run(parser, args):
-    """Check ``args`` and run its subcommand: 0, or a one-line error."""
-    if getattr(args, "replicates", None) is not None and args.replicates < 1:
-        parser.error(f"--replicates must be at least 1, got {args.replicates}")
-    if getattr(args, "out", None) is not None:
-        try:
-            check_out(args.out)
-        except ConfigError as exc:
-            parser.error(f"--out {exc}")
+    """Run the subcommand of ``args``: 0, or a one-line error for a flag
+    the API does not take; the API raises ConfigError for the rest."""
     if args.command in ("simulate", "analyze", "validate"):
         T = args.T if args.T is not None else len(args.n) if args.n else 3
-    if args.command == "analyze":
-        _check_types(parser, T, args.n)
-        if args.rough is not None and len(args.rough) != T:
-            parser.error(f"--rough gives {len(args.rough)} types but T is {T}")
-        _check_population(parser, {"n": args.n, "rough": args.rough},
-                          drawn=False)
-    if args.command == "validate":
-        _check_types(parser, T, args.n)
-        n = args.n or (1000,) * T
-        params = {"epsilon": args.eps, "delta": args.delta, "ell": args.ell,
-                  "m_prime": args.m_prime, "n_all": _n_all(args.D, n)}
-        _check_population(parser, dict(params, n=n))
-        _check_config(parser, params)
-
     if args.command == "simulate":
         fixed = {"T": T, "epsilon": args.eps, "delta": args.delta,
                  "ell": args.ell, "m_prime": args.m_prime}
@@ -251,27 +198,11 @@ def _run(parser, args):
             if args.sweep_var not in ("D", "n_all"):
                 swept = values if args.sweep_var == "n2_value" else ()
                 fixed["n_all"] = _n_all(args.D, (*args.n, *swept))
-        missing = [f"--{k}" for k in ("D", "q")
-                   if k not in fixed and args.sweep_var != k]
-        if args.n is None and missing:
-            parser.error("simulate needs --n, or --D and --q "
-                         f"(missing {' and '.join(missing)})")
-        if args.n is None and args.sweep_var == "n2_value":
-            parser.error("--sweep-var n2_value needs --n")
-        # A swept T, epsilon, delta, n_all, ... replaces the fixed value.
-        for value in values:
-            cell = apply_sweep(dict(fixed), args.sweep_var, value)
-            _check_types(parser, cell["T"], args.n)
-            _check_population(parser, cell)
-            _check_config(parser, cell)
-        try:
-            spec = ExperimentSpec(
-                schemes=args.schemes.split(","), sweep_var=args.sweep_var,
-                sweep_values=values, fixed=fixed,
-                replicates=args.replicates, seed=args.seed,
-                out=args.out, include_overhead=args.include_overhead)
-        except ConfigError as exc:
-            parser.error(str(exc))
+        spec = ExperimentSpec(
+            schemes=args.schemes.split(","), sweep_var=args.sweep_var,
+            sweep_values=values, fixed=fixed, replicates=args.replicates,
+            seed=args.seed, out=args.out,
+            include_overhead=args.include_overhead)
         sys.stdout.write(format_csv(run_experiment(spec)))
     elif args.command == "figure":
         rows = figure_preset(args.name, replicates=args.replicates,
@@ -298,10 +229,11 @@ def _run(parser, args):
     elif args.command == "analyze":
         n = args.n or (1000,) * T
         rough = args.rough or n
-        config = _check_config(parser, {"epsilon": args.eps,
-                                        "delta": args.delta, "ell": args.ell,
-                                        "m_prime": args.m_prime},
-                               tuple(max(x, 2) for x in n))
+        cell = {"T": T, "n": n, "rough": args.rough, "epsilon": args.eps,
+                "delta": args.delta, "ell": args.ell,
+                "m_prime": args.m_prime}
+        check_cell((), cell)
+        config = harness.build_config(cell, tuple(max(x, 2) for x in n))
         ek, er = analysis.expected_K_R(n, rough, config.ell, T)
         lam = analysis.lambda_II(n, rough, config.ell, T, config.s_w)
         method, zone = analysis.select_phase2(rough, config.ell, T,
@@ -316,29 +248,18 @@ def _run(parser, args):
                 f"rx={comp['rx_slots']:.4f} idle={comp['idle_slots']:.4f} "
                 f"energy={comp['energy']:.4f}\n")
     elif args.command == "calibrate-ell":
-        if min(args.n_grid) < 0:
-            parser.error("node counts (--n-grid) must be >= 0")
-        # Zero nodes are estimated exactly at every ell.
-        if max(args.n_grid) < 1:
-            parser.error("--n-grid needs a node count >= 1")
-        # ell is what is calibrated, so epsilon need not be tabulated.
-        _check_config(parser, {"epsilon": args.eps, "delta": args.delta,
-                               "ell": 1})
-        try:
-            ell = calibrate_ell(args.eps, args.delta, args.n_grid,
-                                replicates=args.replicates, seed=args.seed)
-        except ConfigError as exc:
-            parser.error(str(exc))
+        ell = calibrate_ell(args.eps, args.delta, args.n_grid,
+                            replicates=args.replicates, seed=args.seed)
         table = ELL_TABLE.get(round(args.eps, 6))
         ref = f" (table: {table})" if table else ""
         sys.stdout.write(f"calibrated ell={ell}{ref}\n")
     elif args.command == "validate":
-        try:
-            rates = validate_accuracy(
-                args.scheme, [n], params,
-                replicates=args.replicates, seed=args.seed)
-        except ConfigError as exc:
-            parser.error(str(exc))
+        n = args.n or (1000,) * T
+        params = {"T": T, "epsilon": args.eps, "delta": args.delta,
+                  "ell": args.ell, "m_prime": args.m_prime,
+                  "n_all": _n_all(args.D, n)}
+        rates = validate_accuracy(args.scheme, [n], params,
+                                  replicates=args.replicates, seed=args.seed)
         for b, (rate, (lo, hi)) in sorted(rates.items()):
             sys.stdout.write(
                 f"type {b}: rate={rate:.4f} wilson95=({lo:.4f},{hi:.4f})\n")

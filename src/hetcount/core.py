@@ -71,6 +71,28 @@ def slot_outcomes(alpha, beta) -> np.ndarray:
     return out
 
 
+def check_counts(n, n_all):
+    """Raise ValueError unless ``n`` gives at least two types, each with
+    0 <= n_b <= n_all_b active nodes: a population's rules that hold
+    without a draw."""
+    if len(n) < 2:
+        raise ValueError(f"need at least 2 node types, got {len(n)}")
+    if len(n) != len(n_all):
+        raise ValueError("n and n_all must have one entry per type")
+    for nb, na in zip(n, n_all):
+        if not 0 <= nb <= na:
+            raise ValueError(f"need 0 <= n_b <= n_all_b, got n_b = {nb}, "
+                             f"n_all_b = {na}")
+
+
+def check_draw(D, q):
+    """Raise ValueError unless each of D nodes per type can be drawn
+    active with probability q."""
+    if not (D >= 0 and 0 <= q <= 1):    # a NaN fails the comparisons
+        raise ValueError(f"need D >= 0 and q in [0, 1], got D = {D}, "
+                         f"q = {q}")
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """Ground truth for one frame: per-type active counts and totals.
@@ -84,13 +106,8 @@ class PopulationSpec:
     q: float | None = None
 
     def __post_init__(self):
-        if len(self.n) < 2:
-            raise ValueError("need at least two node types")
-        if len(self.n) != len(self.n_all):
-            raise ValueError("n and n_all must have one entry per type")
-        for nb, na in zip(self.n, self.n_all):
-            if not (0 <= nb <= na):
-                raise ValueError("need 0 <= n_b <= n_all_b")
+        check_counts(self.n, self.n_all)
+        for nb in self.n:
             if nb > MAX_NODES:
                 raise ValueError(f"need n_b <= {MAX_NODES}, got {nb}")
 
@@ -109,9 +126,7 @@ class PopulationSpec:
     @staticmethod
     def sample_activity(T, D, q, rng) -> "PopulationSpec":
         """Each of D nodes per type is independently active with probability q."""
-        if D < 0 or not 0 <= q <= 1:    # a NaN q fails the comparison
-            raise ValueError(f"need D >= 0 and q in [0, 1], got D = {D}, "
-                             f"q = {q}")
+        check_draw(D, q)
         n = tuple(int(x) for x in rng.binomial(D, q, size=T))
         return PopulationSpec(n=n, n_all=(int(D),) * T, D=int(D), q=float(q))
 
@@ -171,10 +186,10 @@ def derive_config(epsilon, delta, n_all, s_w=6, ell=None, m_prime=None,
 
     Explicit ell / m_prime arguments override the tables (e.g. after a
     calibration run); otherwise unknown keys raise UnknownAccuracyKey.
-    epsilon and delta outside (0, 1) raise ValueError.
+    epsilon and delta outside (0, 1), or None, raise ValueError.
     """
     for name, value in (("epsilon", epsilon), ("delta", delta)):
-        if not 0 < value < 1:
+        if value is None or not 0 < value < 1:
             raise ValueError(f"{name} must be in (0, 1), got {value}")
     if ell is None:
         try:
@@ -252,15 +267,15 @@ class EnergyLedger:
     b after another type builds and draws it again.
     """
 
-    def __init__(self, T, n=None):
-        self.n = (0,) * T if n is None else tuple(n)
-        self.sums = np.zeros((T, 3))
+    def __init__(self, n):
+        self.n = tuple(n)
+        self.sums = np.zeros((len(self.n), 3))
         self._charges = []
         self._built = None      # (b, (tx, rx, accounted)) of the last read
 
     @staticmethod
     def zeros(population: PopulationSpec) -> "EnergyLedger":
-        return EnergyLedger(population.T, population.n)
+        return EnergyLedger(population.n)
 
     tx = property(lambda self: _PerNode(self, 0))
     rx = property(lambda self: _PerNode(self, 1))

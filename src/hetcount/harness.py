@@ -20,6 +20,9 @@ from .analysis import n1_star, zeta
 from .core import (
     PopulationSpec,
     RngBank,
+    UnknownAccuracyKey,
+    check_counts,
+    check_draw,
     derive_config,
 )
 from .homogeneous import run_srcs
@@ -74,41 +77,53 @@ class ExperimentSpec:
             raise ConfigError("a scheme is listed twice")
         if self.sweep_var not in SWEEP_VARS:
             raise ConfigError(f"unknown sweep variable {self.sweep_var!r}")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ConfigError(f"unknown scheme {s!r}")
-            if (s in PHASE2_ONLY and "rough" not in self.fixed
-                    and self.sweep_var != "n2_value"):
-                raise ConfigError(f"{s} runs phase 2 alone: it needs rough "
-                                  "estimates, from a fixed 'rough' or an "
-                                  "n2_value sweep")
         need = {"n2_value": "n", "rough1": "rough"}.get(self.sweep_var)
         if need is not None and self.fixed.get(need) is None:
             raise ConfigError(f"a {self.sweep_var} sweep needs {need}")
         for value in self.sweep_values:
-            _check_cell(self.schemes, _with_rough(apply_sweep(
-                dict(self.fixed), self.sweep_var, value)))
+            check_cell(self.schemes, apply_sweep(dict(self.fixed),
+                                                 self.sweep_var, value))
 
 
-def _check_cell(schemes, prm):
-    """Raise ConfigError for a cell ``prm`` (_with_rough) that ``schemes``
-    cannot run; plain comparisons, as a preset checks its cells each run."""
+def check_cell(schemes, params):
+    """Raise ConfigError for a cell ``params`` that ``schemes`` cannot run,
+    before any of it runs; with no schemes, for one the closed forms cannot
+    take, which draw no nodes and so take counts past MAX_NODES."""
+    prm = _with_rough(dict(params))
+    for s in schemes:
+        if s not in SCHEMES:
+            raise ConfigError(f"unknown scheme {s!r}")
+        if s in PHASE2_ONLY and prm.get("rough") is None:
+            raise ConfigError(f"{s} runs phase 2 alone: it needs rough "
+                              "estimates, from a fixed 'rough' or an "
+                              "n2_value sweep")
     n, rough, D = prm.get("n"), prm.get("rough"), prm.get("D")
     T = prm.get("T", len(n or ()))
-    for name, values in (("rough", rough), ("n", n)):
+    for name, values in (("n", n), ("rough", rough)):
         if values is not None and len(values) != T:
             raise ConfigError(f"{name} gives {len(values)} types but T is "
                               f"{T}")
-    if rough is not None and min(rough.values()) < 0:
+    if rough is not None and not all(x >= 0 for x in rough.values()):
         raise ConfigError("rough estimates must be >= 0")
-    total, most = prm.get("n_all", D), max(n) if n else D
-    if total is not None and most is not None and most > total:
-        raise ConfigError(f"up to {most} active nodes per type, but n_all "
-                          f"(else D) is {total}")
+    missing = [k for k in ("T", "D", "q") if prm.get(k) is None]
+    if n is None and missing:
+        raise ConfigError("a cell needs n, or T, D and q (missing "
+                          f"{' and '.join(missing)})")
     using = [s for s in schemes if s in TABLE_SCHEMES]
     if using and T > MAX_TABLE_T:
         raise ConfigError(f"{', '.join(using)}: 2SS decoder tables are "
                           f"built for T <= {MAX_TABLE_T}, got T = {T}")
+    try:
+        if n is None:
+            check_draw(D, prm["q"])
+            # The most active nodes the draw can make.
+            n = (D,) * T
+        n_all = _cell_n_all(prm)
+        # PopulationSpec adds the bound on the nodes a scheme draws for.
+        (PopulationSpec if schemes else check_counts)(n, n_all)
+    except (ValueError, OverflowError) as exc:   # int() of an inf count
+        raise ConfigError(exc.args[0]) from exc
+    build_config(prm, n_all)
 
 
 @dataclass
@@ -230,16 +245,20 @@ def _build_population(params, bank):
 
 def build_config(params, n_all):
     """The ProtocolConfig of ``params`` at manufactured totals ``n_all``; a
-    parameter absent or None takes derive_config's default."""
-    return derive_config(params["epsilon"], params.get("delta", 0.2), n_all,
-                         **{k: params[k] for k in CONFIG_KEYS
-                            if params.get(k) is not None})
+    parameter absent or None takes derive_config's default, and one it
+    rejects raises ConfigError."""
+    try:
+        return derive_config(params.get("epsilon"), params.get("delta", 0.2),
+                             n_all, **{k: params[k] for k in CONFIG_KEYS
+                                       if params.get(k) is not None})
+    except (ValueError, UnknownAccuracyKey) as exc:
+        raise ConfigError(exc.args[0]) from exc
 
 
 def _with_rough(params):
     """``params`` with the rough estimates keyed by type (1-based), and n
     taken from them where it is not given; edited in place."""
-    if "rough" in params:
+    if params.get("rough") is not None:
         if params.get("n") is None:
             params["n"] = tuple(int(round(x)) for x in params["rough"])
         if not isinstance(params["rough"], dict):
@@ -484,7 +503,7 @@ def validate_accuracy(scheme, populations, params, replicates, seed=0):
     over a grid of populations, each checked before the first runs."""
     cells = [_with_rough(dict(params, n=tuple(n))) for n in populations]
     for prm in cells:
-        _check_cell([scheme], prm)
+        check_cell([scheme], prm)
     hits, tries = {}, {}
     for prm in cells:
         for contexts in _replicates(prm, [
@@ -516,7 +535,8 @@ def _srcs_coverage(epsilon, delta, ell, n_grid, replicates, seed):
     homogeneous protocol at trial length ell."""
     worst = 1.0
     for n in n_grid:
-        config = derive_config(epsilon, delta, (max(n, 2),), ell=ell)
+        config = build_config({"epsilon": epsilon, "delta": delta,
+                               "ell": ell}, (max(n, 2),))
         # run_srcs opens TxSRCS's streams, for its one type.
         keys = _stream_keys(["txsrcs"], 1, config.m_prime, False)
         ok = 0
@@ -533,6 +553,11 @@ def calibrate_ell(epsilon, delta, n_grid, replicates=300, seed=0,
                   lo=50, hi=16384) -> int:
     """Smallest trial length whose worst-case empirical accuracy over the n
     grid reaches 1 - delta, by binary search."""
+    if min(n_grid, default=0) < 0:
+        raise ConfigError(f"n_grid counts must be >= 0, got {min(n_grid)}")
+    # Zero nodes are estimated exactly at every ell.
+    if max(n_grid, default=0) < 1:
+        raise ConfigError("n_grid needs a node count >= 1")
     target = 1.0 - delta
     if _srcs_coverage(epsilon, delta, hi, n_grid, replicates, seed) < target:
         raise ConfigError(f"upper bound of the search range (ell = {hi}) "

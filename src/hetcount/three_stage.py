@@ -370,7 +370,7 @@ def run_frames(resolved, counts, n, frames):
     blocks) pieces (core.uniform_pieces)."""
     stages, _plan, sums_tx, sums_rx, heard, tables = resolved
     total = float(sum(stages))
-    energy = EnergyLedger(len(n), n)
+    energy = EnergyLedger(n)
     node_tables = partial(tables, counts)
     for b, nb in enumerate(n, 1):
         energy.charge(b, (sums_tx[b - 1], sums_rx[b - 1] + heard * nb,

@@ -11,10 +11,11 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import hetcount
@@ -35,6 +36,21 @@ from hetcount.harness import (
     write_csv,
 )
 from hetcount.hsrc import run_hsrc
+
+
+def _counting(calls):
+    """harness.SCHEMES with every run first appended to ``calls``."""
+    return {scheme: lambda *args, fn=fn, scheme=scheme: calls.append(scheme)
+            or fn(*args) for scheme, fn in harness.SCHEMES.items()}
+
+
+@pytest.fixture
+def scheme_runs(monkeypatch):
+    """The scheme runs made while the test runs, in order."""
+    calls = []
+    for scheme, spy in _counting(calls).items():
+        monkeypatch.setitem(harness.SCHEMES, scheme, spy)
+    return calls
 
 
 def _small_spec(out=None):
@@ -88,13 +104,96 @@ class TestSpecValidation:
          "n gives 4 types but T is 3"),
         ("n2_value", [10], DRAWN, "n2_value sweep needs n"),
         ("rough1", [10], GIVEN, "rough1 sweep needs rough"),
-        ("D", [10, 20], dict(DRAWN, n_all=15),
-         "up to 20 active nodes per type, but n_all"),
+        pytest.param("D", [10, 20], dict(DRAWN, n_all=15),
+                     "got n_b = 20, n_all_b = 15",
+                     id="D-values5-fixed5-up to 20 active nodes per type, "
+                        "but n_all"),
     ])
     def test_bad_cell_fails_before_any_run(self, sweep_var, values, fixed,
                                            match):
         with pytest.raises(ConfigError, match=match):
             ExperimentSpec(["hsrc1"], sweep_var, values, fixed)
+
+    @pytest.mark.parametrize("sweep_var, values, fixed, match", [
+        # Each ran every scheme over the first cell, then failed in the
+        # second as a bare ValueError or UnknownAccuracyKey, or in the first
+        # as a KeyError.
+        ("q", [0.5, 1.5], DRAWN, r"q in \[0, 1\], got D = 10, q = 1.5"),
+        ("epsilon", [0.03, 0.07], GIVEN, "epsilon=0.07"),
+        ("T", [3, 1], DRAWN, "need at least 2 node types, got 1"),
+        ("ell", [100, 0], GIVEN, "ell, m_prime, s_w, t_T must all be >= 1"),
+        ("none", [0], {"T": 3, "epsilon": 0.03},
+         r"needs n, or T, D and q \(missing D and q\)"),
+        ("none", [0], {"n": (30, 45, 12)},
+         r"epsilon must be in \(0, 1\), got None"),
+        # q = 0, so that a missed check draws no nodes.
+        ("D", [10, 2 ** 31], dict(DRAWN, q=0), "need n_b <= 2147483647"),
+        ("D", [10, -1], dict(DRAWN, q=0, n_all=100), "need D >= 0"),
+        ("D", [10, float("inf")], dict(DRAWN, q=0),
+         "cannot convert float infinity"),
+        # A NaN rough estimate ran to a row.
+        ("none", [0], dict(GIVEN, rough=(5, float("nan"), 5)),
+         "rough estimates must be >= 0"),
+    ])
+    def test_bad_cell_refused_at_construction(self, scheme_runs, sweep_var,
+                                              values, fixed, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentSpec(["hsrc1", "txsrcs", "3ss-rep"], sweep_var, values,
+                           fixed, replicates=1)
+        assert scheme_runs == []
+
+    def test_bad_grid_or_scheme_refused_before_any_run(self, monkeypatch,
+                                                       scheme_runs):
+        # numpy's "negative dimensions are not allowed", and a KeyError.
+        srcs_runs, run_srcs = [], harness.run_srcs
+        monkeypatch.setattr(harness, "run_srcs", lambda *args:
+                            srcs_runs.append(args) or run_srcs(*args))
+        with pytest.raises(ConfigError, match="n_grid counts must be >= 0"):
+            calibrate_ell(0.1, 0.2, (-5,))
+        with pytest.raises(ConfigError, match="n_grid needs a node count"):
+            calibrate_ell(0.1, 0.2, (0, 0))
+        with pytest.raises(ConfigError, match="unknown scheme 'nope'"):
+            validate_accuracy("nope", [(5, 5, 5)], {"epsilon": 0.03},
+                              replicates=1)
+        assert srcs_runs == [] and scheme_runs == []
+
+    # One setting out of range, absent (None) or untabulated each; counts
+    # stay small, so that a cell the check misses draws few nodes.
+    BAD = (("T", 1), ("T", 0), ("T", None), ("n", (5,)), ("n", (5, -1)),
+           ("D", -1), ("D", None), ("q", 1.5), ("q", float("nan")),
+           ("q", None), ("n_all", 3), ("epsilon", 0.07), ("epsilon", 0.0),
+           ("epsilon", None), ("delta", 1.0), ("delta", 0.1), ("ell", 0),
+           ("m_prime", 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([["hsrc1"], ["hsrc2"], ["txsrcs"], ["3ss-rep"]]),
+           st.one_of(st.lists(st.integers(0, 30), min_size=2, max_size=4)
+                     .map(lambda n: {"n": tuple(n)}),
+                     st.fixed_dictionaries({"T": st.integers(2, 4),
+                                            "D": st.integers(0, 30),
+                                            "q": st.floats(0, 1)})),
+           st.fixed_dictionaries({
+               "epsilon": st.sampled_from([0.03, 0.05]),
+               "ell": st.sampled_from([None, 50]),
+               "m_prime": st.sampled_from([None, 2]),
+               "n_all": st.sampled_from([None, 1 << 10])}),
+           st.lists(st.sampled_from(BAD), max_size=2))
+    def test_cell_refused_up_front_or_runs(self, schemes, population, config,
+                                           bad):
+        cell = {k: v for k, v in {**population, **config, **dict(bad)}.items()
+                if v is not None}
+        calls = []
+        with mock.patch.dict(harness.SCHEMES, _counting(calls)):
+            try:
+                spec = ExperimentSpec(schemes, "none", [0], cell,
+                                      replicates=1)
+            except ConfigError:
+                assert calls == []
+                event("refused")
+                return
+            event("ran")
+            rows = run_experiment(spec)
+        assert [r.scheme for r in rows] == schemes and calls == schemes
 
     @pytest.mark.parametrize("D, q", [(10, 1.5), (10, float("nan")),
                                       (-5, 0.5)])
@@ -138,14 +237,8 @@ class TestSpecValidation:
             pop = harness._build_population({"n": (0, 0), key: 0}, bank)
             assert pop.n_all == (0, 0)
 
-    def test_out_path_checked_before_any_run(self, tmp_path, monkeypatch):
-        # The rule the CLI's --out check uses, applied before the first
-        # cell: a missing directory or a directory fails at once.
-        calls = []
-        for scheme, fn in list(harness.SCHEMES.items()):
-            monkeypatch.setitem(harness.SCHEMES, scheme,
-                                lambda *args, fn=fn: calls.append(1)
-                                or fn(*args))
+    def test_out_path_checked_before_any_run(self, tmp_path, scheme_runs):
+        # A missing directory or a directory fails before the first cell.
         missing = str(tmp_path / "missing" / "x.csv")
         for out, match in ((missing, "no such directory"),
                            (str(tmp_path), "is a directory")):
@@ -155,7 +248,7 @@ class TestSpecValidation:
                 figure_preset("fig10", replicates=1, out=out)
             with pytest.raises(ConfigError, match=match):
                 figure_preset("fig9a", out=out)
-        assert calls == []
+        assert scheme_runs == []
         assert not os.path.exists(os.path.dirname(missing))
 
     def test_unknown_preset(self):
@@ -333,7 +426,7 @@ class TestSharedReplicates:
     def test_cell_derives_and_configures_once(self, monkeypatch):
         # A cell's banks are opened together: every key its schemes open is
         # derived in one pass for all its replicates, and its config is
-        # derived once.
+        # derived once in the run (and once more in the spec's check).
         passes, configs = [], []
         spawned, build = core._spawned_words, harness.build_config
 
@@ -344,11 +437,12 @@ class TestSharedReplicates:
         def configured(prm, n_all):
             configs.append(n_all)
             return build(prm, n_all)
+        schemes, sweep_var, _values, fixed, _reps = harness.PRESETS["fig8b"]
+        spec = ExperimentSpec(list(schemes), sweep_var, [500, 1500], fixed,
+                              replicates=3, seed=4)
         monkeypatch.setattr(core, "_spawned_words", counted)
         monkeypatch.setattr(harness, "build_config", configured)
-        schemes, sweep_var, _values, fixed, _reps = harness.PRESETS["fig8b"]
-        run_experiment(ExperimentSpec(list(schemes), sweep_var, [500, 1500],
-                                      fixed, replicates=3, seed=4))
+        run_experiment(spec)
         # The five ("p2", b) keys, once per cell.
         assert passes == [(3, 5)] * 2
         assert configs == [(harness.PRESET_N_ALL,) * 5] * 2
@@ -908,6 +1002,13 @@ class TestCalibrateEll:
         assert probes > 1 and passes == [(64, 11), (6, 11)] * 2 * probes
 
 
+def _moved(index, argv, message, was):
+    """A bad-input case whose message is now the API's: it keeps the id
+    pytest gave it for the message it was first listed with, ``was``, so
+    rewording a message renames no case."""
+    return pytest.param(argv, message, id=f"argv{index}-{was}")
+
+
 class TestCli:
     def _capture(self, argv):
         buf = io.StringIO()
@@ -994,14 +1095,19 @@ class TestCli:
         assert out.strip().split("\n")[1].count(";") == 3
 
     @pytest.mark.parametrize("argv, message", [
-        (["simulate", "--T", "3", "--n", "5,5"], "--n gives 2 types"),
-        (["simulate", "--sweep-var", "T", "--sweep-values", "4",
-          "--n", "20,20,20"], "--n gives 3 types but T is 4"),
+        _moved(0, ["simulate", "--T", "3", "--n", "5,5"],
+               "n gives 2 types but T is 3", was="--n gives 2 types"),
+        _moved(1, ["simulate", "--sweep-var", "T", "--sweep-values", "4",
+                   "--n", "20,20,20"],
+               "n gives 3 types but T is 4",
+               was="--n gives 3 types but T is 4"),
         (["simulate", "--T", "1", "--D", "10", "--q", "0.5"],
          "at least 2"),
-        (["simulate", "--T", "3"], "needs --n, or --D and --q"),
-        (["simulate", "--sweep-var", "D", "--sweep-values", "50", "--T", "3"],
-         "missing --q"),
+        _moved(3, ["simulate", "--T", "3"],
+               "a cell needs n, or T, D and q (missing D and q)",
+               was="needs --n, or --D and --q"),
+        _moved(4, ["simulate", "--sweep-var", "D", "--sweep-values", "50",
+                   "--T", "3"], "(missing q)", was="missing --q"),
         (["simulate", "--n", "5,5,5", "--eps", "0.07"], "epsilon=0.07"),
         (["simulate", "--n", "5,5", "--sweep-var", "epsilon",
           "--sweep-values", "0.05,0.07"], "epsilon=0.07"),
@@ -1009,28 +1115,41 @@ class TestCli:
           "--D", "10", "--q", "0.5"], "whole numbers"),
         (["validate", "--eps", "0.07"], "epsilon=0.07"),
         (["analyze", "--delta", "0.1"], "delta=0.1"),
-        (["analyze", "--T", "4", "--n", "5,5,5"], "--n gives 3 types"),
-        (["simulate", "--sweep-var", "n2_value", "--sweep-values", "10",
-          "--D", "10", "--q", "0.5"], "n2_value needs --n"),
+        _moved(10, ["analyze", "--T", "4", "--n", "5,5,5"],
+               "n gives 3 types but T is 4", was="--n gives 3 types"),
+        _moved(11, ["simulate", "--sweep-var", "n2_value", "--sweep-values",
+                    "10", "--D", "10", "--q", "0.5"],
+               "a n2_value sweep needs n", was="n2_value needs --n"),
         (["simulate", "--n", "5,5,5", "--schemes", "p2-trepbb"],
          "p2-trepbb runs phase 2 alone"),
         (["simulate", "--n", "5,5,5", "--schemes", "hsrc1,bogus"],
          "unknown scheme 'bogus'"),
-        (["simulate", "--n", "100,100,100", "--sweep-var", "n_all",
-          "--sweep-values", "50"], "n_all (else D) is 50"),
-        (["simulate", "--n", "5,80,5", "--D", "60"],
-         "up to 80 active nodes"),
-        (["simulate", "--D", "100", "--q", "0.5", "--sweep-var", "n_all",
-          "--sweep-values", "50"], "n_all (else D) is 50"),
-        (["simulate", "--n", "5,5,5", "--replicates", "0"],
-         "--replicates must be at least 1, got 0"),
-        (["validate", "--replicates", "0"], "--replicates must be at least 1"),
-        (["calibrate-ell", "--replicates", "0"],
-         "--replicates must be at least 1"),
-        (["simulate", "--D", "10", "--q", "1.5", "--T", "3"],
-         "q must be in [0, 1], got 1.5"),
-        (["simulate", "--n", "5,-5,5"], "node counts (--n, D) must be >= 0"),
-        (["simulate", "--D", "-5", "--q", "0.5"], "must be >= 0"),
+        _moved(14, ["simulate", "--n", "100,100,100", "--sweep-var", "n_all",
+                    "--sweep-values", "50"],
+               "got n_b = 100, n_all_b = 50", was="n_all (else D) is 50"),
+        _moved(15, ["simulate", "--n", "5,80,5", "--D", "60"],
+               "got n_b = 80, n_all_b = 60", was="up to 80 active nodes"),
+        _moved(16, ["simulate", "--D", "100", "--q", "0.5", "--sweep-var",
+                    "n_all", "--sweep-values", "50"],
+               "got n_b = 100, n_all_b = 50", was="n_all (else D) is 50"),
+        _moved(17, ["simulate", "--n", "5,5,5", "--replicates", "0"],
+               "replicates must be >= 1",
+               was="--replicates must be at least 1, got 0"),
+        _moved(18, ["validate", "--replicates", "0"],
+               "replicates must be >= 1",
+               was="--replicates must be at least 1"),
+        _moved(19, ["calibrate-ell", "--replicates", "0"],
+               "replicates must be >= 1",
+               was="--replicates must be at least 1"),
+        _moved(20, ["simulate", "--D", "10", "--q", "1.5", "--T", "3"],
+               "need D >= 0 and q in [0, 1], got D = 10, q = 1.5",
+               was="q must be in [0, 1], got 1.5"),
+        _moved(21, ["simulate", "--n", "5,-5,5"],
+               "need 0 <= n_b <= n_all_b, got n_b = -5",
+               was="node counts (--n, D) must be >= 0"),
+        _moved(22, ["simulate", "--D", "-5", "--q", "0.5"],
+               "need D >= 0 and q in [0, 1], got D = -5",
+               was="must be >= 0"),
         (["simulate", "--n", "5,5,5", "--sweep-var", "ell",
           "--sweep-values", "0"], "ell, m_prime, s_w, t_T must all be >= 1"),
         (["simulate", "--n", "5,5,5", "--sweep-var", "gamma_rho",
@@ -1046,15 +1165,22 @@ class TestCli:
           "--sweep-values", "5", "--schemes", "p2-2ssbb"],
          "p2-2ssbb: 2SS decoder tables are built for T <= 10"),
         (["validate", "--scheme", "2ss-rep", "--T", "11"], "got T = 11"),
-        (["analyze", "--n", "5,-5,5"], "node counts (--n, D) must be >= 0"),
-        (["analyze", "--n", "5,5,5", "--rough", "5,-1,5"],
-         "rough estimates (--rough) must be >= 0"),
-        (["validate", "--n", "5,-5,5"], "node counts (--n, D) must be >= 0"),
-        (["simulate", "--n", "5,5,5", "--sweep-var", "n_all",
-          "--sweep-values", "0"], "n_all (else D) is 0"),
-        (["simulate", "--n", "5,5,5", "--D", "0"], "n_all (else D) is 0"),
-        (["validate", "--n", "1000,1000,1000", "--D", "999"],
-         "n_all (else D) is 999"),
+        _moved(30, ["analyze", "--n", "5,-5,5"],
+               "need 0 <= n_b <= n_all_b, got n_b = -5",
+               was="node counts (--n, D) must be >= 0"),
+        _moved(31, ["analyze", "--n", "5,5,5", "--rough", "5,-1,5"],
+               "rough estimates must be >= 0",
+               was="rough estimates (--rough) must be >= 0"),
+        _moved(32, ["validate", "--n", "5,-5,5"],
+               "need 0 <= n_b <= n_all_b, got n_b = -5",
+               was="node counts (--n, D) must be >= 0"),
+        _moved(33, ["simulate", "--n", "5,5,5", "--sweep-var", "n_all",
+                    "--sweep-values", "0"],
+               "got n_b = 5, n_all_b = 0", was="n_all (else D) is 0"),
+        _moved(34, ["simulate", "--n", "5,5,5", "--D", "0"],
+               "got n_b = 5, n_all_b = 0", was="n_all (else D) is 0"),
+        _moved(35, ["validate", "--n", "1000,1000,1000", "--D", "999"],
+               "got n_b = 1000, n_all_b = 999", was="n_all (else D) is 999"),
         (["simulate", "--n", "5,5,5", "--ell", "0"],
          "ell, m_prime, s_w, t_T must all be >= 1"),
         (["simulate", "--n", "5,5,5", "--m-prime", "0"],
@@ -1068,10 +1194,12 @@ class TestCli:
         (["simulate", "--config", "no/such/run.cfg"],
          "--config no/such/run.cfg: No such file or directory"),
         (["simulate", "--config", "."], "--config .: Is a directory"),
-        (["analyze", "--n", "5,5,5", "--rough", "5,5"],
-         "--rough gives 2 types but T is 3"),
-        (["analyze", "--n", "5,5,5", "--rough", "5,5,5,5"],
-         "--rough gives 4 types but T is 3"),
+        _moved(43, ["analyze", "--n", "5,5,5", "--rough", "5,5"],
+               "rough gives 2 types but T is 3",
+               was="--rough gives 2 types but T is 3"),
+        _moved(44, ["analyze", "--n", "5,5,5", "--rough", "5,5,5,5"],
+               "rough gives 4 types but T is 3",
+               was="--rough gives 4 types but T is 3"),
         (["zeta", "--t-min", "1"], "--t-min must be at least 2, got 1"),
         (["zeta", "--ell", "0"], "--ell must be at least 1, got 0"),
         (["zeta", "--ell", "-5"], "--ell must be at least 1, got -5"),
@@ -1103,8 +1231,9 @@ class TestCli:
           "delta", "--sweep-values", "0.2,0"],
          "delta must be in (0, 1), got 0.0"),
         (["analyze", "--eps", "0"], "epsilon must be in (0, 1), got 0.0"),
-        (["calibrate-ell", "--n-grid", "-5"],
-         "node counts (--n-grid) must be >= 0"),
+        _moved(62, ["calibrate-ell", "--n-grid", "-5"],
+               "n_grid counts must be >= 0, got -5",
+               was="node counts (--n-grid) must be >= 0"),
         (["calibrate-ell", "--delta", "0.1"], "delta=0.1"),
         (["calibrate-ell", "--eps", "0"],
          "epsilon must be in (0, 1), got 0.0"),
@@ -1115,8 +1244,9 @@ class TestCli:
         (["calibrate-ell", "--eps", "0.001", "--replicates", "3",
           "--n-grid", "50000"],
          "upper bound of the search range (ell = 16384) is insufficient"),
-        (["calibrate-ell", "--n-grid", "0,0"],
-         "--n-grid needs a node count >= 1"),
+        _moved(68, ["calibrate-ell", "--n-grid", "0,0"],
+               "n_grid needs a node count >= 1",
+               was="--n-grid needs a node count >= 1"),
         (["simulate", "--schemes", "hsrc1", "--n", "5,5", "--sweep-var",
           "gamma_rho", "--sweep-values", "nan"],
          "energy costs must be finite and >= 0"),
@@ -1129,26 +1259,36 @@ class TestCli:
          "--q samples the active nodes"),
         # Block counts are int32: more nodes per type than 2^31 - 1 would
         # wrap them.
-        (["simulate", "--schemes", "hsrc1", "--n", "5,5", "--sweep-var",
-          "n2_value", "--sweep-values", "1e30"],
-         "node counts (--n, D) must be at most 2147483647"),
-        (["simulate", "--schemes", "hsrc1", "--n", "5,2147483648"],
-         "node counts (--n, D) must be at most 2147483647"),
-        (["simulate", "--schemes", "hsrc1", "--D", "2147483648", "--q",
-          "0.1"], "node counts (--n, D) must be at most 2147483647"),
-        (["simulate", "--schemes", "hsrc1", "--q", "0.1", "--sweep-var", "D",
-          "--sweep-values", "5,3e9"],
-         "node counts (--n, D) must be at most 2147483647"),
-        (["validate", "--n", "5,2147483648"],
-         "node counts (--n, D) must be at most 2147483647"),
+        _moved(73, ["simulate", "--schemes", "hsrc1", "--n", "5,5",
+                    "--sweep-var", "n2_value", "--sweep-values", "1e30"],
+               "need n_b <= 2147483647, got 10",
+               was="node counts (--n, D) must be at most 2147483647"),
+        _moved(74, ["simulate", "--schemes", "hsrc1", "--n", "5,2147483648"],
+               "need n_b <= 2147483647, got 2147483648",
+               was="node counts (--n, D) must be at most 2147483647"),
+        _moved(75, ["simulate", "--schemes", "hsrc1", "--D", "2147483648",
+                    "--q", "0.1"],
+               "need n_b <= 2147483647, got 2147483648",
+               was="node counts (--n, D) must be at most 2147483647"),
+        _moved(76, ["simulate", "--schemes", "hsrc1", "--q", "0.1",
+                    "--sweep-var", "D", "--sweep-values", "5,3e9"],
+               "need n_b <= 2147483647, got 3000000000",
+               was="node counts (--n, D) must be at most 2147483647"),
+        _moved(77, ["validate", "--n", "5,2147483648"],
+               "need n_b <= 2147483647, got 2147483648",
+               was="node counts (--n, D) must be at most 2147483647"),
         # An --out whose directory is missing fails before the run, not
         # after it.
-        (["figure", "fig11a", "--replicates", "1", "--out",
-          "/nonexistent/dir/x.csv"],
-         "--out /nonexistent/dir/x.csv: no such directory"),
-        (["simulate", "--n", "5,5", "--out", "/nonexistent/dir/x.csv"],
-         "--out /nonexistent/dir/x.csv: no such directory"),
-        (["figure", "fig9a", "--out", "/"], "--out /: is a directory"),
+        _moved(78, ["figure", "fig11a", "--replicates", "1", "--out",
+                    "/nonexistent/dir/x.csv"],
+               "/nonexistent/dir/x.csv: no such directory",
+               was="--out /nonexistent/dir/x.csv: no such directory"),
+        _moved(79, ["simulate", "--n", "5,5", "--out",
+                    "/nonexistent/dir/x.csv"],
+               "/nonexistent/dir/x.csv: no such directory",
+               was="--out /nonexistent/dir/x.csv: no such directory"),
+        _moved(80, ["figure", "fig9a", "--out", "/"],
+               "/: is a directory", was="--out /: is a directory"),
         # --sweep-values without a sweep variable would only reseed.
         (["simulate", "--n", "5,5", "--sweep-values", "1,2"],
          "--sweep-values gives values of --sweep-var"),
@@ -1161,7 +1301,9 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        err = capsys.readouterr().err.strip().split("\n")
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        err = stderr.strip().split("\n")
         assert err[-1].startswith("hetcount: error: ")
         assert message in err[-1]
 
