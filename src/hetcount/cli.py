@@ -27,9 +27,6 @@ from .harness import (
 )
 
 
-# Sweep variables that take whole numbers.  Their values are parsed as int,
-# so "4" and "4.0" name the same cell and the same replicate seeds.
-INT_SWEEP_VARS = ("T", "D", "n_all", "ell", "m_prime", "s_w", "n2_value")
 # simulate takes no rough estimates, so it cannot sweep one.
 SIMULATE_SWEEP_VARS = tuple(v for v in harness.SWEEP_VARS if v != "rough1")
 
@@ -143,22 +140,6 @@ def _load_config(parser, argv):
     return argv[:2] + extra + argv[2:]
 
 
-def _sweep_values(parser, var, text):
-    values = []
-    for item in text.split(","):
-        try:
-            value = float(item)
-        except ValueError:
-            parser.error(f"--sweep-values: {item!r} is not a number")
-        if var in INT_SWEEP_VARS:
-            if not value.is_integer():
-                parser.error(f"--sweep-values: {var} takes whole numbers, "
-                             f"got {item!r}")
-            value = int(value)
-        values.append(value)
-    return values
-
-
 def main(argv=None):
     argv = list(sys.argv if argv is None else ["hetcount"] + list(argv))
     parser = build_parser()
@@ -187,9 +168,12 @@ def _run(parser, args):
         if args.sweep_var == "none" and args.sweep_values is not None:
             parser.error("--sweep-values gives values of --sweep-var; it "
                          "has no effect without it")
-        values = _sweep_values(parser, args.sweep_var,
-                               "0" if args.sweep_values is None
-                               else args.sweep_values)
+        # Floats: the API takes a whole one as its int where it must.
+        try:
+            values = [float(v) for v in ("0" if args.sweep_values is None
+                                         else args.sweep_values).split(",")]
+        except ValueError as exc:
+            parser.error(f"--sweep-values: {exc}")
         if args.n is not None:
             if "q" in fixed or args.sweep_var == "q":
                 parser.error("--q samples the active nodes from --D; it "

@@ -258,19 +258,20 @@ class EnergyLedger:
     trial's length.
 
     ``sums`` holds each type's exact (tx, rx, accounted) slot sums over its
-    nodes, all that mean_energy reads.  The per-node records ``tx``, ``rx``
-    and ``accounted`` are read-only mappings over the types 1..T.  Reading
-    type b replays type b's charges alone, drawing only its frames again,
-    into read-only float64 arrays that the ledger keeps until another type
-    is read or a charge is added: it holds one type's three arrays at a
-    time, idle(b) and energy(b, config) build type b once, and a re-read of
-    b after another type builds and draws it again.
+    nodes, all that mean_energy reads; a charge adds to every type's.  The
+    per-node records ``tx``, ``rx`` and ``accounted`` are read-only mappings
+    over the types 1..T.  Reading type b calls each charge's per-node
+    function for type b alone, drawing only its frames again, into
+    read-only float64 arrays that the ledger keeps until another type is
+    read or a charge is added: it holds one type's three arrays at a time,
+    idle(b) and energy(b, config) build type b once, and a re-read of b
+    after another type builds and draws it again.
     """
 
     def __init__(self, n):
         self.n = tuple(n)
         self.sums = np.zeros((len(self.n), 3))
-        self._charges = []
+        self._charges = []      # the charges' per-node functions, in order
         self._built = None      # (b, (tx, rx, accounted)) of the last read
 
     @staticmethod
@@ -288,35 +289,21 @@ class EnergyLedger:
                 raise KeyError(b)
             self._built = None      # the last type's arrays go first
             arrays = tuple(np.zeros(self.n[b - 1]) for _ in range(3))
-            for charged, amounts in self._charges:
-                if charged != b:
-                    continue
-                if callable(amounts):
-                    amounts(*arrays)
-                else:
-                    for array, a in zip(arrays, amounts):
-                        array += a
+            for nodes in self._charges:
+                nodes(b, *arrays)
             for array in arrays:
                 array.flags.writeable = False
             self._built = b, arrays
         return self._built[1]
 
-    def charge(self, b, sums, tx=0.0, rx=None, accounted=None):
-        """Add per-node slot counts to type b's nodes: numbers or (n_b,)
-        arrays (rx and accounted default to 0) or, if ``tx`` is a function,
-        what it adds in place to the (tx, rx, accounted) arrays if read (whole
-        numbers, in any order), with no ``rx`` or ``accounted`` beside it;
-        ``sums`` are the three amounts summed over the nodes."""
-        if not callable(tx):
-            amounts = (tx, 0.0 if rx is None else rx,
-                       0.0 if accounted is None else accounted)
-        elif rx is None and accounted is None:
-            amounts = tx
-        else:
-            raise TypeError("a callable tx charge adds rx and accounted "
-                            "itself; pass neither beside it")
-        self.sums[b - 1] += sums
-        self._charges.append((b, amounts))
+    def charge(self, sums, nodes):
+        """Add one charge to every type: ``sums`` is the (T, 3) array of
+        each type's (tx, rx, accounted) sums over its nodes, and
+        ``nodes(b, tx, rx, accounted)`` adds type b's per-node amounts in
+        place to its three arrays when type b is read (whole numbers, in
+        any order)."""
+        self.sums += sums
+        self._charges.append(nodes)
         self._built = None
         return self
 
@@ -345,10 +332,15 @@ class EnergyLedger:
 
     def charge_all(self, tx=0.0, rx=0.0, accounted=0.0):
         """Add the same per-node amounts to every node of every type."""
-        for b, nb in enumerate(self.n, 1):
-            self.charge(b, (tx * nb, rx * nb, accounted * nb), tx, rx,
-                        accounted)
-        return self
+        amounts = (tx, rx, accounted)
+        return self.charge(np.outer(self.n, amounts),
+                           functools.partial(_add_each, amounts))
+
+
+def _add_each(amounts, _b, *arrays):
+    """charge_all's per-node amounts: ``amounts`` added to every node."""
+    for array, a in zip(arrays, amounts):
+        array += a
 
 
 @dataclass

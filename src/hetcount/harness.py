@@ -40,6 +40,9 @@ CONFIG_KEYS = ("s_w", "ell", "m_prime", "gamma_tau", "gamma_rho",
 # build_config.
 SWEEP_VARS = ("none", "rough1", "n2_value", "T", "D", "q", "n_all",
               "epsilon", "delta", *CONFIG_KEYS)
+# Parameters that take whole numbers, swept or fixed: _whole takes 4.0 as
+# 4, so both name one cell, one set of seeds and one CSV text.
+INT_SWEEP_VARS = ("T", "D", "n_all", "ell", "m_prime", "s_w", "n2_value")
 
 
 class ConfigError(ValueError):
@@ -69,8 +72,7 @@ class ExperimentSpec:
     include_overhead: bool = False
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
+        _check_replicates(self.replicates)
         if not self.sweep_values:
             raise ConfigError("sweep range is empty")
         if len(set(self.schemes)) < len(self.schemes):
@@ -80,9 +82,32 @@ class ExperimentSpec:
         need = {"n2_value": "n", "rough1": "rough"}.get(self.sweep_var)
         if need is not None and self.fixed.get(need) is None:
             raise ConfigError(f"a {self.sweep_var} sweep needs {need}")
+        self.fixed = {k: _whole(k, v) for k, v in self.fixed.items()}
+        self.sweep_values = [_whole(self.sweep_var, value)
+                             for value in self.sweep_values]
         for value in self.sweep_values:
             check_cell(self.schemes, apply_sweep(dict(self.fixed),
                                                  self.sweep_var, value))
+
+
+def _check_replicates(replicates):
+    """Raise ConfigError for fewer than one replicate, before any run."""
+    if replicates < 1:
+        raise ConfigError("replicates must be >= 1")
+
+
+def _whole(name, value):
+    """``value`` of the parameter ``name``, a float taken as its int where
+    ``name`` takes whole numbers (INT_SWEEP_VARS); ConfigError if that float
+    is not whole."""
+    if name in INT_SWEEP_VARS and isinstance(value, (float, np.floating)):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (ValueError, OverflowError) as exc:     # NaN or infinite
+            raise ConfigError(f"{name}: {exc.args[0]}") from exc
+        raise ConfigError(f"{name} takes whole numbers, got {value!r}")
+    return value
 
 
 def check_cell(schemes, params):
@@ -301,10 +326,8 @@ def _stream_keys(schemes, T, m_prime, sampled):
 
 
 def _blocks(seeds, keys):
-    """The banks of ``seeds`` (one at least), BLOCK at a time, each block
-    opened together with ``keys`` derived for all of it in one pass."""
-    if not seeds:
-        raise ConfigError("replicates must be >= 1")
+    """The banks of ``seeds``, BLOCK at a time, each block opened together
+    with ``keys`` derived for all of it in one pass."""
     for start in range(0, len(seeds), BLOCK):
         yield RngBank.cell(seeds[start:start + BLOCK], keys)
 
@@ -501,6 +524,8 @@ def figure_preset(name, replicates=None, seed=0, out=None,
 def validate_accuracy(scheme, populations, params, replicates, seed=0):
     """Empirical per-type accuracy rates with Wilson 95% intervals, taken
     over a grid of populations, each checked before the first runs."""
+    _check_replicates(replicates)
+    params = {k: _whole(k, v) for k, v in params.items()}
     cells = [_with_rough(dict(params, n=tuple(n))) for n in populations]
     for prm in cells:
         check_cell([scheme], prm)
@@ -553,6 +578,7 @@ def calibrate_ell(epsilon, delta, n_grid, replicates=300, seed=0,
                   lo=50, hi=16384) -> int:
     """Smallest trial length whose worst-case empirical accuracy over the n
     grid reaches 1 - delta, by binary search."""
+    _check_replicates(replicates)
     if min(n_grid, default=0) < 0:
         raise ConfigError(f"n_grid counts must be >= 0, got {min(n_grid)}")
     # Zero nodes are estimated exactly at every ell.

@@ -221,14 +221,13 @@ def t_repetitions_bb(population: PopulationSpec, rough,
     its joined nodes, which the draw holds beside its counts."""
     _counts, joined, final, flags, slots = bb_trials(
         bb_key(population.n, rough, config), bank)
-    energy = EnergyLedger.zeros(population)
-    for b, (nb, nj) in enumerate(zip(population.n, joined), 1):
-        energy.charge(b, (nj, 0, config.ell * nb),
-                      partial(_own_trial, slots, b, config.ell))
-    return final, flags, energy
+    n = np.asarray(population.n)
+    return final, flags, EnergyLedger.zeros(population).charge(
+        np.column_stack((joined, 0 * n, config.ell * n)),
+        partial(_own_trial, slots, config.ell))
 
 
-def _own_trial(slots, b, ell, tx, rx, accounted):
+def _own_trial(slots, ell, b, tx, rx, accounted):
     """Per-node energy of type b's own trial (see t_repetitions_bb): a node
     sends once if it joined, which its participation uniform alone says."""
     for _frame, piece, joined in slots(b, joined=True):

@@ -362,24 +362,22 @@ def hold_frames(code, entries, s_w):
 
 def run_frames(resolved, counts, n, frames):
     """The energy of one replicate's frames, resolved (held_frames) from
-    its types-first (T, M, n_blocks) counts, n[b - 1] nodes of type b: the
-    resolved sums, and per node the frame tables.  A per-node read of
-    type b builds its (M, n_blocks + 1) tables from ``counts``, keeps them
-    for that read only, and calls ``frames(b)``: type b's 1-based block per
-    node (0 = idle), frame after frame, as (frame, slice of the nodes,
-    blocks) pieces (core.uniform_pieces)."""
+    its types-first (T, M, n_blocks) counts, n[b - 1] nodes of type b, in
+    one charge: the resolved sums of every type, and per node the frame
+    tables.  A per-node read of type b builds its (M, n_blocks + 1) tables
+    from ``counts``, keeps them for that read only, and calls
+    ``frames(b)``: type b's 1-based block per node (0 = idle), frame after
+    frame, as (frame, slice of the nodes, blocks) pieces
+    (core.uniform_pieces)."""
     stages, _plan, sums_tx, sums_rx, heard, tables = resolved
     total = float(sum(stages))
-    energy = EnergyLedger(n)
-    node_tables = partial(tables, counts)
-    for b, nb in enumerate(n, 1):
-        energy.charge(b, (sums_tx[b - 1], sums_rx[b - 1] + heard * nb,
-                          total * nb),
-                      partial(_node_sums, frames, b, node_tables, total))
-    return energy
+    energy, n = EnergyLedger(n), np.asarray(n)
+    return energy.charge(
+        np.column_stack((sums_tx, sums_rx + heard * n, total * n)),
+        partial(_node_sums, frames, partial(tables, counts), total))
 
 
-def _node_sums(frames, b, tables, accounted, node_tx, node_rx, node_acc):
+def _node_sums(frames, tables, accounted, b, node_tx, node_rx, node_acc):
     """Add to type b's per-node arrays, per node, the ``tables(b)`` entries
     at its block in each frame, whose blocks are drawn once, piece by piece,
     and ``accounted``."""

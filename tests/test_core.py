@@ -229,22 +229,99 @@ class TestLedgers:
         a.add(b)
         assert np.allclose(a.idle(1), 5.0)
 
-    def test_callable_charge_takes_no_rx_or_accounted(self):
-        # A callable tx adds all three records itself; an rx or accounted
-        # beside it would be dropped, so the combination is refused.
-        def adds(tx, rx, accounted):
-            tx += 1
+    def test_charge_adds_every_type_at_once(self):
+        # One charge holds every type's sums and one per-node function,
+        # which a read calls for the type read alone.
+        calls = []
+
+        def nodes(b, tx, rx, accounted):
+            calls.append(b)
+            tx += b
             accounted += 3
 
         led = EnergyLedger.zeros(PopulationSpec.fixed((2, 3)))
-        for extra in ({"rx": 1.0}, {"accounted": 2.0},
-                      {"rx": np.ones(3)}, {"accounted": np.arange(3.0)}):
-            with pytest.raises(TypeError, match="callable tx"):
-                led.charge(2, (0, 0, 0), adds, **extra)
-        assert not led._charges and not led.sums.any()
-        led.charge(2, (3, 0, 9), adds)
-        assert led.idle(2).tolist() == [2.0] * 3
-        assert led.sums[1].tolist() == [3, 0, 9]
+        led.charge([[2, 0, 6], [6, 0, 9]], nodes)
+        assert led.idle(2).tolist() == [1.0] * 3
+        assert led.sums.tolist() == [[2, 0, 6], [6, 0, 9]]
+        assert calls == [2]
+
+
+def _whole_amounts(data, n):
+    """Per type, (tx, rx, accounted) per-node whole numbers >= 0 as int64
+    arrays; accounted covers tx + rx unless the draw says otherwise."""
+    amounts = {}
+    for b, nb in enumerate(n, 1):
+        tx, rx, slack = (np.array(data.draw(st.lists(
+            st.integers(0, 9), min_size=nb, max_size=nb)), dtype=np.int64)
+            for _ in range(3))
+        accounted = (tx + rx + slack if data.draw(st.booleans())
+                     else slack)
+        amounts[b] = (tx, rx, accounted)
+    return amounts
+
+
+class TestLedgerInvariants:
+    """Invariants of any sequence of charge, charge_all and add, against
+    per-node int64 sums kept beside the ledger."""
+
+    @staticmethod
+    def _charge(led, expected, data):
+        op = data.draw(st.sampled_from(["charge", "charge_all", "add"]))
+        if op == "add":
+            other = EnergyLedger(led.n)
+            TestLedgerInvariants._charge(other, expected, data)
+            led.add(other)
+        elif op == "charge_all":
+            amounts = [data.draw(st.integers(0, 9)) for _ in range(3)]
+            led.charge_all(*amounts)
+            for b in expected:
+                for record, a in zip(expected[b], amounts):
+                    record += a
+        else:
+            amounts = _whole_amounts(data, led.n)
+
+            def nodes(b, *arrays):
+                for array, a in zip(arrays, amounts[b]):
+                    array += a
+            led.charge([[a.sum() for a in amounts[b]] for b in amounts],
+                       nodes)
+            for b in expected:
+                for record, a in zip(expected[b], amounts[b]):
+                    record += a
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=4),
+           st.integers(0, 5), st.data())
+    def test_sums_means_idle_and_read_order(self, n, charges, data):
+        led = EnergyLedger(n)
+        expected = {b: tuple(np.zeros(nb, dtype=np.int64) for _ in range(3))
+                    for b, nb in enumerate(n, 1)}
+        for _ in range(charges):
+            # A read between charges must not outlive the next charge.
+            if data.draw(st.booleans()):
+                led.tx[data.draw(st.sampled_from(list(expected)))]
+            self._charge(led, expected, data)
+        config = derive_config(0.05, 0.2, (64,) * len(n), gamma_tau=1.5,
+                               gamma_rho=0.7, gamma_iota=0.1)
+        order = data.draw(st.permutations(list(expected) * 2))
+        read = {b: (led.tx[b], led.rx[b], led.accounted[b], led.idle(b))
+                for b in order}
+        for b, (tx, rx, accounted) in expected.items():
+            arrays = (led.tx[b], led.rx[b], led.accounted[b])
+            # Reads in any order give the same arrays, which sum exactly
+            # to the type's sums row.
+            for got, want, first in zip(arrays, (tx, rx, accounted),
+                                        read[b]):
+                assert np.array_equal(got, want)
+                assert np.array_equal(first, want)
+            assert [a.sum() for a in arrays] == led.sums[b - 1].tolist()
+            idle = led.idle(b)
+            assert np.array_equal(idle, read[b][3])
+            assert (idle[accounted >= tx + rx] >= 0).all()
+            assert math.isclose(
+                led.mean_energy(b, config),
+                led.energy(b, config).mean() if n[b - 1] else 0.0,
+                rel_tol=1e-12, abs_tol=1e-12)
 
 
 def _derived_stream(seed, key):

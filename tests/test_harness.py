@@ -631,6 +631,33 @@ class TestSharedReplicates:
                                            "q": 0.3}, replicates=2, seed=4)))
         assert run(50) == run(50.0)
 
+    def test_integral_float_whole_number_parameters(self, scheme_runs):
+        """An integral float of a whole-number parameter, swept or fixed,
+        is its int: the same cell, seeds and CSV text.  T = 3.0 raised a
+        bare TypeError, and an n_all of 2^20 as a float printed as
+        1.04858e+06."""
+        drawn = {"D": 10, "q": 0.5, "epsilon": 0.03}
+
+        def run(sweep_var, values, fixed):
+            return harness.format_csv(run_experiment(ExperimentSpec(
+                ["hsrc1"], sweep_var, values, fixed, replicates=2, seed=5)))
+        want = run("T", [3], drawn)
+        assert run("T", [3.0], drawn) == run("T", [np.float32(3)], drawn) \
+            == want
+        assert run("none", [0], dict(drawn, T=3.0)) == run(
+            "none", [0], dict(drawn, T=3))
+        fixed = dict(drawn, T=3, D=100)
+        want = run("n_all", [1 << 20], fixed)
+        assert run("n_all", [float(1 << 20)], fixed) == want
+        assert ",1048576,hsrc1," in want
+        scheme_runs.clear()
+        for sweep_var, values, fixed in (("T", [3.5], drawn),
+                                         ("none", [0], dict(drawn, T=3.5)),
+                                         ("ell", [4, 8.5], dict(drawn, T=3))):
+            with pytest.raises(ConfigError, match="takes whole numbers"):
+                run(sweep_var, values, fixed)
+        assert scheme_runs == []
+
     def test_numpy_sweep_value_same_seed(self):
         assert _rep_seed(0, "T", 3, 1) == _rep_seed(0, "T", np.int64(3), 1)
         assert _rep_seed(0, "q", 0.5, 0) == _rep_seed(0, "q", np.float64(0.5),
@@ -728,13 +755,9 @@ def _all_types(energy):
     once from the ledger's charges, in charge order, by record name."""
     arrays = tuple({b: np.zeros(nb) for b, nb in enumerate(energy.n, 1)}
                    for _ in RECORDS)
-    for b, amounts in energy._charges:
-        mine = [per_type[b] for per_type in arrays]
-        if callable(amounts):
-            amounts(*mine)
-        else:
-            for array, a in zip(mine, amounts):
-                array += a
+    for nodes in energy._charges:
+        for b in arrays[0]:
+            nodes(b, *(per_type[b] for per_type in arrays))
     return dict(zip(RECORDS, arrays))
 
 
@@ -772,6 +795,17 @@ class TestPerNodeOneTypeAtATime:
                 have, ref = getattr(energy, record)[b], want[record][b]
             assert have.dtype == ref.dtype == np.float64
             assert np.array_equal(have, ref)
+
+    @pytest.mark.parametrize("T", [3, 8])
+    @pytest.mark.parametrize("scheme", ENERGY_SCHEMES)
+    def test_charges_do_not_grow_with_t(self, scheme, T):
+        """A run charges its ledger once per frame set, every type at once:
+        phase 1, the phase boundary and phase 2 for an hsrc scheme, TRepBB
+        and its phase-1 executions for txsrcs, phase 2 for a p2 scheme."""
+        report = self._report(scheme, (20,) * T, 5, ell=16)
+        charges = (3 if scheme.startswith("hsrc") else
+                   2 if scheme == "txsrcs" else 1)
+        assert len(report.energy._charges) == charges
 
     @pytest.mark.parametrize("scheme", ENERGY_SCHEMES)
     def test_idle_loop_peak_memory(self, scheme):

@@ -961,8 +961,8 @@ class TestPhase2KeepsNoNodeArrays:
     def _assert_count_level(self, energy, counts=None):
         # The block counts a per-node table is built from, ``counts``, are
         # count-level whatever their size.
-        held = [a for _b, amounts in energy._charges
-                for a in _held_arrays(amounts)
+        held = [a for nodes in energy._charges
+                for a in _held_arrays(nodes)
                 if counts is None or not np.shares_memory(a, counts)]
         assert all(a.size < min(self.N) for a in held), sorted(
             a.size for a in held)

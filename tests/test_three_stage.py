@@ -304,7 +304,7 @@ def _energy_loop(frame, population, config, frame_total):
     for h in frame.r_list:
         rflag_mask[h] = True
     bp1 = bitmap_bp_slots(n_blocks, config.s_w)
-    energy = EnergyLedger.zeros(population)
+    records = {}
     for b in range(1, T + 1):
         blocks = frame.stage1.chosen[b]
         part = (blocks > 0).astype(float)
@@ -315,9 +315,18 @@ def _energy_loop(frame, population, config, frame_total):
             tx = part + part * rflag_mask[blocks]
             rx = bp1 + part * flagged_mask[blocks]
         accounted = np.full(blocks.shape, float(frame_total))
-        energy.charge(b, (tx.sum(), rx.sum(), accounted.sum()), tx, rx,
-                      accounted)
-    return energy
+        records[b] = tx, rx, accounted
+    return _charged(population, records)
+
+
+def _charged(population, records):
+    """A ledger of one charge: type b's per-node (tx, rx, accounted)
+    arrays ``records[b]`` and their sums."""
+    def nodes(b, *arrays):
+        for array, a in zip(arrays, records[b]):
+            array += a
+    return EnergyLedger.zeros(population).charge(
+        [[a.sum() for a in records[b]] for b in records], nodes)
 
 
 def _is_int_list(xs):

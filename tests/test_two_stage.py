@@ -353,7 +353,7 @@ def _energy_2ss_loop(chosen, codes, bp, population, frame_total):
     T = population.T
     row_symbols = _row_symbols(T)
     lut = resolver_lut(T)
-    energy = EnergyLedger.zeros(population)
+    records = {}
     for b in range(1, T + 1):
         blocks = chosen[b]
         part = (blocks > 0).astype(float)
@@ -364,9 +364,18 @@ def _energy_2ss_loop(chosen, codes, bp, population, frame_total):
         tx = part * int(row_symbols[b - 1]) + part * extra_tx
         rx = np.full(blocks.shape, float(bp))
         accounted = np.full(blocks.shape, float(frame_total))
-        energy.charge(b, (tx.sum(), rx.sum(), accounted.sum()), tx, rx,
-                      accounted)
-    return energy
+        records[b] = tx, rx, accounted
+    return _charged(population, records)
+
+
+def _charged(population, records):
+    """A ledger of one charge: type b's per-node (tx, rx, accounted)
+    arrays ``records[b]`` and their sums."""
+    def nodes(b, *arrays):
+        for array, a in zip(arrays, records[b]):
+            array += a
+    return EnergyLedger.zeros(population).charge(
+        [[a.sum() for a in records[b]] for b in records], nodes)
 
 
 class TestEnergy:
